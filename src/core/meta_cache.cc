@@ -6,6 +6,7 @@ namespace {
 
 // Approximate resident bytes for one entry: key string + record payload +
 // list/map node overhead (measured-ish, same spirit as zk memory model).
+// This is the Fig. 11 memory model, not the host layout, and stays fixed.
 std::size_t EntryBytes(const std::string& path, const MetaCache::Entry& e) {
   constexpr std::size_t kNodeOverhead = 96;  // list node + hash slot + Entry
   return kNodeOverhead + path.size() +
@@ -19,49 +20,55 @@ MetaCache::MetaCache(sim::Simulation& sim, MetaCacheConfig config)
   DUFS_CHECK(config_.capacity > 0);
 }
 
-const MetaCache::Entry* MetaCache::Lookup(const std::string& path) {
-  auto it = map_.find(path);
-  if (it == map_.end()) {
+const MetaCache::Entry* MetaCache::Lookup(std::string_view path) {
+  const std::uint32_t* id = index_.Find(path);
+  if (id == nullptr) {
     ++stats_.misses;
     return nullptr;
   }
-  if (config_.ttl > 0 &&
-      sim_.now() - it->second->second.inserted > config_.ttl) {
+  Node& node = nodes_[*id];
+  if (config_.ttl > 0 && sim_.now() - node.entry.inserted > config_.ttl) {
     ++stats_.expirations;
     ++stats_.misses;
-    EraseIt(it);
+    Erase(*id);
     return nullptr;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  const Entry& entry = it->second->second;
-  if (entry.negative) {
+  Unlink(*id);  // refresh recency
+  LinkFront(*id);
+  if (node.entry.negative) {
     ++stats_.negative_hits;
   } else {
     ++stats_.hits;
   }
-  return &entry;
+  return &node.entry;
 }
 
-void MetaCache::Put(const std::string& path, Entry entry) {
+void MetaCache::Put(std::string_view path, Entry entry) {
   entry.inserted = sim_.now();
-  auto it = map_.find(path);
-  if (it != map_.end()) {
-    bytes_ -= EntryBytes(path, it->second->second);
-    it->second->second = std::move(entry);
-    bytes_ += EntryBytes(path, it->second->second);
-    lru_.splice(lru_.begin(), lru_, it->second);
+  if (const std::uint32_t* found = index_.Find(path)) {
+    const std::uint32_t id = *found;
+    Node& node = nodes_[id];
+    bytes_ -= EntryBytes(node.path, node.entry);
+    node.entry = std::move(entry);
+    bytes_ += EntryBytes(node.path, node.entry);
+    Unlink(id);
+    LinkFront(id);
     return;
   }
-  while (map_.size() >= config_.capacity) {
+  while (index_.size() >= config_.capacity) {
     ++stats_.evictions;
-    EraseIt(map_.find(lru_.back().first));
+    Erase(tail_);
   }
-  lru_.emplace_front(path, std::move(entry));
-  bytes_ += EntryBytes(path, lru_.front().second);
-  map_.emplace(path, lru_.begin());
+  const std::uint32_t id = nodes_.Allocate();
+  Node& node = nodes_[id];
+  node.path.assign(path);
+  node.entry = std::move(entry);
+  bytes_ += EntryBytes(node.path, node.entry);
+  LinkFront(id);
+  index_.Insert(node.path, id);
 }
 
-void MetaCache::PutPositive(const std::string& path, MetaRecord record,
+void MetaCache::PutPositive(std::string_view path, MetaRecord record,
                             zk::ZnodeStat stat) {
   Entry entry;
   entry.record = std::move(record);
@@ -69,51 +76,64 @@ void MetaCache::PutPositive(const std::string& path, MetaRecord record,
   Put(path, std::move(entry));
 }
 
-void MetaCache::PutNegative(const std::string& path) {
+void MetaCache::PutNegative(std::string_view path) {
   if (!config_.negative_entries) return;
   Entry entry;
   entry.negative = true;
   Put(path, std::move(entry));
 }
 
-void MetaCache::Invalidate(const std::string& path) {
-  auto it = map_.find(path);
-  if (it == map_.end()) return;
+void MetaCache::Invalidate(std::string_view path) {
+  const std::uint32_t* id = index_.Find(path);
+  if (id == nullptr) return;
   ++stats_.invalidations;
-  EraseIt(it);
+  Erase(*id);
 }
 
-void MetaCache::InvalidateSubtree(const std::string& path) {
+void MetaCache::InvalidateSubtree(std::string_view path) {
   Invalidate(path);
-  const std::string prefix = path + "/";
-  // Erase-only walk: the surviving entries are the same in any visit order,
-  // so hash-order iteration cannot leak into observable state.
-  // dufs-lint: allow(det-export-order)
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->first.rfind(prefix, 0) == 0) {
+  const std::string prefix = std::string(path) + "/";
+  // Walks the LRU list, not the hash index, so the visit order is fixed.
+  for (std::uint32_t id = head_; id != kNil;) {
+    const std::uint32_t next = nodes_[id].next;
+    if (nodes_[id].path.starts_with(prefix)) {
       ++stats_.invalidations;
-      auto victim = it++;
-      EraseIt(victim);
-    } else {
-      ++it;
+      Erase(id);
     }
+    id = next;
   }
 }
 
 void MetaCache::Clear() {
-  lru_.clear();
-  map_.clear();
+  nodes_.Clear();
+  head_ = tail_ = kNil;
+  index_.Clear();
   bytes_ = 0;
 }
 
 std::size_t MetaCache::EstimateMemoryBytes() const { return bytes_; }
 
-void MetaCache::EraseIt(
-    std::unordered_map<std::string, LruList::iterator>::iterator it) {
-  DUFS_CHECK(it != map_.end());
-  bytes_ -= EntryBytes(it->first, it->second->second);
-  lru_.erase(it->second);
-  map_.erase(it);
+void MetaCache::Erase(std::uint32_t id) {
+  Node& node = nodes_[id];
+  bytes_ -= EntryBytes(node.path, node.entry);
+  index_.Erase(node.path);
+  Unlink(id);
+  nodes_.Free(id);
+}
+
+void MetaCache::Unlink(std::uint32_t id) {
+  Node& node = nodes_[id];
+  (node.prev != kNil ? nodes_[node.prev].next : head_) = node.next;
+  (node.next != kNil ? nodes_[node.next].prev : tail_) = node.prev;
+  node.prev = node.next = kNil;
+}
+
+void MetaCache::LinkFront(std::uint32_t id) {
+  Node& node = nodes_[id];
+  node.prev = kNil;
+  node.next = head_;
+  (head_ != kNil ? nodes_[head_].prev : tail_) = id;
+  head_ = id;
 }
 
 }  // namespace dufs::core

@@ -16,17 +16,23 @@
 //   * a TTL bounds staleness if a watch event is lost (client failover,
 //     dropped notification).
 //
+// Layout: entries live in a Slab of nodes doubly linked into the LRU list
+// by node id; a PathTable (flat, open addressing) maps each path to its
+// node. The table has no iteration API, and InvalidateSubtree walks the LRU
+// list, so no result depends on hash order.
+//
 // The cache is a plain deterministic data structure (no coroutines); the
 // DufsClient drives it. Memory is bounded by `capacity` and reported via
 // EstimateMemoryBytes() so the Fig. 11 client-memory story stays honest.
+// That estimate is a fixed per-entry model, not the host layout.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
-#include <utility>
+#include <string_view>
 
+#include "common/path_table.h"
+#include "common/slab.h"
 #include "core/meta_schema.h"
 #include "sim/simulation.h"
 #include "zk/znode.h"
@@ -62,34 +68,47 @@ class MetaCache {
   // nullptr on miss or TTL expiry (expired entries are dropped). A hit
   // refreshes the entry's LRU position. The pointer is valid until the next
   // non-const call.
-  const Entry* Lookup(const std::string& path);
+  const Entry* Lookup(std::string_view path);
 
-  void PutPositive(const std::string& path, MetaRecord record,
+  void PutPositive(std::string_view path, MetaRecord record,
                    zk::ZnodeStat stat);
-  void PutNegative(const std::string& path);
+  void PutNegative(std::string_view path);
 
   // Drops one path (no-op when absent). Counted as an invalidation only
   // when something was actually cached.
-  void Invalidate(const std::string& path);
+  void Invalidate(std::string_view path);
   // Drops `path` and every entry under "path/" (directory rename/unlink).
-  void InvalidateSubtree(const std::string& path);
+  void InvalidateSubtree(std::string_view path);
   void Clear();
 
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return index_.size(); }
   const Stats& stats() const { return stats_; }
   const MetaCacheConfig& config() const { return config_; }
   std::size_t EstimateMemoryBytes() const;
 
  private:
-  using LruList = std::list<std::pair<std::string, Entry>>;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-  void Put(const std::string& path, Entry entry);
-  void EraseIt(std::unordered_map<std::string, LruList::iterator>::iterator);
+  // One cached path, linked into the LRU list by node id. The index keys
+  // each live node by a view of its `path`.
+  struct Node {
+    std::string path;
+    Entry entry;
+    std::uint32_t prev = kNil;  // more recently used
+    std::uint32_t next = kNil;  // less recently used
+  };
+
+  void Put(std::string_view path, Entry entry);
+  void Erase(std::uint32_t id);
+  void Unlink(std::uint32_t id);
+  void LinkFront(std::uint32_t id);
 
   sim::Simulation& sim_;
   MetaCacheConfig config_;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<std::string, LruList::iterator> map_;
+  Slab<Node> nodes_;
+  std::uint32_t head_ = kNil;  // most recently used
+  std::uint32_t tail_ = kNil;  // least recently used: the next victim
+  PathTable<std::uint32_t> index_;  // path -> node id
   Stats stats_;
   std::size_t bytes_ = 0;  // sum of cached key+payload bytes
 };

@@ -370,10 +370,10 @@ void ZkServer::RegisterWatch(const Op& op, SessionId session,
   switch (op.type) {
     case OpType::kGetData:
     case OpType::kExists:
-      data_watches_[op.path][{session, client}] = true;
+      data_watches_.Add(op.path, {session, client});
       break;
     case OpType::kGetChildren:
-      child_watches_[op.path][{session, client}] = true;
+      child_watches_.Add(op.path, {session, client});
       break;
     default:
       break;
@@ -385,57 +385,69 @@ void ZkServer::RegisterCompoundWatches(OpType type, const std::string& path,
                                        SessionId session,
                                        net::NodeId client) {
   const auto components = PathComponents(path);
-  const auto key = std::make_pair(session, client);
+  const WatchTable::Watcher watcher{session, client};
   // Data watch on every component the walk resolved. resolved_depth may
   // exceed prefix.size() by one (the terminal rides stat/data), and for a
   // successful ResolveDelete it is one *less* than the walk reached — the
   // deleted terminal must not be re-watched, or the watch would never fire.
-  std::string znode_path;
-  znode_path.reserve(path.size());
+  // Every prefix, and below every child path, is built in one reused buffer.
+  std::string& znode_path = watch_path_;
+  znode_path.clear();
   const std::size_t watched =
       std::min<std::size_t>(result.resolved_depth, components.size());
   for (std::size_t i = 0; i < watched; ++i) {
     znode_path.push_back('/');
     znode_path.append(components[i]);
-    data_watches_[znode_path][key] = true;
+    data_watches_.Add(znode_path, watcher);
   }
   // Partial miss: an existence watch on the first missing component keeps
   // the client's negative cache entry coherent (kNodeCreated fires it).
   if (watched < components.size()) {
     znode_path.push_back('/');
     znode_path.append(components[watched]);
-    data_watches_[znode_path][key] = true;
+    data_watches_.Add(znode_path, watcher);
     return;
   }
   if (type == OpType::kReadDirPlus && result.ok()) {
     // The listing seeds one positive cache entry per child: mirror it with
     // a child watch on the directory plus a data watch per entry.
-    child_watches_[path][key] = true;
+    child_watches_.Add(path, watcher);
+    znode_path.assign(path);
+    if (path != "/") znode_path.push_back('/');
+    const std::size_t dir_len = znode_path.size();
     for (const auto& entry : result.entries) {
-      std::string child_path = path == "/" ? "/" + entry.name
-                                           : path + "/" + entry.name;
-      data_watches_[std::move(child_path)][key] = true;
+      znode_path.resize(dir_len);
+      znode_path.append(entry.name);
+      data_watches_.Add(znode_path, watcher);
     }
   }
 }
 
 void ZkServer::FireTriggers(const std::vector<AppliedTxn::Trigger>& triggers) {
   for (const auto& trig : triggers) {
-    auto& watch_map = trig.type == WatchEventType::kNodeChildrenChanged
-                          ? child_watches_
-                          : data_watches_;
-    auto it = watch_map.find(trig.path);
-    if (it == watch_map.end()) continue;
-    WatchSet watchers = std::move(it->second);
-    watch_map.erase(it);  // one-shot, like ZooKeeper
-    for (const auto& [key, unused] : watchers) {
+    auto& table = trig.type == WatchEventType::kNodeChildrenChanged
+                      ? child_watches_
+                      : data_watches_;
+    for (const WatchTable::Watcher& watcher : table.Take(trig.path)) {
       WatchEvent ev;
       ev.type = trig.type;
       ev.path = trig.path;
-      ev.session = key.first;
-      endpoint_.Notify(key.second, method::kWatchEvent, ev.Encode());
+      ev.session = watcher.session;
+      endpoint_.Notify(watcher.client, method::kWatchEvent, ev.Encode());
     }
   }
+}
+
+AppliedTxn ZkServer::ApplyTxn(const Txn& txn, Zxid zxid) {
+  AppliedTxn applied = db_->Apply(txn, zxid, endpoint_.sim().now());
+  if (txn.op.type == OpType::kCloseSession) {
+    // Like ZooKeeper, a closed session's watches go with it, so the
+    // deletes of its ephemerals below notify only sessions still open.
+    data_watches_.DropSession(txn.session);
+    child_watches_.DropSession(txn.session);
+  }
+  FireTriggers(applied.triggers);
+  return applied;
 }
 
 // -------------------------------------------------------------- writes ----
@@ -852,9 +864,7 @@ void ZkServer::ApplyCommitted() {
     }
     auto it = pending_txns_.find(zxid);
     if (it == pending_txns_.end()) break;  // proposal not yet received
-    AppliedTxn applied =
-        db_->Apply(it->second, zxid, endpoint_.sim().now());
-    FireTriggers(applied.triggers);
+    AppliedTxn applied = ApplyTxn(it->second, zxid);
     // Every replica retains the committed tail: any of them may be elected
     // leader later and must be able to sync lagging followers.
     AppendCommittedLog(zxid, std::move(it->second));
@@ -1185,8 +1195,7 @@ sim::Task<void> ZkServer::SyncWithLeader(std::size_t leader_idx) {
     auto txn = Txn::Decode(r);
     if (!txn.ok()) co_return;
     if (*zxid <= db_->last_applied()) continue;
-    AppliedTxn applied = db_->Apply(*txn, *zxid, endpoint_.sim().now());
-    FireTriggers(applied.triggers);
+    ApplyTxn(*txn, *zxid);
     AppendCommittedLog(*zxid, std::move(*txn));
   }
   epoch_ = std::max(epoch_, *epoch);

@@ -31,6 +31,7 @@
 #include "sim/sync.h"
 #include "zk/database.h"
 #include "zk/proto.h"
+#include "zk/watch_table.h"
 
 namespace dufs::zk {
 
@@ -183,6 +184,9 @@ class ZkServer {
                                const OpResult& result, SessionId session,
                                net::NodeId client);
   void FireTriggers(const std::vector<AppliedTxn::Trigger>& triggers);
+  // Applies one committed txn to this replica: the database, then the watch
+  // tables (a closed session's watches go, then the triggers fire).
+  AppliedTxn ApplyTxn(const Txn& txn, Zxid zxid);
 
   // Failure detection & election.
   sim::Task<void> LeaderPingLoop(std::int64_t epoch_at_start);
@@ -231,10 +235,11 @@ class ZkServer {
   // sequencing and the next quorum round picks them all up at once.
   std::size_t journal_pending_ = 0;
 
-  // Watches: path -> (session, client node).
-  using WatchSet = std::map<std::pair<SessionId, net::NodeId>, bool>;
-  std::unordered_map<std::string, WatchSet> data_watches_;
-  std::unordered_map<std::string, WatchSet> child_watches_;
+  // Watches registered at this server (DESIGN.md §13.4).
+  WatchTable data_watches_;
+  WatchTable child_watches_;
+  // Reused by RegisterCompoundWatches for every prefix and child path.
+  std::string watch_path_;
 
   // Election state.
   struct Vote {

@@ -3,7 +3,10 @@
 
 #include "testutil/co_assert.h"
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/rpc.h"
 #include "sim/task.h"
@@ -231,6 +234,53 @@ TEST(EnsembleTest, WatchIsOneShot) {
   }(e));
   e.Drain();
   EXPECT_EQ(fired, 1);
+}
+
+TEST(EnsembleTest, OneTriggerNotifiesEachWatcherOnceInOrder) {
+  Ensemble e(3, 2);
+  // Three sessions per client node, all attached to server 0, so one
+  // server holds every watch on /w.
+  std::vector<std::unique_ptr<ZkClient>> watchers;
+  for (int i = 0; i < 3; ++i) {
+    for (std::size_t node = 0; node < 2; ++node) {
+      ZkClientConfig cc;
+      cc.servers = e.config.servers;
+      cc.attach_index = 0;
+      watchers.push_back(std::make_unique<ZkClient>(*e.client_eps[node], cc));
+    }
+  }
+  std::vector<std::pair<SessionId, net::NodeId>> notified;
+  for (std::size_t node = 0; node < 2; ++node) {
+    // One watch sink per node; it sees the events of every session there.
+    const net::NodeId id = e.client_eps[node]->self();
+    watchers[node]->SetWatchHandler([&notified, id](const WatchEvent& ev) {
+      EXPECT_EQ(ev.path, "/w");
+      notified.emplace_back(ev.session, id);
+    });
+  }
+  sim::RunTask(e.sim, [](Ensemble& en,
+                         std::vector<std::unique_ptr<ZkClient>>& ws)
+                          -> sim::Task<void> {
+    CO_ASSERT_OK(co_await en.client(0).Connect());
+    CO_ASSERT_TRUE((co_await en.client(0).Create("/w", Bytes("0"))).ok());
+    for (auto& w : ws) CO_ASSERT_OK(co_await w->Connect());
+    // Register newest session first, and every session twice (a data
+    // watch via Get and again via Exists): the table must still notify
+    // each (session, client) once, in ascending order.
+    for (auto it = ws.rbegin(); it != ws.rend(); ++it) {
+      CO_ASSERT_TRUE((co_await (*it)->Get("/w", /*watch=*/true)).ok());
+      CO_ASSERT_TRUE((co_await (*it)->Exists("/w", /*watch=*/true)).ok());
+    }
+    CO_ASSERT_TRUE((co_await en.client(0).Set("/w", Bytes("1"))).ok());
+  }(e, watchers));
+  e.Drain();
+  std::vector<std::pair<SessionId, net::NodeId>> expected;
+  for (std::size_t k = 0; k < watchers.size(); ++k) {
+    expected.emplace_back(watchers[k]->session(),
+                          e.client_eps[k % 2]->self());
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(notified, expected);
 }
 
 TEST(EnsembleTest, ChildWatchFiresOnCreate) {

@@ -131,5 +131,62 @@ TEST(SessionExpiryTest, DisabledByDefault) {
   }(e));
 }
 
+// Regression: watches used to outlive their session. Nothing but a trigger
+// removed a watch, so after a session closed its registrations stayed in the
+// servers' watch tables and a later change sent its node a WatchEvent for
+// the dead session. Closing a session now drops its watches on every replica.
+// Client 1 registers data, existence, child and compound watches; client 0
+// keeps a watch of its own as the control.
+const auto WatchEverything = [](ExpiryEnsemble& en) -> sim::Task<void> {
+  CO_ASSERT_TRUE((co_await en.clients[0]->Create("/locks/w", Bytes("0"))).ok());
+  CO_ASSERT_TRUE((co_await en.clients[0]->Get("/locks/w", true)).ok());
+  CO_ASSERT_TRUE((co_await en.clients[1]->Get("/locks/w", true)).ok());
+  auto later = co_await en.clients[1]->Exists("/locks/later", true);
+  CO_ASSERT_EQ(later.code(), StatusCode::kNotFound);
+  CO_ASSERT_TRUE((co_await en.clients[1]->GetChildren("/locks", true)).ok());
+  auto listing = co_await en.clients[1]->ReadDirPlus("/locks", true);
+  CO_ASSERT_TRUE(listing.ok() && listing->ok());
+};
+
+const auto ChangeEverything = [](ExpiryEnsemble& en) -> sim::Task<void> {
+  CO_ASSERT_TRUE((co_await en.clients[0]->Set("/locks/w", Bytes("1"))).ok());
+  CO_ASSERT_TRUE((co_await en.clients[0]->Create("/locks/later", {})).ok());
+};
+
+TEST(SessionExpiryTest, ClosedSessionLosesItsWatches) {
+  ExpiryEnsemble e(/*session_timeout=*/0);
+  std::vector<WatchEvent> seen0, seen1;
+  e.clients[0]->SetWatchHandler(
+      [&](const WatchEvent& ev) { seen0.push_back(ev); });
+  e.clients[1]->SetWatchHandler(
+      [&](const WatchEvent& ev) { seen1.push_back(ev); });
+  sim::RunTask(e.sim, WatchEverything(e));
+  sim::RunTask(e.sim, [](ExpiryEnsemble& en) -> sim::Task<void> {
+    CO_ASSERT_OK(co_await en.clients[1]->Close());
+  }(e));
+  sim::RunTask(e.sim, ChangeEverything(e));
+  e.sim.Run(e.sim.now() + sim::Ms(100));
+  ASSERT_EQ(seen0.size(), 1u);  // the open session is still notified
+  EXPECT_EQ(seen0[0].path, "/locks/w");
+  EXPECT_TRUE(seen1.empty()) << seen1.size() << " event(s) for a closed "
+                             << "session, first on " << seen1[0].path;
+}
+
+TEST(SessionExpiryTest, ExpiredSessionLosesItsWatches) {
+  ExpiryEnsemble e(sim::Ms(300));
+  e.clients[0]->StartHeartbeats(sim::Ms(100));
+  std::vector<WatchEvent> seen1;
+  e.clients[1]->SetWatchHandler(
+      [&](const WatchEvent& ev) { seen1.push_back(ev); });
+  sim::RunTask(e.sim, WatchEverything(e));
+  // Client 1 goes silent but its node stays up, so it would still receive
+  // any event sent to it.
+  e.sim.Run(e.sim.now() + sim::Sec(1));
+  sim::RunTask(e.sim, ChangeEverything(e));
+  e.sim.Run(e.sim.now() + sim::Ms(100));
+  EXPECT_TRUE(seen1.empty()) << seen1.size() << " event(s) for an expired "
+                             << "session, first on " << seen1[0].path;
+}
+
 }  // namespace
 }  // namespace dufs::zk
