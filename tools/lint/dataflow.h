@@ -1,7 +1,7 @@
 // Interprocedural dataflow rules over the cross-TU symbol table and call
 // graph. This is stage B of the analyzer: stage A (per-file lexing, local
-// rules, FileSummary extraction) is cacheable; everything here runs fresh on
-// every invocation over the collected summaries.
+// rules, FileSummary extraction) is pure per file; everything here runs over
+// the collected summaries.
 //
 // Rules:
 //   task-discard            — statement-level discard of a direct

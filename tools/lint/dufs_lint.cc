@@ -2,7 +2,7 @@
 //
 //   dufs_lint [--root=DIR] [--format=text|json] [--rule=a,b] [--explain]
 //             [--sarif=FILE] [--baseline=FILE] [--write-baseline=FILE]
-//             [--cache-dir=DIR] [--werror] [paths...]
+//             [--werror] [paths...]
 //
 // With no explicit paths, walks src/, bench/, and tests/ under --root
 // (default: current directory) over *.h/*.cc, applies the per-file rules
@@ -10,9 +10,7 @@
 // findings. Exit status: 0 clean (warn-severity findings do not fail unless
 // --werror), 1 error findings, 2 usage or I/O error.
 //
-// `--cache-dir=DIR` memoizes the per-file parse on disk keyed by content
-// hash; the cross-TU pass always runs fresh, so results are identical warm
-// or cold. `--baseline=FILE` suppresses findings whose `file:line:rule`
+// `--baseline=FILE` suppresses findings whose `file:line:rule`
 // fingerprint is listed (intentional debt); `--write-baseline=FILE`
 // snapshots the current findings into that format. `--sarif=FILE` writes a
 // SARIF 2.1.0 log alongside the normal output. `--format=json` emits a
@@ -28,14 +26,12 @@
 #include <string>
 #include <vector>
 
-#include "cache.h"
 #include "finding.h"
 #include "rules.h"
 
 namespace {
 
 namespace fs = std::filesystem;
-using dufs::lint::FileArtifacts;
 using dufs::lint::Finding;
 using dufs::lint::Linter;
 using dufs::lint::RuleDocs;
@@ -52,7 +48,6 @@ struct Options {
   std::string sarif_path;
   std::string baseline_path;
   std::string write_baseline_path;
-  std::string cache_dir;
   std::vector<std::string> paths;
 };
 
@@ -63,7 +58,7 @@ int Usage() {
       "[--explain]\n"
       "                 [--sarif=FILE] [--baseline=FILE] "
       "[--write-baseline=FILE]\n"
-      "                 [--cache-dir=DIR] [--werror] [paths...]\n");
+      "                 [--werror] [paths...]\n");
   return 2;
 }
 
@@ -99,8 +94,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       opt->baseline_path = v;
     } else if (const char* v = value("--write-baseline")) {
       opt->write_baseline_path = v;
-    } else if (const char* v = value("--cache-dir")) {
-      opt->cache_dir = v;
     } else if (arg == "--werror") {
       opt->werror = true;
     } else if (arg == "--explain") {
@@ -295,7 +288,6 @@ int main(int argc, char** argv) {
                  opt.root.c_str());
     return 2;
   }
-  std::size_t cache_hits = 0;
   for (const auto& file : files) {
     std::ifstream in(file, std::ios::binary);
     if (!in) {
@@ -304,20 +296,7 @@ int main(int argc, char** argv) {
     }
     std::ostringstream content;
     content << in.rdbuf();
-    const std::string rel = RelativePath(file, root);
-    if (opt.cache_dir.empty()) {
-      linter.AddFile(rel, content.str());
-      continue;
-    }
-    const std::string key = dufs::lint::CacheKey(rel, content.str());
-    if (auto cached = dufs::lint::LoadCachedArtifacts(opt.cache_dir, key)) {
-      ++cache_hits;
-      linter.AddArtifacts(std::move(*cached));
-      continue;
-    }
-    FileArtifacts fresh = dufs::lint::AnalyzeFile(rel, content.str());
-    dufs::lint::StoreCachedArtifacts(opt.cache_dir, key, fresh);
-    linter.AddArtifacts(std::move(fresh));
+    linter.AddFile(RelativePath(file, root), content.str());
   }
 
   std::vector<Finding> findings = linter.Run();
@@ -391,9 +370,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dufs_lint: %zu finding(s) in %zu file(s)",
                  findings.size(), files.size());
     if (baselined > 0) std::fprintf(stderr, ", %zu baselined", baselined);
-    if (!opt.cache_dir.empty()) {
-      std::fprintf(stderr, ", cache %zu/%zu", cache_hits, files.size());
-    }
     std::fprintf(stderr, "\n");
   }
   if (errors > 0) return 1;

@@ -886,10 +886,6 @@ void Linter::AddFile(std::string path, const std::string& content) {
   files_.push_back(AnalyzeFile(std::move(path), content));
 }
 
-void Linter::AddArtifacts(FileArtifacts artifacts) {
-  files_.push_back(std::move(artifacts));
-}
-
 std::vector<std::string> Linter::TaskFunctionNames() const {
   std::set<std::string> names;
   for (const auto& a : files_) {

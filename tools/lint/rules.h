@@ -10,7 +10,7 @@
 // The analyzer is two-stage. Stage A (AnalyzeFile) is strictly per-file:
 // lexing, the local token rules, and FileSummary extraction for the
 // cross-TU passes — its output (FileArtifacts) depends only on the file's
-// own bytes, which is what makes the on-disk parse cache (cache.h) sound.
+// own bytes.
 // Stage B (Linter::Run) builds the symbol table and call graph over every
 // added file's summary and runs the interprocedural dataflow rules
 // (dataflow.h), then merges, suppression-filters, and sorts.
@@ -50,13 +50,12 @@ struct FileArtifacts {
 // (sim-time-source's rng exemption, header rules) work.
 FileArtifacts AnalyzeFile(std::string path, const std::string& content);
 
-// Whole-tree linter: add every file (parsed fresh or from the cache), then
+// Whole-tree linter: add every file, then
 // Run() applies the per-file results plus the interprocedural rules and
 // returns suppression-filtered findings sorted by (file, line, rule).
 class Linter {
  public:
   void AddFile(std::string path, const std::string& content);
-  void AddArtifacts(FileArtifacts artifacts);
   std::vector<Finding> Run();
 
   // Names the declaration scan decided are Task/Future-returning functions
