@@ -5,6 +5,7 @@
 
 #include <string>  // dufs-lint: allow(obs-hot-path-alloc) dump serialization
 
+#include "common/json_text.h"
 #include "obs/trace.h"
 
 namespace dufs::obs {
@@ -30,7 +31,7 @@ std::string FlightRecorder::DumpJson(
     first = false;
     out += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(i + 1) +
            ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    detail::AppendJsonEscaped(out, tracks[i]);
+    AppendJsonEscaped(&out, tracks[i]);
     out += "\"}}";
   }
   for (TrackId t = 0; t < rings_.size(); ++t) {
@@ -39,9 +40,9 @@ std::string FlightRecorder::DumpJson(
       first = false;
       out += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(t + 1) +
              ",\"name\":\"";
-      detail::AppendJsonEscaped(out, rec.name);
+      AppendJsonEscaped(&out, rec.name);
       out += "\",\"cat\":\"";
-      detail::AppendJsonEscaped(out, rec.cat);
+      AppendJsonEscaped(&out, rec.cat);
       out += "\",\"ts\":";
       detail::AppendJsonMicros(out, rec.start);
       out += ",\"dur\":";

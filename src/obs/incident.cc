@@ -5,6 +5,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/json_text.h"
 #include "obs/flight.h"
 #include "obs/trace.h"
 
@@ -17,12 +18,6 @@ std::string Dbl(double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.6f", v);
   return buf;
-}
-
-void AppendQuoted(std::string& out, const std::string& s) {
-  out += '"';
-  detail::AppendJsonEscaped(out, s);
-  out += '"';
 }
 
 }  // namespace
@@ -248,15 +243,15 @@ std::string Incidents::AnomalyJson(const Anomaly& a) const {
   out += ",\"window_ns\":";
   out += std::to_string(config_.window_ns);
   out += ",\"type\":";
-  AppendQuoted(out, a.type);
+  AppendJsonString(&out, a.type);
   out += ",\"node\":";
-  AppendQuoted(out, a.node);
+  AppendJsonString(&out, a.node);
   out += ",\"value\":";
   out += std::to_string(a.value);
   out += ",\"threshold\":";
   out += std::to_string(a.threshold);
   out += ",\"detail\":";
-  AppendQuoted(out, a.detail);
+  AppendJsonString(&out, a.detail);
   out += '}';
   return out;
 }
@@ -316,7 +311,7 @@ std::string Incidents::ReportJson() const {
       const auto slash = a.dump_path.find_last_of('/');
       out.pop_back();  // '}'
       out += ",\"dump\":";
-      AppendQuoted(out, slash == std::string::npos
+      AppendJsonString(&out, slash == std::string::npos
                             ? a.dump_path
                             : a.dump_path.substr(slash + 1));
       out += '}';
@@ -338,7 +333,7 @@ std::string Incidents::ReportJson() const {
         n == 0 ? 0.0
                : static_cast<double>(s.bad) / static_cast<double>(n);
     out += "{\"op\":";
-    AppendQuoted(out, s.spec.op);
+    AppendJsonString(&out, s.spec.op);
     out += ",\"target_ns\":";
     out += std::to_string(s.spec.target_ns);
     out += ",\"budget\":";
@@ -363,7 +358,7 @@ std::string Incidents::ReportJson() const {
     if (!first) out += ',';
     first = false;
     out += "{\"op\":";
-    AppendQuoted(out, c.name);
+    AppendJsonString(&out, c.name);
     out += ",\"nodes\":[";
     bool first_node = true;
     for (TrackId t = 0; t < c.per_track.size(); ++t) {
@@ -372,7 +367,7 @@ std::string Incidents::ReportJson() const {
       if (!first_node) out += ',';
       first_node = false;
       out += "{\"node\":";
-      AppendQuoted(out, NodeName(t, false));
+      AppendJsonString(&out, NodeName(t, false));
       out += ",\"count\":";
       out += std::to_string(h.total);
       out += ",\"mean_ns\":";

@@ -1,6 +1,6 @@
 #include "obs/metrics.h"
 
-#include <cstdio>
+#include "common/json_text.h"
 
 namespace dufs::obs {
 
@@ -37,27 +37,6 @@ auto* GetOrCreate(CellMap& cells, const std::string& key) {
   return it->second.get();
 }
 
-void AppendEscaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void AppendHistogram(std::string& out, const LatencyHistogram& h) {
   out += "{\"count\":" + std::to_string(h.count());
   out += ",\"sum\":" + std::to_string(h.sum());
@@ -79,7 +58,7 @@ void AppendSection(std::string& out, const Counters& counters,
   for (const auto& [key, value] : counters) {
     if (!first) out += ',';
     first = false;
-    AppendEscaped(out, key);
+    AppendJsonString(&out, key);
     out += ':' + std::to_string(value);
   }
   out += "},\"gauges\":{";
@@ -87,7 +66,7 @@ void AppendSection(std::string& out, const Counters& counters,
   for (const auto& [key, value] : gauges) {
     if (!first) out += ',';
     first = false;
-    AppendEscaped(out, key);
+    AppendJsonString(&out, key);
     out += ":{\"value\":" + std::to_string(value) +
            ",\"min\":" + std::to_string(gauge_mins.at(key)) +
            ",\"max\":" + std::to_string(gauge_maxes.at(key)) + "}";
@@ -97,7 +76,7 @@ void AppendSection(std::string& out, const Counters& counters,
   for (const auto& [key, hist] : histos) {
     if (!first) out += ',';
     first = false;
-    AppendEscaped(out, key);
+    AppendJsonString(&out, key);
     out += ':';
     AppendHistogram(out, hist);
   }
@@ -161,7 +140,7 @@ std::string MetricsRegistry::ToJson() const {
   for (const auto& [node, scope] : scopes_) {
     if (!first) out += ',';
     first = false;
-    AppendEscaped(out, node);
+    AppendJsonString(&out, node);
     out += ':';
     // Per-node view: adapt cell maps to plain value maps for the shared
     // section writer.

@@ -1,19 +1,8 @@
 #include "obs/timeline.h"
 
+#include "common/json_text.h"
+
 namespace dufs::obs {
-
-namespace {
-
-void AppendEscaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
-}  // namespace
 
 TimelineSampler::Series& TimelineSampler::AddSeries(const std::string& id) {
   Series& s = series_[id];
@@ -102,7 +91,7 @@ std::string TimelineSampler::ToJson() const {
   for (const auto& [id, s] : series_) {
     if (!first) out += ',';
     first = false;
-    AppendEscaped(out, id);
+    AppendJsonString(&out, id);
     out += ":[";
     for (std::size_t i = 0; i < n; ++i) {
       if (i != 0) out += ',';

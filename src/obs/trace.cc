@@ -2,35 +2,15 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <string_view>
 #include <utility>
 
+#include "common/json_text.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
 
 namespace dufs::obs {
 
 namespace detail {
-
-// Escape for JSON string contents (no surrounding quotes).
-void AppendJsonEscaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 // Chrome traces use microsecond timestamps; the sim is nanosecond-grained.
 // Print exactly three decimals ("12.345") so nothing is lost and equal
@@ -45,7 +25,6 @@ void AppendJsonMicros(std::string& out, std::int64_t ns) {
 }  // namespace detail
 
 namespace {
-using detail::AppendJsonEscaped;
 using detail::AppendJsonMicros;
 }  // namespace
 
@@ -80,7 +59,7 @@ std::string Tracer::ToChromeJson() const {
     first = false;
     out += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(i + 1) +
            ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    AppendJsonEscaped(out, tracks_[i]);
+    AppendJsonEscaped(&out, tracks_[i]);
     out += "\"}}";
   }
   for (const Event& e : events_) {
@@ -88,9 +67,9 @@ std::string Tracer::ToChromeJson() const {
     first = false;
     out += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(e.track + 1) +
            ",\"name\":\"";
-    AppendJsonEscaped(out, e.name);
+    AppendJsonEscaped(&out, e.name);
     out += "\",\"cat\":\"";
-    AppendJsonEscaped(out, e.cat);
+    AppendJsonEscaped(&out, e.cat);
     out += "\",\"ts\":";
     AppendJsonMicros(out, e.start);
     out += ",\"dur\":";
@@ -102,11 +81,11 @@ std::string Tracer::ToChromeJson() const {
     for (const Arg& a : e.args) {
       if (out.back() != '{') out += ',';
       out += '"';
-      AppendJsonEscaped(out, a.key);
+      AppendJsonEscaped(&out, a.key);
       out += "\":";
       if (a.is_string) {
         out += '"';
-        AppendJsonEscaped(out, a.str);
+        AppendJsonEscaped(&out, a.str);
         out += '"';
       } else {
         out += std::to_string(a.num);

@@ -36,7 +36,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/prof.h"
@@ -51,10 +50,8 @@ using TrackId = std::uint32_t;  // one per sim node ("thread" in the export)
 class FlightRecorder;  // flight.h
 
 namespace detail {
-// JSON fragment helpers shared by the tracer export and the flight-recorder
-// dump (defined in trace.cc): string escaping and the fixed three-decimal
-// microsecond formatting that keeps exports byte-stable.
-void AppendJsonEscaped(std::string& out, std::string_view s);
+// The fixed three-decimal microsecond formatting that keeps the tracer
+// export and the flight-recorder dump byte-stable (defined in trace.cc).
 void AppendJsonMicros(std::string& out, std::int64_t ns);
 }  // namespace detail
 

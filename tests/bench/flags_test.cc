@@ -83,12 +83,6 @@ TEST(FlagsTest, SingleElementIntList) {
             (std::vector<long>{256}));
 }
 
-TEST(JsonHelpersTest, JsonEscape) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(JsonHelpersTest, MetricsJsonWriterShape) {
   MetricsJsonWriter out;
   HotPathCounters c;

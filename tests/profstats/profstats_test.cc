@@ -64,6 +64,24 @@ TEST(ParseFoldedTest, RejectsMalformedLines) {
   EXPECT_EQ(p.total, 0u);
 }
 
+// A folded file is external input: a frame name with a tab or another
+// control byte must still yield valid JSON (the old escaper passed control
+// bytes through raw).
+TEST(ReportJsonTest, ControlBytesInFrameNamesAreEscaped) {
+  const Aggregate a = Agg({{"bad\tframe", 3}, {"bell\x07", 1}});
+  const CompareOptions opts{/*tolerance=*/0.02, /*min_share=*/0.0};
+  CompareResult r;
+  CompareProfiles(a, Agg({{"bad\tframe", 1}}), opts, &r);
+  for (const std::string& json :
+       {profstats::ReportJson(a, 10), profstats::CompareToJson(r, opts)}) {
+    for (const char c : json) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+    }
+    EXPECT_NE(json.find("\"bad\\tframe\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"bell\\u0007\""), std::string::npos) << json;
+  }
+}
+
 TEST(AggregateTest, SelfAndTotalSemantics) {
   Aggregate a;
   AggregateProfile(MustParse("a;b 10\na;b;c 5\na 2\nd;e 3\n"), &a);

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json_text.h"
 #include "finding.h"
 #include "rules.h"
 
@@ -173,26 +174,7 @@ std::vector<std::string> CollectFiles(const Options& opt) {
   return files;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using dufs::JsonEscape;
 
 std::string Fingerprint(const Finding& f) {
   return f.file + ":" + std::to_string(f.line) + ":" + f.rule;

@@ -6,24 +6,11 @@
 #include <map>
 #include <set>
 
+#include "common/json_text.h"
+
 namespace dufs::profstats {
 
 namespace {
-
-// Stable double formatting for the JSON outputs (same idiom as tracestats:
-// %.17g round-trips and prints integers without an exponent).
-void AppendDouble(std::string* out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
-}
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') *out += '\\';
-    *out += c;
-  }
-}
 
 double Share(std::uint64_t self, std::uint64_t total) {
   return total == 0 ? 0.0 : static_cast<double>(self) /
@@ -178,7 +165,7 @@ std::string ReportJson(const Aggregate& a, int top_k) {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    AppendEscaped(&out, f->name);
+    AppendJsonEscaped(&out, f->name);
     out += "\",\"self\":" + std::to_string(f->self) +
            ",\"total\":" + std::to_string(f->total) + "}";
   }
@@ -292,21 +279,21 @@ std::string CompareToJson(const CompareResult& r,
   out += r.ok ? "true" : "false";
   out += ",\"regressions\":" + std::to_string(r.regressions);
   out += ",\"tolerance\":";
-  AppendDouble(&out, opts.tolerance);
+  AppendJsonNumber(&out, opts.tolerance);
   out += ",\"min_share\":";
-  AppendDouble(&out, opts.min_share);
+  AppendJsonNumber(&out, opts.min_share);
   out += ",\"rows\":[";
   for (std::size_t i = 0; i < r.rows.size(); ++i) {
     const CompareRow& row = r.rows[i];
     if (i > 0) out += ',';
     out += "{\"name\":\"";
-    AppendEscaped(&out, row.name);
+    AppendJsonEscaped(&out, row.name);
     out += "\",\"direction\":\"" + row.direction + "\",\"old_share\":";
-    AppendDouble(&out, row.old_share);
+    AppendJsonNumber(&out, row.old_share);
     out += ",\"new_share\":";
-    AppendDouble(&out, row.new_share);
+    AppendJsonNumber(&out, row.new_share);
     out += ",\"delta\":";
-    AppendDouble(&out, row.delta);
+    AppendJsonNumber(&out, row.delta);
     out += ",\"regressed\":";
     out += row.regressed ? "true" : "false";
     out += "}";

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <map>
 
+#include "common/json_text.h"
+
 namespace dufs::tracestats {
 
 namespace {
@@ -109,28 +111,6 @@ std::string Percent(std::int64_t part, std::int64_t whole) {
                                 static_cast<double>(whole)
                           : 0.0);
   return buf;
-}
-
-void AppendDouble(std::string* out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    } else {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    }
-  }
-  return out;
 }
 
 struct BaselineMetric {
@@ -385,7 +365,7 @@ std::string ResultToJson(const AnalyzeResult& r) {
   for (const ClassStats& cs : r.classes) {
     if (!first) out += ',';
     first = false;
-    out += '"' + EscapeJson(cs.op) + "\":{\"count\":" +
+    out += '"' + JsonEscape(cs.op) + "\":{\"count\":" +
            std::to_string(cs.count) +
            ",\"total_ns\":" + std::to_string(cs.total_ns);
     out += ",\"hist_sum_ns\":" + std::to_string(cs.hist_sum_ns);
@@ -404,11 +384,11 @@ std::string ResultToJson(const AnalyzeResult& r) {
   for (const OpBreakdown& op : r.slowest) {
     if (!first) out += ',';
     first = false;
-    out += "{\"op\":\"" + EscapeJson(op.op) + "\"";
+    out += "{\"op\":\"" + JsonEscape(op.op) + "\"";
     out += ",\"trace\":" + std::to_string(op.trace_id);
     out += ",\"start_ns\":" + std::to_string(op.start_ns);
     out += ",\"dur_ns\":" + std::to_string(op.dur_ns);
-    if (!op.path.empty()) out += ",\"path\":\"" + EscapeJson(op.path) + "\"";
+    if (!op.path.empty()) out += ",\"path\":\"" + JsonEscape(op.path) + "\"";
     out += ",\"critical_path\":[";
     for (std::size_t i = 0; i < op.segments.size(); ++i) {
       if (i > 0) out += ',';
@@ -423,7 +403,7 @@ std::string ResultToJson(const AnalyzeResult& r) {
   for (const std::string& msg : r.check_messages) {
     if (!first) out += ',';
     first = false;
-    out += '"' + EscapeJson(msg) + '"';
+    out += '"' + JsonEscape(msg) + '"';
   }
   out += "]}";
   return out;
@@ -555,21 +535,21 @@ std::string ExplainToText(const ExplainResult& r) {
 }
 
 std::string ExplainToJson(const ExplainResult& r) {
-  std::string out = "{\"type\":\"" + EscapeJson(r.type) + "\"";
-  out += ",\"node\":\"" + EscapeJson(r.node) + "\"";
+  std::string out = "{\"type\":\"" + JsonEscape(r.type) + "\"";
+  out += ",\"node\":\"" + JsonEscape(r.node) + "\"";
   if (!r.detail.empty()) {
-    out += ",\"detail\":\"" + EscapeJson(r.detail) + "\"";
+    out += ",\"detail\":\"" + JsonEscape(r.detail) + "\"";
   }
   out += ",\"t_ns\":" + std::to_string(r.anomaly_t_ns);
   out += ",\"window_ns\":" + std::to_string(r.window_ns);
   out += ",\"baseline_ops\":" + std::to_string(r.baseline_ops);
   out += ",\"window_ops\":" + std::to_string(r.window_ops);
   out += ",\"baseline_mean_ns\":";
-  AppendDouble(&out, r.baseline_mean_ns);
+  AppendJsonNumber(&out, r.baseline_mean_ns);
   out += ",\"window_mean_ns\":";
-  AppendDouble(&out, r.window_mean_ns);
+  AppendJsonNumber(&out, r.window_mean_ns);
   out += ",\"mean_growth_ns\":";
-  AppendDouble(&out, r.mean_growth_ns);
+  AppendJsonNumber(&out, r.mean_growth_ns);
   out += ",\"have_growth\":";
   out += r.have_growth ? "true" : "false";
   out += ",\"growth_share\":{";
@@ -578,7 +558,7 @@ std::string ExplainToJson(const ExplainResult& r) {
     out += '"';
     out += CategoryName(static_cast<Category>(c));
     out += "\":";
-    AppendDouble(&out, r.growth_share[static_cast<std::size_t>(c)]);
+    AppendJsonNumber(&out, r.growth_share[static_cast<std::size_t>(c)]);
   }
   out += "},\"dominant\":\"";
   out += CategoryName(r.dominant);
@@ -675,11 +655,11 @@ std::string CompareToJson(const CompareResult& r, double tol) {
   out += r.ok ? "true" : "false";
   out += ",\"regressions\":" + std::to_string(r.regressions);
   out += ",\"tolerance\":";
-  AppendDouble(&out, tol);
+  AppendJsonNumber(&out, tol);
   out += ",\"lines\":[";
   for (std::size_t i = 0; i < r.lines.size(); ++i) {
     if (i > 0) out += ',';
-    out += '"' + EscapeJson(r.lines[i]) + '"';
+    out += '"' + JsonEscape(r.lines[i]) + '"';
   }
   out += "]}";
   return out;
