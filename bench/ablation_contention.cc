@@ -5,8 +5,9 @@
 // dir-create curve and the DUFS/Lustre crossover.
 #include <cstdio>
 #include <iterator>
+#include <vector>
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "mdtest/workload.h"
 
 using namespace dufs;
@@ -19,58 +20,35 @@ using mdtest::TestbedConfig;
 
 namespace {
 
+// `observe` (null for every run but one) is the harness observing this run.
 double MeasureDirCreate(double dlm_us, long procs, std::size_t items,
-                        Target target,
-                        const bench::ObsOptions* obs_opts = nullptr,
-                        bool observed = false,
-                        std::string* registry_json = nullptr,
-                        std::string* timeline_json = nullptr) {
+                        Target target, bench::Harness* observe = nullptr) {
   TestbedConfig config;
   config.backend = mdtest::BackendKind::kLustre;
   config.backend_instances = 2;
   config.lustre_perf.dlm_cpu_per_inflight = sim::Us(dlm_us);
-  config.enable_trace =
-      observed && obs_opts != nullptr && obs_opts->trace_enabled();
+  config.enable_trace = observe != nullptr && observe->tracing();
   Testbed tb(config);
+  if (observe != nullptr) observe->Arm(tb.obs());
   tb.MountAll();
-  if (observed && obs_opts != nullptr && obs_opts->timeline) {
-    tb.StartTimeline(obs_opts->timeline_interval_ns());
-  }
+  if (observe != nullptr) observe->StartTimeline(tb.obs(), tb.sim());
   MdtestConfig mc;
   mc.processes = static_cast<std::size_t>(procs);
   mc.items_per_proc = items;
   MdtestRunner runner(tb, mc);
   auto results = runner.Run(target, {Phase::kDirCreate});
-  if (config.enable_trace) {
-    tb.obs().tracer().WriteChromeJson(obs_opts->trace_path);
-    std::fprintf(stderr, "[ablation_contention] trace written: %s (%zu "
-                         "spans)\n",
-                 obs_opts->trace_path.c_str(),
-                 tb.obs().tracer().events().size());
-  }
-  if (observed && registry_json != nullptr) {
-    *registry_json = tb.obs().metrics().ToJson();
-  }
-  if (observed && timeline_json != nullptr && obs_opts != nullptr &&
-      obs_opts->timeline) {
-    *timeline_json = tb.timeline().ToJson();
-  }
+  if (observe != nullptr) observe->Capture(tb.obs());
   return results[0].ops_per_sec;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv,
-                     "ablation_contention [--items=N] [--procs=64,256] "
-                     "[--metrics-json=PATH] [--trace=PATH] [--timeline] "
-                     "[--timeline-us=200]");
-  const auto items = static_cast<std::size_t>(flags.Int("items", 25));
-  const auto procs_list = flags.IntList("procs", {64, 256});
-  const auto obs_opts = bench::ObsOptions::FromFlags(flags);
-  bench::ProfileSession prof_session(obs_opts);
-  bench::MetricsJsonWriter out;
-  std::string registry_json, timeline_json;
+  bench::Harness h("ablation_contention", argc, argv,
+                   "[--items=N] [--procs=64,256]");
+  const auto items = static_cast<std::size_t>(h.flags().Int("items", 25));
+  const auto procs_list = h.flags().IntList("procs", {64, 256});
+  auto& out = h.metrics();
 
   std::printf("Ablation: Lustre DLM lock-management cost "
               "(us CPU per in-flight request)\n");
@@ -89,10 +67,12 @@ int main(int argc, char** argv) {
     const double dlm = dlm_values[di];
     char dlm_key[32];
     std::snprintf(dlm_key, sizeof(dlm_key), "dlm_%.1f", dlm);
-    std::printf("%-10.1f", dlm);
+    // The row prints once complete, so the observed run's status lines
+    // cannot land inside it.
+    std::vector<double> row;
     for (long p : procs_list) {
       const double v = MeasureDirCreate(dlm, p, items, Target::kBaseline);
-      std::printf(" %14.1f", v);
+      row.push_back(v);
       out.AddValue(std::string(dlm_key) + ".lustre@" + std::to_string(p), v);
     }
     for (std::size_t pi = 0; pi < procs_list.size(); ++pi) {
@@ -101,22 +81,18 @@ int main(int argc, char** argv) {
       // the configuration the paper's crossover argument rests on.
       const bool observed =
           di + 1 == n_dlm && pi + 1 == procs_list.size();
-      const double v =
-          MeasureDirCreate(dlm, p, items, Target::kDufs, &obs_opts, observed,
-                           &registry_json, &timeline_json);
-      std::printf(" %14.1f", v);
+      const double v = MeasureDirCreate(dlm, p, items, Target::kDufs,
+                                        observed ? &h : nullptr);
+      row.push_back(v);
       out.AddValue(std::string(dlm_key) + ".dufs@" + std::to_string(p), v);
     }
+    std::printf("%-10.1f", dlm);
+    for (double v : row) std::printf(" %14.1f", v);
     std::printf("\n");
-  }
-  if (obs_opts.metrics_enabled()) {
-    out.SetTimelineJson(timeline_json);
-    out.SetRegistryJson(registry_json);
-    out.WriteFile(obs_opts.metrics_path);
   }
   std::printf("\nTakeaway: without the DLM term (row 0.0) native Lustre "
               "would not degrade\nwith client count and the paper's "
               "crossover would not exist; DUFS dir ops\nnever touch the "
               "MDS, so its rows barely move.\n");
-  return 0;
+  return h.Finish();
 }

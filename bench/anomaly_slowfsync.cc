@@ -14,7 +14,7 @@
 #include <cstring>
 #include <string>
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "mdtest/testbed.h"
 
 using namespace dufs;
@@ -23,20 +23,15 @@ using mdtest::Testbed;
 using mdtest::TestbedConfig;
 
 int main(int argc, char** argv) {
-  bench::Flags flags(
-      argc, argv,
-      "anomaly_slowfsync [--seed=N] [--files=60] [--degrade-at-us=150000] "
-      "[--degrade-factor=15] [--expect-anomaly=TYPE] [--metrics-json=PATH] "
-      "[--trace=PATH] [--slo=op:target:budget] [--flight-dump-dir=DIR] "
-      "[--slo-window-us=N] [--flight-capacity=N]");
-  const auto seed = static_cast<std::uint64_t>(flags.Int("seed", 1));
+  bench::Harness h("anomaly_slowfsync", argc, argv,
+                   "[--seed=N] [--files=120] [--degrade-at-us=150000] "
+                   "[--degrade-factor=15] [--expect-anomaly=TYPE]");
+  const auto seed = static_cast<std::uint64_t>(h.flags().Int("seed", 1));
   // Creates per client; sized so the run extends well past the fault.
-  const auto files = static_cast<std::size_t>(flags.Int("files", 120));
-  const auto degrade_at = sim::Us(flags.Int("degrade-at-us", 150000));
-  const double factor = flags.Double("degrade-factor", 15.0);
-  const std::string expect = flags.Str("expect-anomaly", "");
-  const auto obs_opts = bench::ObsOptions::FromFlags(flags);
-  bench::ProfileSession prof_session(obs_opts);
+  const auto files = static_cast<std::size_t>(h.flags().Int("files", 120));
+  const auto degrade_at = sim::Us(h.flags().Int("degrade-at-us", 150000));
+  const double factor = h.flags().Double("degrade-factor", 15.0);
+  const std::string expect = h.flags().Str("expect-anomaly", "");
 
   TestbedConfig config;
   config.seed = seed;
@@ -48,9 +43,9 @@ int main(int argc, char** argv) {
   config.backend = BackendKind::kMemFs;
   config.backend_instances = 1;
   config.zk_group_commit = false;  // one fsync per create
-  config.enable_trace = obs_opts.trace_enabled();
+  config.enable_trace = h.tracing();
   Testbed tb(config);
-  DUFS_CHECK(bench::ConfigureIncidents(tb.obs(), obs_opts));
+  h.Arm(tb.obs());
   tb.MountAll();
 
   // The fault: DiskWrite reads the node model at call time, so mutating it
@@ -89,34 +84,19 @@ int main(int argc, char** argv) {
   std::printf("creates: %.0f in %.3f s sim (%.0f ops/s)\n", ops, secs,
               ops / secs);
 
-  if (obs_opts.trace_enabled()) {
-    tb.obs().tracer().WriteChromeJson(obs_opts.trace_path);
-    std::printf("trace written: %s (%zu spans)\n", obs_opts.trace_path.c_str(),
-                tb.obs().tracer().events().size());
-  }
-  const std::string incidents_json = bench::FinishIncidents(tb.obs(), obs_opts);
-  if (obs_opts.metrics_enabled()) {
-    bench::MetricsJsonWriter out;
-    out.AddValue("create_ops_per_s", ops / secs);
-    out.SetIncidentsJson(incidents_json);
-    out.SetRegistryJson(tb.obs().metrics().ToJson());
-    if (out.WriteFile(obs_opts.metrics_path)) {
-      std::printf("metrics written: %s\n", obs_opts.metrics_path.c_str());
-    }
-  }
+  h.Capture(tb.obs());
+  h.metrics().AddValue("create_ops_per_s", ops / secs);
 
   if (!expect.empty()) {
     bool fired = false;
     for (const auto& a : tb.obs().incidents().anomalies()) {
       if (expect == a.type) fired = true;
     }
-    if (!fired) {
-      std::fprintf(stderr,
-                   "anomaly_slowfsync: expected a %s anomaly; none fired\n",
-                   expect.c_str());
-      return 1;
+    if (fired) {
+      std::printf("expected anomaly fired: %s\n", expect.c_str());
+    } else {
+      h.Fail("expected a " + expect + " anomaly; none fired");
     }
-    std::printf("expected anomaly fired: %s\n", expect.c_str());
   }
-  return 0;
+  return h.Finish();
 }

@@ -1,21 +1,19 @@
 // Shared helpers for the figure-reproduction benches: tiny flag parsing,
 // aligned table printing matching the series the paper plots, and the
-// machine-readable exports (--metrics-json / --trace) that make every bench
-// row reproducible from artifacts alone.
+// builders for the machine-readable exports (--metrics-json / --baseline)
+// that make every bench row reproducible from artifacts alone. The
+// flags -> observability -> exports wiring itself lives in bench/harness.h.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <map>
-#include <system_error>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "obs/obs.h"
+#include "common/json_text.h"
 
 namespace dufs::bench {
 
@@ -133,35 +131,8 @@ inline void PrintHotPathRow(const std::string& label,
                   : 0.0);
 }
 
-// Minimal JSON string escaping for the exports below (keys are identifiers;
-// only values built from user flags need it).
-inline std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-inline void AppendJsonNumber(std::string* out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
-}
+// The shared %.17g formatter, under the name the dufsbench driver uses.
+using dufs::AppendJsonNumber;
 
 // Prints a "series table": one row per x value, one column per series —
 // mirroring the figures' curves.
@@ -213,234 +184,6 @@ class SeriesTable {
   std::vector<std::string> series_;
   std::vector<std::pair<long, std::vector<double>>> rows_;
 };
-
-// "500us" / "2ms" / "1s" / "250" (bare = ns) -> nanoseconds; -1 on parse
-// failure.
-inline std::int64_t ParseDurationNs(const std::string& s) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || v < 0) return -1;
-  const std::string unit(end);
-  if (unit.empty() || unit == "ns") return static_cast<std::int64_t>(v);
-  if (unit == "us") return static_cast<std::int64_t>(v * 1e3);
-  if (unit == "ms") return static_cast<std::int64_t>(v * 1e6);
-  if (unit == "s") return static_cast<std::int64_t>(v * 1e9);
-  return -1;
-}
-
-// The observability flags every bench shares:
-//   --metrics-json=PATH   write counters + the merged registry as JSON
-//   --trace=PATH          record spans, write Chrome trace_event JSON
-//   --timeline            sample gauges into a "timeline" metrics section
-//   --timeline-us=N       sim-time sampling period (default 200us)
-//   --baseline=PATH       write the BENCH_<name>.json regression baseline
-//   --slo=SPEC[,SPEC...]  arm the SLO evaluator; SPEC = op:target:budget,
-//                         e.g. create:2ms:0.01 (1% of creates may miss 2ms)
-//   --flight-dump-dir=DIR arm the anomaly detectors; dumps the flight
-//                         recorder to DIR/dump_<seq>_<type>.json on firing
-//   --slo-window-us=N     detector/SLO window on sim time (default 10ms)
-//   --flight-capacity=N   flight-recorder spans kept per node (default 512)
-//   --profile=PATH        sample the CPU profiler, write folded stacks
-//   --profile-hz=N        signal-mode sample rate (default 97)
-//   --profile-every=N     N > 0: deterministic count mode, fold every Nth
-//                         dispatch instead of using SIGPROF (CI gates)
-//   --profile-digest=PATH also write the profiler's JSON digest
-struct ObsOptions {
-  std::string metrics_path;
-  std::string trace_path;
-  std::string baseline_path;
-  bool timeline = false;
-  long timeline_us = 200;
-  std::string slo;
-  std::string flight_dump_dir;
-  long slo_window_us = 10000;
-  long flight_capacity = 0;
-  std::string profile_path;
-  std::string profile_digest_path;
-  long profile_hz = 97;
-  long profile_every = 0;
-
-  static ObsOptions FromFlags(const Flags& flags) {
-    ObsOptions o;
-    o.metrics_path = flags.Str("metrics-json", "");
-    o.trace_path = flags.Str("trace", "");
-    o.baseline_path = flags.Str("baseline", "");
-    o.timeline = flags.Bool("timeline");
-    o.timeline_us = flags.Int("timeline-us", 200);
-    o.slo = flags.Str("slo", "");
-    o.flight_dump_dir = flags.Str("flight-dump-dir", "");
-    o.slo_window_us = flags.Int("slo-window-us", 10000);
-    o.flight_capacity = flags.Int("flight-capacity", 0);
-    o.profile_path = flags.Str("profile", "");
-    o.profile_digest_path = flags.Str("profile-digest", "");
-    o.profile_hz = flags.Int("profile-hz", 97);
-    o.profile_every = flags.Int("profile-every", 0);
-    return o;
-  }
-  bool trace_enabled() const { return !trace_path.empty(); }
-  bool metrics_enabled() const { return !metrics_path.empty(); }
-  bool baseline_enabled() const { return !baseline_path.empty(); }
-  bool incidents_enabled() const {
-    return !slo.empty() || !flight_dump_dir.empty();
-  }
-  bool profile_enabled() const { return !profile_path.empty(); }
-  long timeline_interval_ns() const { return timeline_us * 1000; }
-};
-
-// RAII around the CPU profiler for a whole bench run: Start() from the
-// shared flags at construction, Finish() (or destruction) stops, writes the
-// folded export (+ optional digest), prints a one-line summary, and resets
-// the accumulated profile. A default --profile-less run constructs and
-// destroys this for free without ever starting the profiler.
-class ProfileSession {
- public:
-  explicit ProfileSession(const ObsOptions& o) : opts_(o) {
-    if (!opts_.profile_enabled()) return;
-    prof::Options po;
-    if (opts_.profile_every > 0) {
-      po.mode = prof::Options::Mode::kCount;
-      po.every = static_cast<std::uint64_t>(opts_.profile_every);
-    } else {
-      po.mode = prof::Options::Mode::kSignal;
-      po.hz = static_cast<int>(opts_.profile_hz);
-    }
-    std::string error;
-    if (!prof::Start(po, &error)) {
-      std::fprintf(stderr, "--profile: %s\n", error.c_str());
-      ok_ = false;
-      return;
-    }
-    running_ = true;
-  }
-  ~ProfileSession() { Finish(); }
-
-  ProfileSession(const ProfileSession&) = delete;
-  ProfileSession& operator=(const ProfileSession&) = delete;
-
-  // False when the profiler failed to start or an export failed to write.
-  bool ok() const { return ok_; }
-
-  void Finish() {
-    if (!running_) return;
-    running_ = false;
-    prof::Stop();
-    const prof::Stats stats = prof::GetStats();
-    if (!WriteText(opts_.profile_path, prof::ExportFolded())) ok_ = false;
-    if (!opts_.profile_digest_path.empty() &&
-        !WriteText(opts_.profile_digest_path, prof::ExportDigestJson())) {
-      ok_ = false;
-    }
-    std::printf("[prof] %llu samples (%llu dropped, %llu truncated) -> %s\n",
-                static_cast<unsigned long long>(stats.samples),
-                static_cast<unsigned long long>(stats.dropped),
-                static_cast<unsigned long long>(stats.truncated),
-                opts_.profile_path.c_str());
-    prof::Reset();
-  }
-
- private:
-  bool WriteText(const std::string& path, const std::string& content) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write profile: %s\n", path.c_str());
-      return false;
-    }
-    std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
-    return true;
-  }
-
-  ObsOptions opts_;
-  bool running_ = false;
-  bool ok_ = true;
-};
-
-// Arm the incident engine (detectors + SLOs) from the shared flags. The
-// engine must already be bound to the sim (Testbed does this; standalone
-// benches call obs.BindIncidents(&sim) first). Returns false after warning
-// on a malformed --slo clause; a no-op (true) when incidents are off.
-inline bool ConfigureIncidents(obs::Observability& obs, const ObsOptions& o) {
-  if (!o.incidents_enabled()) return true;
-  if (o.flight_capacity > 0) {
-    obs.flight().SetCapacity(static_cast<std::uint32_t>(o.flight_capacity));
-  }
-  // Normalize the dump dir: `dumps`, `dumps/` and `dumps/.` must name the
-  // same directory. The dump writer appends `/dump_<seq>_<type>.json`
-  // verbatim and the resulting path is recorded (and embedded, as a
-  // basename, in the metrics export), so a trailing or redundant separator
-  // would leak `dumps//...` paths whose shape depends on how the flag was
-  // spelled.
-  std::string dump_dir = o.flight_dump_dir;
-  if (!dump_dir.empty()) {
-    dump_dir =
-        std::filesystem::path(dump_dir).lexically_normal().generic_string();
-    while (dump_dir.size() > 1 && dump_dir.back() == '/') dump_dir.pop_back();
-    // The dump writer fopen()s into this directory and silently skips the
-    // dump when it is missing; create it up front so a bare
-    // --flight-dump-dir=dumps works without a pre-made directory.
-    std::error_code ec;
-    std::filesystem::create_directories(dump_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "cannot create --flight-dump-dir %s: %s\n",
-                   dump_dir.c_str(), ec.message().c_str());
-      return false;
-    }
-  }
-  obs::AnomalyConfig cfg;
-  cfg.window_ns = o.slo_window_us * 1000;
-  cfg.dump_dir = dump_dir;
-  obs.incidents().Configure(cfg);
-  // --slo=op:target:budget[,op:target:budget...]
-  std::size_t start = 0;
-  while (start < o.slo.size()) {
-    auto end = o.slo.find(',', start);
-    if (end == std::string::npos) end = o.slo.size();
-    const std::string clause = o.slo.substr(start, end - start);
-    start = end + 1;
-    if (clause.empty()) continue;
-    const auto c1 = clause.find(':');
-    const auto c2 = c1 == std::string::npos ? std::string::npos
-                                            : clause.find(':', c1 + 1);
-    if (c2 == std::string::npos) {
-      std::fprintf(stderr, "--slo: want op:target:budget, got \"%s\"\n",
-                   clause.c_str());
-      return false;
-    }
-    const char* op = obs::Incidents::CanonicalOpName(clause.substr(0, c1));
-    const std::int64_t target =
-        ParseDurationNs(clause.substr(c1 + 1, c2 - c1 - 1));
-    const double budget = std::strtod(clause.c_str() + c2 + 1, nullptr);
-    if (op == nullptr || target < 0 || budget <= 0.0 || budget > 1.0) {
-      std::fprintf(stderr, "--slo: bad clause \"%s\"\n", clause.c_str());
-      return false;
-    }
-    obs.incidents().AddSlo(obs::SloSpec{op, target, budget});
-  }
-  return true;
-}
-
-// Close the final window, print a per-anomaly summary, and return the
-// incident report JSON for MetricsJsonWriter::SetIncidentsJson. Returns ""
-// (and prints nothing) when incidents are off.
-inline std::string FinishIncidents(obs::Observability& obs,
-                                   const ObsOptions& o) {
-  if (!o.incidents_enabled()) return std::string();
-  obs.incidents().Flush();
-  const auto& anomalies = obs.incidents().anomalies();
-  std::printf("[incidents] %zu anomalies (%llu suppressed by cooldown)\n",
-              anomalies.size(),
-              static_cast<unsigned long long>(obs.incidents().suppressed()));
-  for (const auto& a : anomalies) {
-    std::printf("[incidents]   #%llu t=%lldns %s on %s value=%lld "
-                "threshold=%lld%s%s\n",
-                static_cast<unsigned long long>(a.seq),
-                static_cast<long long>(a.t), a.type, a.node.c_str(),
-                static_cast<long long>(a.value),
-                static_cast<long long>(a.threshold),
-                a.dump_path.empty() ? "" : " dump=", a.dump_path.c_str());
-  }
-  return obs.incidents().ReportJson();
-}
 
 // Accumulates everything a bench prints into one machine-readable document:
 //
@@ -523,20 +266,6 @@ class MetricsJsonWriter {
     return out;
   }
 
-  // Returns false (and warns) when the file cannot be opened.
-  bool WriteFile(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write metrics json: %s\n", path.c_str());
-      return false;
-    }
-    const std::string json = ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    return true;
-  }
-
  private:
   std::vector<std::string> configs_;
   std::vector<std::string> values_;
@@ -569,6 +298,8 @@ class BaselineWriter {
     Add(key, value, false);
   }
 
+  bool empty() const { return metrics_.empty(); }
+
   std::string ToJson() const {
     std::string out = "{\"bench\":\"" + JsonEscape(bench_) +
                       "\",\"schema\":1,\"metrics\":{";
@@ -584,19 +315,6 @@ class BaselineWriter {
     }
     out += "}}";
     return out;
-  }
-
-  bool WriteFile(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write baseline json: %s\n", path.c_str());
-      return false;
-    }
-    const std::string json = ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    return true;
   }
 
  private:

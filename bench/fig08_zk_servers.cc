@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <map>
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "mdtest/workload.h"
 
 using namespace dufs;
@@ -20,18 +20,11 @@ using mdtest::Testbed;
 using mdtest::TestbedConfig;
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv,
-                     "fig08_zk_servers [--procs=64,128,256] [--items=N] "
-                     "[--zk=1,4,8] [--metrics-json=PATH] [--trace=PATH] "
-                     "[--timeline] [--timeline-us=200] "
-                     "[--slo=op:target:budget] [--flight-dump-dir=DIR] "
-                     "[--slo-window-us=N] [--flight-capacity=N]");
-  const auto procs_list = flags.IntList("procs", {64, 128, 256});
-  const auto zk_list = flags.IntList("zk", {1, 4, 8});
-  const auto items = static_cast<std::size_t>(flags.Int("items", 30));
-  const auto obs_opts = bench::ObsOptions::FromFlags(flags);
-  bench::ProfileSession prof_session(obs_opts);
-  std::string registry_json, timeline_json, incidents_json;
+  bench::Harness h("fig08_zk_servers", argc, argv,
+                   "[--procs=64,128,256] [--items=N] [--zk=1,4,8]");
+  const auto procs_list = h.flags().IntList("procs", {64, 128, 256});
+  const auto zk_list = h.flags().IntList("zk", {1, 4, 8});
+  const auto items = static_cast<std::size_t>(h.flags().Int("items", 30));
 
   const std::vector<Phase> phases = {Phase::kDirCreate, Phase::kDirRemove,
                                      Phase::kDirStat, Phase::kFileCreate,
@@ -73,15 +66,11 @@ int main(int argc, char** argv) {
     config.zk_servers = static_cast<std::size_t>(zk);
     config.backend = mdtest::BackendKind::kLustre;
     config.backend_instances = 2;
-    config.enable_trace = observed && obs_opts.trace_enabled();
+    config.enable_trace = observed && h.tracing();
     Testbed tb(config);
-    if (observed) {
-      DUFS_CHECK(bench::ConfigureIncidents(tb.obs(), obs_opts));
-    }
+    if (observed) h.Arm(tb.obs());
     tb.MountAll();
-    if (observed && obs_opts.timeline) {
-      tb.StartTimeline(obs_opts.timeline_interval_ns());
-    }
+    if (observed) h.StartTimeline(tb.obs(), tb.sim());
     const std::string series = std::to_string(zk) + " Zookeeper";
     for (long procs : procs_list) {
       MdtestConfig mc;
@@ -98,17 +87,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-    if (config.enable_trace) {
-      tb.obs().tracer().WriteChromeJson(obs_opts.trace_path);
-      std::fprintf(stderr, "[fig08] trace written: %s (%zu spans)\n",
-                   obs_opts.trace_path.c_str(),
-                   tb.obs().tracer().events().size());
-    }
-    if (observed) {
-      registry_json = tb.obs().metrics().ToJson();
-      if (obs_opts.timeline) timeline_json = tb.timeline().ToJson();
-      incidents_json = bench::FinishIncidents(tb.obs(), obs_opts);
-    }
+    if (observed) h.Capture(tb.obs());
   }
 
   std::printf("Figure 8: throughput vs #Zookeeper servers, DUFS over 2 "
@@ -117,7 +96,6 @@ int main(int argc, char** argv) {
   const Phase order[] = {Phase::kDirCreate, Phase::kDirRemove,
                          Phase::kDirStat, Phase::kFileCreate,
                          Phase::kFileRemove, Phase::kFileStat};
-  bench::MetricsJsonWriter out;
   for (int i = 0; i < 6; ++i) {
     std::vector<std::string> series = {"Basic Lustre"};
     for (long zk : zk_list) series.push_back(std::to_string(zk) + " Zookeeper");
@@ -130,13 +108,7 @@ int main(int argc, char** argv) {
     const std::string title = std::string("Fig 8") + sub[i] + ": " +
                               std::string(mdtest::PhaseName(order[i]));
     table.Print(title);
-    out.AddTable(title, table);
+    h.metrics().AddTable(title, table);
   }
-  if (obs_opts.metrics_enabled()) {
-    out.SetTimelineJson(timeline_json);
-    out.SetIncidentsJson(incidents_json);
-    out.SetRegistryJson(registry_json);
-    out.WriteFile(obs_opts.metrics_path);
-  }
-  return 0;
+  return h.Finish();
 }

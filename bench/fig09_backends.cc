@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <map>
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "mdtest/workload.h"
 
 using namespace dufs;
@@ -20,18 +20,11 @@ using mdtest::Testbed;
 using mdtest::TestbedConfig;
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv,
-                     "fig09_backends [--procs=64,128,256] [--items=N] "
-                     "[--backends=2,4] [--metrics-json=PATH] [--trace=PATH] "
-                     "[--timeline] [--timeline-us=200] "
-                     "[--slo=op:target:budget] [--flight-dump-dir=DIR] "
-                     "[--slo-window-us=N] [--flight-capacity=N]");
-  const auto procs_list = flags.IntList("procs", {64, 128, 256});
-  const auto backends_list = flags.IntList("backends", {2, 4});
-  const auto items = static_cast<std::size_t>(flags.Int("items", 30));
-  const auto obs_opts = bench::ObsOptions::FromFlags(flags);
-  bench::ProfileSession prof_session(obs_opts);
-  std::string registry_json, timeline_json, incidents_json;
+  bench::Harness h("fig09_backends", argc, argv,
+                   "[--procs=64,128,256] [--items=N] [--backends=2,4]");
+  const auto procs_list = h.flags().IntList("procs", {64, 128, 256});
+  const auto backends_list = h.flags().IntList("backends", {2, 4});
+  const auto items = static_cast<std::size_t>(h.flags().Int("items", 30));
 
   const std::vector<Phase> phases = {Phase::kFileCreate, Phase::kFileRemove,
                                      Phase::kFileStat};
@@ -67,15 +60,11 @@ int main(int argc, char** argv) {
     config.backend = mdtest::BackendKind::kLustre;
     config.backend_instances = static_cast<std::size_t>(n);
     config.zk_servers = 8;
-    config.enable_trace = observed && obs_opts.trace_enabled();
+    config.enable_trace = observed && h.tracing();
     Testbed tb(config);
-    if (observed) {
-      DUFS_CHECK(bench::ConfigureIncidents(tb.obs(), obs_opts));
-    }
+    if (observed) h.Arm(tb.obs());
     tb.MountAll();
-    if (observed && obs_opts.timeline) {
-      tb.StartTimeline(obs_opts.timeline_interval_ns());
-    }
+    if (observed) h.StartTimeline(tb.obs(), tb.sim());
     const std::string series =
         "DUFS " + std::to_string(n) + " Lustre backends";
     for (long procs : procs_list) {
@@ -90,17 +79,7 @@ int main(int argc, char** argv) {
         results[r.phase][series][procs] = r.ops_per_sec;
       }
     }
-    if (config.enable_trace) {
-      tb.obs().tracer().WriteChromeJson(obs_opts.trace_path);
-      std::fprintf(stderr, "[fig09] trace written: %s (%zu spans)\n",
-                   obs_opts.trace_path.c_str(),
-                   tb.obs().tracer().events().size());
-    }
-    if (observed) {
-      registry_json = tb.obs().metrics().ToJson();
-      if (obs_opts.timeline) timeline_json = tb.timeline().ToJson();
-      incidents_json = bench::FinishIncidents(tb.obs(), obs_opts);
-    }
+    if (observed) h.Capture(tb.obs());
   }
 
   std::printf("Figure 9: file-op throughput vs #back-end storages "
@@ -110,7 +89,6 @@ int main(int argc, char** argv) {
       {Phase::kFileRemove, "Fig 9b: file-remove"},
       {Phase::kFileStat, "Fig 9c: file-stat"},
   };
-  bench::MetricsJsonWriter out;
   for (const auto& [phase, title] : figures) {
     std::vector<std::string> series = {"Basic Lustre"};
     for (long n : backends_list) {
@@ -123,13 +101,7 @@ int main(int argc, char** argv) {
       table.AddRow(procs, std::move(row));
     }
     table.Print(title);
-    out.AddTable(title, table);
+    h.metrics().AddTable(title, table);
   }
-  if (obs_opts.metrics_enabled()) {
-    out.SetTimelineJson(timeline_json);
-    out.SetIncidentsJson(incidents_json);
-    out.SetRegistryJson(registry_json);
-    out.WriteFile(obs_opts.metrics_path);
-  }
-  return 0;
+  return h.Finish();
 }

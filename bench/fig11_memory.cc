@@ -3,7 +3,7 @@
 // dummy FUSE filesystem stay flat.
 #include <cstdio>
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "mdtest/testbed.h"
 #include "vfs/memfs.h"
 
@@ -13,16 +13,10 @@ using mdtest::Testbed;
 using mdtest::TestbedConfig;
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv,
-                     "fig11_memory [--millions=1.0] [--samples=10] "
-                     "[--metrics-json=PATH] [--trace=PATH] [--timeline] "
-                     "[--timeline-us=200] [--slo=op:target:budget] "
-                     "[--flight-dump-dir=DIR] [--slo-window-us=N] "
-                     "[--flight-capacity=N]");
-  const double millions = flags.Double("millions", 1.0);
-  const long samples = flags.Int("samples", 10);
-  const auto obs_opts = bench::ObsOptions::FromFlags(flags);
-  bench::ProfileSession prof_session(obs_opts);
+  bench::Harness h("fig11_memory", argc, argv,
+                   "[--millions=1.0] [--samples=10]");
+  const double millions = h.flags().Double("millions", 1.0);
+  const long samples = h.flags().Int("samples", 10);
   const std::size_t total =
       static_cast<std::size_t>(millions * 1'000'000.0);
   const std::size_t step = total / static_cast<std::size_t>(samples);
@@ -33,13 +27,11 @@ int main(int argc, char** argv) {
   config.client_nodes = 1;
   config.backend = BackendKind::kMemFs;
   config.backend_instances = 1;
-  config.enable_trace = obs_opts.trace_enabled();
+  config.enable_trace = h.tracing();
   Testbed tb(config);
-  DUFS_CHECK(bench::ConfigureIncidents(tb.obs(), obs_opts));
+  h.Arm(tb.obs());
   tb.MountAll();
-  if (obs_opts.timeline) {
-    tb.StartTimeline(obs_opts.timeline_interval_ns());
-  }
+  h.StartTimeline(tb.obs(), tb.sim());
 
   // Dummy FUSE baseline: a FUSE mount forwarding to a local filesystem.
   vfs::MemFs local(tb.sim(), "local");
@@ -94,22 +86,8 @@ int main(int argc, char** argv) {
   std::printf("\nZooKeeper bytes per znode: %.0f (paper: ~417 for 1M "
               "entries => 417 MB)\n", per_znode);
 
-  if (obs_opts.trace_enabled()) {
-    tb.obs().tracer().WriteChromeJson(obs_opts.trace_path);
-    std::printf("trace written: %s (%zu spans)\n", obs_opts.trace_path.c_str(),
-                tb.obs().tracer().events().size());
-  }
-  const std::string incidents_json = bench::FinishIncidents(tb.obs(), obs_opts);
-  if (obs_opts.metrics_enabled()) {
-    bench::MetricsJsonWriter out;
-    out.AddValue("zk_bytes_per_znode", per_znode);
-    out.AddTable("Fig 11: memory growth", mem_table);
-    if (obs_opts.timeline) out.SetTimelineJson(tb.timeline().ToJson());
-    out.SetIncidentsJson(incidents_json);
-    out.SetRegistryJson(tb.obs().metrics().ToJson());
-    if (out.WriteFile(obs_opts.metrics_path)) {
-      std::printf("metrics written: %s\n", obs_opts.metrics_path.c_str());
-    }
-  }
-  return 0;
+  h.Capture(tb.obs());
+  h.metrics().AddValue("zk_bytes_per_znode", per_znode);
+  h.metrics().AddTable("Fig 11: memory growth", mem_table);
+  return h.Finish();
 }

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "common/log.h"
 #include "mdtest/testbed.h"
 #include "sim/gather.h"
@@ -129,14 +129,10 @@ bench::HotPathCounters RunPhase(Testbed& tb, DeepOp op, char tag,
 }
 
 // One measured cell: fresh testbed, pre-built chains, three timed phases.
-// `obs` (when non-null) arms tracing/timeline/incidents on this cell and
-// the export sinks receive its registry/timeline/incident JSON.
+// `observe` (null when unobserved) is the harness observing this cell.
 PhaseCounters MeasureCell(std::uint64_t seed, std::size_t depth,
                           std::size_t procs, std::size_t items, bool compound,
-                          const bench::ObsOptions* obs = nullptr,
-                          std::string* registry_json = nullptr,
-                          std::string* timeline_json = nullptr,
-                          std::string* incidents_json = nullptr) {
+                          bench::Harness* observe = nullptr) {
   TestbedConfig config;
   config.seed = seed;
   config.zk_servers = 3;
@@ -144,15 +140,11 @@ PhaseCounters MeasureCell(std::uint64_t seed, std::size_t depth,
   config.backend = BackendKind::kMemFs;
   config.backend_instances = 2;
   config.dufs.compound_ops = compound;
-  config.enable_trace = obs != nullptr && obs->trace_enabled();
+  config.enable_trace = observe != nullptr && observe->tracing();
   Testbed tb(config);
-  if (obs != nullptr) {
-    DUFS_CHECK(bench::ConfigureIncidents(tb.obs(), *obs));
-  }
+  if (observe != nullptr) observe->Arm(tb.obs());
   tb.MountAll();
-  if (obs != nullptr && obs->timeline) {
-    tb.StartTimeline(obs->timeline_interval_ns());
-  }
+  if (observe != nullptr) observe->StartTimeline(tb.obs(), tb.sim());
 
   // Stat and unlink phases need their chains (and files) in advance; the
   // create phase's chains exist but its files do not.
@@ -168,18 +160,7 @@ PhaseCounters MeasureCell(std::uint64_t seed, std::size_t depth,
   out.stat = RunPhase(tb, DeepOp::kStat, 's', procs, items, depth);
   out.unlink = RunPhase(tb, DeepOp::kUnlink, 'u', procs, items, depth);
 
-  if (config.enable_trace) {
-    tb.obs().tracer().WriteChromeJson(obs->trace_path);
-    std::printf("trace written: %s (%zu spans)\n", obs->trace_path.c_str(),
-                tb.obs().tracer().events().size());
-  }
-  if (registry_json != nullptr) *registry_json = tb.obs().metrics().ToJson();
-  if (timeline_json != nullptr && obs != nullptr && obs->timeline) {
-    *timeline_json = tb.timeline().ToJson();
-  }
-  if (incidents_json != nullptr && obs != nullptr) {
-    *incidents_json = bench::FinishIncidents(tb.obs(), *obs);
-  }
+  if (observe != nullptr) observe->Capture(tb.obs());
   return out;
 }
 
@@ -201,13 +182,10 @@ std::string CellLabel(const char* phase, std::size_t depth, std::size_t procs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(
-      argc, argv,
-      "fig13_deep_tree [--seed=N] [--depths=2,4,8,16] [--procs=1,8] "
-      "[--items=4] [--compound=on|off|both] [--metrics-json=PATH] "
-      "[--trace=PATH] [--timeline] [--timeline-us=200] [--baseline=PATH] "
-      "[--slo=op:target:budget] [--flight-dump-dir=DIR] [--slo-window-us=N] "
-      "[--flight-capacity=N]");
+  bench::Harness h("fig13_deep_tree", argc, argv,
+                   "[--seed=N] [--depths=2,4,8,16] [--procs=1,8] "
+                   "[--items=4] [--compound=on|off|both]");
+  const bench::Flags& flags = h.flags();
   const auto seed = static_cast<std::uint64_t>(flags.Int("seed", 1));
   const auto depths = flags.IntList("depths", {2, 4, 8, 16});
   const auto procs_list = flags.IntList("procs", {1, 8});
@@ -216,8 +194,6 @@ int main(int argc, char** argv) {
   const bool run_on = mode == "both" || mode == "on";
   const bool run_off = mode == "both" || mode == "off";
   DUFS_CHECK(run_on || run_off);
-  const auto obs_opts = bench::ObsOptions::FromFlags(flags);
-  bench::ProfileSession prof_session(obs_opts);
 
   const std::size_t max_depth =
       static_cast<std::size_t>(*std::max_element(depths.begin(), depths.end()));
@@ -230,8 +206,7 @@ int main(int argc, char** argv) {
               "items/proc=%zu)\n",
               static_cast<unsigned long long>(seed), items);
 
-  bench::MetricsJsonWriter metrics;
-  std::string registry_json, timeline_json, incidents_json;
+  auto& metrics = h.metrics();
   // Indexed [depth][procs], filled per mode below.
   struct Cell {
     PhaseCounters on;
@@ -250,12 +225,9 @@ int main(int argc, char** argv) {
       // EXPERIMENTS.md attribute.
       const bool instrumented = depth == max_depth && procs == max_procs;
       if (run_on) {
-        cells[di][pi].on = MeasureCell(
-            seed, depth, procs, items, /*compound=*/true,
-            instrumented ? &obs_opts : nullptr,
-            instrumented ? &registry_json : nullptr,
-            instrumented ? &timeline_json : nullptr,
-            instrumented ? &incidents_json : nullptr);
+        cells[di][pi].on =
+            MeasureCell(seed, depth, procs, items, /*compound=*/true,
+                        instrumented ? &h : nullptr);
       }
       if (run_off) {
         cells[di][pi].off =
@@ -372,49 +344,34 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (obs_opts.metrics_enabled()) {
-    metrics.SetTimelineJson(timeline_json);
-    metrics.SetIncidentsJson(incidents_json);
-    metrics.SetRegistryJson(registry_json);
-    if (metrics.WriteFile(obs_opts.metrics_path)) {
-      std::printf("metrics written: %s\n", obs_opts.metrics_path.c_str());
+  auto& base = h.baseline();
+  const auto add_phase = [&](const char* name,
+                             const bench::HotPathCounters& on,
+                             const bench::HotPathCounters& off) {
+    const std::string prefix(name);
+    if (run_on) {
+      base.AddHigherBetter(prefix + ".compound.ops_per_s", OpsPerSec(on));
+      base.AddLowerBetter(prefix + ".compound.zk_per_op", ZkPerOp(on));
     }
-  }
-
-  if (obs_opts.baseline_enabled()) {
-    bench::BaselineWriter base("fig13_deep_tree");
-    const auto add_phase = [&](const char* name,
-                               const bench::HotPathCounters& on,
-                               const bench::HotPathCounters& off) {
-      const std::string prefix(name);
-      if (run_on) {
-        base.AddHigherBetter(prefix + ".compound.ops_per_s", OpsPerSec(on));
-        base.AddLowerBetter(prefix + ".compound.zk_per_op", ZkPerOp(on));
-      }
-      if (run_off) {
-        base.AddHigherBetter(prefix + ".walk.ops_per_s", OpsPerSec(off));
-        base.AddLowerBetter(prefix + ".walk.zk_per_op", ZkPerOp(off));
-      }
-      if (run_on && run_off) {
-        base.AddHigherBetter(prefix + ".speedup",
-                             OpsPerSec(on) / OpsPerSec(off));
-      }
-    };
-    add_phase("create", corner.on.create, corner.off.create);
-    add_phase("stat", corner.on.stat, corner.off.stat);
-    add_phase("unlink", corner.on.unlink, corner.off.unlink);
-    if (run_on && ZkPerOp(shallow.on.stat) > 0) {
-      base.AddLowerBetter("stat.compound.zk_per_op_flatness",
-                          ZkPerOp(corner.on.stat) / ZkPerOp(shallow.on.stat));
+    if (run_off) {
+      base.AddHigherBetter(prefix + ".walk.ops_per_s", OpsPerSec(off));
+      base.AddLowerBetter(prefix + ".walk.zk_per_op", ZkPerOp(off));
     }
-    if (base.WriteFile(obs_opts.baseline_path)) {
-      std::printf("baseline written: %s\n", obs_opts.baseline_path.c_str());
+    if (run_on && run_off) {
+      base.AddHigherBetter(prefix + ".speedup", OpsPerSec(on) / OpsPerSec(off));
     }
+  };
+  add_phase("create", corner.on.create, corner.off.create);
+  add_phase("stat", corner.on.stat, corner.off.stat);
+  add_phase("unlink", corner.on.unlink, corner.off.unlink);
+  if (run_on && ZkPerOp(shallow.on.stat) > 0) {
+    base.AddLowerBetter("stat.compound.zk_per_op_flatness",
+                        ZkPerOp(corner.on.stat) / ZkPerOp(shallow.on.stat));
   }
 
   std::printf("\nTakeaway: with server-side resolution the metadata service "
               "answers a cold\ndeep-path op in one round trip, so cost is "
               "flat in depth; the per-component\nwalk the paper's prototype "
               "pays grows linearly and falls behind by depth 8.\n");
-  return 0;
+  return h.Finish();
 }

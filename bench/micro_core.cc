@@ -21,7 +21,7 @@
 #include <cstring>
 #include <string>
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "common/md5.h"
 #include "obs/prof.h"
 #include "core/physical_path.h"
@@ -165,13 +165,12 @@ PhaseResult Best(long reps, Fn run) {
 }
 
 int SelfBenchMain(int argc, char** argv) {
-  const bench::Flags flags(
-      argc, argv,
-      "micro_core --selfbench [--seed=N] [--reps=N] [--churn-events=N] "
-      "[--churn-timers=N] [--coro-procs=N] [--coro-rounds=N] [--spawns=N] "
-      "[--baseline=PATH] [--metrics-json=PATH] [--audit-check] "
-      "[--profile=PATH] [--profile-hz=N] [--profile-every=N] "
-      "[--profile-digest=PATH]");
+  // Constructed before the phases so the profiler covers them.
+  bench::Harness h("micro_core", argc, argv,
+                   "--selfbench [--seed=N] [--reps=N] [--churn-events=N] "
+                   "[--churn-timers=N] [--coro-procs=N] [--coro-rounds=N] "
+                   "[--spawns=N] [--audit-check]");
+  const bench::Flags& flags = h.flags();
   const auto seed = static_cast<std::uint64_t>(flags.Int("seed", 1));
   const long reps = flags.Int("reps", 3);
   const auto churn_events =
@@ -180,10 +179,6 @@ int SelfBenchMain(int argc, char** argv) {
   const long coro_procs = flags.Int("coro-procs", 256);
   const long coro_rounds = flags.Int("coro-rounds", 2000);
   const auto spawns = static_cast<std::uint64_t>(flags.Int("spawns", 500'000));
-  const bench::ObsOptions obs = bench::ObsOptions::FromFlags(flags);
-  // Constructed before the phases so the profiler covers them; its
-  // destructor (end of main) writes the folded export.
-  bench::ProfileSession prof_session(obs);
 
   sim::audit::Reset();
 
@@ -218,28 +213,21 @@ int SelfBenchMain(int argc, char** argv) {
               static_cast<unsigned long long>(spawn.events),
               spawn.best_seconds * 1e3, spawn_ps);
 
-  if (obs.baseline_enabled()) {
-    bench::BaselineWriter baseline("micro_core");
-    baseline.AddHigherBetter("engine.timer_churn.events_per_s", churn_eps);
-    baseline.AddHigherBetter("engine.coro_delay.events_per_s", coro_eps);
-    baseline.AddHigherBetter("engine.spawn.spawns_per_s", spawn_ps);
-    if (!baseline.WriteFile(obs.baseline_path)) return 1;
-  }
-  if (obs.metrics_enabled()) {
-    // Deterministic values only: two identically-seeded runs must produce a
-    // byte-identical file (the determinism gate compares it), so wall-clock
-    // rates stay out.
-    bench::MetricsJsonWriter metrics;
-    metrics.AddValue("timer_churn.events",
-                     static_cast<double>(churn.events));
-    metrics.AddValue("timer_churn.fired", static_cast<double>(churn.items));
-    metrics.AddValue("timer_churn.end_ns", static_cast<double>(churn.end_ns));
-    metrics.AddValue("coro_delay.events", static_cast<double>(coro.events));
-    metrics.AddValue("coro_delay.end_ns", static_cast<double>(coro.end_ns));
-    metrics.AddValue("spawn.events", static_cast<double>(spawn.events));
-    metrics.AddValue("spawn.spawns", static_cast<double>(spawn.items));
-    if (!metrics.WriteFile(obs.metrics_path)) return 1;
-  }
+  auto& baseline = h.baseline();
+  baseline.AddHigherBetter("engine.timer_churn.events_per_s", churn_eps);
+  baseline.AddHigherBetter("engine.coro_delay.events_per_s", coro_eps);
+  baseline.AddHigherBetter("engine.spawn.spawns_per_s", spawn_ps);
+  // Deterministic values only: two identically-seeded runs must produce a
+  // byte-identical metrics file (the determinism gate compares it), so
+  // wall-clock rates stay out.
+  auto& metrics = h.metrics();
+  metrics.AddValue("timer_churn.events", static_cast<double>(churn.events));
+  metrics.AddValue("timer_churn.fired", static_cast<double>(churn.items));
+  metrics.AddValue("timer_churn.end_ns", static_cast<double>(churn.end_ns));
+  metrics.AddValue("coro_delay.events", static_cast<double>(coro.events));
+  metrics.AddValue("coro_delay.end_ns", static_cast<double>(coro.end_ns));
+  metrics.AddValue("spawn.events", static_cast<double>(spawn.events));
+  metrics.AddValue("spawn.spawns", static_cast<double>(spawn.items));
 
   if (flags.Bool("audit-check")) {
     const sim::audit::Report report = sim::audit::Snapshot();
@@ -254,9 +242,9 @@ int SelfBenchMain(int argc, char** argv) {
     for (const std::string& v : report.violations) {
       std::fprintf(stderr, "audit violation: %s\n", v.c_str());
     }
-    if (!report.clean()) return 1;
+    if (!report.clean()) h.Fail("audit registry is not clean");
   }
-  return 0;
+  return h.Finish();
 }
 
 // ---------------------------------------------------------------------------

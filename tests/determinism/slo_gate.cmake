@@ -24,7 +24,7 @@ set(ARGS --seed=7 --files=120 --degrade-at-us=150000 --degrade-factor=15
 foreach(run 1 2)
   file(MAKE_DIRECTORY "${WORKDIR}/run${run}")
   # Run 2 spells the dump dir with a redundant `/.` segment and a trailing
-  # slash on purpose: ConfigureIncidents must normalize the path so the
+  # slash on purpose: the bench harness must normalize the path so the
   # dumps land in the same place and the metrics export (which embeds dump
   # basenames) stays byte-identical across invocation styles.
   if(run EQUAL 2)
