@@ -21,7 +21,7 @@ using mdtest::TestbedConfig;
 namespace {
 
 // `observe` (null for every run but one) is the harness observing this run.
-double MeasureDirCreate(double dlm_us, long procs, std::size_t items,
+mdtest::PhaseResult MeasureDirCreate(double dlm_us, long procs, std::size_t items,
                         Target target, bench::Harness* observe = nullptr) {
   TestbedConfig config;
   config.backend = mdtest::BackendKind::kLustre;
@@ -38,7 +38,7 @@ double MeasureDirCreate(double dlm_us, long procs, std::size_t items,
   MdtestRunner runner(tb, mc);
   auto results = runner.Run(target, {Phase::kDirCreate});
   if (observe != nullptr) observe->Capture(tb.obs());
-  return results[0].ops_per_sec;
+  return results[0];
 }
 
 }  // namespace
@@ -71,9 +71,12 @@ int main(int argc, char** argv) {
     // cannot land inside it.
     std::vector<double> row;
     for (long p : procs_list) {
-      const double v = MeasureDirCreate(dlm, p, items, Target::kBaseline);
-      row.push_back(v);
-      out.AddValue(std::string(dlm_key) + ".lustre@" + std::to_string(p), v);
+      const std::string key =
+          std::string(dlm_key) + ".lustre@" + std::to_string(p);
+      const auto r = MeasureDirCreate(dlm, p, items, Target::kBaseline);
+      h.PhaseErrors(key, r.errors);
+      row.push_back(r.ops_per_sec);
+      out.AddValue(key, r.ops_per_sec);
     }
     for (std::size_t pi = 0; pi < procs_list.size(); ++pi) {
       const long p = procs_list[pi];
@@ -81,10 +84,13 @@ int main(int argc, char** argv) {
       // the configuration the paper's crossover argument rests on.
       const bool observed =
           di + 1 == n_dlm && pi + 1 == procs_list.size();
-      const double v = MeasureDirCreate(dlm, p, items, Target::kDufs,
-                                        observed ? &h : nullptr);
-      row.push_back(v);
-      out.AddValue(std::string(dlm_key) + ".dufs@" + std::to_string(p), v);
+      const std::string key =
+          std::string(dlm_key) + ".dufs@" + std::to_string(p);
+      const auto r = MeasureDirCreate(dlm, p, items, Target::kDufs,
+                                      observed ? &h : nullptr);
+      h.PhaseErrors(key, r.errors);
+      row.push_back(r.ops_per_sec);
+      out.AddValue(key, r.ops_per_sec);
     }
     std::printf("%-10.1f", dlm);
     for (double v : row) std::printf(" %14.1f", v);

@@ -136,6 +136,7 @@ bench::HotPathCounters MeasureCreates(std::uint64_t seed, bool group_commit,
   bench::HotPathCounters c;
   c.ops = static_cast<double>(results[0].ops);
   c.seconds = results[0].seconds;
+  c.errors = results[0].errors;
   for (std::size_t i = 0; i < tb.client_count(); ++i) {
     c.zk_requests += tb.client(i).zk->requests_sent();
     c.zk_failovers += tb.client(i).zk->failovers();
@@ -204,6 +205,8 @@ int main(int argc, char** argv) {
   const auto gc_on = MeasureCreates(seed, true, procs, items, &h);
   bench::PrintHotPathRow("group_commit=off", gc_off);
   bench::PrintHotPathRow("group_commit=on", gc_on);
+  h.PhaseErrors("group_commit=off file-create", gc_off.errors);
+  h.PhaseErrors("group_commit=on file-create", gc_on.errors);
   std::printf("create throughput: %.0f -> %.0f ops/s (%.2fx)\n",
               gc_off.ops / gc_off.seconds, gc_on.ops / gc_on.seconds,
               (gc_on.ops / gc_on.seconds) / (gc_off.ops / gc_off.seconds));

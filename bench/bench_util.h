@@ -108,6 +108,8 @@ struct HotPathCounters {
   std::uint64_t zk_failovers = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  // Failed ops; not exported, since any failed op fails the bench.
+  std::uint64_t errors = 0;
 };
 
 inline void PrintHotPathHeader() {

@@ -26,9 +26,11 @@ int main(int argc, char** argv) {
   const auto zk_list = h.flags().IntList("zk", {1, 4, 8});
   const auto items = static_cast<std::size_t>(h.flags().Int("items", 30));
 
-  const std::vector<Phase> phases = {Phase::kDirCreate, Phase::kDirRemove,
-                                     Phase::kDirStat, Phase::kFileCreate,
-                                     Phase::kFileRemove, Phase::kFileStat};
+  // MdtestRunner runs phases in the order given: each stat must run while
+  // its entries still exist, between their create and their remove.
+  const std::vector<Phase> phases = {Phase::kDirCreate, Phase::kDirStat,
+                                     Phase::kDirRemove, Phase::kFileCreate,
+                                     Phase::kFileStat, Phase::kFileRemove};
   // results[phase][series][procs]
   std::map<Phase, std::map<std::string, std::map<long, double>>> results;
 
@@ -48,11 +50,8 @@ int main(int argc, char** argv) {
       MdtestRunner runner(tb, mc);
       for (auto& r : runner.Run(Target::kBaseline, phases)) {
         results[r.phase]["Basic Lustre"][procs] = r.ops_per_sec;
-        if (r.errors > 0) {
-          std::fprintf(stderr, "baseline %s errors=%llu\n",
-                       std::string(mdtest::PhaseName(r.phase)).c_str(),
-                       static_cast<unsigned long long>(r.errors));
-        }
+        h.PhaseErrors("baseline " + std::string(mdtest::PhaseName(r.phase)),
+                      r.errors);
       }
     }
   }
@@ -80,11 +79,8 @@ int main(int argc, char** argv) {
       MdtestRunner runner(tb, mc);
       for (auto& r : runner.Run(Target::kDufs, phases)) {
         results[r.phase][series][procs] = r.ops_per_sec;
-        if (r.errors > 0) {
-          std::fprintf(stderr, "dufs zk=%ld %s errors=%llu\n", zk,
-                       std::string(mdtest::PhaseName(r.phase)).c_str(),
-                       static_cast<unsigned long long>(r.errors));
-        }
+        h.PhaseErrors(series + " " + std::string(mdtest::PhaseName(r.phase)),
+                      r.errors);
       }
     }
     if (observed) h.Capture(tb.obs());

@@ -48,6 +48,8 @@ int main(int argc, char** argv) {
                Target::kBaseline,
                {Phase::kFileCreate, Phase::kFileStat, Phase::kFileRemove})) {
         results[r.phase]["Basic Lustre"][procs] = r.ops_per_sec;
+        h.PhaseErrors("baseline " + std::string(mdtest::PhaseName(r.phase)),
+                      r.errors);
       }
     }
   }
@@ -77,6 +79,8 @@ int main(int argc, char** argv) {
                Target::kDufs,
                {Phase::kFileCreate, Phase::kFileStat, Phase::kFileRemove})) {
         results[r.phase][series][procs] = r.ops_per_sec;
+        h.PhaseErrors(series + " " + std::string(mdtest::PhaseName(r.phase)),
+                      r.errors);
       }
     }
     if (observed) h.Capture(tb.obs());

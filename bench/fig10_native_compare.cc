@@ -79,11 +79,9 @@ int main(int argc, char** argv) {
                                  Phase::kDirRemove, Phase::kFileCreate,
                                  Phase::kFileStat, Phase::kFileRemove})) {
         results[r.phase][system.name][procs] = r.ops_per_sec;
-        if (r.errors > 0) {
-          std::fprintf(stderr, "%s %s errors=%llu\n", system.name.c_str(),
-                       std::string(mdtest::PhaseName(r.phase)).c_str(),
-                       static_cast<unsigned long long>(r.errors));
-        }
+        h.PhaseErrors(
+            system.name + " " + std::string(mdtest::PhaseName(r.phase)),
+            r.errors);
       }
       std::fprintf(stderr, "[fig10] %s procs=%ld done\n",
                    system.name.c_str(), procs);

@@ -180,6 +180,10 @@ void Harness::Fail(const std::string& why) {
   failed_ = true;
 }
 
+void Harness::PhaseErrors(const std::string& what, std::uint64_t errors) {
+  if (errors > 0) Fail(what + " errors=" + std::to_string(errors));
+}
+
 void Harness::StopProfiler() {
   if (!profiling_) return;
   profiling_ = false;

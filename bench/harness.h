@@ -44,10 +44,12 @@
 //
 // Exit status: Finish() returns 1 when any export could not be written
 // (metrics, trace, baseline, profile, or the dump directory) or the bench
-// reported a failure through Fail(); 0 otherwise. A malformed --slo exits 2
-// at construction, like any other usage error.
+// reported a failure (Fail(), or a phase with failed ops through
+// PhaseErrors()); 0 otherwise. A malformed --slo exits 2 at construction,
+// like any other usage error.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -90,9 +92,11 @@ class Harness {
   MetricsJsonWriter& metrics() { return metrics_; }
   BaselineWriter& baseline() { return baseline_; }
 
-  // Reports a failed run (phase errors, a missed expectation): printed now,
-  // and Finish() returns 1.
+  // Reports a failed run (a missed expectation): printed now, and Finish()
+  // returns 1.
   void Fail(const std::string& why);
+  // Fail()s when a measured phase `what` saw `errors` failed ops.
+  void PhaseErrors(const std::string& what, std::uint64_t errors);
 
   // Stops the profiler and writes its export, --metrics-json and
   // --baseline. Returns main()'s exit code.
