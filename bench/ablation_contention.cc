@@ -21,8 +21,9 @@ using mdtest::TestbedConfig;
 namespace {
 
 // `observe` (null for every run but one) is the harness observing this run.
-mdtest::PhaseResult MeasureDirCreate(double dlm_us, long procs, std::size_t items,
-                        Target target, bench::Harness* observe = nullptr) {
+mdtest::PhaseResult MeasureDirCreate(double dlm_us, long procs,
+                                     std::size_t items, Target target,
+                                     bench::Harness* observe = nullptr) {
   TestbedConfig config;
   config.backend = mdtest::BackendKind::kLustre;
   config.backend_instances = 2;

@@ -133,7 +133,7 @@ inline void PrintHotPathRow(const std::string& label,
                   : 0.0);
 }
 
-// The shared %.17g formatter, under the name the dufsbench driver uses.
+// The shared %.17g formatter, kept under this name for dufsbench.
 using dufs::AppendJsonNumber;
 
 // Prints a "series table": one row per x value, one column per series —

@@ -43,21 +43,20 @@ std::vector<obs::SloSpec> ParseSlos(const std::string& flag) {
     const std::string clause = flag.substr(start, end - start);
     start = end + 1;
     if (clause.empty()) continue;
-    const auto c1 = clause.find(':');
-    const auto c2 = c1 == std::string::npos ? std::string::npos
-                                            : clause.find(':', c1 + 1);
-    const char* op = c2 == std::string::npos
-                         ? nullptr
-                         : obs::Incidents::CanonicalOpName(clause.substr(0, c1));
-    const std::int64_t target =
-        op == nullptr ? -1 : ParseDurationNs(clause.substr(c1 + 1, c2 - c1 - 1));
-    const double budget =
-        op == nullptr ? 0.0 : std::strtod(clause.c_str() + c2 + 1, nullptr);
-    if (op == nullptr || target < 0 || budget <= 0.0 || budget > 1.0) {
+    const auto bad = [&clause] {
       std::fprintf(stderr, "--slo: want op:target:budget, got \"%s\"\n",
                    clause.c_str());
       std::exit(2);
-    }
+    };
+    const auto c1 = clause.find(':');
+    const auto c2 = c1 == std::string::npos ? std::string::npos
+                                            : clause.find(':', c1 + 1);
+    if (c2 == std::string::npos) bad();
+    const char* op = obs::Incidents::CanonicalOpName(clause.substr(0, c1));
+    const std::int64_t target =
+        ParseDurationNs(clause.substr(c1 + 1, c2 - c1 - 1));
+    const double budget = std::strtod(clause.c_str() + c2 + 1, nullptr);
+    if (op == nullptr || target < 0 || budget <= 0.0 || budget > 1.0) bad();
     slos.push_back(obs::SloSpec{op, target, budget});
   }
   return slos;
@@ -74,8 +73,7 @@ Harness::Harness(std::string name, int argc, char** argv,
       baseline_path_(flags_.Str("baseline", "")),
       timeline_(flags_.Bool("timeline")),
       timeline_us_(flags_.Int("timeline-us", 200)),
-      slo_flag_(flags_.Str("slo", "")),
-      slos_(ParseSlos(slo_flag_)),
+      slos_(ParseSlos(flags_.Str("slo", ""))),
       dump_dir_(flags_.Str("flight-dump-dir", "")),
       slo_window_us_(flags_.Int("slo-window-us", 10000)),
       flight_capacity_(flags_.Int("flight-capacity", 0)),
@@ -90,7 +88,9 @@ Harness::Harness(std::string name, int argc, char** argv,
     // into a missing directory, so create it up front.
     dump_dir_ =
         std::filesystem::path(dump_dir_).lexically_normal().generic_string();
-    while (dump_dir_.size() > 1 && dump_dir_.back() == '/') dump_dir_.pop_back();
+    while (dump_dir_.size() > 1 && dump_dir_.back() == '/') {
+      dump_dir_.pop_back();
+    }
     std::error_code ec;
     std::filesystem::create_directories(dump_dir_, ec);
     if (ec) {

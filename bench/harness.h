@@ -103,7 +103,7 @@ class Harness {
   int Finish();
 
  private:
-  bool incidents() const { return !slo_flag_.empty() || !dump_dir_.empty(); }
+  bool incidents() const { return !slos_.empty() || !dump_dir_.empty(); }
   void StopProfiler();
   // Writes `content` to `path`; on failure warns and marks the run failed.
   bool Write(const char* what, const std::string& path,
@@ -116,7 +116,6 @@ class Harness {
   std::string baseline_path_;
   bool timeline_ = false;
   long timeline_us_ = 200;
-  std::string slo_flag_;
   std::vector<obs::SloSpec> slos_;
   std::string dump_dir_;
   long slo_window_us_ = 10000;

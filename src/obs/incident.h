@@ -22,7 +22,7 @@
 //
 // The engine is disarmed by default: every hook is an inline armed_ check,
 // so un-configured runs pay one predictable branch per sample. Benches arm
-// it via bench_util.h's --slo / --flight-dump-dir flags.
+// it via the bench harness's --slo / --flight-dump-dir flags.
 //
 // Windows are aligned on absolute sim time (index = now / window_ns), so
 // window boundaries — and therefore every detector decision — depend only

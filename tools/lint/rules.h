@@ -50,9 +50,9 @@ struct FileArtifacts {
 // (sim-time-source's rng exemption, header rules) work.
 FileArtifacts AnalyzeFile(std::string path, const std::string& content);
 
-// Whole-tree linter: add every file, then
-// Run() applies the per-file results plus the interprocedural rules and
-// returns suppression-filtered findings sorted by (file, line, rule).
+// Whole-tree linter: add every file, then Run() applies the per-file
+// results plus the interprocedural rules and returns suppression-filtered
+// findings sorted by (file, line, rule).
 class Linter {
  public:
   void AddFile(std::string path, const std::string& content);
