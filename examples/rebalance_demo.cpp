@@ -72,8 +72,9 @@ void Demo(const std::string& policy_name) {
 }  // namespace
 
 // Actually move the data: switch a live volume from MD5-mod-N to the ring
-// using core::Rebalancer, then verify every file still reads back.
-void LiveRebalance() {
+// using core::Rebalancer, then verify every file still reads back. Returns
+// false if a write, the rebalance or a read-back failed.
+bool LiveRebalance() {
   TestbedConfig config;
   config.zk_servers = 3;
   config.client_nodes = 1;
@@ -82,15 +83,18 @@ void LiveRebalance() {
   Testbed tb(config);
   tb.MountAll();
 
-  sim::RunTask(tb.sim(), [](Testbed& t) -> sim::Task<void> {
+  return sim::RunTask(tb.sim(), [](Testbed& t) -> sim::Task<bool> {
     auto& fs = *t.client(0).dufs;
     constexpr int kFiles = 500;
     for (int i = 0; i < kFiles; ++i) {
       const std::string path = "/data" + std::to_string(i);
-      (void)co_await fs.Create(path, 0644);
+      if (!(co_await fs.Create(path, 0644)).ok()) co_return false;
       auto h = co_await fs.Open(path, vfs::kWrite);
-      (void)co_await fs.Write(*h, 0,
-                              vfs::ToBytes("v" + std::to_string(i)));
+      if (!h.ok()) co_return false;
+      if (!(co_await fs.Write(*h, 0, vfs::ToBytes("v" + std::to_string(i))))
+               .ok()) {
+        co_return false;
+      }
       (void)co_await fs.Release(*h);
     }
 
@@ -101,6 +105,7 @@ void LiveRebalance() {
     core::Rebalancer rebalancer(*t.client(0).zk, backends, old_policy,
                                 new_policy);
     auto stats = co_await rebalancer.Run();
+    if (!stats.ok()) co_return false;
     std::printf("live rebalance (mod-N -> ring over the same 4 back-ends):\n"
                 "  scanned=%llu moved=%llu bytes=%llu errors=%llu\n",
                 static_cast<unsigned long long>(stats->files_scanned),
@@ -124,6 +129,7 @@ void LiveRebalance() {
       (void)co_await backends[where]->Release(*h);
     }
     std::printf("  %d/%d files intact at their new homes\n", intact, kFiles);
+    co_return stats->errors == 0 && intact == kFiles;
   }(tb));
 }
 
@@ -132,10 +138,14 @@ int main() {
   std::printf("(ideal relocation when growing 4 -> 5 back-ends: 20%%)\n\n");
   Demo("md5-mod-n");
   Demo("consistent-hash");
-  LiveRebalance();
+  const bool live_ok = LiveRebalance();
   std::printf("\nTakeaway: with consistent hashing DUFS can grow its "
               "back-end pool while\nrelocating only ~1/N of the files (the "
               "paper's planned extension); the\nRebalancer migrates exactly "
               "the affected files with no namespace change.\n");
+  if (!live_ok) {
+    std::printf("live rebalance FAILED\n");
+    return 1;
+  }
   return 0;
 }

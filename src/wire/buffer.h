@@ -30,6 +30,14 @@ class BufferWriter {
 
   void WriteString(std::string_view s);
   void WriteBytes(const std::vector<std::uint8_t>& b);
+  // Appends already-encoded bytes verbatim (no length prefix).
+  template <typename It>
+  void WriteRaw(It first, It last) {
+    buf_.insert(buf_.end(), first, last);
+  }
+
+  // Empties the buffer but keeps its capacity, for a writer that is reused.
+  void Clear() { buf_.clear(); }
 
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::vector<std::uint8_t> Take() { return std::move(buf_); }

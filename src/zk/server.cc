@@ -1,6 +1,7 @@
 #include "zk/server.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace dufs::zk {
@@ -161,12 +162,59 @@ ClientResponse UnavailableResponse() {
 
 }  // namespace
 
+// ------------------------------------------------------- committed log ----
+
+void CommittedLog::Append(Zxid zxid, const Txn& txn) {
+  encoder_.Clear();
+  txn.Encode(encoder_);
+  bytes_.insert(bytes_.end(), encoder_.data().begin(), encoder_.data().end());
+  index_.push_back({zxid, dropped_bytes_ + bytes_.size()});
+  if (index_.size() > max_entries_) {
+    // Older followers resync via snapshot.
+    const std::uint64_t front_bytes = index_.front().end - dropped_bytes_;
+    truncated_upto_ = index_.front().zxid;
+    bytes_.erase(bytes_.begin(),
+                 bytes_.begin() + static_cast<std::ptrdiff_t>(front_bytes));
+    dropped_bytes_ += front_bytes;
+    index_.pop_front();
+  }
+}
+
+void CommittedLog::Reset(Zxid upto) {
+  bytes_.clear();
+  index_.clear();
+  dropped_bytes_ = 0;
+  truncated_upto_ = upto;
+}
+
+void CommittedLog::WriteDiff(Zxid since, wire::BufferWriter& w) const {
+  // Zxids only grow along the log, so the entries after `since` are a suffix.
+  const auto first =
+      std::partition_point(index_.begin(), index_.end(),
+                           [since](const Entry& e) { return e.zxid <= since; });
+  w.WriteVarint(static_cast<std::uint64_t>(index_.end() - first));
+  auto at = [this](std::uint64_t offset) {
+    return bytes_.begin() +
+           static_cast<std::ptrdiff_t>(offset - dropped_bytes_);
+  };
+  std::uint64_t begin =
+      first == index_.begin() ? dropped_bytes_ : std::prev(first)->end;
+  for (auto it = first; it != index_.end(); ++it) {
+    w.WriteI64(it->zxid);
+    w.WriteRaw(at(begin), at(it->end));
+    begin = it->end;
+  }
+}
+
+// ------------------------------------------------------------- server ----
+
 ZkServer::ZkServer(net::RpcEndpoint& endpoint, ZkEnsembleConfig config,
                    std::size_t my_index)
     : endpoint_(endpoint),
       config_(std::move(config)),
       my_index_(my_index),
-      db_(std::make_unique<Database>()) {
+      db_(std::make_unique<Database>()),
+      committed_log_(config_.max_log_entries) {
   DUFS_CHECK(my_index_ < config_.servers.size());
   DUFS_CHECK(config_.servers[my_index_] == endpoint_.self());
 }
@@ -248,10 +296,10 @@ void ZkServer::OnRestart() {
   last_committed_ = db_->last_applied();
   // The in-memory log may disagree with the restored snapshot; drop it and
   // serve any pre-restore sync requests with a full snapshot instead.
-  committed_log_.clear();
-  log_truncated_upto_ = db_->last_applied();
-  // Never reuse zxids from a previous life.
-  epoch_ = std::max<std::int64_t>(epoch_, (db_->last_applied() >> 40) + 1);
+  committed_log_.Reset(db_->last_applied());
+  // The epoch stays: a follower adopts the sitting leader's, and only a
+  // server that takes leadership moves to a new one (BecomeLeader, or the
+  // static leader below), so zxids from a previous life are never reused.
   zxid_counter_ = 0;
   sim::CurrentSimulationScope scope(&endpoint_.sim());
   if (config_.enable_failure_detection) {
@@ -264,6 +312,7 @@ void ZkServer::OnRestart() {
     leader_index_ = 0;
     if (my_index_ == 0) {
       role_ = Role::kLeading;
+      epoch_ = std::max<std::int64_t>(epoch_, db_->last_applied() >> 40) + 1;
     } else {
       endpoint_.sim().Spawn(SyncWithLeader(0));
     }
@@ -821,14 +870,6 @@ void ZkServer::TryCommitInOrder() {
   if (config_.group_commit && committed_any) BroadcastCommit(last_committed_);
 }
 
-void ZkServer::AppendCommittedLog(Zxid zxid, Txn txn) {
-  committed_log_.emplace_back(zxid, std::move(txn));
-  if (committed_log_.size() > config_.max_log_entries) {
-    log_truncated_upto_ = committed_log_.front().first;
-    committed_log_.pop_front();  // older followers resync via snapshot
-  }
-}
-
 void ZkServer::BroadcastCommit(Zxid zxid) {
   const auto payload = EncodeZxid(zxid);
   for (std::size_t i = 0; i < config_.servers.size(); ++i) {
@@ -867,7 +908,7 @@ void ZkServer::ApplyCommitted() {
     AppliedTxn applied = ApplyTxn(it->second, zxid);
     // Every replica retains the committed tail: any of them may be elected
     // leader later and must be able to sync lagging followers.
-    AppendCommittedLog(zxid, std::move(it->second));
+    committed_log_.Append(zxid, it->second);
     if (result_wanted_.count(zxid) > 0) {
       ClientResponse resp;
       resp.result = std::move(applied.result);
@@ -1181,8 +1222,12 @@ sim::Task<void> ZkServer::SyncWithLeader(std::size_t leader_idx) {
     auto db = Database::Restore(*blob);
     if (!db.ok()) co_return;
     db_ = std::move(*db);
+    // The old log tail no longer joins up with the installed state: a diff
+    // served from it would skip everything the snapshot carried.
+    committed_log_.Reset(db_->last_applied());
     epoch_ = std::max(epoch_, *epoch);
     last_committed_ = std::max(last_committed_, db_->last_applied());
+    ++snapshot_syncs_;
     CompleteApplyWaiters();
     co_return;
   }
@@ -1196,12 +1241,13 @@ sim::Task<void> ZkServer::SyncWithLeader(std::size_t leader_idx) {
     if (!txn.ok()) co_return;
     if (*zxid <= db_->last_applied()) continue;
     ApplyTxn(*txn, *zxid);
-    AppendCommittedLog(*zxid, std::move(*txn));
+    committed_log_.Append(*zxid, *txn);
   }
   epoch_ = std::max(epoch_, *epoch);
   if (db_->last_applied() > last_committed_) {
     last_committed_ = db_->last_applied();
   }
+  ++diff_syncs_;
   CompleteApplyWaiters();
 }
 
@@ -1216,20 +1262,12 @@ sim::Task<net::RpcResult> ZkServer::HandleFollowerInfo(net::NodeId /*from*/,
   w.WriteI64(epoch_);
   // If the follower predates the retained log tail, ship a full snapshot
   // instead of a diff.
-  const bool need_snapshot = *since < log_truncated_upto_;
+  const bool need_snapshot = committed_log_.NeedsSnapshot(*since);
   w.WriteBool(need_snapshot);
   if (need_snapshot) {
     w.WriteBytes(db_->Snapshot());
-    co_return w.Take();
-  }
-  std::vector<const std::pair<Zxid, Txn>*> missing;
-  for (const auto& entry : committed_log_) {
-    if (entry.first > *since) missing.push_back(&entry);
-  }
-  w.WriteVarint(missing.size());
-  for (const auto* entry : missing) {
-    w.WriteI64(entry->first);
-    entry->second.Encode(w);
+  } else {
+    committed_log_.WriteDiff(*since, w);
   }
   co_return w.Take();
 }

@@ -67,6 +67,44 @@ struct ZkEnsembleConfig {
   sim::Duration session_timeout = 0;
 };
 
+// The committed-txn tail one replica keeps for syncing lagging followers
+// (DESIGN.md §16): every txn's Txn::Encode bytes back to back in one
+// buffer, indexed by (zxid, end offset), so an entry costs its encoding plus
+// 16 index bytes and no heap object of its own. At most `max_entries` are
+// kept; dropping the oldest raises truncated_upto(), and a follower that has
+// not applied that zxid is sent a snapshot instead of a diff.
+class CommittedLog {
+ public:
+  explicit CommittedLog(std::size_t max_entries) : max_entries_(max_entries) {}
+
+  // `zxid` must exceed every zxid already in the log.
+  void Append(Zxid zxid, const Txn& txn);
+  // Empties the log after the replica's state was replaced wholesale (a
+  // restore or a snapshot install) and now ends at `upto`.
+  void Reset(Zxid upto);
+
+  bool NeedsSnapshot(Zxid since) const { return since < truncated_upto_; }
+  // The DIFF body for a follower that has applied `since`: the count of
+  // newer entries, then each as WriteI64(zxid) + its stored txn bytes.
+  void WriteDiff(Zxid since, wire::BufferWriter& w) const;
+
+  std::size_t size() const { return index_.size(); }
+  Zxid truncated_upto() const { return truncated_upto_; }
+
+ private:
+  struct Entry {
+    Zxid zxid;
+    std::uint64_t end;  // one past its last byte, counting dropped bytes
+  };
+
+  std::size_t max_entries_;
+  std::deque<std::uint8_t> bytes_;
+  std::deque<Entry> index_;
+  std::uint64_t dropped_bytes_ = 0;  // popped off the front of bytes_
+  Zxid truncated_upto_ = 0;          // highest zxid dropped from the tail
+  wire::BufferWriter encoder_;       // reused by every Append
+};
+
 class ZkServer {
  public:
   enum class Role { kLooking, kFollowing, kLeading };
@@ -101,6 +139,11 @@ class ZkServer {
   // proposals they carried; avg batch = proposals_batched / batch_rounds.
   std::uint64_t batch_rounds() const { return batch_rounds_; }
   std::uint64_t proposals_batched() const { return proposals_batched_; }
+  // Catch-up telemetry: syncs this replica completed from a leader's full
+  // snapshot vs from a diff of its committed log (an empty diff counts).
+  std::uint64_t snapshot_syncs() const { return snapshot_syncs_; }
+  std::uint64_t diff_syncs() const { return diff_syncs_; }
+  const CommittedLog& committed_log() const { return committed_log_; }
 
   // Optional: request counters, queue-depth gauges, fsync-batch histogram,
   // and quorum-round / group-commit / fsync trace spans for this server.
@@ -150,7 +193,6 @@ class ZkServer {
   sim::Task<void> FlushProposalQueue();
   void TryCommitInOrder();
   void MaybeScheduleRetransmit();
-  void AppendCommittedLog(Zxid zxid, Txn txn);
   void BroadcastCommit(Zxid zxid);
   void ApplyCommitted();
   sim::Task<bool> WaitApplied(Zxid zxid);  // false on give-up timeout
@@ -215,8 +257,7 @@ class ZkServer {
   Zxid last_committed_ = 0;
   // Tail of the committed history (the on-disk log model) for syncing
   // lagging followers; bounded by config_.max_log_entries.
-  std::deque<std::pair<Zxid, Txn>> committed_log_;
-  Zxid log_truncated_upto_ = 0;  // highest zxid dropped from the tail
+  CommittedLog committed_log_;
 
   // Replica state.
   std::map<Zxid, Txn> pending_txns_;   // proposed, not yet committed
@@ -265,6 +306,8 @@ class ZkServer {
   std::uint64_t writes_committed_ = 0;
   std::uint64_t batch_rounds_ = 0;
   std::uint64_t proposals_batched_ = 0;
+  std::uint64_t snapshot_syncs_ = 0;
+  std::uint64_t diff_syncs_ = 0;
 
   // Observability (default handles are no-op dummies; see obs/metrics.h).
   obs::NodeObs obs_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "common/rng.h"
 
 namespace dufs::wire {
@@ -69,6 +71,18 @@ TEST(BufferTest, BytesRoundTrip) {
   w.WriteBytes(blob);
   BufferReader r(w.data());
   EXPECT_EQ(*r.ReadBytes(), blob);
+}
+
+TEST(BufferTest, RawBytesAreAppendedVerbatimAndClearKeepsWriting) {
+  BufferWriter w;
+  w.WriteU8(7);
+  const std::deque<std::uint8_t> raw = {1, 2, 3};
+  w.WriteRaw(raw.begin(), raw.end());
+  EXPECT_EQ(w.data(), (std::vector<std::uint8_t>{7, 1, 2, 3}));
+  w.Clear();
+  EXPECT_EQ(w.size(), 0u);
+  w.WriteRaw(raw.begin() + 1, raw.end());
+  EXPECT_EQ(w.Take(), (std::vector<std::uint8_t>{2, 3}));
 }
 
 TEST(BufferTest, ShortReadIsError) {

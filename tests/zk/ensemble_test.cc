@@ -31,10 +31,13 @@ struct Ensemble {
 
   explicit Ensemble(std::size_t n_servers, std::size_t n_clients = 1,
                     bool failure_detection = false, std::uint64_t seed = 1,
-                    bool group_commit = false)
+                    bool group_commit = false,
+                    std::size_t max_log_entries =
+                        ZkEnsembleConfig{}.max_log_entries)
       : sim(seed) {
     config.enable_failure_detection = failure_detection;
     config.group_commit = group_commit;
+    config.max_log_entries = max_log_entries;
     for (std::size_t i = 0; i < n_servers; ++i) {
       config.servers.push_back(net.AddNode("zk" + std::to_string(i)));
     }
@@ -56,6 +59,15 @@ struct Ensemble {
   }
 
   ~Ensemble() { sim.Shutdown(); }
+
+  net::Node& node(std::size_t i) { return net.node(config.servers[i]); }
+
+  // Crash-restart of server i from `snapshot` (the journal-replay model).
+  void Restart(std::size_t i, const std::vector<std::uint8_t>& snapshot) {
+    node(i).Restart();
+    ASSERT_TRUE(servers[i]->RestoreSnapshot(snapshot).ok());
+    servers[i]->OnRestart();
+  }
 
   ZkClient& client(std::size_t i = 0) { return *clients[i]; }
 
@@ -566,6 +578,254 @@ TEST(EnsembleTest, GroupCommitLeaderCrashElectionRecovers) {
   EXPECT_EQ(leaders, 1);
   e.Drain(sim::Sec(1));
   EXPECT_TRUE(e.Converged());
+}
+
+// A replica that caught up by SNAP must not serve a later DIFF from the log
+// it kept from before the snapshot: the log has to restart at the installed
+// state, or the diff skips everything the snapshot carried.
+TEST(EnsembleTest, SnapshotCaughtUpReplicaServesCompleteDiff) {
+  Ensemble e(3, 1, /*failure_detection=*/true, /*seed=*/1,
+             /*group_commit=*/false, /*max_log_entries=*/2);
+  e.Connect();
+  sim::RunTask(e.sim, [](Ensemble& en) -> sim::Task<void> {
+    CO_ASSERT_TRUE((co_await en.client().Create("/a", {})).ok());
+    const auto snap2 = en.servers[2]->TakeSnapshot();
+    en.node(2).Crash();
+    CO_ASSERT_TRUE((co_await en.client().Create("/b", {})).ok());
+    const auto snap1 = en.servers[1]->TakeSnapshot();
+    for (const char* path : {"/c", "/d", "/e"}) {
+      CO_ASSERT_TRUE((co_await en.client().Create(path, {})).ok());
+    }
+    en.Restart(2, snap2);  // more than 2 entries behind: a SNAP
+    co_await en.sim.Delay(sim::Sec(2));
+    EXPECT_EQ(en.servers[2]->snapshot_syncs(), 1u);
+    en.node(1).Crash();
+    en.node(0).Crash();
+    // zk2 has the highest zxid and is elected; zk1 asks it for /c.. /e.
+    en.Restart(1, snap1);
+    co_await en.sim.Delay(sim::Sec(2));
+  }(e));
+  EXPECT_TRUE(e.servers[2]->is_leader());
+  EXPECT_TRUE(e.Converged());
+  EXPECT_TRUE(e.servers[1]->db().tree().Exists("/e"));
+}
+
+// A restarted follower keeps its epoch and adopts the sitting leader's; a
+// self-promoted epoch would make it reject that leader's proposals, and with
+// one more follower down the ensemble would lose its write quorum.
+TEST(EnsembleTest, RestartedFollowerFollowsSittingLeaderEpoch) {
+  Ensemble e(3, 1, /*failure_detection=*/true);
+  e.Connect();
+  sim::RunTask(e.sim, [](Ensemble& en) -> sim::Task<void> {
+    CO_ASSERT_TRUE((co_await en.client().Create("/a", {})).ok());
+    const auto snap2 = en.servers[2]->TakeSnapshot();
+    en.node(2).Crash();
+    CO_ASSERT_TRUE((co_await en.client().Create("/b", {})).ok());
+    en.Restart(2, snap2);
+    co_await en.sim.Delay(sim::Sec(2));
+    EXPECT_TRUE(en.servers[2]->db().tree().Exists("/b"));
+    EXPECT_EQ(en.servers[2]->epoch(), en.servers[0]->epoch());
+    en.node(1).Crash();  // zk0 + zk2 are still a quorum of 3
+    auto r = co_await en.client().Create("/c", {});
+    EXPECT_TRUE(r.ok()) << r.status();
+  }(e));
+  EXPECT_TRUE(e.servers[0]->is_leader());
+  e.Drain();
+  EXPECT_TRUE(e.Converged());
+  EXPECT_TRUE(e.servers[2]->db().tree().Exists("/c"));
+}
+
+// With a 4-entry log, a follower 2 writes behind catches up by DIFF and one
+// 8 writes behind by SNAP; both end on the leader's state.
+TEST(EnsembleTest, LaggingFollowersCatchUpByDiffOrSnapshot) {
+  Ensemble e(5, 1, /*failure_detection=*/true, /*seed=*/1,
+             /*group_commit=*/false, /*max_log_entries=*/4);
+  e.Connect();
+  sim::RunTask(e.sim, [](Ensemble& en) -> sim::Task<void> {
+    const auto snap3 = en.servers[3]->TakeSnapshot();
+    en.node(3).Crash();
+    for (int i = 0; i < 6; ++i) {
+      CO_ASSERT_TRUE(
+          (co_await en.client().Create("/x" + std::to_string(i), {})).ok());
+    }
+    co_await en.sim.Delay(sim::Ms(50));  // zk4 applies the last commit
+    const auto snap4 = en.servers[4]->TakeSnapshot();
+    en.node(4).Crash();
+    for (int i = 0; i < 2; ++i) {
+      CO_ASSERT_TRUE(
+          (co_await en.client().Create("/y" + std::to_string(i), {})).ok());
+    }
+    en.Restart(4, snap4);
+    en.Restart(3, snap3);
+    co_await en.sim.Delay(sim::Sec(2));
+  }(e));
+  EXPECT_TRUE(e.Converged());
+  EXPECT_TRUE(e.servers[3]->db().tree().Exists("/y1"));
+  EXPECT_TRUE(e.servers[4]->db().tree().Exists("/y1"));
+  EXPECT_EQ(e.servers[4]->snapshot_syncs(), 0u);
+  EXPECT_GE(e.servers[4]->diff_syncs(), 1u);
+  EXPECT_EQ(e.servers[4]->committed_log().size(), 2u);  // the diffed /y0, /y1
+  EXPECT_EQ(e.servers[3]->snapshot_syncs(), 1u);
+  // The leader's log holds the last 4 commits; the 5th-newest is truncated.
+  EXPECT_EQ(e.servers[0]->committed_log().size(), 4u);
+}
+
+// Restarting from a snapshot and installing a leader's snapshot both leave
+// an empty log whose truncation point is the state the replica now holds.
+TEST(EnsembleTest, RestartAndSnapshotInstallResetTheLog) {
+  Ensemble e(3, 1, /*failure_detection=*/true, /*seed=*/1,
+             /*group_commit=*/false, /*max_log_entries=*/2);
+  e.Connect();
+  sim::RunTask(e.sim, [](Ensemble& en) -> sim::Task<void> {
+    const auto snap2 = en.servers[2]->TakeSnapshot();
+    en.node(2).Crash();
+    for (const char* path : {"/a", "/b", "/c", "/d"}) {
+      CO_ASSERT_TRUE((co_await en.client().Create(path, {})).ok());
+    }
+    en.Restart(2, snap2);
+    const auto& log = en.servers[2]->committed_log();
+    EXPECT_EQ(log.size(), 0u);
+    EXPECT_EQ(log.truncated_upto(), en.servers[2]->db().last_applied());
+    EXPECT_LT(log.truncated_upto(), en.servers[0]->db().last_applied());
+    co_await en.sim.Delay(sim::Sec(2));
+    EXPECT_EQ(en.servers[2]->snapshot_syncs(), 1u);
+    EXPECT_EQ(log.size(), 0u);
+    EXPECT_EQ(log.truncated_upto(), en.servers[0]->db().last_applied());
+    EXPECT_EQ(log.truncated_upto(), en.servers[2]->db().last_applied());
+  }(e));
+}
+
+// The DIFF a leader sends is WriteI64(zxid) + Txn::Encode for each committed
+// txn the follower lacks, in zxid order: the stored bytes are the encoding.
+TEST(EnsembleTest, FollowerInfoDiffIsZxidThenEncodedTxn) {
+  Ensemble e(3);
+  e.Connect();
+  const auto probe = e.net.AddNode("probe");
+  net::RpcEndpoint probe_ep(e.net, probe);
+  sim::RunTask(e.sim, [](Ensemble& en,
+                         net::RpcEndpoint& ep) -> sim::Task<void> {
+    CO_ASSERT_TRUE((co_await en.client().Create("/base", {})).ok());
+    const Zxid since = en.servers[0]->db().last_applied();
+    CO_ASSERT_TRUE(
+        (co_await en.client().Create("/p", Bytes("data"))).ok());
+    CO_ASSERT_TRUE((co_await en.client().Set("/p", Bytes("v2"))).ok());
+    CO_ASSERT_TRUE((co_await en.client().Delete("/base")).ok());
+
+    wire::BufferWriter req;
+    req.WriteI64(since);
+    auto reply = co_await ep.Call(en.config.servers[0], method::kFollowerInfo,
+                                  req.Take(), sim::Sec(1));
+    CO_ASSERT_TRUE(reply.ok());
+
+    // Rebuild the expected reply from the decoded entries.
+    wire::BufferReader r(*reply);
+    wire::BufferWriter expected;
+    expected.WriteI64(en.servers[0]->epoch());
+    expected.WriteBool(false);  // a diff, not a snapshot
+    CO_ASSERT_TRUE(r.ReadI64().ok());
+    CO_ASSERT_TRUE(r.ReadBool().ok());
+    auto count = r.ReadVarint();
+    CO_ASSERT_TRUE(count.ok());
+    CO_ASSERT_EQ(*count, 3u);
+    expected.WriteVarint(*count);
+    std::vector<OpType> types;
+    std::vector<std::string> paths;
+    Zxid prev = since;
+    for (std::uint64_t i = 0; i < *count; ++i) {
+      auto zxid = r.ReadI64();
+      CO_ASSERT_TRUE(zxid.ok());
+      EXPECT_GT(*zxid, prev);
+      prev = *zxid;
+      auto txn = Txn::Decode(r);
+      CO_ASSERT_TRUE(txn.ok());
+      types.push_back(txn->op.type);
+      paths.push_back(txn->op.path);
+      expected.WriteI64(*zxid);
+      txn->Encode(expected);
+    }
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(prev, en.servers[0]->db().last_applied());
+    EXPECT_EQ(types, (std::vector<OpType>{OpType::kCreate, OpType::kSetData,
+                                          OpType::kDelete}));
+    EXPECT_EQ(paths, (std::vector<std::string>{"/p", "/p", "/base"}));
+    EXPECT_EQ(*reply, expected.data());
+  }(e, probe_ep));
+}
+
+Txn MakeTxn(SessionId session, std::int64_t time, Op op) {
+  Txn txn;
+  txn.session = session;
+  txn.time = time;
+  txn.trace = static_cast<std::uint64_t>(time) * 1000;
+  txn.op = std::move(op);
+  return txn;
+}
+
+// Pins the stored-bytes DIFF to the encoding a decoded-Txn log produced:
+// WriteI64(zxid) followed by Txn::Encode for each entry after `since`.
+TEST(CommittedLogTest, DiffIsZxidThenTxnEncodeForEachNewerEntry) {
+  std::vector<std::pair<Zxid, Txn>> history;
+  history.emplace_back(11, MakeTxn(7, 100, Op::Create("/a", Bytes("x"))));
+  history.emplace_back(12, MakeTxn(7, 200, Op::SetData("/a", Bytes("yy"), 0)));
+  Txn multi = MakeTxn(8, 300, Op{});
+  multi.op.type = OpType::kMulti;
+  multi.multi_ops = {Op::Create("/b", {}), Op::Delete("/a")};
+  history.emplace_back(13, std::move(multi));
+  history.emplace_back(14, MakeTxn(9, 400, Op::Delete("/b", 3)));
+
+  CommittedLog log(/*max_entries=*/100);
+  for (const auto& [zxid, txn] : history) log.Append(zxid, txn);
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_FALSE(log.NeedsSnapshot(0));
+
+  for (Zxid since : {Zxid{0}, Zxid{11}, Zxid{12}, Zxid{14}, Zxid{99}}) {
+    wire::BufferWriter expected;
+    std::uint64_t newer = 0;
+    for (const auto& [zxid, txn] : history) newer += zxid > since ? 1 : 0;
+    expected.WriteVarint(newer);
+    for (const auto& [zxid, txn] : history) {
+      if (zxid <= since) continue;
+      expected.WriteI64(zxid);
+      txn.Encode(expected);
+    }
+    wire::BufferWriter got;
+    log.WriteDiff(since, got);
+    EXPECT_EQ(got.data(), expected.data()) << "since=" << since;
+  }
+}
+
+// Retention drops the oldest entry and raises the truncation point; the
+// diff still carries exactly the retained entries' bytes.
+TEST(CommittedLogTest, RetentionTruncatesOldestAndKeepsTailBytes) {
+  CommittedLog log(/*max_entries=*/2);
+  std::vector<Txn> txns;
+  for (int i = 0; i < 5; ++i) {
+    txns.push_back(MakeTxn(1, i, Op::Create("/n" + std::to_string(i),
+                                            Bytes(std::string(i, 'd')))));
+    log.Append(i + 1, txns.back());
+  }
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.truncated_upto(), 3);
+  EXPECT_TRUE(log.NeedsSnapshot(2));
+  EXPECT_FALSE(log.NeedsSnapshot(3));
+
+  wire::BufferWriter expected;
+  expected.WriteVarint(2);
+  for (int i = 3; i < 5; ++i) {
+    expected.WriteI64(i + 1);
+    txns[static_cast<std::size_t>(i)].Encode(expected);
+  }
+  wire::BufferWriter got;
+  log.WriteDiff(3, got);
+  EXPECT_EQ(got.data(), expected.data());
+
+  log.Reset(42);
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.truncated_upto(), 42);
+  EXPECT_TRUE(log.NeedsSnapshot(41));
+  wire::BufferWriter empty;
+  log.WriteDiff(42, empty);
+  EXPECT_EQ(empty.data(), std::vector<std::uint8_t>{0});
 }
 
 }  // namespace
