@@ -118,7 +118,7 @@ struct ForwardResponse {
 
 struct VoteMsg {
   std::int64_t round;
-  std::int64_t epoch;
+  std::int64_t epoch;  // the sender's own epoch, whoever it votes for
   Zxid zxid;
   std::uint64_t candidate;
   std::uint64_t from;
@@ -298,8 +298,8 @@ void ZkServer::OnRestart() {
   // serve any pre-restore sync requests with a full snapshot instead.
   committed_log_.Reset(db_->last_applied());
   // The epoch stays: a follower adopts the sitting leader's, and only a
-  // server that takes leadership moves to a new one (BecomeLeader, or the
-  // static leader below), so zxids from a previous life are never reused.
+  // server that takes leadership moves to a new one. BecomeLeader picks one
+  // above every epoch its electors hold, so zxids are never reused.
   zxid_counter_ = 0;
   sim::CurrentSimulationScope scope(&endpoint_.sim());
   if (config_.enable_failure_detection) {
@@ -752,7 +752,7 @@ sim::Task<net::RpcResult> ZkServer::HandlePropose(net::NodeId from,
   auto msg = ProposeMsg::Decode(req);
   if (!msg.ok()) co_return msg.status();
   if (msg->epoch < epoch_) co_return Status(StatusCode::kConflict, "stale");
-  if (msg->epoch > epoch_) epoch_ = msg->epoch;
+  AdoptEpoch(msg->epoch);
 
   // Retransmit handling: if we already journaled this zxid (or applied
   // it), just re-ack — the original ACK may have been lost.
@@ -788,7 +788,7 @@ sim::Task<net::RpcResult> ZkServer::HandleBatchPropose(net::NodeId from,
   if (!msg.ok()) co_return msg.status();
   if (msg->entries.empty()) co_return net::Payload{};
   if (msg->epoch < epoch_) co_return Status(StatusCode::kConflict, "stale");
-  if (msg->epoch > epoch_) epoch_ = msg->epoch;
+  AdoptEpoch(msg->epoch);
 
   const Zxid lo = msg->entries.front().first;
   const Zxid hi = msg->entries.back().first;
@@ -1034,7 +1034,7 @@ sim::Task<net::RpcResult> ZkServer::HandlePing(net::NodeId /*from*/,
   }
   const bool new_leader = leader_index_ != msg->candidate;
   const bool was_looking = role_ == Role::kLooking;
-  epoch_ = msg->epoch;
+  AdoptEpoch(msg->epoch);
   leader_index_ = msg->candidate;
   last_ping_ = endpoint_.sim().now();
   role_ = Role::kFollowing;
@@ -1104,9 +1104,9 @@ sim::Task<void> ZkServer::FollowerWatchdog() {
     if (role_ == Role::kLooking) {
       ++election_round_;
       votes_received_.clear();
-      my_vote_ = Vote{epoch_, db_->last_applied(), my_index_};
-      VoteMsg msg{election_round_, my_vote_.epoch, my_vote_.zxid,
-                  my_vote_.candidate, my_index_};
+      my_vote_ = Vote{db_->last_applied(), my_index_};
+      VoteMsg msg{election_round_, epoch_, my_vote_.zxid, my_vote_.candidate,
+                  my_index_};
       for (std::size_t i = 0; i < config_.servers.size(); ++i) {
         if (i == my_index_) continue;
         endpoint_.Notify(server_node(i), method::kElectionVote, msg.Encode());
@@ -1120,9 +1120,9 @@ void ZkServer::StartElection() {
   role_ = Role::kLooking;
   ++election_round_;
   votes_received_.clear();
-  my_vote_ = Vote{epoch_, db_->last_applied(), my_index_};
-  VoteMsg msg{election_round_, my_vote_.epoch, my_vote_.zxid,
-              my_vote_.candidate, my_index_};
+  my_vote_ = Vote{db_->last_applied(), my_index_};
+  VoteMsg msg{election_round_, epoch_, my_vote_.zxid, my_vote_.candidate,
+              my_index_};
   for (std::size_t i = 0; i < config_.servers.size(); ++i) {
     if (i == my_index_) continue;
     endpoint_.Notify(server_node(i), method::kElectionVote, msg.Encode());
@@ -1134,6 +1134,7 @@ sim::Task<net::RpcResult> ZkServer::HandleElectionVote(net::NodeId from,
                                                        net::Payload req) {
   auto msg = VoteMsg::Decode(req);
   if (!msg.ok()) co_return msg.status();
+  highest_voter_epoch_ = std::max(highest_voter_epoch_, msg->epoch);
 
   if (role_ != Role::kLooking) {
     // Tell the looking peer who leads now.
@@ -1143,11 +1144,11 @@ sim::Task<net::RpcResult> ZkServer::HandleElectionVote(net::NodeId from,
     co_return net::Payload{};
   }
 
-  Vote vote{msg->epoch, msg->zxid, msg->candidate};
+  Vote vote{msg->zxid, msg->candidate};
   votes_received_[static_cast<std::size_t>(msg->from)] = vote;
   if (vote > my_vote_) {
     my_vote_ = vote;
-    VoteMsg rebroadcast{election_round_, my_vote_.epoch, my_vote_.zxid,
+    VoteMsg rebroadcast{election_round_, epoch_, my_vote_.zxid,
                         my_vote_.candidate, my_index_};
     for (std::size_t i = 0; i < config_.servers.size(); ++i) {
       if (i == my_index_) continue;
@@ -1183,12 +1184,13 @@ void ZkServer::MaybeDecideElection() {
 sim::Task<void> ZkServer::BecomeLeader() {
   role_ = Role::kLeading;
   leader_index_ = my_index_;
-  epoch_ = std::max<std::int64_t>(epoch_, db_->last_applied() >> 40) + 1;
+  // Above every epoch this replica and its electors have held: a replica
+  // may have journaled proposals of any of them, and a reused zxid would
+  // commit the new txn on some replicas and the journaled one on others.
+  AdoptEpoch(std::max({epoch_, highest_voter_epoch_,
+                       db_->last_applied() >> 40}) +
+             1);
   zxid_counter_ = 0;
-  // Abandon proposals from the previous epoch: their clients time out and
-  // retry. Committed history is preserved.
-  proposals_.clear();
-  propose_queue_.clear();
   DUFS_LOG(Info) << "server " << my_index_ << " leading epoch " << epoch_;
   if (obs_.incidents != nullptr) {
     obs_.incidents->RecordLeaderChange(obs_.track, epoch_);
@@ -1198,6 +1200,23 @@ sim::Task<void> ZkServer::BecomeLeader() {
     endpoint_.sim().Spawn(LeaderPingLoop(epoch_));
   }
   co_return;
+}
+
+// Moves this replica to `epoch` if it is newer. Proposals of older epochs
+// are abandoned (their clients time out and retry): a new leader never
+// commits them, and whatever was committed before its epoch reaches this
+// replica by DIFF or SNAP. So a replica drops its own and those it journaled
+// but has not seen committed; a kept one would be applied here alone by the
+// new epoch's first cumulative COMMIT.
+void ZkServer::AdoptEpoch(std::int64_t epoch) {
+  if (epoch <= epoch_) return;
+  epoch_ = epoch;
+  proposals_.clear();
+  propose_queue_.clear();
+  std::erase_if(pending_txns_, [this](const auto& entry) {
+    return (entry.first >> 40) < epoch_ &&
+           committed_not_applied_.count(entry.first) == 0;
+  });
 }
 
 sim::Task<void> ZkServer::SyncWithLeader(std::size_t leader_idx) {
@@ -1225,7 +1244,7 @@ sim::Task<void> ZkServer::SyncWithLeader(std::size_t leader_idx) {
     // The old log tail no longer joins up with the installed state: a diff
     // served from it would skip everything the snapshot carried.
     committed_log_.Reset(db_->last_applied());
-    epoch_ = std::max(epoch_, *epoch);
+    AdoptEpoch(*epoch);
     last_committed_ = std::max(last_committed_, db_->last_applied());
     ++snapshot_syncs_;
     CompleteApplyWaiters();
@@ -1243,7 +1262,7 @@ sim::Task<void> ZkServer::SyncWithLeader(std::size_t leader_idx) {
     ApplyTxn(*txn, *zxid);
     committed_log_.Append(*zxid, *txn);
   }
-  epoch_ = std::max(epoch_, *epoch);
+  AdoptEpoch(*epoch);
   if (db_->last_applied() > last_committed_) {
     last_committed_ = db_->last_applied();
   }

@@ -236,6 +236,7 @@ class ZkServer {
   void StartElection();
   void MaybeDecideElection();
   sim::Task<void> BecomeLeader();
+  void AdoptEpoch(std::int64_t epoch);
   sim::Task<void> SyncWithLeader(std::size_t leader_idx);
 
   net::RpcEndpoint& endpoint_;
@@ -284,7 +285,6 @@ class ZkServer {
 
   // Election state.
   struct Vote {
-    std::int64_t epoch = 0;
     Zxid zxid = 0;
     std::size_t candidate = 0;
     bool operator>(const Vote& o) const {
@@ -294,6 +294,9 @@ class ZkServer {
   };
   Vote my_vote_;
   std::map<std::size_t, Vote> votes_received_;
+  // Highest epoch any vote has carried (each carries its sender's epoch): a
+  // new leader's epoch exceeds every epoch its electors have held.
+  std::int64_t highest_voter_epoch_ = 0;
   std::int64_t election_round_ = 0;
   sim::SimTime last_ping_ = 0;
   bool started_ = false;

@@ -635,6 +635,60 @@ TEST(EnsembleTest, RestartedFollowerFollowsSittingLeaderEpoch) {
   EXPECT_TRUE(e.servers[2]->db().tree().Exists("/c"));
 }
 
+// A new leader's epoch must exceed every epoch its electors hold, not just
+// its own. Here zk4 restarts at an older epoch than zk1, which journaled an
+// uncommitted proposal of the epoch after it; were zk4 to lead that epoch
+// again, zk1 would commit its journaled txn under the reused zxid while the
+// others commit zk4's.
+TEST(EnsembleTest, NewLeaderEpochExceedsItsElectorsEpochs) {
+  Ensemble e(5, 1, /*failure_detection=*/true);
+  e.Connect();
+  // A writer attached to zk3 that gives up instead of failing over, so its
+  // write lives only in zk1's journal.
+  net::RpcEndpoint writer_ep(e.net, e.net.AddNode("writer"));
+  ZkClientConfig wc;
+  wc.servers = e.config.servers;
+  wc.attach_index = 3;
+  wc.max_retries = 0;
+  wc.request_timeout = sim::Ms(200);
+  ZkClient writer(writer_ep, wc);
+  sim::RunTask(e.sim, [](Ensemble& en, ZkClient& w) -> sim::Task<void> {
+    CO_ASSERT_TRUE((co_await w.Connect()).ok());
+    CO_ASSERT_TRUE((co_await en.client().Create("/a", {})).ok());
+    co_await en.sim.Delay(sim::Ms(50));
+    const std::int64_t old_epoch = en.servers[4]->epoch();
+    const auto snap4 = en.servers[4]->TakeSnapshot();
+    en.node(4).Crash();
+    en.node(0).Crash();
+    co_await en.sim.Delay(sim::Sec(2));
+    // zk1, zk2 and zk3 tie on zxid; the highest index leads.
+    CO_ASSERT_TRUE(en.servers[3]->is_leader());
+    CO_ASSERT_EQ(en.servers[3]->epoch(), old_epoch + 1);
+    // Only zk1 journals /t; zk3 dies before it reaches a quorum.
+    en.net.Partition(en.config.servers[3], en.config.servers[2]);
+    en.sim.Spawn([](ZkClient& c) -> sim::Task<void> {
+      (void)co_await c.Create("/t", {});
+    }(w));
+    co_await en.sim.Delay(sim::Ms(30));
+    en.node(3).Crash();
+    en.net.HealAll();
+    en.Restart(4, snap4);
+    EXPECT_EQ(en.servers[4]->epoch(), old_epoch);
+    co_await en.sim.Delay(sim::Sec(2));
+    // zk1, zk2 and zk4 tie on zxid again; zk4 leads above zk1's epoch.
+    CO_ASSERT_TRUE(en.servers[4]->is_leader());
+    EXPECT_EQ(en.servers[4]->epoch(), old_epoch + 2);
+    auto r = co_await en.client().Create("/u", {});
+    EXPECT_TRUE(r.ok()) << r.status();
+  }(e, writer));
+  e.Drain();
+  EXPECT_TRUE(e.Converged());
+  for (std::size_t i : {1, 2, 4}) {
+    EXPECT_TRUE(e.servers[i]->db().tree().Exists("/u")) << "zk" << i;
+    EXPECT_FALSE(e.servers[i]->db().tree().Exists("/t")) << "zk" << i;
+  }
+}
+
 // With a 4-entry log, a follower 2 writes behind catches up by DIFF and one
 // 8 writes behind by SNAP; both end on the leader's state.
 TEST(EnsembleTest, LaggingFollowersCatchUpByDiffOrSnapshot) {
@@ -664,7 +718,25 @@ TEST(EnsembleTest, LaggingFollowersCatchUpByDiffOrSnapshot) {
   EXPECT_TRUE(e.servers[4]->db().tree().Exists("/y1"));
   EXPECT_EQ(e.servers[4]->snapshot_syncs(), 0u);
   EXPECT_GE(e.servers[4]->diff_syncs(), 1u);
-  EXPECT_EQ(e.servers[4]->committed_log().size(), 2u);  // the diffed /y0, /y1
+  // zk4's log holds what the diff carried: the creates of /y0 and /y1.
+  wire::BufferWriter diff;
+  e.servers[4]->committed_log().WriteDiff(0, diff);
+  wire::BufferReader r(diff.data());
+  auto count = r.ReadVarint();
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, 2u);
+  Zxid prev = 0;
+  for (const char* path : {"/y0", "/y1"}) {
+    auto zxid = r.ReadI64();
+    ASSERT_TRUE(zxid.ok());
+    EXPECT_GT(*zxid, prev);
+    prev = *zxid;
+    auto txn = Txn::Decode(r);
+    ASSERT_TRUE(txn.ok());
+    EXPECT_EQ(txn->op.type, OpType::kCreate);
+    EXPECT_EQ(txn->op.path, path);
+  }
+  EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(e.servers[3]->snapshot_syncs(), 1u);
   // The leader's log holds the last 4 commits; the 5th-newest is truncated.
   EXPECT_EQ(e.servers[0]->committed_log().size(), 4u);
@@ -693,63 +765,6 @@ TEST(EnsembleTest, RestartAndSnapshotInstallResetTheLog) {
     EXPECT_EQ(log.truncated_upto(), en.servers[0]->db().last_applied());
     EXPECT_EQ(log.truncated_upto(), en.servers[2]->db().last_applied());
   }(e));
-}
-
-// The DIFF a leader sends is WriteI64(zxid) + Txn::Encode for each committed
-// txn the follower lacks, in zxid order: the stored bytes are the encoding.
-TEST(EnsembleTest, FollowerInfoDiffIsZxidThenEncodedTxn) {
-  Ensemble e(3);
-  e.Connect();
-  const auto probe = e.net.AddNode("probe");
-  net::RpcEndpoint probe_ep(e.net, probe);
-  sim::RunTask(e.sim, [](Ensemble& en,
-                         net::RpcEndpoint& ep) -> sim::Task<void> {
-    CO_ASSERT_TRUE((co_await en.client().Create("/base", {})).ok());
-    const Zxid since = en.servers[0]->db().last_applied();
-    CO_ASSERT_TRUE(
-        (co_await en.client().Create("/p", Bytes("data"))).ok());
-    CO_ASSERT_TRUE((co_await en.client().Set("/p", Bytes("v2"))).ok());
-    CO_ASSERT_TRUE((co_await en.client().Delete("/base")).ok());
-
-    wire::BufferWriter req;
-    req.WriteI64(since);
-    auto reply = co_await ep.Call(en.config.servers[0], method::kFollowerInfo,
-                                  req.Take(), sim::Sec(1));
-    CO_ASSERT_TRUE(reply.ok());
-
-    // Rebuild the expected reply from the decoded entries.
-    wire::BufferReader r(*reply);
-    wire::BufferWriter expected;
-    expected.WriteI64(en.servers[0]->epoch());
-    expected.WriteBool(false);  // a diff, not a snapshot
-    CO_ASSERT_TRUE(r.ReadI64().ok());
-    CO_ASSERT_TRUE(r.ReadBool().ok());
-    auto count = r.ReadVarint();
-    CO_ASSERT_TRUE(count.ok());
-    CO_ASSERT_EQ(*count, 3u);
-    expected.WriteVarint(*count);
-    std::vector<OpType> types;
-    std::vector<std::string> paths;
-    Zxid prev = since;
-    for (std::uint64_t i = 0; i < *count; ++i) {
-      auto zxid = r.ReadI64();
-      CO_ASSERT_TRUE(zxid.ok());
-      EXPECT_GT(*zxid, prev);
-      prev = *zxid;
-      auto txn = Txn::Decode(r);
-      CO_ASSERT_TRUE(txn.ok());
-      types.push_back(txn->op.type);
-      paths.push_back(txn->op.path);
-      expected.WriteI64(*zxid);
-      txn->Encode(expected);
-    }
-    EXPECT_TRUE(r.AtEnd());
-    EXPECT_EQ(prev, en.servers[0]->db().last_applied());
-    EXPECT_EQ(types, (std::vector<OpType>{OpType::kCreate, OpType::kSetData,
-                                          OpType::kDelete}));
-    EXPECT_EQ(paths, (std::vector<std::string>{"/p", "/p", "/base"}));
-    EXPECT_EQ(*reply, expected.data());
-  }(e, probe_ep));
 }
 
 Txn MakeTxn(SessionId session, std::int64_t time, Op op) {
