@@ -99,6 +99,8 @@ class LustreMds {
   // Request handlers.
   sim::Task<net::RpcResult> Handle(std::uint16_t method, net::NodeId from,
                                    net::Payload req);
+  sim::Task<net::RpcResult> HandleRename(net::Payload req);
+  sim::Task<net::RpcResult> HandleSetAttr(net::Payload req);
 
   Inode* Lookup(std::string_view path);
   Result<Inode*> ParentOf(std::string_view path);

@@ -185,32 +185,11 @@ sim::Task<net::RpcResult> PvfsServer::Handle(std::uint16_t method,
       w.WriteVarint(it->second.entries.size());
       co_return w.Take();
     }
-    case m::kSetAttrObj: {
-      auto handle = r.ReadU64();
-      if (!handle.ok()) co_return handle.status();
-      auto has_mode = r.ReadBool();
-      if (!has_mode.ok()) co_return has_mode.status();
-      auto mode = r.ReadU32();
-      if (!mode.ok()) co_return mode.status();
-      auto has_times = r.ReadBool();
-      if (!has_times.ok()) co_return has_times.status();
-      auto atime = r.ReadI64();
-      if (!atime.ok()) co_return atime.status();
-      auto mtime = r.ReadI64();
-      if (!mtime.ok()) co_return mtime.status();
-      auto datafile = r.ReadU64();
-      if (!datafile.ok()) co_return datafile.status();
-      co_await MutationWork();
-      auto it = objects_.find(*handle);
-      if (it == objects_.end()) co_return ErrorReply(StatusCode::kNotFound);
-      if (*has_mode) it->second.attr.mode = *mode;
-      if (*has_times) {
-        it->second.attr.atime = *atime;
-        it->second.attr.mtime = *mtime;
-      }
-      if (*datafile != 0) it->second.datafile = *datafile;
-      co_return ErrorReply(StatusCode::kOk);
-    }
+    // SetAttrObj keeps its seven parsed fields in a frame of its own: every
+    // local of this switch lives in one coroutine frame, and with them in it
+    // the frame outgrows the arena's 2 KiB class.
+    case m::kSetAttrObj:
+      co_return co_await HandleSetAttr(std::move(req));
     case m::kReadDirObj: {
       auto handle = r.ReadU64();
       if (!handle.ok()) co_return handle.status();
@@ -311,6 +290,34 @@ sim::Task<net::RpcResult> PvfsServer::Handle(std::uint16_t method,
     default:
       co_return ErrorReply(StatusCode::kUnimplemented);
   }
+}
+
+sim::Task<net::RpcResult> PvfsServer::HandleSetAttr(net::Payload req) {
+  wire::BufferReader r(req);
+  auto handle = r.ReadU64();
+  if (!handle.ok()) co_return handle.status();
+  auto has_mode = r.ReadBool();
+  if (!has_mode.ok()) co_return has_mode.status();
+  auto mode = r.ReadU32();
+  if (!mode.ok()) co_return mode.status();
+  auto has_times = r.ReadBool();
+  if (!has_times.ok()) co_return has_times.status();
+  auto atime = r.ReadI64();
+  if (!atime.ok()) co_return atime.status();
+  auto mtime = r.ReadI64();
+  if (!mtime.ok()) co_return mtime.status();
+  auto datafile = r.ReadU64();
+  if (!datafile.ok()) co_return datafile.status();
+  co_await MutationWork();
+  auto it = objects_.find(*handle);
+  if (it == objects_.end()) co_return ErrorReply(StatusCode::kNotFound);
+  if (*has_mode) it->second.attr.mode = *mode;
+  if (*has_times) {
+    it->second.attr.atime = *atime;
+    it->second.attr.mtime = *mtime;
+  }
+  if (*datafile != 0) it->second.datafile = *datafile;
+  co_return ErrorReply(StatusCode::kOk);
 }
 
 // ========================================================= PvfsInstance ===

@@ -79,6 +79,7 @@ class PvfsServer {
   };
 
   sim::Task<net::RpcResult> Handle(std::uint16_t method, net::Payload req);
+  sim::Task<net::RpcResult> HandleSetAttr(net::Payload req);
   sim::Task<void> ReadWork();
   sim::Task<void> MutationWork();
   PvfsHandle NewHandle() {

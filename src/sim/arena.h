@@ -42,11 +42,13 @@ namespace dufs::sim {
 
 class Arena {
  public:
-  // Smallest cell is 64B (one event node); classes double up to 2KB, which
-  // covers every coroutine frame in the tree. Larger requests fall through
-  // to the global heap.
+  // Smallest cell is 64B (one event node); classes double up to 4KB. Most
+  // coroutine frames fit 1KB, but a request handler that switches over many
+  // RPC methods keeps every case's locals in one frame and can pass 2KB
+  // (LustreMds::Handle did, until its largest cases moved out). Larger
+  // requests fall through to the global heap and count as `oversize`.
   static constexpr std::size_t kMinCellBytes = 64;
-  static constexpr int kNumClasses = 6;  // 64, 128, 256, 512, 1024, 2048
+  static constexpr int kNumClasses = 7;  // 64, 128, ..., 2048, 4096
   static constexpr std::size_t kMaxCellBytes = kMinCellBytes
                                                << (kNumClasses - 1);
   static constexpr std::size_t kChunkBytes = 64 * 1024;
@@ -152,7 +154,7 @@ class Arena {
 #endif
   void* Carve(std::size_t cell_bytes) {
     if (static_cast<std::size_t>(bump_end_ - bump_) < cell_bytes) {
-      // Start a fresh chunk; the tail remainder of the old one (< 2KB out of
+      // Start a fresh chunk; the tail remainder of the old one (< 4KB out of
       // 64KB) is abandoned, not leaked — its chunk stays on the list.
       prof::ProfScope arena_scope("engine.arena", prof::FrameKind::kEnginePhase);
       auto* raw = static_cast<char*>(::operator new(kChunkBytes));

@@ -48,6 +48,11 @@ Result<std::uint64_t> BufferReader::ReadVarint() {
       return Status(StatusCode::kIoError, "wire: varint overflow");
     }
     const std::uint8_t b = data_[pos_++];
+    // The 10th byte carries only bit 63; any higher payload bit would be
+    // shifted out of the value.
+    if (shift == 63 && (b & 0x7E) != 0) {
+      return Status(StatusCode::kIoError, "wire: varint overflow");
+    }
     v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
     if ((b & 0x80) == 0) break;
     shift += 7;

@@ -27,6 +27,15 @@ class BufferWriter {
 
   // LEB128-style unsigned varint.
   void WriteVarint(std::uint64_t v);
+  // Bytes WriteVarint(v) appends: 1 per started 7-bit group.
+  static std::size_t VarintSize(std::uint64_t v) {
+    std::size_t n = 1;
+    while (v >= 0x80) {
+      v >>= 7;
+      ++n;
+    }
+    return n;
+  }
 
   void WriteString(std::string_view s);
   void WriteBytes(const std::vector<std::uint8_t>& b);
@@ -38,16 +47,24 @@ class BufferWriter {
 
   // Empties the buffer but keeps its capacity, for a writer that is reused.
   void Clear() { buf_.clear(); }
+  // Makes room for `total` bytes in all, so a message whose encoded size is
+  // known up front is written with a single allocation.
+  void Reserve(std::size_t total) { buf_.reserve(total); }
 
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::vector<std::uint8_t> Take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
 
  private:
+  // One resize, then byte stores: the vector grows once per value, not
+  // once per byte.
   template <typename T>
   void AppendLE(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    std::uint8_t* out = buf_.data() + at;
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
   }
 

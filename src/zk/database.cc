@@ -11,39 +11,31 @@ namespace dufs::zk {
 namespace {
 
 // Server-side resolution walk (DESIGN.md §13). Walks `components` from the
-// root child-by-child. On success `chain` holds every component's znode; on
-// kNotFound it holds exactly the leading components that do exist; on
-// kNotADirectory the offending *interior* non-directory node is the last
-// chain entry and later components were never examined. A nonzero dir_tag
-// requires every interior component's data to begin with that byte — the FS
-// layer's kind tag — so the walk enforces the POSIX rule without the
-// coordination service knowing the record schema.
-struct ResolveOutcome {
-  StatusCode code = StatusCode::kOk;
-  std::vector<const DataTree::Znode*> chain;
-};
-
-ResolveOutcome ResolveChain(const DataTree& tree,
-                            const std::vector<std::string_view>& components,
-                            std::uint8_t dir_tag) {
-  ResolveOutcome out;
-  out.chain.reserve(components.size());
+// root child-by-child into `chain` (cleared first). On success `chain` holds
+// every component's znode; on kNotFound it holds exactly the leading
+// components that do exist; on kNotADirectory the offending *interior*
+// non-directory node is the last chain entry and later components were
+// never examined. A nonzero dir_tag requires every interior component's
+// data to begin with that byte — the FS layer's kind tag — so the walk
+// enforces the POSIX rule without the coordination service knowing the
+// record schema.
+StatusCode ResolveChain(const DataTree& tree,
+                        const std::vector<std::string_view>& components,
+                        std::uint8_t dir_tag,
+                        std::vector<const DataTree::Znode*>& chain) {
+  chain.clear();
   const DataTree::Znode* cur = &tree.root();
   for (std::size_t i = 0; i < components.size(); ++i) {
     auto it = cur->children.find(components[i]);
-    if (it == cur->children.end()) {
-      out.code = StatusCode::kNotFound;
-      return out;
-    }
+    if (it == cur->children.end()) return StatusCode::kNotFound;
     cur = it->second.get();
-    out.chain.push_back(cur);
+    chain.push_back(cur);
     if (i + 1 < components.size() && dir_tag != 0 &&
         (cur->data.empty() || cur->data[0] != dir_tag)) {
-      out.code = StatusCode::kNotADirectory;
-      return out;
+      return StatusCode::kNotADirectory;
     }
   }
-  return out;
+  return StatusCode::kOk;
 }
 
 // Copies the first `count` chain nodes into res.prefix and stamps
@@ -66,15 +58,34 @@ void FillResolved(const std::vector<const DataTree::Znode*>& chain,
 
 // Shared failure-path shaping for compound ops: a partial resolution ships
 // the whole existing prefix back so the client can seed positives for it.
-void FillPartial(const ResolveOutcome& r, OpResult& res) {
-  res.code = r.code;
-  FillResolved(r.chain, r.chain.size(),
-               static_cast<std::uint32_t>(r.chain.size()), res);
+void FillPartial(StatusCode code,
+                 const std::vector<const DataTree::Znode*>& chain,
+                 OpResult& res) {
+  res.code = code;
+  FillResolved(chain, chain.size(), static_cast<std::uint32_t>(chain.size()),
+               res);
+}
+
+// The path a create under `op.path`'s parent gave `node` (a sequential
+// node's name carries its suffix), built with one allocation.
+std::string CreatedPath(const Op& op, const DataTree::Znode& node) {
+  const std::string_view dir(op.path.data(), op.path.rfind('/') + 1);
+  std::string path;
+  path.reserve(dir.size() + node.name.size());
+  path.append(dir);
+  path.append(node.name);
+  return path;
 }
 
 }  // namespace
 
 Database::Database() : tree_(std::make_unique<DataTree>()) {}
+
+StatusCode Database::Resolve(std::string_view path,
+                             std::uint8_t dir_tag) const {
+  PathComponents(path, components_);
+  return ResolveChain(*tree_, components_, dir_tag, chain_);
+}
 
 OpResult Database::Read(const Op& op) const {
   OpResult res;
@@ -116,23 +127,18 @@ OpResult Database::Read(const Op& op) const {
         res.code = st.code();
         return res;
       }
-      const auto components = PathComponents(op.path);
-      auto r = ResolveChain(*tree_, components, op.dir_tag);
-      if (r.code != StatusCode::kOk) {
-        FillPartial(r, res);
+      if (const StatusCode code = Resolve(op.path, op.dir_tag);
+          code != StatusCode::kOk) {
+        FillPartial(code, chain_, res);
         return res;
       }
+      const std::size_t n = components_.size();
       // Terminal stat/data ride the ordinary fields; prefix excludes it.
-      FillResolved(r.chain,
-                   components.empty() ? 0 : components.size() - 1,
-                   static_cast<std::uint32_t>(components.size()), res);
-      if (!components.empty()) {
-        res.stat = r.chain.back()->stat;
-        res.data = r.chain.back()->data;
-      } else {
-        res.stat = tree_->root().stat;
-        res.data = tree_->root().data;
-      }
+      FillResolved(chain_, n == 0 ? 0 : n - 1, static_cast<std::uint32_t>(n),
+                   res);
+      const DataTree::Znode& terminal = n == 0 ? tree_->root() : *chain_.back();
+      res.stat = terminal.stat;
+      res.data = terminal.data;
       return res;
     }
     case OpType::kReadDirPlus: {
@@ -140,34 +146,32 @@ OpResult Database::Read(const Op& op) const {
         res.code = st.code();
         return res;
       }
-      const auto components = PathComponents(op.path);
-      auto r = ResolveChain(*tree_, components, op.dir_tag);
-      if (r.code != StatusCode::kOk) {
-        FillPartial(r, res);
+      if (const StatusCode code = Resolve(op.path, op.dir_tag);
+          code != StatusCode::kOk) {
+        FillPartial(code, chain_, res);
         return res;
       }
-      const DataTree::Znode* dir =
-          components.empty() ? &tree_->root() : r.chain.back();
-      FillResolved(r.chain,
-                   components.empty() ? 0 : components.size() - 1,
-                   static_cast<std::uint32_t>(components.size()), res);
+      const std::size_t n = components_.size();
+      const DataTree::Znode* dir = n == 0 ? &tree_->root() : chain_.back();
+      FillResolved(chain_, n == 0 ? 0 : n - 1, static_cast<std::uint32_t>(n),
+                   res);
       res.stat = dir->stat;
       res.data = dir->data;
       // The listed node itself must carry the directory tag when the guard
       // is on — listing a file is ENOTDIR, with the full prefix (and the
       // terminal's stat/data, above) still shipped for cache seeding.
-      if (op.dir_tag != 0 && !components.empty() &&
+      if (op.dir_tag != 0 && n != 0 &&
           (dir->data.empty() || dir->data[0] != op.dir_tag)) {
         res.code = StatusCode::kNotADirectory;
         return res;
       }
       res.entries.reserve(dir->children.size());
       for (const auto& [name, child] : dir->children) {
-        ResolvedNode n;
-        n.name = name;
-        n.stat = child->stat;
-        n.data = child->data;
-        res.entries.push_back(std::move(n));
+        ResolvedNode e;
+        e.name = name;
+        e.stat = child->stat;
+        e.data = child->data;
+        res.entries.push_back(std::move(e));
       }
       return res;
     }
@@ -178,7 +182,7 @@ OpResult Database::Read(const Op& op) const {
 }
 
 OpResult Database::ApplyOne(const Op& op, SessionId session, Zxid zxid,
-                            std::int64_t now_ns,
+                            std::int64_t now_ns, bool reply,
                             std::vector<AppliedTxn::Trigger>& out) {
   OpResult res;
   switch (op.type) {
@@ -192,11 +196,8 @@ OpResult Database::ApplyOne(const Op& op, SessionId session, Zxid zxid,
       }
       res.created_path = std::move(*created);
       out.push_back({WatchEventType::kNodeCreated, res.created_path});
-      if (res.created_path != "/") {
-        out.push_back(
-            {WatchEventType::kNodeChildrenChanged,
-             ParentPath(res.created_path)});
-      }
+      out.push_back({WatchEventType::kNodeChildrenChanged,
+                     ParentPath(res.created_path)});
       return res;
     }
     case OpType::kDelete: {
@@ -231,91 +232,122 @@ OpResult Database::ApplyOne(const Op& op, SessionId session, Zxid zxid,
       }
       return res;
     }
-    case OpType::kResolveCreate: {
-      if (auto st = ValidatePath(op.path); !st.ok() || op.path == "/") {
-        res.code = st.ok() ? StatusCode::kAlreadyExists : st.code();
-        return res;
-      }
-      const auto components = PathComponents(op.path);
-      auto r = ResolveChain(*tree_, components, op.dir_tag);
-      if (r.code == StatusCode::kNotADirectory ||
-          (r.code == StatusCode::kNotFound &&
-           r.chain.size() < components.size() - 1)) {
-        FillPartial(r, res);  // broken ancestor chain — nothing to create
-        return res;
-      }
-      if (r.code == StatusCode::kOk && !IsSequential(op.mode)) {
-        FillPartial(r, res);
-        res.code = StatusCode::kAlreadyExists;
-        // The existing terminal is the client's freshest view of the node
-        // it raced against: surface it via stat/data, not the prefix.
-        res.prefix.pop_back();
-        res.stat = r.chain.back()->stat;
-        res.data = r.chain.back()->data;
-        return res;
-      }
-      auto created = tree_->Create(op.path, op.data, op.mode,
-                                   IsEphemeral(op.mode) ? session : 0, zxid,
-                                   now_ns);
-      if (!created.ok()) {
-        FillPartial(r, res);
-        res.code = created.code();
-        return res;
-      }
-      res.created_path = std::move(*created);
-      // Chain pointers stay live across the mutation, and the parent's stat
-      // was updated in place — the prefix the client seeds is post-create.
-      FillResolved(r.chain, components.size() - 1,
-                   static_cast<std::uint32_t>(components.size()), res);
-      if (auto stat = tree_->Stat(res.created_path); stat.ok()) {
-        res.stat = *stat;
-      }
-      out.push_back({WatchEventType::kNodeCreated, res.created_path});
-      out.push_back({WatchEventType::kNodeChildrenChanged,
-                     ParentPath(res.created_path)});
-      return res;
-    }
+    case OpType::kResolveCreate:
     case OpType::kResolveDelete: {
-      if (auto st = ValidatePath(op.path); !st.ok() || op.path == "/") {
-        res.code = st.ok() ? StatusCode::kInvalidArgument : st.code();
-        return res;
-      }
-      const auto components = PathComponents(op.path);
-      auto r = ResolveChain(*tree_, components, op.dir_tag);
-      if (r.code != StatusCode::kOk) {
-        FillPartial(r, res);
-        return res;
-      }
-      // Pre-delete snapshot: the client needs the victim's record (its fid)
-      // to finish the physical unlink, and its stat for version accounting.
-      res.stat = r.chain.back()->stat;
-      res.data = r.chain.back()->data;
-      if (op.dir_tag != 0 && !r.chain.back()->data.empty() &&
-          r.chain.back()->data[0] == op.dir_tag) {
-        FillResolved(r.chain, components.size() - 1,
-                     static_cast<std::uint32_t>(components.size()), res);
-        res.code = StatusCode::kIsADirectory;
-        return res;
-      }
-      auto st = tree_->Delete(op.path, op.version, zxid);
-      if (!st.ok()) {
-        FillResolved(r.chain, components.size() - 1,
-                     static_cast<std::uint32_t>(components.size()), res);
-        res.code = st.code();
-        return res;
-      }
-      // Depth excludes the deleted terminal; the parent's in-place stat
-      // update (cversion/num_children) is visible through the prefix.
-      FillResolved(r.chain, components.size() - 1,
-                   static_cast<std::uint32_t>(components.size() - 1), res);
-      out.push_back({WatchEventType::kNodeDeleted, op.path});
-      out.push_back(
-          {WatchEventType::kNodeChildrenChanged, ParentPath(op.path)});
+      const CompoundOutcome outcome =
+          op.type == OpType::kResolveCreate
+              ? ResolveCreate(op, session, zxid, now_ns, out)
+              : ResolveDelete(op, zxid, out);
+      res.code = outcome.code;
+      if (reply) ShapeReply(op, outcome, res);
       return res;
     }
     default:
       res.code = StatusCode::kInvalidArgument;
       return res;
+  }
+}
+
+// One walk: the chain the resolution builds is the parent the create goes
+// under, so the mutation walks nothing further.
+Database::CompoundOutcome Database::ResolveCreate(
+    const Op& op, SessionId session, Zxid zxid, std::int64_t now_ns,
+    std::vector<AppliedTxn::Trigger>& out) {
+  CompoundOutcome o;
+  if (auto st = ValidatePath(op.path); !st.ok() || op.path == "/") {
+    o.code = st.ok() ? StatusCode::kAlreadyExists : st.code();
+    return o;
+  }
+  const StatusCode walk = Resolve(op.path, op.dir_tag);
+  const std::size_t n = components_.size();
+  // Every failure below ships the whole existing prefix back.
+  o.prefix = chain_.size();
+  o.depth = static_cast<std::uint32_t>(chain_.size());
+  if (walk == StatusCode::kNotADirectory ||
+      (walk == StatusCode::kNotFound && chain_.size() < n - 1)) {
+    o.code = walk;  // broken ancestor chain — nothing to create
+    return o;
+  }
+  if (walk == StatusCode::kOk && !IsSequential(op.mode)) {
+    // The existing terminal is the client's freshest view of the node it
+    // raced against: surface it via stat/data, not the prefix.
+    o.code = StatusCode::kAlreadyExists;
+    o.prefix = n - 1;
+    o.terminal = chain_.back();
+    o.terminal_data = true;
+    return o;
+  }
+  const DataTree::Znode& parent = n == 1 ? tree_->root() : *chain_[n - 2];
+  auto created = tree_->CreateChild(parent, components_.back(), op.data,
+                                    op.mode,
+                                    IsEphemeral(op.mode) ? session : 0, zxid,
+                                    now_ns);
+  if (!created.ok()) {
+    o.code = created.code();
+    return o;
+  }
+  // Chain pointers stay live across the mutation, and the parent's stat
+  // was updated in place — the prefix the client seeds is post-create.
+  o.prefix = n - 1;
+  o.depth = static_cast<std::uint32_t>(n);
+  o.terminal = *created;
+  out.push_back({WatchEventType::kNodeCreated, CreatedPath(op, *o.terminal)});
+  out.push_back({WatchEventType::kNodeChildrenChanged, ParentPath(op.path)});
+  return o;
+}
+
+Database::CompoundOutcome Database::ResolveDelete(
+    const Op& op, Zxid zxid, std::vector<AppliedTxn::Trigger>& out) {
+  CompoundOutcome o;
+  if (auto st = ValidatePath(op.path); !st.ok() || op.path == "/") {
+    o.code = st.ok() ? StatusCode::kInvalidArgument : st.code();
+    return o;
+  }
+  o.code = Resolve(op.path, op.dir_tag);
+  if (o.code != StatusCode::kOk) {
+    o.prefix = chain_.size();
+    o.depth = static_cast<std::uint32_t>(chain_.size());
+    return o;
+  }
+  const std::size_t n = components_.size();
+  // The victim's pre-delete record (its fid) lets the client finish the
+  // physical unlink; its stat serves version accounting.
+  o.prefix = n - 1;
+  o.depth = static_cast<std::uint32_t>(n);
+  o.terminal = chain_.back();
+  o.terminal_data = true;
+  if (op.dir_tag != 0 && !o.terminal->data.empty() &&
+      o.terminal->data[0] == op.dir_tag) {
+    o.code = StatusCode::kIsADirectory;
+    return o;
+  }
+  const DataTree::Znode& parent = n == 1 ? tree_->root() : *chain_[n - 2];
+  auto removed =
+      tree_->DeleteChild(parent, components_.back(), op.version, zxid);
+  if (!removed.ok()) {
+    o.code = removed.code();
+    return o;
+  }
+  // Depth excludes the deleted terminal; the parent's in-place stat update
+  // (cversion/num_children) is visible through the prefix.
+  o.depth = static_cast<std::uint32_t>(n - 1);
+  o.deleted = std::move(*removed);
+  out.push_back({WatchEventType::kNodeDeleted, op.path});
+  out.push_back({WatchEventType::kNodeChildrenChanged, ParentPath(op.path)});
+  return o;
+}
+
+// The reply a waiting client gets for a compound write; no other replica
+// builds one (DESIGN.md §13.2).
+void Database::ShapeReply(const Op& op, const CompoundOutcome& outcome,
+                          OpResult& res) const {
+  FillResolved(chain_, outcome.prefix, outcome.depth, res);
+  if (outcome.terminal != nullptr) {
+    res.stat = outcome.terminal->stat;
+    if (outcome.terminal_data) res.data = outcome.terminal->data;
+  }
+  if (op.type == OpType::kResolveCreate && outcome.code == StatusCode::kOk) {
+    res.created_path = CreatedPath(op, *outcome.terminal);
   }
 }
 
@@ -439,14 +471,17 @@ AppliedTxn Database::ApplyMulti(const Txn& txn, Zxid zxid,
   // Phase 2 — apply for real; validation guarantees success.
   applied.multi_results.clear();
   for (const auto& op : txn.multi_ops) {
-    OpResult r = ApplyOne(op, txn.session, zxid, now_ns, applied.triggers);
+    // Multi carries plain ops only, so there is no reply to shape.
+    OpResult r = ApplyOne(op, txn.session, zxid, now_ns, /*reply=*/false,
+                          applied.triggers);
     DUFS_CHECK(r.ok());
     applied.multi_results.push_back(std::move(r));
   }
   return applied;
 }
 
-AppliedTxn Database::Apply(const Txn& txn, Zxid zxid, std::int64_t now_ns) {
+AppliedTxn Database::Apply(const Txn& txn, Zxid zxid, std::int64_t now_ns,
+                           bool reply) {
   // Replicas must stamp identical times: prefer the leader-assigned stamp.
   if (txn.time != 0) now_ns = txn.time;
   DUFS_CHECK(zxid > last_applied_);
@@ -483,8 +518,9 @@ AppliedTxn Database::Apply(const Txn& txn, Zxid zxid, std::int64_t now_ns) {
       break;
     }
     default:
-      applied.result =
-          ApplyOne(txn.op, txn.session, zxid, now_ns, applied.triggers);
+      applied.triggers.reserve(2);  // the most one plain or compound op fires
+      applied.result = ApplyOne(txn.op, txn.session, zxid, now_ns, reply,
+                                applied.triggers);
   }
   return applied;
 }

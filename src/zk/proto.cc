@@ -1,6 +1,14 @@
 #include "zk/proto.h"
 
 namespace dufs::zk {
+namespace {
+
+// A WriteString/WriteBytes field of `n` bytes: varint length, then the bytes.
+std::size_t BlobSize(std::size_t n) {
+  return wire::BufferWriter::VarintSize(n) + n;
+}
+
+}  // namespace
 
 const char* OpTypeName(OpType t) {
   switch (t) {
@@ -31,6 +39,11 @@ void Op::Encode(wire::BufferWriter& w) const {
   w.WriteU32(static_cast<std::uint32_t>(version));
   w.WriteBool(watch);
   w.WriteU8(dir_tag);
+}
+
+std::size_t Op::EncodedSize() const {
+  // type, mode, watch and dir_tag are one byte each; version is 4.
+  return 4 + 4 + BlobSize(path.size()) + BlobSize(data.size());
 }
 
 Result<Op> Op::Decode(wire::BufferReader& r) {
@@ -170,15 +183,46 @@ Result<Txn> Txn::Decode(wire::BufferReader& r) {
 }
 
 std::size_t Txn::EncodedSize() const {
+  std::size_t n = 8 + 8 + wire::BufferWriter::VarintSize(trace) +
+                  op.EncodedSize() +
+                  wire::BufferWriter::VarintSize(multi_ops.size());
+  for (const auto& o : multi_ops) n += o.EncodedSize();
+  return n;
+}
+
+std::vector<std::uint8_t> ProposeMsg::Encode(Zxid zxid, std::int64_t epoch,
+                                             const Txn& txn) {
   wire::BufferWriter w;
-  Encode(w);
-  return w.size();
+  w.Reserve(8 + 8 + txn.EncodedSize());
+  w.WriteI64(zxid);
+  w.WriteI64(epoch);
+  txn.Encode(w);
+  return w.Take();
+}
+
+Result<ProposeMsg> ProposeMsg::Decode(const std::vector<std::uint8_t>& bytes) {
+  wire::BufferReader r(bytes);
+  ProposeMsg m;
+  auto zxid = r.ReadI64();
+  DUFS_RETURN_IF_ERROR(zxid);
+  m.zxid = *zxid;
+  auto epoch = r.ReadI64();
+  DUFS_RETURN_IF_ERROR(epoch);
+  m.epoch = *epoch;
+  auto txn = Txn::Decode(r);
+  DUFS_RETURN_IF_ERROR(txn);
+  m.txn = std::move(*txn);
+  return m;
 }
 
 void ResolvedNode::Encode(wire::BufferWriter& w) const {
   w.WriteString(name);
   stat.Encode(w);
   w.WriteBytes(data);
+}
+
+std::size_t ResolvedNode::EncodedSize() const {
+  return BlobSize(name.size()) + ZnodeStat::kEncodedSize + BlobSize(data.size());
 }
 
 Result<ResolvedNode> ResolvedNode::Decode(wire::BufferReader& r) {
@@ -207,6 +251,19 @@ void OpResult::Encode(wire::BufferWriter& w) const {
   for (const auto& n : prefix) n.Encode(w);
   w.WriteVarint(entries.size());
   for (const auto& n : entries) n.Encode(w);
+}
+
+std::size_t OpResult::EncodedSize() const {
+  std::size_t n = 1 + BlobSize(created_path.size()) + ZnodeStat::kEncodedSize +
+                  BlobSize(data.size()) +
+                  wire::BufferWriter::VarintSize(children.size()) +
+                  wire::BufferWriter::VarintSize(resolved_depth) +
+                  wire::BufferWriter::VarintSize(prefix.size()) +
+                  wire::BufferWriter::VarintSize(entries.size());
+  for (const auto& c : children) n += BlobSize(c.size());
+  for (const auto& node : prefix) n += node.EncodedSize();
+  for (const auto& node : entries) n += node.EncodedSize();
+  return n;
 }
 
 Result<OpResult> OpResult::Decode(wire::BufferReader& r) {
@@ -252,6 +309,11 @@ Result<OpResult> OpResult::Decode(wire::BufferReader& r) {
 
 std::vector<std::uint8_t> ClientRequest::Encode() const {
   wire::BufferWriter w;
+  std::size_t size = 8 + wire::BufferWriter::VarintSize(trace) +
+                     op.EncodedSize() +
+                     wire::BufferWriter::VarintSize(multi_ops.size());
+  for (const auto& o : multi_ops) size += o.EncodedSize();
+  w.Reserve(size);
   w.WriteU64(session);
   w.WriteVarint(trace);
   op.Encode(w);
@@ -285,10 +347,22 @@ Result<ClientRequest> ClientRequest::Decode(
 
 std::vector<std::uint8_t> ClientResponse::Encode() const {
   wire::BufferWriter w;
+  w.Reserve(EncodedSize());
+  Encode(w);
+  return w.Take();
+}
+
+void ClientResponse::Encode(wire::BufferWriter& w) const {
   result.Encode(w);
   w.WriteVarint(multi_results.size());
   for (const auto& r : multi_results) r.Encode(w);
-  return w.Take();
+}
+
+std::size_t ClientResponse::EncodedSize() const {
+  std::size_t n = result.EncodedSize() +
+                  wire::BufferWriter::VarintSize(multi_results.size());
+  for (const auto& r : multi_results) n += r.EncodedSize();
+  return n;
 }
 
 Result<ClientResponse> ClientResponse::Decode(
@@ -310,6 +384,7 @@ Result<ClientResponse> ClientResponse::Decode(
 
 std::vector<std::uint8_t> WatchEvent::Encode() const {
   wire::BufferWriter w;
+  w.Reserve(1 + BlobSize(path.size()) + 8);
   w.WriteU8(static_cast<std::uint8_t>(type));
   w.WriteString(path);
   w.WriteU64(session);

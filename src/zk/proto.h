@@ -93,6 +93,7 @@ struct Op {
 
   void Encode(wire::BufferWriter& w) const;
   static Result<Op> Decode(wire::BufferReader& r);
+  std::size_t EncodedSize() const;  // bytes Encode appends
 
   // Convenience constructors.
   static Op Create(std::string path, std::vector<std::uint8_t> data,
@@ -122,7 +123,20 @@ struct Txn {
 
   void Encode(wire::BufferWriter& w) const;
   static Result<Txn> Decode(wire::BufferReader& r);
-  std::size_t EncodedSize() const;
+  std::size_t EncodedSize() const;  // bytes Encode appends
+};
+
+// Leader -> follower PROPOSE (method::kPropose): one sequenced txn. Encode
+// writes straight from the leader's txn into a buffer of the exact size;
+// Decode gives the follower its own copy.
+struct ProposeMsg {
+  Zxid zxid = 0;
+  std::int64_t epoch = 0;
+  Txn txn;
+
+  static std::vector<std::uint8_t> Encode(Zxid zxid, std::int64_t epoch,
+                                          const Txn& txn);
+  static Result<ProposeMsg> Decode(const std::vector<std::uint8_t>& bytes);
 };
 
 // One resolved path component (compound-op replies): its name plus the
@@ -134,6 +148,7 @@ struct ResolvedNode {
 
   void Encode(wire::BufferWriter& w) const;
   static Result<ResolvedNode> Decode(wire::BufferReader& r);
+  std::size_t EncodedSize() const;
 };
 
 // Result of applying one Op.
@@ -168,6 +183,7 @@ struct OpResult {
 
   void Encode(wire::BufferWriter& w) const;
   static Result<OpResult> Decode(wire::BufferReader& r);
+  std::size_t EncodedSize() const;
 };
 
 // Client-facing request/response frames (method::kRequest).
@@ -186,6 +202,8 @@ struct ClientResponse {
   std::vector<OpResult> multi_results;
 
   std::vector<std::uint8_t> Encode() const;
+  void Encode(wire::BufferWriter& w) const;
+  std::size_t EncodedSize() const;
   static Result<ClientResponse> Decode(const std::vector<std::uint8_t>& bytes);
 };
 

@@ -7,44 +7,22 @@
 namespace dufs::zk {
 namespace {
 
-// Internal peer-message codecs.
-struct ProposeMsg {
-  Zxid zxid;
-  std::int64_t epoch;
-  Txn txn;
-
-  net::Payload Encode() const {
-    wire::BufferWriter w;
-    w.WriteI64(zxid);
-    w.WriteI64(epoch);
-    txn.Encode(w);
-    return w.Take();
-  }
-  static Result<ProposeMsg> Decode(const net::Payload& bytes) {
-    wire::BufferReader r(bytes);
-    ProposeMsg m;
-    auto zxid = r.ReadI64();
-    DUFS_RETURN_IF_ERROR(zxid);
-    m.zxid = *zxid;
-    auto epoch = r.ReadI64();
-    DUFS_RETURN_IF_ERROR(epoch);
-    m.epoch = *epoch;
-    auto txn = Txn::Decode(r);
-    DUFS_RETURN_IF_ERROR(txn);
-    m.txn = std::move(*txn);
-    return m;
-  }
-};
+// Internal peer-message codecs (PROPOSE's is in proto.h).
 
 // A contiguous run of sequenced proposals shipped as one message (group
 // commit). The follower journals the run with one fsync and ACKs the whole
-// [lo, hi] zxid range back.
+// [lo, hi] zxid range back. Like PROPOSE, it is encoded straight from the
+// leader's txns; `txn_bytes` is the sum of their encoded sizes.
 struct BatchProposeMsg {
   std::int64_t epoch;
   std::vector<std::pair<Zxid, Txn>> entries;
 
-  net::Payload Encode() const {
+  static net::Payload Encode(std::int64_t epoch,
+                             const std::vector<std::pair<Zxid, Txn>>& entries,
+                             std::size_t txn_bytes) {
     wire::BufferWriter w;
+    w.Reserve(8 + wire::BufferWriter::VarintSize(entries.size()) +
+              8 * entries.size() + txn_bytes);
     w.WriteI64(epoch);
     w.WriteVarint(entries.size());
     for (const auto& [zxid, txn] : entries) {
@@ -96,9 +74,13 @@ struct ForwardResponse {
   ClientResponse response;
 
   net::Payload Encode() const {
+    // Same bytes as WriteBytes(response.Encode()), with no temporary.
+    const std::size_t len = response.EncodedSize();
     wire::BufferWriter w;
+    w.Reserve(8 + wire::BufferWriter::VarintSize(len) + len);
     w.WriteI64(zxid);
-    w.WriteBytes(response.Encode());
+    w.WriteVarint(len);
+    response.Encode(w);
     return w.Take();
   }
   static Result<ForwardResponse> Decode(const net::Payload& bytes) {
@@ -487,8 +469,8 @@ void ZkServer::FireTriggers(const std::vector<AppliedTxn::Trigger>& triggers) {
   }
 }
 
-AppliedTxn ZkServer::ApplyTxn(const Txn& txn, Zxid zxid) {
-  AppliedTxn applied = db_->Apply(txn, zxid, endpoint_.sim().now());
+AppliedTxn ZkServer::ApplyTxn(const Txn& txn, Zxid zxid, bool reply) {
+  AppliedTxn applied = db_->Apply(txn, zxid, endpoint_.sim().now(), reply);
   if (txn.op.type == OpType::kCloseSession) {
     // Like ZooKeeper, a closed session's watches go with it, so the
     // deletes of its ephemerals below notify only sessions still open.
@@ -555,6 +537,7 @@ sim::Task<Result<ClientResponse>> ZkServer::SubmitWriteTracked(Txn txn,
   // Follower: forward to the leader, then wait until the local replica has
   // applied the txn so this session observes its own write.
   wire::BufferWriter w;
+  w.Reserve(txn.EncodedSize());
   txn.Encode(w);
   auto result = co_await endpoint_.Call(server_node(leader_index_),
                                         method::kForward, w.Take(),
@@ -593,16 +576,15 @@ Zxid ZkServer::ProposeAsLeader(Txn txn) {
   const std::size_t txn_bytes = txn.EncodedSize();
   const obs::TraceId trace = txn.trace;
 
-  ProposeMsg msg{zxid, epoch_, txn};
-  const auto payload = msg.Encode();
+  const auto payload = ProposeMsg::Encode(zxid, epoch_, txn);
   for (std::size_t i = 0; i < config_.servers.size(); ++i) {
     if (i == my_index_) continue;
     endpoint_.Notify(server_node(i), method::kPropose, payload);
   }
 
   pending_txns_.emplace(zxid, std::move(txn));
-  proposals_.emplace(zxid, Proposal{pending_txns_.at(zxid), {}, false,
-                                    endpoint_.sim().now()});
+  proposals_.emplace(zxid,
+                     Proposal{trace, {}, false, endpoint_.sim().now()});
   MaybeScheduleRetransmit();
 
   // Self-ack after the local journal write.
@@ -670,8 +652,9 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
     const auto peers = static_cast<sim::Duration>(config_.servers.size() - 1);
     co_await endpoint_.sim().Delay(peers * config_.perf.per_peer_cpu);
 
-    BatchProposeMsg msg{epoch_, batch};
-    const auto payload = msg.Encode();
+    std::size_t total_bytes = 0;
+    for (const auto& entry : batch) total_bytes += entry.second.EncodedSize();
+    const auto payload = BatchProposeMsg::Encode(epoch_, batch, total_bytes);
     for (std::size_t i = 0; i < config_.servers.size(); ++i) {
       if (i == my_index_) continue;
       endpoint_.Notify(server_node(i), method::kBatchPropose, payload);
@@ -679,12 +662,9 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
 
     const Zxid lo = batch.front().first;
     const Zxid hi = batch.back().first;
-    std::size_t total_bytes = 0;
     for (auto& [zxid, txn] : batch) {
-      total_bytes += txn.EncodedSize();
+      proposals_.emplace(zxid, Proposal{txn.trace, {}, false, wave_start});
       pending_txns_.emplace(zxid, std::move(txn));
-      proposals_.emplace(zxid, Proposal{pending_txns_.at(zxid), {}, false,
-                                        wave_start});
     }
     MaybeScheduleRetransmit();
 
@@ -734,8 +714,11 @@ void ZkServer::MaybeScheduleRetransmit() {
     if (role_ != Role::kLeading || !endpoint_.node().up()) return;
     std::size_t sent = 0;
     for (const auto& [zxid, proposal] : proposals_) {
-      ProposeMsg msg{zxid, epoch_, proposal.txn};
-      const auto payload = msg.Encode();
+      // A proposal's txn stays in pending_txns_ until it is applied, which
+      // is after the proposal itself is gone.
+      const auto txn = pending_txns_.find(zxid);
+      DUFS_CHECK(txn != pending_txns_.end());
+      const auto payload = ProposeMsg::Encode(zxid, epoch_, txn->second);
       for (std::size_t i = 0; i < config_.servers.size(); ++i) {
         if (i == my_index_) continue;
         if (proposal.acks.count(server_node(i)) > 0) continue;
@@ -855,7 +838,7 @@ void ZkServer::TryCommitInOrder() {
       obs_.tracer->Complete(obs_.track, "quorum-round", "zab",
                             it->second.proposed_at,
                             endpoint_.sim().now() - it->second.proposed_at,
-                            it->second.txn.trace, std::move(args));
+                            it->second.trace, std::move(args));
     }
     proposals_.erase(it);
     last_committed_ = zxid;
@@ -905,16 +888,19 @@ void ZkServer::ApplyCommitted() {
     }
     auto it = pending_txns_.find(zxid);
     if (it == pending_txns_.end()) break;  // proposal not yet received
-    AppliedTxn applied = ApplyTxn(it->second, zxid);
+    // Only the replica a client waits on builds the reply.
+    const auto wanted = result_wanted_.find(zxid);
+    const bool reply = wanted != result_wanted_.end();
+    AppliedTxn applied = ApplyTxn(it->second, zxid, reply);
     // Every replica retains the committed tail: any of them may be elected
     // leader later and must be able to sync lagging followers.
     committed_log_.Append(zxid, it->second);
-    if (result_wanted_.count(zxid) > 0) {
+    if (reply) {
       ClientResponse resp;
       resp.result = std::move(applied.result);
       resp.multi_results = std::move(applied.multi_results);
       local_results_[zxid] = std::move(resp);
-      result_wanted_.erase(zxid);
+      result_wanted_.erase(wanted);
     }
     pending_txns_.erase(it);
     committed_not_applied_.erase(committed_not_applied_.begin());
@@ -1259,7 +1245,7 @@ sim::Task<void> ZkServer::SyncWithLeader(std::size_t leader_idx) {
     auto txn = Txn::Decode(r);
     if (!txn.ok()) co_return;
     if (*zxid <= db_->last_applied()) continue;
-    ApplyTxn(*txn, *zxid);
+    ApplyTxn(*txn, *zxid, /*reply=*/false);  // no client waits on a replay
     committed_log_.Append(*zxid, *txn);
   }
   AdoptEpoch(*epoch);

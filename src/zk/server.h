@@ -150,8 +150,9 @@ class ZkServer {
   void AttachObs(obs::NodeObs node_obs);
 
  private:
+  // The txn itself stays in pending_txns_ (retransmits encode it from there).
   struct Proposal {
-    Txn txn;
+    obs::TraceId trace = 0;
     std::set<net::NodeId> acks;  // deduplicated (retransmits re-ack)
     bool committed = false;
     sim::SimTime proposed_at = 0;  // quorum-round span start
@@ -227,8 +228,9 @@ class ZkServer {
                                net::NodeId client);
   void FireTriggers(const std::vector<AppliedTxn::Trigger>& triggers);
   // Applies one committed txn to this replica: the database, then the watch
-  // tables (a closed session's watches go, then the triggers fire).
-  AppliedTxn ApplyTxn(const Txn& txn, Zxid zxid);
+  // tables (a closed session's watches go, then the triggers fire). `reply`:
+  // a client waits on this replica for the result (Database::Apply).
+  AppliedTxn ApplyTxn(const Txn& txn, Zxid zxid, bool reply);
 
   // Failure detection & election.
   sim::Task<void> LeaderPingLoop(std::int64_t epoch_at_start);

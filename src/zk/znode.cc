@@ -88,7 +88,14 @@ std::string_view BaseName(std::string_view path) {
 
 std::vector<std::string_view> PathComponents(std::string_view path) {
   std::vector<std::string_view> out;
-  if (path.size() <= 1) return out;
+  PathComponents(path, out);
+  return out;
+}
+
+void PathComponents(std::string_view path,
+                    std::vector<std::string_view>& out) {
+  out.clear();
+  if (path.size() <= 1) return;
   std::size_t start = 1;
   while (start <= path.size()) {
     auto end = path.find('/', start);
@@ -96,28 +103,30 @@ std::vector<std::string_view> PathComponents(std::string_view path) {
     out.push_back(path.substr(start, end - start));
     start = end + 1;
   }
-  return out;
 }
 
 DataTree::DataTree() : root_(std::make_unique<Znode>()) {}
 
-Result<const DataTree::Znode*> DataTree::Find(std::string_view path) const {
-  DUFS_RETURN_IF_ERROR(ValidatePath(path));
+const DataTree::Znode* DataTree::Walk(std::string_view path) const {
   const Znode* cur = root_.get();
   if (path == "/") return cur;
   std::size_t start = 1;
   while (start <= path.size()) {
     std::size_t end = path.find('/', start);
     if (end == std::string_view::npos) end = path.size();
-    const auto seg = path.substr(start, end - start);
-    auto it = cur->children.find(seg);
-    if (it == cur->children.end()) {
-      return Status(StatusCode::kNotFound, std::string(path));
-    }
+    auto it = cur->children.find(path.substr(start, end - start));
+    if (it == cur->children.end()) return nullptr;
     cur = it->second.get();
     start = end + 1;
   }
   return cur;
+}
+
+Result<const DataTree::Znode*> DataTree::Find(std::string_view path) const {
+  DUFS_RETURN_IF_ERROR(ValidatePath(path));
+  const Znode* node = Walk(path);
+  if (node == nullptr) return Status(StatusCode::kNotFound, std::string(path));
+  return node;
 }
 
 DataTree::Znode* DataTree::FindMutable(std::string_view path) {
@@ -125,32 +134,55 @@ DataTree::Znode* DataTree::FindMutable(std::string_view path) {
   return found.ok() ? const_cast<Znode*>(*found) : nullptr;
 }
 
+namespace {
+// "/a/b" -> "/a", "/a" -> "/". Precondition: valid, != "/".
+std::string_view ParentView(std::string_view path) {
+  const auto pos = path.rfind('/');
+  return path.substr(0, pos == 0 ? 1 : pos);
+}
+}  // namespace
+
 Result<std::string> DataTree::Create(std::string_view path,
                                      std::vector<std::uint8_t> data,
                                      CreateMode mode, SessionId session,
                                      Zxid zxid, std::int64_t time) {
   DUFS_RETURN_IF_ERROR(ValidatePath(path));
   if (path == "/") return Status(StatusCode::kAlreadyExists, "/");
-  const std::string parent_path = ParentPath(path);
-  Znode* parent = FindMutable(parent_path);
+  const Znode* parent = Walk(ParentView(path));
   if (parent == nullptr) {
-    return Status(StatusCode::kNotFound, "parent " + parent_path);
+    return Status(StatusCode::kNotFound,
+                  "parent " + std::string(ParentView(path)));
   }
-  if (parent->stat.ephemeral_owner != 0) {
+  const std::string_view base = BaseName(path);
+  auto child = CreateChild(*parent, base, std::move(data), mode, session, zxid,
+                           time);
+  DUFS_RETURN_IF_ERROR(child);
+  std::string created(path.substr(0, path.size() - base.size()));
+  created += (*child)->name;
+  return created;
+}
+
+Result<const DataTree::Znode*> DataTree::CreateChild(
+    const Znode& parent_node, std::string_view base,
+    std::vector<std::uint8_t> data, CreateMode mode, SessionId session,
+    Zxid zxid, std::int64_t time) {
+  // Every node is owned by this tree; callers only ever hold it const.
+  Znode& parent = const_cast<Znode&>(parent_node);
+  if (parent.stat.ephemeral_owner != 0) {
     // ZooKeeper forbids children under ephemeral nodes.
     return Status(StatusCode::kInvalidArgument, "parent is ephemeral");
   }
 
-  std::string name(BaseName(path));
+  std::string name(base);
   if (IsSequential(mode)) {
     char suffix[16];
     std::snprintf(suffix, sizeof(suffix), "%010llu",
-                  static_cast<unsigned long long>(parent->next_sequence++));
+                  static_cast<unsigned long long>(parent.next_sequence++));
     name += suffix;
   }
-  if (parent->children.count(name) > 0) {
-    return Status(StatusCode::kAlreadyExists,
-                  parent_path + (parent_path == "/" ? "" : "/") + name);
+  const auto hint = parent.children.lower_bound(name);
+  if (hint != parent.children.end() && hint->first == name) {
+    return Status(StatusCode::kAlreadyExists, name);
   }
 
   auto node = std::make_unique<Znode>();
@@ -167,14 +199,13 @@ Result<std::string> DataTree::Create(std::string_view path,
     node->stat.ephemeral_owner = session;
     ++ephemeral_count_;
   }
-  parent->children.emplace(name, std::move(node));
-  parent->stat.pzxid = zxid;
-  ++parent->stat.cversion;
-  ++parent->stat.num_children;
+  const Znode* created =
+      parent.children.emplace_hint(hint, std::move(name), std::move(node))
+          ->second.get();
+  parent.stat.pzxid = zxid;
+  ++parent.stat.cversion;
+  ++parent.stat.num_children;
   ++node_count_;
-
-  std::string created = parent_path == "/" ? "/" + name
-                                           : parent_path + "/" + name;
   return created;
 }
 
@@ -184,25 +215,39 @@ Status DataTree::Delete(std::string_view path, std::int32_t expected_version,
   if (path == "/") {
     return Status(StatusCode::kInvalidArgument, "cannot delete the root");
   }
-  Znode* node = FindMutable(path);
-  if (node == nullptr) return Status(StatusCode::kNotFound, std::string(path));
-  if (!node->children.empty()) {
-    return Status(StatusCode::kNotEmpty, std::string(path));
+  const Znode* parent = Walk(ParentView(path));
+  if (parent == nullptr) {
+    return Status(StatusCode::kNotFound, std::string(path));
+  }
+  return DeleteChild(*parent, BaseName(path), expected_version, zxid)
+      .status();
+}
+
+Result<std::unique_ptr<DataTree::Znode>> DataTree::DeleteChild(
+    const Znode& parent_node, std::string_view name,
+    std::int32_t expected_version, Zxid zxid) {
+  Znode& parent = const_cast<Znode&>(parent_node);
+  const auto it = parent.children.find(name);
+  if (it == parent.children.end()) {
+    return Status(StatusCode::kNotFound, std::string(name));
+  }
+  const Znode& node = *it->second;
+  if (!node.children.empty()) {
+    return Status(StatusCode::kNotEmpty, std::string(name));
   }
   if (expected_version != kAnyVersion &&
-      expected_version != node->stat.version) {
-    return Status(StatusCode::kBadVersion, std::string(path));
+      expected_version != node.stat.version) {
+    return Status(StatusCode::kBadVersion, std::string(name));
   }
-  if (node->stat.ephemeral_owner != 0) --ephemeral_count_;
+  if (node.stat.ephemeral_owner != 0) --ephemeral_count_;
 
-  Znode* parent = FindMutable(ParentPath(path));
-  DUFS_CHECK(parent != nullptr);
-  parent->children.erase(node->name);
-  parent->stat.pzxid = zxid;
-  ++parent->stat.cversion;
-  --parent->stat.num_children;
+  std::unique_ptr<Znode> removed = std::move(it->second);
+  parent.children.erase(it);
+  parent.stat.pzxid = zxid;
+  ++parent.stat.cversion;
+  --parent.stat.num_children;
   --node_count_;
-  return Status::Ok();
+  return removed;
 }
 
 Result<ZnodeStat> DataTree::SetData(std::string_view path,

@@ -33,6 +33,7 @@ struct ZnodeStat {
   std::int32_t num_children = 0;
   std::int32_t data_length = 0;
 
+  static constexpr std::size_t kEncodedSize = 5 * 8 + 2 * 4 + 8 + 2 * 4;
   void Encode(wire::BufferWriter& w) const;
   static Result<ZnodeStat> Decode(wire::BufferReader& r);
   friend bool operator==(const ZnodeStat&, const ZnodeStat&) = default;
@@ -65,6 +66,8 @@ std::string_view BaseName(std::string_view path);
 // Components of "/a/b/c" are ["a", "b", "c"]; "/" has none. The views alias
 // `path`, so the caller keeps the backing string alive. Precondition: valid.
 std::vector<std::string_view> PathComponents(std::string_view path);
+// Same, into `out` (cleared first), so a caller can reuse one buffer.
+void PathComponents(std::string_view path, std::vector<std::string_view>& out);
 
 class DataTree {
  public:
@@ -79,13 +82,28 @@ class DataTree {
   DataTree();
 
   // --- mutations (called only when applying committed txns) -------------
-  // Returns the actual created path (differs from `path` for sequential
-  // nodes, which get a zero-padded 10-digit suffix appended).
+  // Each walks `path` once. Create returns the actual created path (differs
+  // from `path` for sequential nodes, which get a zero-padded 10-digit
+  // suffix appended).
   Result<std::string> Create(std::string_view path,
                              std::vector<std::uint8_t> data, CreateMode mode,
                              SessionId session, Zxid zxid, std::int64_t time);
   Status Delete(std::string_view path, std::int32_t expected_version,
                 Zxid zxid);
+  // The same mutations under a parent the caller has already resolved (a
+  // compound op's walk), so they walk nothing. `parent` must be a node of
+  // this tree. CreateChild names the node `name` plus the sequential suffix
+  // when `mode` asks for one, and returns it. DeleteChild unlinks `name`
+  // and hands the removed node back, so its pre-delete stat and data stay
+  // readable until the caller drops it.
+  Result<const Znode*> CreateChild(const Znode& parent, std::string_view name,
+                                   std::vector<std::uint8_t> data,
+                                   CreateMode mode, SessionId session,
+                                   Zxid zxid, std::int64_t time);
+  Result<std::unique_ptr<Znode>> DeleteChild(const Znode& parent,
+                                             std::string_view name,
+                                             std::int32_t expected_version,
+                                             Zxid zxid);
   Result<ZnodeStat> SetData(std::string_view path,
                             std::vector<std::uint8_t> data,
                             std::int32_t expected_version, Zxid zxid,
@@ -118,6 +136,8 @@ class DataTree {
 
  private:
   Znode* FindMutable(std::string_view path);
+  // Walks a path ValidatePath accepted; null when a component is missing.
+  const Znode* Walk(std::string_view path) const;
   static void SerializeNode(const Znode& n, wire::BufferWriter& w);
   static Result<std::unique_ptr<Znode>> DeserializeNode(wire::BufferReader& r);
 

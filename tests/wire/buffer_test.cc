@@ -115,6 +115,65 @@ TEST(BufferTest, OverlongVarintIsError) {
   EXPECT_FALSE(r.ReadVarint().ok());
 }
 
+// The 10th varint byte holds only bit 63 of the value. A payload above bit
+// 0 there would be shifted out, so 9 x 0xFF then 0x7F must not decode to the
+// same value as 9 x 0xFF then 0x01.
+TEST(BufferTest, TenthVarintByteOverflowIsError) {
+  std::vector<std::uint8_t> bytes(9, 0xFF);
+  bytes.push_back(0x01);
+  BufferReader max(bytes);
+  auto v = max.ReadVarint();
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, ~0ull);
+  for (const std::uint8_t last : {0x02, 0x40, 0x7F}) {
+    bytes.back() = last;
+    BufferReader r(bytes);
+    auto bad = r.ReadVarint();
+    ASSERT_FALSE(bad.ok()) << "last byte " << int{last};
+    EXPECT_EQ(bad.code(), StatusCode::kIoError);
+  }
+}
+
+TEST(BufferTest, VarintSizeMatchesEncoding) {
+  for (const std::uint64_t v :
+       {0ull, 1ull, 127ull, 128ull, 16383ull, 16384ull, (1ull << 63) - 1,
+        1ull << 63, ~0ull}) {
+    BufferWriter w;
+    w.WriteVarint(v);
+    EXPECT_EQ(BufferWriter::VarintSize(v), w.size()) << v;
+  }
+}
+
+// Fixed-width fields are little-endian at every width, byte for byte as the
+// wire always carried them.
+TEST(BufferTest, FixedWidthEncodingIsLittleEndian) {
+  BufferWriter w;
+  w.WriteU16(0x0102);
+  w.WriteU32(0x03040506u);
+  w.WriteU64(0x0708090a0b0c0d0eull);
+  w.WriteI64(-2);
+  const std::vector<std::uint8_t> expect = {
+      0x02, 0x01,                                      // u16
+      0x06, 0x05, 0x04, 0x03,                          // u32
+      0x0e, 0x0d, 0x0c, 0x0b, 0x0a, 0x09, 0x08, 0x07,  // u64
+      0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // i64 -2
+  };
+  EXPECT_EQ(w.data(), expect);
+}
+
+TEST(BufferTest, ReserveChangesNoBytes) {
+  BufferWriter plain;
+  BufferWriter reserved;
+  reserved.Reserve(64);
+  for (BufferWriter* w : {&plain, &reserved}) {
+    w->WriteU8(1);
+    w->WriteU32(0xdeadbeef);
+    w->WriteString("abc");
+    w->WriteI64(-1);
+  }
+  EXPECT_EQ(plain.data(), reserved.data());
+}
+
 TEST(BufferTest, FuzzRoundTrip) {
   // Random sequences of typed fields encoded then decoded must round-trip.
   Rng rng(99);

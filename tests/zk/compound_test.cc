@@ -36,6 +36,7 @@ T RoundTrip(const T& in, Decoder decode) {
   wire::BufferWriter w;
   in.Encode(w);
   auto bytes = w.Take();
+  EXPECT_EQ(in.EncodedSize(), bytes.size());  // writers reserve by it
   wire::BufferReader r(bytes);
   auto out = decode(r);
   EXPECT_TRUE(out.ok());

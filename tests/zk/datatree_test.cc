@@ -220,6 +220,102 @@ TEST_F(DataTreeTest, MemoryEstimateGrowsLinearly) {
   EXPECT_LT(per_node, 550);
 }
 
+TEST_F(DataTreeTest, CreateUnderMissingInteriorFails) {
+  ASSERT_TRUE(Create("/a").ok());
+  EXPECT_EQ(Create("/a/b/c").code(), StatusCode::kNotFound);
+  EXPECT_EQ(Create("/a//c").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Create("/").code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(tree_.node_count(), 2u);
+}
+
+TEST_F(DataTreeTest, DeleteUnderMissingParentFails) {
+  ASSERT_TRUE(Create("/a").ok());
+  EXPECT_EQ(tree_.Delete("/a/b/c", kAnyVersion, ++zxid_).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(tree_.Delete("/a/", kAnyVersion, ++zxid_).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(tree_.Exists("/a"));
+}
+
+TEST_F(DataTreeTest, CreateChildUnderResolvedParent) {
+  ASSERT_TRUE(Create("/d").ok());
+  const DataTree::Znode* dir = *tree_.Find("/d");
+  auto child = tree_.CreateChild(*dir, "f", Bytes("xy"),
+                                 CreateMode::kPersistent, 0, 7, 70);
+  ASSERT_TRUE(child.ok());
+  EXPECT_EQ((*child)->name, "f");
+  EXPECT_EQ((*child)->stat.czxid, 7);
+  EXPECT_EQ((*child)->stat.data_length, 2);
+  EXPECT_EQ(*tree_.Find("/d/f"), *child);
+  EXPECT_EQ(dir->stat.num_children, 1);
+  EXPECT_EQ(dir->stat.cversion, 1);
+  EXPECT_EQ(dir->stat.pzxid, 7);
+  EXPECT_EQ(tree_.node_count(), 3u);
+}
+
+TEST_F(DataTreeTest, CreateChildErrorPathsLeaveTheParentAlone) {
+  ASSERT_TRUE(Create("/d").ok());
+  ASSERT_TRUE(Create("/d/f").ok());
+  ASSERT_TRUE(Create("/e", "", CreateMode::kEphemeral, 9).ok());
+  const DataTree::Znode* dir = *tree_.Find("/d");
+  const ZnodeStat before = dir->stat;
+  EXPECT_EQ(tree_.CreateChild(*dir, "f", {}, CreateMode::kPersistent, 0, 50, 0)
+                .code(),
+            StatusCode::kAlreadyExists);
+  const DataTree::Znode* eph = *tree_.Find("/e");
+  EXPECT_EQ(tree_.CreateChild(*eph, "x", {}, CreateMode::kPersistent, 0, 51, 0)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(dir->stat, before);
+  EXPECT_EQ(tree_.node_count(), 4u);
+}
+
+TEST_F(DataTreeTest, SequentialNameClashStillAdvancesTheCounter) {
+  ASSERT_TRUE(Create("/q").ok());
+  ASSERT_TRUE(Create("/q/n0000000000").ok());
+  // The counter hands out 0, which is taken: the create fails but the next
+  // one gets 1, on every replica alike.
+  EXPECT_EQ(Create("/q/n", "", CreateMode::kPersistentSequential).code(),
+            StatusCode::kAlreadyExists);
+  auto next = Create("/q/n", "", CreateMode::kPersistentSequential);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, "/q/n0000000001");
+}
+
+TEST_F(DataTreeTest, DeleteChildHandsBackThePreDeleteNode) {
+  ASSERT_TRUE(Create("/d").ok());
+  ASSERT_TRUE(Create("/d/f", "rec", CreateMode::kEphemeral, 4).ok());
+  const DataTree::Znode* dir = *tree_.Find("/d");
+  auto removed = tree_.DeleteChild(*dir, "f", 0, 30);
+  ASSERT_TRUE(removed.ok());
+  EXPECT_EQ((*removed)->name, "f");
+  EXPECT_EQ((*removed)->data, Bytes("rec"));
+  EXPECT_EQ((*removed)->stat.ephemeral_owner, 4u);
+  EXPECT_FALSE(tree_.Exists("/d/f"));
+  EXPECT_TRUE(tree_.EphemeralsOf(4).empty());
+  EXPECT_EQ(dir->stat.num_children, 0);
+  EXPECT_EQ(dir->stat.pzxid, 30);
+  EXPECT_EQ(tree_.node_count(), 2u);
+}
+
+TEST_F(DataTreeTest, DeleteChildErrorPathsKeepTheNode) {
+  ASSERT_TRUE(Create("/d").ok());
+  ASSERT_TRUE(Create("/d/sub").ok());
+  ASSERT_TRUE(Create("/d/sub/x").ok());
+  const DataTree::Znode* dir = *tree_.Find("/d");
+  const ZnodeStat before = dir->stat;
+  EXPECT_EQ(tree_.DeleteChild(*dir, "nope", kAnyVersion, 40).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(tree_.DeleteChild(*dir, "sub", kAnyVersion, 41).code(),
+            StatusCode::kNotEmpty);
+  const DataTree::Znode* sub = *tree_.Find("/d/sub");
+  EXPECT_EQ(tree_.DeleteChild(*sub, "x", 3, 42).code(),
+            StatusCode::kBadVersion);
+  EXPECT_EQ(dir->stat, before);
+  EXPECT_TRUE(tree_.Exists("/d/sub/x"));
+  EXPECT_EQ(tree_.node_count(), 4u);
+}
+
 TEST_F(DataTreeTest, StatOnMissingReturnsNotFound) {
   EXPECT_EQ(tree_.Stat("/ghost").code(), StatusCode::kNotFound);
   EXPECT_EQ(tree_.GetChildren("/ghost").code(), StatusCode::kNotFound);

@@ -787,6 +787,11 @@ TEST(CommittedLogTest, DiffIsZxidThenTxnEncodeForEachNewerEntry) {
   multi.multi_ops = {Op::Create("/b", {}), Op::Delete("/a")};
   history.emplace_back(13, std::move(multi));
   history.emplace_back(14, MakeTxn(9, 400, Op::Delete("/b", 3)));
+  for (const auto& [zxid, txn] : history) {
+    wire::BufferWriter w;
+    txn.Encode(w);
+    EXPECT_EQ(txn.EncodedSize(), w.size());  // writers reserve by it
+  }
 
   CommittedLog log(/*max_entries=*/100);
   for (const auto& [zxid, txn] : history) log.Append(zxid, txn);
