@@ -3,19 +3,16 @@
 // admission path lives entirely in flight.h.
 #include "obs/flight.h"
 
-#include <string>  // dufs-lint: allow(obs-hot-path-alloc) dump serialization
+#include <string>
 
 #include "common/json_text.h"
 #include "obs/trace.h"
 
 namespace dufs::obs {
 
-// dufs-lint: allow(obs-hot-path-alloc) dump serialization
-std::string FlightRecorder::DumpJson(
-    const Tracer& tracer,
-    // dufs-lint: allow(obs-hot-path-alloc) dump serialization
-    const std::string& anomaly_json) const {
-  std::string out = "{";  // dufs-lint: allow(obs-hot-path-alloc) dump
+std::string FlightRecorder::DumpJson(const Tracer& tracer,
+                                     const std::string& anomaly_json) const {
+  std::string out = "{";
   if (!anomaly_json.empty()) {
     out += "\"anomaly\":";
     out += anomaly_json;

@@ -9,12 +9,12 @@
 // its exactly-once latency decomposition over ("the p99.9 spike is 86%
 // fsync").
 //
-// Hot-path rules (enforced by the obs-hot-path-alloc lint rule): records are
-// POD, names/cats are `const char*` literals owned by the call sites, rings
-// are flat pre-reserved vectors, and nothing on the record path touches
-// std::string or node-based containers. The only allocations after warm-up
-// are the one-time per-track ring reservations. Dump serialization is the
-// cold path and is explicitly allowed to build strings.
+// Hot-path rules: records are POD, names/cats are `const char*` literals
+// owned by the call sites, rings are flat pre-reserved vectors, and nothing
+// on the record path touches std::string or node-based containers. The only
+// allocations after warm-up are the one-time per-track ring reservations;
+// tests/alloc/alloc_gate_test.cc holds Admit to zero heap allocations once
+// they are made. Dump serialization is the cold path and builds strings.
 //
 // Determinism: records carry sim timestamps and a global admission sequence
 // number; ring contents depend only on the simulated event order, so two
@@ -23,7 +23,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>  // dufs-lint: allow(obs-hot-path-alloc) dump serialization only
+#include <string>
 #include <vector>
 
 #include "sim/time.h"
@@ -107,9 +107,7 @@ class FlightRecorder {
   // the same track metadata and ts/dur formatting as Tracer::ToChromeJson so
   // tracestats parses dumps and full traces identically. Tracks are emitted
   // in id order, records oldest-to-newest — byte-stable.
-  // dufs-lint: allow(obs-hot-path-alloc) dump serialization
   std::string DumpJson(const Tracer& tracer,
-                       // dufs-lint: allow(obs-hot-path-alloc) dump serialization
                        const std::string& anomaly_json) const;
 
   void Clear() {

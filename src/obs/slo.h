@@ -15,8 +15,9 @@
 //    rate: (bad fraction in window) / budget. burn == 1 means the budget is
 //    being consumed exactly at the allowed rate.
 //
-// Hot-path rules (obs-hot-path-alloc lint rule): fixed arrays and flat
-// pre-sized vectors only; op-class names are `const char*` literals.
+// Hot-path rules: fixed arrays and flat pre-sized vectors only; op-class
+// names are `const char*` literals. tests/alloc/alloc_gate_test.cc holds an
+// op sample within one window to zero heap allocations.
 #pragma once
 
 #include <array>

@@ -99,7 +99,7 @@ class Arena {
 #endif
   }
 
-  void Free(void* p, std::size_t bytes) noexcept {
+  void Free(void* p, [[maybe_unused]] std::size_t bytes) noexcept {
 #ifdef DUFS_ARENA_PASSTHROUGH
     FreeOversize(p);
 #else

@@ -24,7 +24,6 @@ struct FrameState {
 // plain global. Frames are keyed by their allocation pointer, which is the
 // coroutine_handle address for every sim::Task promise.
 struct Registry {
-  // dufs-lint: allow(sim-hot-alloc) audit-build-only instrumentation
   std::unordered_map<void*, FrameState> live;
   Report report;
   std::uint64_t next_id = 1;

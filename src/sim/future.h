@@ -44,7 +44,7 @@ struct FutureState {
 }  // namespace internal
 
 template <typename T>
-class Future {
+class [[nodiscard]] Future {
  public:
   explicit Future(std::shared_ptr<internal::FutureState<T>> st)
       : st_(std::move(st)) {}

@@ -34,7 +34,7 @@
 #include <bit>
 #include <coroutine>
 #include <cstdint>
-#include <map>  // dufs-lint: allow(sim-hot-alloc) cold-path overflow/early levels
+#include <map>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -299,8 +299,8 @@ class Simulation {
   std::size_t pending_ = 0;
   // Cold levels: far-future timers (>= span past cursor) and events behind
   // the cursor. Sorted maps — insertion there is off the hot path.
-  std::map<SimTime, EventList> overflow_;  // dufs-lint: allow(sim-hot-alloc)
-  std::map<SimTime, EventList> early_;     // dufs-lint: allow(sim-hot-alloc)
+  std::map<SimTime, EventList> overflow_;
+  std::map<SimTime, EventList> early_;
 
   internal::DetachedNode detached_head_;
   std::size_t detached_count_ = 0;

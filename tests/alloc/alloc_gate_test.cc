@@ -1,20 +1,44 @@
-// Allocation gate for the replicated write path. This binary replaces the
-// global operator new with a counting one and pins upper bounds on the heap
-// allocations of the steps every ZooKeeper replica runs per write, so a
-// change that re-adds per-apply vectors, path copies or txn copies fails
-// here rather than only showing up as host time in a benchmark.
+// Allocation gate for the hot paths. This binary replaces the global
+// operator new with a counting one and pins the heap allocations of:
+//
+//  - the engine once warm: coroutine delay loops, ScheduleFn timer churn and
+//    spawn/teardown of tasks that finish at once. Event nodes and frames
+//    come from the slab arena (sim/arena.h), so each of these is 0;
+//  - the always-on observability path: FlightRecorder::Admit once its rings
+//    are reserved and Incidents::RecordOp within one window. Both are 0;
+//  - the steps every ZooKeeper replica runs per write, bounded at the counts
+//    they reach.
+//
+// A change that puts a std::function, a node container, a std::string or
+// vector growth on one of these paths fails here rather than only showing
+// up as host time in a benchmark.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
 #include <vector>
 
+#include "obs/flight.h"
+#include "obs/incident.h"
+#include "sim/simulation.h"
+#include "sim/task.h"
 #include "zk/database.h"
 #include "zk/proto.h"
 
 namespace {
+
 std::size_t g_allocs = 0;
+
+// Heap allocations made while `fn` runs.
+template <typename Fn>
+std::size_t CountAllocs(Fn&& fn) {
+  const std::size_t before = g_allocs;
+  fn();
+  return g_allocs - before;
+}
+
 }  // namespace
 
 void* operator new(std::size_t bytes) {
@@ -39,14 +63,6 @@ namespace dufs::zk {
 namespace {
 
 constexpr std::uint8_t kDirTag = 'D';
-
-// Heap allocations made while `fn` runs.
-template <typename Fn>
-std::size_t CountAllocs(Fn&& fn) {
-  const std::size_t before = g_allocs;
-  fn();
-  return g_allocs - before;
-}
 
 std::vector<std::uint8_t> Record(std::uint8_t tag) {
   // A DUFS metadata record: the kind tag, then a fid-sized body.
@@ -156,3 +172,132 @@ TEST_F(WritePathAllocTest, ProposeEncode) {
 
 }  // namespace
 }  // namespace dufs::zk
+
+namespace dufs::sim {
+namespace {
+
+// Each engine case runs one phase to warm the thread's arena freelists and
+// then counts an identical second phase. Under ASan the arena passes every
+// cell through to the global heap (one allocation per event), and the
+// DUFS_AUDIT registry allocates per frame, so neither build can hold 0.
+class EngineAllocTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+#if defined(DUFS_ARENA_PASSTHROUGH) || defined(DUFS_AUDIT)
+    GTEST_SKIP() << "arena passthrough or audit build allocates per event";
+#endif
+  }
+};
+
+Task<void> DelayLoop(Simulation* sim, int rounds, int salt) {
+  for (int i = 0; i < rounds; ++i) {
+    co_await sim->Delay(1 + (salt + i * 31) % 977);
+  }
+}
+
+Task<void> Noop() { co_return; }
+
+// Self-rescheduling timers with delays from 1 ns to 1 s, which covers every
+// level of the wheel. A timer whose deadline crosses a 2^36 ns (~68.7 s)
+// boundary of sim time waits in the sorted overflow map, one node
+// allocation, so the whole test stays inside the first span.
+struct Churn {
+  Simulation* sim = nullptr;
+  std::uint64_t left = 0;
+
+  void Arm() {
+    --left;
+    const Duration delay =
+        sim->rng().NextBelow(64) == 0
+            ? 1 + static_cast<Duration>(sim->rng().NextBelow(Sec(1)))
+            : 1 + static_cast<Duration>(sim->rng().NextBelow(Ms(1)));
+    sim->ScheduleFn(delay, [this] {
+      if (left > 0) Arm();
+    });
+  }
+};
+
+TEST_F(EngineAllocTest, CoroutineDelayLoopsAllocateNothing) {
+  Simulation sim(1);
+  auto phase = [&sim] {
+    CurrentSimulationScope scope(&sim);
+    for (int p = 0; p < 64; ++p) sim.Spawn(DelayLoop(&sim, 1000, p * 7919));
+    sim.Run();
+  };
+  phase();
+  const std::uint64_t warm = sim.events_processed();
+  EXPECT_EQ(CountAllocs(phase), 0u);
+  EXPECT_EQ(sim.events_processed() - warm, 64'000u);
+}
+
+TEST_F(EngineAllocTest, ScheduleFnChurnAllocatesNothing) {
+  Simulation sim(1);
+  Churn churn{&sim, 0};
+  auto phase = [&sim, &churn] {
+    churn.left = 250'000;
+    for (int i = 0; i < 256; ++i) churn.Arm();
+    sim.Run();
+  };
+  phase();
+  const std::uint64_t warm = sim.events_processed();
+  EXPECT_EQ(CountAllocs(phase), 0u);
+  EXPECT_EQ(sim.events_processed() - warm, 250'000u);
+  EXPECT_LT(sim.now(), Sec(68));
+}
+
+TEST_F(EngineAllocTest, SpawnOfFinishedTasksAllocatesNothing) {
+  Simulation sim(1);
+  auto phase = [&sim] {
+    CurrentSimulationScope scope(&sim);
+    for (int i = 0; i < 100'000; ++i) sim.Spawn(Noop());
+  };
+  phase();
+  EXPECT_EQ(CountAllocs(phase), 0u);
+  EXPECT_EQ(sim.live_detached_tasks(), 0u);
+}
+
+}  // namespace
+}  // namespace dufs::sim
+
+namespace dufs::obs {
+namespace {
+
+TEST(ObsAllocTest, FlightRecorderAdmitAllocatesNothingOnceReserved) {
+  constexpr TrackId kTracks = 8;
+  FlightRecorder flight;
+  flight.SetCapacity(64);
+  // The first record per track reserves that track's ring.
+  for (TrackId t = 0; t < kTracks; ++t) {
+    flight.Admit(t, "zk-write", "zk", 0, 1, 1, -1);
+  }
+  const std::size_t n = CountAllocs([&flight] {
+    for (int i = 0; i < 100'000; ++i) {
+      flight.Admit(static_cast<TrackId>(i) % kTracks, "zk-write", "zk", i, 7,
+                   static_cast<TraceId>(i), i % 3 == 0 ? 5 : -1);
+    }
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(flight.size(kTracks - 1), 64u);
+  EXPECT_GT(flight.evicted(0), 0u);
+}
+
+TEST(ObsAllocTest, IncidentsRecordOpAllocatesNothingWithinAWindow) {
+  constexpr TrackId kTracks = 4;
+  sim::Simulation sim(1);
+  Incidents incidents;
+  incidents.Bind(&sim, nullptr, nullptr);
+  incidents.AddSlo(SloSpec{"create", sim::Us(500), 0.01});
+  // The first sample registers the class; the first per track sizes its
+  // per-node histogram.
+  for (TrackId t = 0; t < kTracks; ++t) incidents.RecordOp("create", t, 100);
+  const std::size_t n = CountAllocs([&incidents] {
+    for (int i = 0; i < 100'000; ++i) {
+      incidents.RecordOp("create", static_cast<TrackId>(i) % kTracks,
+                         100 + (i % 1000) * 997);
+    }
+  });
+  EXPECT_EQ(n, 0u);
+}
+
+}  // namespace
+}  // namespace dufs::obs

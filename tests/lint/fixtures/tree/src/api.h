@@ -14,7 +14,7 @@ namespace fx {
 sim::Task<int> FetchValue(std::string& out);
 sim::Task<void> Pump(std::string* sink, int n);
 
-// Direct Task producer for the task-discard-transitive chain.
+// Task producer that holder.cc's coroutines await.
 sim::Task<void> Flush(int epoch);
 
 struct Waiter {

@@ -68,8 +68,6 @@ TEST(FixtureTreeTest, ExactFindingSet) {
   const std::vector<std::tuple<std::string, int, std::string>> want = {
       {"src/api.h", 14, "coro-ref-param"},
       {"src/api.h", 29, "coro-ref-param"},
-      {"src/discard.cc", 9, "task-discard-transitive"},
-      {"src/discard.cc", 14, "task-discard-transitive"},
       {"src/escape.cc", 15, "coro-ref-escape"},
       {"src/escape.cc", 21, "coro-ref-escape"},
       {"src/escape.cc", 26, "coro-ref-escape"},
@@ -87,13 +85,6 @@ TEST(FixtureTreeTest, EscapeRuleNeedsTheCrossTuTable) {
   // same call sites are unresolvable and must stay silent.
   const auto f = LintFixtureTree({"src/escape.cc"});
   EXPECT_TRUE(Keys(f, "coro-ref-escape").empty());
-}
-
-TEST(FixtureTreeTest, TransitiveDiscardNeedsTheCrossTuTable) {
-  // discard.cc alone: the wrappers live in wrap.cc, the Task producer in
-  // api.h — no chain, no finding.
-  const auto f = LintFixtureTree({"src/discard.cc"});
-  EXPECT_TRUE(Keys(f, "task-discard-transitive").empty());
 }
 
 TEST(FixtureTreeTest, AwaitHoldingRefIsWarnSeverity) {

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <map>
+#include <set>
+#include <string>
 #include <utility>
 
 namespace dufs::lint {
@@ -169,66 +171,6 @@ void CoroRefEscape(const SymbolTable& sym, const Resolver& res,
 }
 
 // ---------------------------------------------------------------------------
-// task-discard / task-discard-transitive
-// ---------------------------------------------------------------------------
-
-// True when `name` is also declared as an ordinary function (neither `auto`
-// nor Task-returning) somewhere — genuinely ambiguous, never flagged.
-bool TrulyAmbiguous(const SymbolTable& sym, const std::string& name) {
-  for (const FunctionSummary* fn : sym.Lookup(name)) {
-    if (!fn->returns_auto && !fn->returns_task) return true;
-  }
-  return false;
-}
-
-void TaskDiscards(const SymbolTable& sym,
-                  const std::set<std::string>& direct_task,
-                  std::vector<Finding>* out) {
-  // Fixpoint: `auto` wrappers whose body returns a task-like call are
-  // task-like themselves. `via` records the underlying callee for messages.
-  std::set<std::string> task_like = direct_task;
-  std::map<std::string, std::string> via;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const FileSummary* file : sym.files()) {
-      for (const FunctionSummary& fn : file->functions) {
-        if (!fn.returns_auto || !fn.has_body) continue;
-        if (task_like.count(fn.name) > 0) continue;
-        if (TrulyAmbiguous(sym, fn.name)) continue;
-        for (const CallSite& c : fn.calls) {
-          if (!c.returned || task_like.count(c.callee) == 0) continue;
-          task_like.insert(fn.name);
-          via[fn.name] = c.callee;
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
-
-  for (const FileSummary* file : sym.files()) {
-    for (const DiscardSite& d : file->discard_sites) {
-      if (direct_task.count(d.callee) > 0) {
-        out->push_back(Finding{
-            file->path, d.line, "task-discard",
-            "result of Task-returning `" + d.callee +
-                "` is discarded: the coroutine frame is destroyed before "
-                "it runs; co_await it, Spawn() it, or hold it"});
-      } else if (via.count(d.callee) > 0) {
-        out->push_back(Finding{
-            file->path, d.line, "task-discard-transitive",
-            "`" + d.callee + "` returns the sim::Task of `" +
-                via[d.callee] +
-                "` through a wrapper chain; discarding it destroys the "
-                "frame before it runs — co_await it, Spawn() it, or hold "
-                "it"});
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // det-export-order
 // ---------------------------------------------------------------------------
 
@@ -305,11 +247,9 @@ void AwaitHoldingRef(const SymbolTable& sym, std::vector<Finding>* out) {
 }  // namespace
 
 void RunDataflow(const SymbolTable& sym, const CallGraph& graph,
-                 const std::set<std::string>& direct_task,
                  std::vector<Finding>* out) {
   const Resolver res(sym);
   CoroRefEscape(sym, res, out);
-  TaskDiscards(sym, direct_task, out);
   DetExportOrder(sym, graph, out);
   AwaitHoldingRef(sym, out);
 }

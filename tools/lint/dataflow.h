@@ -4,12 +4,6 @@
 // the collected summaries.
 //
 // Rules:
-//   task-discard            — statement-level discard of a direct
-//                             Task-returning call (moved here from the
-//                             per-file pass; semantics unchanged).
-//   task-discard-transitive — discard of a call whose result is a Task
-//                             obtained through one or more `auto`-returning
-//                             wrappers (`auto W() { return Mkdir(...); }`).
 //   coro-ref-escape         — a reference/pointer argument (`&local`, a
 //                             caller ref-param forwarded through a
 //                             non-coroutine wrapper, or a `[&]` lambda)
@@ -25,8 +19,6 @@
 // `// dufs-lint: allow(...)` suppressions afterwards.
 #pragma once
 
-#include <set>
-#include <string>
 #include <vector>
 
 #include "callgraph.h"
@@ -35,11 +27,7 @@
 
 namespace dufs::lint {
 
-// `direct_task` is the unambiguous Task-returning name set (the historical
-// Linter::TaskFunctionNames semantics: declared Task-returning somewhere,
-// never declared with an ordinary return type).
 void RunDataflow(const SymbolTable& sym, const CallGraph& graph,
-                 const std::set<std::string>& direct_task,
                  std::vector<Finding>* out);
 
 }  // namespace dufs::lint

@@ -8,7 +8,8 @@
 // (default: current directory) over *.h/*.cc, applies the per-file rules
 // plus the cross-TU dataflow rules (see DESIGN.md §12), and prints
 // findings. Exit status: 0 clean (warn-severity findings do not fail unless
-// --werror), 1 error findings, 2 usage or I/O error.
+// --werror), 1 error findings, 2 usage or I/O error (an unknown --rule id
+// is a usage error, so a filter naming a deleted rule cannot pass vacuously).
 //
 // `--baseline=FILE` suppresses findings whose `file:line:rule`
 // fingerprint is listed (intentional debt); `--write-baseline=FILE`
@@ -103,6 +104,17 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       return false;
     } else {
       opt->paths.push_back(arg);
+    }
+  }
+  const auto& docs = RuleDocs();
+  for (const std::string& rule : opt->rule_filter) {
+    const bool known =
+        std::any_of(docs.begin(), docs.end(),
+                    [&rule](const auto& doc) { return rule == doc.id; });
+    if (!known) {
+      std::fprintf(stderr, "dufs_lint: unknown rule `%s` (see --explain)\n",
+                   rule.c_str());
+      return false;
     }
   }
   return true;

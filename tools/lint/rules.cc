@@ -31,22 +31,6 @@ bool IsBannedTimeSourceCall(const std::string& s) {
   return s == "rand" || s == "srand" || s == "clock" || s == "time";
 }
 
-// Allocating std:: types banned (as `std::X`) in src/sim/ hot-path code:
-// type-erased callables and node/map containers whose construction or
-// insertion heap-allocates per operation. The event loop runs these methods
-// millions of times per simulated second; use the slab arena (sim/arena.h),
-// SmallQueue (sim/small_queue.h), or intrusive lists instead — or suppress
-// with a reason for genuinely cold paths.
-bool IsHotAllocBannedType(const std::string& s) {
-  static const std::set<std::string> kSet = {
-      "function",      "deque",         "list",
-      "forward_list",  "priority_queue", "queue",
-      "map",           "multimap",      "set",
-      "multiset",      "unordered_map", "unordered_multimap",
-      "unordered_set", "unordered_multiset"};
-  return kSet.count(s) > 0;
-}
-
 // First `&` in the parameter list `tokens[open]=='('` .. its matching `)`
 // that binds a parameter by reference (prev token is a type-ish identifier
 // or `>`), at paren depth 1. Returns its line, or 0 when none.
@@ -282,15 +266,6 @@ const std::vector<RuleDoc>& RuleDocs() {
        "allowed to touch platform entropy.",
        "auto jitter = rand() % 10;",
        "auto jitter = sim.rng().NextBelow(10);"},
-      {"task-discard",
-       "no discarded sim::Task return values",
-       "A sim::Task is lazy: dropping one on the floor destroys the frame "
-       "before it ever runs, silently skipping the work ([[nodiscard]] "
-       "catches plain calls; this rule also covers member calls and macro "
-       "expansions the attribute misses). co_await it, Spawn() it, or hold "
-       "it.",
-       "client.Mkdir(\"/a\", 0755);",
-       "co_await client.Mkdir(\"/a\", 0755);  // or sim.Spawn(...)"},
       {"include-hygiene",
        "#pragma once in headers, self-include first, no ../ includes",
        "Headers must open with #pragma once before any code. A src/ .cc "
@@ -325,30 +300,6 @@ const std::vector<RuleDoc>& RuleDocs() {
        "parameter by design.)",
        "obs_.counter(\"op.\" + phase + \"_count\").Inc();",
        "obs_.counter(\"op.stat_count\").Inc();  // one literal per phase"},
-      {"sim-hot-alloc",
-       "no std::function or node/heap containers in src/sim/",
-       "The simulator core executes tens of millions of events per wall "
-       "second; a std::function construction, deque block, or map/set node "
-       "per event puts a general-purpose heap allocation on the hot path "
-       "and erases the gains of the slab arena. In src/sim/, use the arena "
-       "(sim/arena.h), SmallQueue (sim/small_queue.h), intrusive lists, or "
-       "a template parameter for callables. Genuinely cold uses (teardown, "
-       "far-future overflow levels) may suppress with a stated reason.",
-       "std::deque<std::coroutine_handle<>> waiters;  // in src/sim/",
-       "SmallQueue<std::coroutine_handle<>, 4> waiters;"},
-      {"obs-hot-path-alloc",
-       "no heap containers or std::string in flight-recorder/SLO code",
-       "The flight recorder and sliding-window digests run on every span "
-       "completion and every op sample in UNTRACED runs — their whole point "
-       "is being cheap enough to leave always-on. A std::string key, map "
-       "node, or std::function there puts a heap allocation on that path "
-       "and invalidates the overhead budget (DESIGN.md §11). In src/obs/"
-       "flight* and src/obs/slo*, keep records POD, use `const char*` "
-       "literals for names, and fixed arrays or pre-reserved flat vectors "
-       "for storage. Cold paths (dump serialization) suppress with a stated "
-       "reason.",
-       "std::string name;  // in FlightRecorder::Record",
-       "const char* name;  // literal owned by the call site"},
       {"coro-ref-escape",
        "no reference escapes into a coroutine frame across a wrapper",
        "A coroutine frame can outlive the caller's scope the moment it "
@@ -363,16 +314,6 @@ const std::vector<RuleDoc>& RuleDocs() {
        "// StartRename -> Task RenameLoop(Client&, std::string& path)",
        "void Kick(Client& c, std::string p) { StartRename(c, std::move(p)); "
        "}"},
-      {"task-discard-transitive",
-       "no discarded sim::Task through wrapper call chains",
-       "task-discard catches `client.Mkdir(...);`. But a Task smuggled "
-       "through `auto Retry() { return Mkdir(...); }` is just as lazy: "
-       "discarding `Retry();` destroys the frame before it ever runs. This "
-       "rule propagates Task-ness through `auto`-returning wrappers that "
-       "return a Task-returning call, then flags discards of any name in "
-       "the closure.",
-       "auto Retry() { return client.Mkdir(\"/a\", 0755); }\nRetry();",
-       "co_await Retry();  // or sim.Spawn(...), or hold the Task"},
       {"det-export-order",
        "no unordered-container iteration on byte-compared export paths",
        "CI byte-compares metrics.json, trace exports, incident dumps, and "
@@ -419,65 +360,7 @@ const char* SeverityName(Severity s) {
 }
 
 // ---------------------------------------------------------------------------
-// Pass 1: declaration collection
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Historical task-discard declaration scan, kept verbatim so the
-// TaskFunctionNames() set (and with it the task-discard findings) is
-// unchanged by the cross-TU rework.
-void CollectTaskDecls(const LexedFile& lexed, FileArtifacts* a) {
-  const auto& toks = lexed.tokens;
-  std::set<std::size_t> claimed;
-
-  // Task/Future-returning function declarations:
-  //   [sim::] Task < ... > [Qualified::]Name ( params ) {;|{|const|...}
-  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (!(IsId(toks[i], "Task") || IsId(toks[i], "Future"))) continue;
-    if (!IsPunct(toks[i + 1], "<")) continue;
-    std::size_t j = MatchAngle(toks, i + 1);
-    if (j == kNpos || j >= toks.size()) continue;
-    // Qualified declarator name.
-    std::size_t name_tok = kNpos;
-    while (j + 1 < toks.size() && toks[j].kind == TokKind::kIdentifier &&
-           !IsExprKeyword(toks[j].text)) {
-      name_tok = j;
-      if (IsPunct(toks[j + 1], "::")) {
-        j += 2;
-      } else {
-        ++j;
-        break;
-      }
-    }
-    if (name_tok == kNpos || j >= toks.size() || !IsPunct(toks[j], "(")) {
-      continue;
-    }
-    claimed.insert(name_tok);
-    a->task_decl_names.push_back(toks[name_tok].text);
-  }
-
-  // Non-Task declarations of the same shape (`Type Name(`): names seen here
-  // are ambiguous for task-discard and get dropped from the set.
-  for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdentifier || IsExprKeyword(toks[i].text)) {
-      continue;
-    }
-    if (!IsPunct(toks[i + 1], "(")) continue;
-    if (claimed.count(i) > 0) continue;
-    const Token& prev = toks[i - 1];
-    const bool type_before =
-        (prev.kind == TokKind::kIdentifier && !IsExprKeyword(prev.text)) ||
-        IsPunct(prev, ">") || IsPunct(prev, ">>") || IsPunct(prev, "*") ||
-        IsPunct(prev, "&");
-    if (type_before) a->non_task_decl_names.push_back(toks[i].text);
-  }
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Pass 2: per-file rules
+// Per-file rules
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -493,8 +376,6 @@ class FileLint {
     IncludeHygiene();
     ObsNames();
     ObsKeyLiterals();
-    SimHotAllocs();
-    ObsHotPathAllocs();
     Filter(out);
   }
 
@@ -781,50 +662,6 @@ class FileLint {
     }
   }
 
-  // std::function / allocating-container use inside the simulator core.
-  // Path-scoped: every method in src/sim/ is hot-path by default (the event
-  // loop or something it inlines); cold spots suppress with a reason.
-  void SimHotAllocs() {
-    if (f_.path.find("src/sim/") == std::string::npos) return;
-    const auto& toks = f_.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (!IsId(toks[i], "std") || !IsPunct(toks[i + 1], "::")) continue;
-      const Token& t = toks[i + 2];
-      if (t.kind != TokKind::kIdentifier || !IsHotAllocBannedType(t.text)) {
-        continue;
-      }
-      Add(t.line, "sim-hot-alloc",
-          "`std::" + t.text +
-              "` heap-allocates per operation; in src/sim/ use the slab "
-              "arena (sim/arena.h), SmallQueue (sim/small_queue.h), an "
-              "intrusive list, or a template callable parameter");
-    }
-  }
-
-  // Always-on observability hot path: the flight recorder admits a record
-  // per completed span and the SLO digests observe every op sample, in
-  // untraced runs too. Same banned set as src/sim/, plus std::string —
-  // names there must be `const char*` literals. Dump serialization is the
-  // sanctioned cold path and suppresses with a reason.
-  void ObsHotPathAllocs() {
-    const bool scoped = f_.path.find("src/obs/flight") != std::string::npos ||
-                        f_.path.find("src/obs/slo") != std::string::npos;
-    if (!scoped) return;
-    const auto& toks = f_.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (!IsId(toks[i], "std") || !IsPunct(toks[i + 1], "::")) continue;
-      const Token& t = toks[i + 2];
-      if (t.kind != TokKind::kIdentifier) continue;
-      if (!IsHotAllocBannedType(t.text) && t.text != "string") continue;
-      Add(t.line, "obs-hot-path-alloc",
-          "`std::" + t.text +
-              "` on the always-on flight-recorder/SLO path: records are "
-              "POD, names are `const char*` literals, storage is fixed "
-              "arrays or pre-reserved flat vectors (see src/obs/flight.h); "
-              "dump serialization may suppress with a reason");
-    }
-  }
-
   // Applies `// dufs-lint: allow(...)` suppressions: a trailing comment
   // covers its own line; a comment alone on a line covers the next line.
   void Filter(std::vector<Finding>* out) {
@@ -871,7 +708,6 @@ FileArtifacts AnalyzeFile(std::string path, const std::string& content) {
   FileArtifacts a;
   const LexedFile lexed = Lex(std::move(path), content);
   a.path = lexed.path;
-  CollectTaskDecls(lexed, &a);
   FileLint(lexed).Run(&a.local);
   a.summary = BuildFileSummary(lexed);
   a.suppressions = lexed.suppressions;
@@ -886,17 +722,6 @@ void Linter::AddFile(std::string path, const std::string& content) {
   files_.push_back(AnalyzeFile(std::move(path), content));
 }
 
-std::vector<std::string> Linter::TaskFunctionNames() const {
-  std::set<std::string> names;
-  for (const auto& a : files_) {
-    names.insert(a.task_decl_names.begin(), a.task_decl_names.end());
-  }
-  for (const auto& a : files_) {
-    for (const auto& n : a.non_task_decl_names) names.erase(n);
-  }
-  return {names.begin(), names.end()};
-}
-
 std::vector<Finding> Linter::Run() {
   std::vector<Finding> out;
   for (const auto& a : files_) {
@@ -906,11 +731,9 @@ std::vector<Finding> Linter::Run() {
   SymbolTable sym;
   for (const auto& a : files_) sym.Add(&a.summary);
   const CallGraph graph(sym);
-  const auto names = TaskFunctionNames();
-  const std::set<std::string> direct_task(names.begin(), names.end());
 
   std::vector<Finding> flow;
-  RunDataflow(sym, graph, direct_task, &flow);
+  RunDataflow(sym, graph, &flow);
 
   std::map<std::string, const std::vector<Suppression>*> sups;
   for (const auto& a : files_) sups[a.path] = &a.suppressions;

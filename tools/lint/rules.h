@@ -39,10 +39,6 @@ struct FileArtifacts {
   // Kept so stage B can suppression-filter the dataflow findings it
   // attributes to this file.
   std::vector<Suppression> suppressions;
-  // Historical task-discard declaration scan (`Task<...> Name(` and the
-  // same-shape ambiguity set); drives Linter::TaskFunctionNames().
-  std::vector<std::string> task_decl_names;
-  std::vector<std::string> non_task_decl_names;
 };
 
 // Stage A: lex + local rules + summary extraction. Pure in (path, content).
@@ -57,11 +53,6 @@ class Linter {
  public:
   void AddFile(std::string path, const std::string& content);
   std::vector<Finding> Run();
-
-  // Names the declaration scan decided are Task/Future-returning functions
-  // (minus names that also appear with non-coroutine-looking declarations).
-  // Exposed for tests.
-  std::vector<std::string> TaskFunctionNames() const;
 
  private:
   std::vector<FileArtifacts> files_;

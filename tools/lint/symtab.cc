@@ -215,8 +215,6 @@ class Extractor {
     out.path = f_.path;
     CollectUnorderedNames(toks_, &out.unordered_names);
     CollectFunctions(&out);
-    CollectNonTaskDecls(&out);
-    CollectDiscardSites(&out);
     return out;
   }
 
@@ -267,7 +265,6 @@ class Extractor {
         fn.has_body = true;
         AnalyzeBody(body_open + 1, body_end - 1, &fn);
       }
-      if (fn.returns_task) task_decl_tokens_.insert(i);
       out->functions.push_back(std::move(fn));
     }
   }
@@ -291,7 +288,6 @@ class Extractor {
           IsPunct(toks_[i + 1], "<")) {
         fn->returns_task = true;
       }
-      if (t.text == "auto") fn->returns_auto = true;
     }
   }
 
@@ -646,70 +642,8 @@ class Extractor {
     }
   }
 
-  // --- file-level sets ----------------------------------------------------
-
-  // Loose scan matching the historical task-discard ambiguity pass: every
-  // `Type Name(` whose name token was not claimed as a Task declaration.
-  void CollectNonTaskDecls(FileSummary* out) {
-    for (std::size_t i = 1; i + 1 < toks_.size(); ++i) {
-      if (toks_[i].kind != TokKind::kIdentifier ||
-          IsExprKeyword(toks_[i].text)) {
-        continue;
-      }
-      if (!IsPunct(toks_[i + 1], "(")) continue;
-      if (task_decl_tokens_.count(i) > 0) continue;
-      const Token& prev = toks_[i - 1];
-      const bool type_before =
-          (prev.kind == TokKind::kIdentifier && !IsExprKeyword(prev.text)) ||
-          IsPunct(prev, ">") || IsPunct(prev, ">>") || IsPunct(prev, "*") ||
-          IsPunct(prev, "&");
-      if (type_before) out->non_task_decl_names.push_back(toks_[i].text);
-    }
-  }
-
-  // Statement-level `[chain.]Name(...);` whose result is discarded.
-  void CollectDiscardSites(FileSummary* out) {
-    const auto& toks = toks_;
-    bool at_stmt_start = true;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      const Token& t = toks[i];
-      if (IsPunct(t, ";") || IsPunct(t, "{") || IsPunct(t, "}") ||
-          IsId(t, "else")) {
-        at_stmt_start = true;
-        continue;
-      }
-      if (!at_stmt_start) continue;
-      at_stmt_start = false;
-      std::size_t j = i;
-      std::size_t last_name = kNpos;
-      while (j < toks.size()) {
-        if (toks[j].kind == TokKind::kIdentifier &&
-            !IsExprKeyword(toks[j].text)) {
-          last_name = j;
-          ++j;
-          if (j < toks.size() &&
-              (IsPunct(toks[j], ".") || IsPunct(toks[j], "->") ||
-               IsPunct(toks[j], "::"))) {
-            ++j;
-            continue;
-          }
-        }
-        break;
-      }
-      if (last_name == kNpos || j != last_name + 1) continue;
-      if (j >= toks.size() || !IsPunct(toks[j], "(")) continue;
-      const std::size_t close = MatchParen(toks, j);
-      if (close == kNpos || close >= toks.size()) continue;
-      if (IsPunct(toks[close], ";")) {
-        out->discard_sites.push_back(
-            DiscardSite{toks[last_name].text, toks[last_name].line});
-      }
-    }
-  }
-
   const LexedFile& f_;
   const std::vector<Token>& toks_;
-  std::set<std::size_t> task_decl_tokens_;
 };
 
 }  // namespace
@@ -724,10 +658,8 @@ void SymbolTable::Add(const FileSummary* file) {
   files_.push_back(file);
   for (const FunctionSummary& fn : file->functions) {
     by_name_[fn.name].push_back(&fn);
-    if (fn.returns_task) task_names_.insert(fn.name);
   }
   for (const std::string& n : file->unordered_names) unordered_.insert(n);
-  for (const std::string& n : file->non_task_decl_names) non_task_.insert(n);
 }
 
 const std::vector<const FunctionSummary*>& SymbolTable::Lookup(

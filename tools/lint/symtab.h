@@ -5,8 +5,7 @@
 // recognize (name, qualifier, return-type class, parameters, coroutine-ness)
 // together with the body facts the dataflow rules consume (call sites with
 // bare-identifier arguments, container iterations, references/iterators held
-// across co_await, statement-level discard sites) and the file-level
-// declaration sets (entities of unordered type, non-Task function names).
+// across co_await) and the file-level set of entities of unordered type.
 //
 // The summary is deliberately token-derived and heuristic — no headers are
 // expanded, no templates instantiated — but it is self-contained per file:
@@ -69,19 +68,11 @@ struct HeldRef {
   int use_line = 0;        // first use after that co_await
 };
 
-// A statement of the form `[chain.]Name(...);` whose result is discarded.
-// Whether that is a Task discard is decided cross-TU.
-struct DiscardSite {
-  std::string callee;
-  int line = 0;
-};
-
 struct FunctionSummary {
   std::string name;       // unqualified declarator name
   std::string qualifier;  // "C" when declared as C::name, else ""
   int line = 0;
   bool returns_task = false;  // sim::Task<...> / sim::Future<...>
-  bool returns_auto = false;  // `auto` return type (wrapper candidates)
   bool is_coroutine = false;  // body contains co_await/co_return/co_yield
   bool has_body = false;
   std::vector<Param> params;
@@ -97,17 +88,12 @@ struct FileSummary {
   // (std::unordered_map/set/multimap/multiset, directly or via a `using`
   // alias declared in the same file).
   std::vector<std::string> unordered_names;
-  // Names declared as ordinary (non-Task) functions — the task-discard
-  // ambiguity set.
-  std::vector<std::string> non_task_decl_names;
-  std::vector<DiscardSite> discard_sites;
 };
 
 FileSummary BuildFileSummary(const LexedFile& f);
 
 // Cross-TU symbol table: every FileSummary in the tree, indexed by
-// unqualified function name, plus the union of unordered-entity names and
-// the Task-returning / ambiguous name sets.
+// unqualified function name, plus the union of unordered-entity names.
 class SymbolTable {
  public:
   void Add(const FileSummary* file);
@@ -120,20 +106,12 @@ class SymbolTable {
     return unordered_.count(name) > 0;
   }
 
-  // Names declared (somewhere) with a Task/Future return type and never
-  // with an ordinary one — the direct task-discard set.
-  const std::set<std::string>& DirectTaskNames() const { return task_names_; }
-  // Names that also appear as ordinary functions (ambiguous, never flagged).
-  const std::set<std::string>& AmbiguousNames() const { return non_task_; }
-
   const std::vector<const FileSummary*>& files() const { return files_; }
 
  private:
   std::vector<const FileSummary*> files_;
   std::map<std::string, std::vector<const FunctionSummary*>> by_name_;
   std::set<std::string> unordered_;
-  std::set<std::string> task_names_;
-  std::set<std::string> non_task_;
 };
 
 }  // namespace dufs::lint
