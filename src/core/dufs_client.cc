@@ -1,6 +1,7 @@
 #include "core/dufs_client.h"
 
 #include <algorithm>
+#include <span>
 
 #include "sim/gather.h"
 
@@ -32,16 +33,20 @@ constexpr std::uint8_t kDirTag =
 // absent (ENOENT) — except a create whose immediate parent is the file,
 // which the explicit parent check reported as ENOTDIR. Map the server's
 // walk codes back onto those established semantics.
-StatusCode MapCompoundCode(zk::OpType type, const zk::OpResult& res,
+StatusCode MapCompoundCode(zk::OpType type, const zk::CompoundReply& reply,
                            std::size_t n_components) {
-  if (res.code == StatusCode::kNotADirectory &&
-      res.resolved_depth < n_components) {
-    const bool parent_offender = res.resolved_depth + 1 == n_components;
+  if (reply.code() == StatusCode::kNotADirectory &&
+      reply.resolved_depth() < n_components) {
+    const bool parent_offender = reply.resolved_depth() + 1 == n_components;
     if (type != zk::OpType::kResolveCreate || !parent_offender) {
       return StatusCode::kNotFound;
     }
   }
-  return MapZkCode(res.code);
+  return MapZkCode(reply.code());
+}
+
+Result<MetaRecord> DecodeRecord(std::span<const std::uint8_t> data) {
+  return MetaRecord::Decode(data.data(), data.size());
 }
 
 }  // namespace
@@ -250,36 +255,66 @@ sim::Task<Result<DufsClient::Lookup>> DufsClient::LookupWalk(
   co_return Status(StatusCode::kNotFound, virtual_path);  // unreachable
 }
 
-void DufsClient::SeedFromCompound(const std::string& znode_path,
-                                  const zk::OpResult& result) {
-  if (!config_.enable_meta_cache) return;
-  const auto components = zk::PathComponents(znode_path);
-  std::string seeded;
-  seeded.reserve(znode_path.size());
-  for (const auto& node : result.prefix) {
-    seeded.push_back('/');
-    seeded.append(node.name);
-    auto rec = MetaRecord::Decode(node.data);
-    if (rec.ok()) meta_cache_.PutPositive(seeded, *rec, node.stat);
-  }
-  if (result.resolved_depth >= components.size()) {
-    // Fully resolved. The terminal's record rides stat/data (compound
-    // writes that already know their record leave data empty and seed at
-    // the call site instead).
-    if (!result.data.empty()) {
-      auto rec = MetaRecord::Decode(result.data);
-      if (rec.ok()) meta_cache_.PutPositive(znode_path, *rec, result.stat);
+StatusCode DufsClient::SeedFromReply(zk::OpType type,
+                                     const std::string& znode_path,
+                                     const zk::CompoundReply& reply,
+                                     std::vector<vfs::DirEntry>* listing) {
+  zk::PathComponents(znode_path, split_);
+  const StatusCode code = MapCompoundCode(type, reply, split_.size());
+  const bool seed = config_.enable_meta_cache;
+  std::string& seeded = seed_path_;
+  seeded.clear();
+  if (seed) {
+    for (const zk::CompoundReply::Node& node : reply.prefix()) {
+      seeded.push_back('/');
+      seeded.append(node.name);
+      auto rec = DecodeRecord(node.data);
+      if (rec.ok()) {
+        meta_cache_.PutPositive(seeded, std::move(*rec), node.stat());
+      }
     }
-  } else if (result.code == StatusCode::kOk ||
-             result.code == StatusCode::kNotFound) {
-    // Partial miss (or a delete that just removed the terminal): the first
-    // missing component is *known* absent and the server holds a creation
-    // watch on it — exactly what a coherent negative entry needs. Not on
-    // kNotADirectory: components past the offender were never examined.
-    seeded.push_back('/');
-    seeded.append(components[result.resolved_depth]);
-    meta_cache_.PutNegative(seeded);
+    if (reply.resolved_depth() >= split_.size()) {
+      // Fully resolved. The terminal's record rides stat/data (compound
+      // writes that already know their record leave data empty and seed at
+      // the call site instead).
+      if (!reply.data().empty()) {
+        auto rec = DecodeRecord(reply.data());
+        if (rec.ok()) {
+          meta_cache_.PutPositive(znode_path, std::move(*rec), reply.stat());
+        }
+      }
+    } else if (reply.code() == StatusCode::kOk ||
+               reply.code() == StatusCode::kNotFound) {
+      // Partial miss (or a delete that just removed the terminal): the
+      // first missing component is *known* absent and the server holds a
+      // creation watch on it — exactly what a coherent negative entry
+      // needs. Not on kNotADirectory: components past the offender were
+      // never examined.
+      seeded.push_back('/');
+      seeded.append(split_[reply.resolved_depth()]);
+      meta_cache_.PutNegative(seeded);
+    }
   }
+  if (reply.entries().empty()) return code;
+  // A listing: one positive entry per child, each path built in the same
+  // buffer.
+  seeded.assign(znode_path);
+  seeded.push_back('/');
+  const std::size_t dir_len = seeded.size();
+  if (listing != nullptr) listing->reserve(reply.entries().size());
+  for (const zk::CompoundReply::Node& entry : reply.entries()) {
+    auto rec = DecodeRecord(entry.data);
+    if (listing != nullptr) {
+      listing->push_back({std::string(entry.name),
+                          rec.ok() ? rec->type : FileType::kRegular});
+    }
+    if (rec.ok() && seed) {
+      seeded.resize(dir_len);
+      seeded.append(entry.name);
+      meta_cache_.PutPositive(seeded, std::move(*rec), entry.stat());
+    }
+  }
+  return code;
 }
 
 // The one-RPC fast path: full-path resolution runs server-side against the
@@ -309,17 +344,13 @@ sim::Task<Result<DufsClient::Lookup>> DufsClient::LookupCompound(
   auto res = co_await zk_.Resolve(znode, /*watch=*/config_.enable_meta_cache,
                                   kDirTag);
   if (!res.ok()) co_return Status(MapZkCode(res.code()), virtual_path);
-  SeedFromCompound(znode, *res);
-  if (res->code != StatusCode::kOk) {
-    co_return Status(MapCompoundCode(zk::OpType::kResolvePath, *res,
-                                     zk::PathComponents(znode).size()),
-                     virtual_path);
-  }
-  auto record = MetaRecord::Decode(res->data);
+  const StatusCode code = SeedFromReply(zk::OpType::kResolvePath, znode, *res);
+  if (code != StatusCode::kOk) co_return Status(code, virtual_path);
+  auto record = DecodeRecord(res->data());
   if (!record.ok()) co_return record.status();
   Lookup out;
   out.record = std::move(*record);
-  out.stat = res->stat;
+  out.stat = res->stat();
   co_return out;
 }
 
@@ -509,14 +540,15 @@ sim::Task<Result<FileAttr>> DufsClient::Create(std::string path,
     if (!res.ok()) co_return res.status();
     // Seed instead of invalidate: the reply's prefix carries the parent's
     // post-create stat, strictly fresher than what a re-fetch would see.
-    self.SeedFromCompound(znode, *res);
-    if (res->code == StatusCode::kOk && self.config_.enable_meta_cache) {
+    const StatusCode code =
+        self.SeedFromReply(zk::OpType::kResolveCreate, znode, *res);
+    if (res->ok() && self.config_.enable_meta_cache) {
       // The reply does not echo the record the client just wrote; seed the
       // terminal from what we know plus the authoritative stat.
-      self.meta_cache_.PutPositive(znode, MetaRecord::File(f, m), res->stat);
+      self.meta_cache_.PutPositive(znode, MetaRecord::File(f, m),
+                                   res->stat());
     }
-    co_return Status(MapCompoundCode(zk::OpType::kResolveCreate, *res,
-                                     zk::PathComponents(znode).size()));
+    co_return Status(code);
   };
   std::vector<sim::Task<Status>> prep;
   prep.push_back(create_znode(*this, ZnodePath(path), fid, mode));
@@ -557,13 +589,10 @@ sim::Task<Status> DufsClient::Unlink(std::string path) {
     auto res = co_await zk_.ResolveDelete(znode, zk::kAnyVersion, kDirTag,
                                           /*watch=*/config_.enable_meta_cache);
     if (!res.ok()) co_return Status(MapZkCode(res.code()), path);
-    SeedFromCompound(znode, *res);
-    if (res->code != StatusCode::kOk) {
-      co_return Status(MapCompoundCode(zk::OpType::kResolveDelete, *res,
-                                       zk::PathComponents(znode).size()),
-                       path);
-    }
-    auto record = MetaRecord::Decode(res->data);
+    const StatusCode code =
+        SeedFromReply(zk::OpType::kResolveDelete, znode, *res);
+    if (code != StatusCode::kOk) co_return Status(code, path);
+    auto record = DecodeRecord(res->data());
     if (record.ok() && record->type == FileType::kRegular) {
       auto& fs = BackendFor(record->fid);
       op.Arm();
@@ -610,22 +639,10 @@ sim::Task<Result<std::vector<vfs::DirEntry>>> DufsClient::ReadDir(
                                         /*watch=*/config_.enable_meta_cache,
                                         kDirTag);
     if (!res.ok()) co_return Status(MapZkCode(res.code()), path);
-    SeedFromCompound(znode, *res);
-    if (res->code != StatusCode::kOk) {
-      co_return Status(MapCompoundCode(zk::OpType::kReadDirPlus, *res,
-                                       zk::PathComponents(znode).size()),
-                       path);
-    }
     std::vector<vfs::DirEntry> entries;
-    entries.reserve(res->entries.size());
-    for (auto& e : res->entries) {
-      auto rec = MetaRecord::Decode(e.data);
-      const FileType type = rec.ok() ? rec->type : FileType::kRegular;
-      if (rec.ok() && config_.enable_meta_cache) {
-        meta_cache_.PutPositive(znode + "/" + e.name, *rec, e.stat);
-      }
-      entries.push_back({std::move(e.name), type});
-    }
+    const StatusCode code =
+        SeedFromReply(zk::OpType::kReadDirPlus, znode, *res, &entries);
+    if (code != StatusCode::kOk) co_return Status(code, path);
     co_return entries;
   }
   auto lookup = co_await LookupPath(path);

@@ -148,13 +148,18 @@ class DufsClient : public vfs::FileSystem {
   sim::Task<Result<Lookup>> LookupWalk(std::string virtual_path);
   sim::Task<Result<Lookup>> LookupSingle(std::string virtual_path);
 
-  // Seeds the metadata cache from a compound-op reply: positive entries for
-  // every prefix component (and the terminal when its record rode back), a
-  // negative entry for the first missing component on a partial miss. The
-  // server registered matching one-shot watches, so every seeded entry is
-  // invalidated on remote change exactly like a LookupSingle fill.
-  void SeedFromCompound(const std::string& znode_path,
-                        const zk::OpResult& result);
+  // The one seeder for compound-op replies. Seeds the metadata cache from
+  // the reply to `type` on `znode_path`: positive entries for every prefix
+  // component (and the terminal when its record rode back), a negative
+  // entry for the first missing component on a partial miss, and a
+  // positive entry per listed child. The server registered matching
+  // one-shot watches, so every seeded entry is invalidated on remote change
+  // exactly like a LookupSingle fill. Appends each listed child to
+  // `listing` when one is given, and returns the reply's code mapped onto
+  // the filesystem's (MapCompoundCode in dufs_client.cc).
+  StatusCode SeedFromReply(zk::OpType type, const std::string& znode_path,
+                           const zk::CompoundReply& reply,
+                           std::vector<vfs::DirEntry>* listing = nullptr);
 
   // Own-write invalidation: drops `virtual_path` (and, when `subtree`, all
   // cached descendants) plus the parent's cached attr (child count/mtime
@@ -182,6 +187,10 @@ class DufsClient : public vfs::FileSystem {
   std::uint64_t client_id_ = 0;
   std::uint64_t fid_counter_ = 0;
   MetaCache meta_cache_;  // keyed by znode path
+  // SeedFromReply's reused buffers: the op path split once, and every path
+  // it seeds. Used only inside that call, which never suspends.
+  std::vector<std::string_view> split_;
+  std::string seed_path_;
   std::unordered_set<std::string> known_phys_dirs_;  // "<backend>:<dir>"
   std::unordered_map<vfs::FileHandle, OpenState> open_files_;
   vfs::FileHandle next_handle_ = 1;

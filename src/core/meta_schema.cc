@@ -18,8 +18,9 @@ std::vector<std::uint8_t> MetaRecord::Encode() const {
   return w.Take();
 }
 
-Result<MetaRecord> MetaRecord::Decode(const std::vector<std::uint8_t>& bytes) {
-  wire::BufferReader r(bytes);
+Result<MetaRecord> MetaRecord::Decode(const std::uint8_t* data,
+                                      std::size_t size) {
+  wire::BufferReader r(data, size);
   MetaRecord rec;
   auto type = r.ReadU8();
   DUFS_RETURN_IF_ERROR(type);

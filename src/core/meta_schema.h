@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/fid.h"
 #include "common/status.h"
@@ -27,7 +28,11 @@ struct MetaRecord {
   std::optional<std::int64_t> mtime_override;
 
   std::vector<std::uint8_t> Encode() const;
-  static Result<MetaRecord> Decode(const std::vector<std::uint8_t>& bytes);
+  // Reads a record in place, say a znode's data inside a compound reply.
+  static Result<MetaRecord> Decode(const std::uint8_t* data, std::size_t size);
+  static Result<MetaRecord> Decode(const std::vector<std::uint8_t>& bytes) {
+    return Decode(bytes.data(), bytes.size());
+  }
 
   static MetaRecord Dir(vfs::Mode mode) {
     MetaRecord r;

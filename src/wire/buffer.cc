@@ -61,27 +61,42 @@ Result<std::uint64_t> BufferReader::ReadVarint() {
 }
 
 Result<std::string> BufferReader::ReadString() {
-  auto len = ReadVarint();
-  if (!len.ok()) return len.status();
-  if (remaining() < *len) {
-    return Status(StatusCode::kIoError, "wire: truncated string");
-  }
-  std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                static_cast<std::size_t>(*len));
-  pos_ += static_cast<std::size_t>(*len);
-  return s;
+  auto s = ReadStringView();
+  if (!s.ok()) return s.status();
+  return std::string(*s);
 }
 
 Result<std::vector<std::uint8_t>> BufferReader::ReadBytes() {
+  auto b = ReadBytesView();
+  if (!b.ok()) return b.status();
+  return std::vector<std::uint8_t>(b->begin(), b->end());
+}
+
+Result<std::string_view> BufferReader::ReadStringView() {
+  auto b = ReadBytesView();
+  if (!b.ok()) return b.status();
+  return std::string_view(reinterpret_cast<const char*>(b->data()), b->size());
+}
+
+Result<std::span<const std::uint8_t>> BufferReader::ReadBytesView() {
   auto len = ReadVarint();
   if (!len.ok()) return len.status();
   if (remaining() < *len) {
     return Status(StatusCode::kIoError, "wire: truncated bytes");
   }
-  std::vector<std::uint8_t> b(data_ + pos_,
-                              data_ + pos_ + static_cast<std::size_t>(*len));
-  pos_ += static_cast<std::size_t>(*len);
+  const std::span<const std::uint8_t> b(data_ + pos_,
+                                        static_cast<std::size_t>(*len));
+  pos_ += b.size();
   return b;
+}
+
+Result<const std::uint8_t*> BufferReader::ReadBlock(std::size_t n) {
+  if (remaining() < n) {
+    return Status(StatusCode::kIoError, "wire: short read");
+  }
+  const std::uint8_t* block = data_ + pos_;
+  pos_ += n;
+  return block;
 }
 
 }  // namespace dufs::wire

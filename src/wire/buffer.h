@@ -6,8 +6,10 @@
 // varint-prefixed strings/blobs.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,6 +17,32 @@
 #include "common/status.h"
 
 namespace dufs::wire {
+
+// Little-endian stores and loads of one fixed-width integer at `p`. On a
+// little-endian host each is one unaligned move; the byte loop is the
+// portable definition (GCC at -O2 keeps it a loop).
+template <typename T>
+void StoreLE(std::uint8_t* p, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+}
+template <typename T>
+T LoadLE(const std::uint8_t* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<T>(p[i]) << (8 * i));
+    }
+  }
+  return v;
+}
 
 class BufferWriter {
  public:
@@ -36,6 +64,8 @@ class BufferWriter {
     }
     return n;
   }
+  // Bytes WriteString/WriteBytes append for `n` bytes: length, then bytes.
+  static std::size_t BlobSize(std::size_t n) { return VarintSize(n) + n; }
 
   void WriteString(std::string_view s);
   void WriteBytes(const std::vector<std::uint8_t>& b);
@@ -43,6 +73,12 @@ class BufferWriter {
   template <typename It>
   void WriteRaw(It first, It last) {
     buf_.insert(buf_.end(), first, last);
+  }
+  // Appends `n` bytes for the caller to fill in place (a fixed-size block).
+  std::uint8_t* Extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
   }
 
   // Empties the buffer but keeps its capacity, for a writer that is reused.
@@ -60,12 +96,7 @@ class BufferWriter {
   // once per byte.
   template <typename T>
   void AppendLE(T v) {
-    const std::size_t at = buf_.size();
-    buf_.resize(at + sizeof(T));
-    std::uint8_t* out = buf_.data() + at;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
+    StoreLE(Extend(sizeof(T)), v);
   }
 
   std::vector<std::uint8_t> buf_;
@@ -87,6 +118,12 @@ class BufferReader {
   Result<std::uint64_t> ReadVarint();
   Result<std::string> ReadString();
   Result<std::vector<std::uint8_t>> ReadBytes();
+  // The same fields as views into the buffer being read: no copy, valid
+  // while that buffer is.
+  Result<std::string_view> ReadStringView();
+  Result<std::span<const std::uint8_t>> ReadBytesView();
+  // The next `n` bytes in place (a fixed-size block).
+  Result<const std::uint8_t*> ReadBlock(std::size_t n);
 
   std::size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }
@@ -94,15 +131,9 @@ class BufferReader {
  private:
   template <typename T>
   Result<T> ReadLE() {
-    if (remaining() < sizeof(T)) {
-      return Status(StatusCode::kIoError, "wire: short read");
-    }
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
-    }
-    pos_ += sizeof(T);
-    return v;
+    auto block = ReadBlock(sizeof(T));
+    if (!block.ok()) return block.status();
+    return LoadLE<T>(*block);
   }
 
   const std::uint8_t* data_;

@@ -60,8 +60,8 @@ void ZkClient::StartHeartbeats(sim::Duration interval) {
   }(*this, interval, incarnation));
 }
 
-sim::Task<Result<ClientResponse>> ZkClient::Execute(Op op,
-                                                    std::vector<Op> multi_ops) {
+template <typename Reply>
+sim::Task<Result<Reply>> ZkClient::Execute(Op op, std::vector<Op> multi_ops) {
   ClientRequest req;
   req.session = session_;
   req.op = std::move(op);
@@ -91,12 +91,12 @@ sim::Task<Result<ClientResponse>> ZkClient::Execute(Op op,
       last_error = raw.status();
       continue;
     }
-    auto resp = ClientResponse::Decode(*raw);
+    auto resp = Reply::Decode(std::move(*raw));
     if (!resp.ok()) {
       last_error = resp.status();
       continue;
     }
-    if (resp->result.code == StatusCode::kUnavailable) {
+    if (resp->code() == StatusCode::kUnavailable) {
       last_error = Status(StatusCode::kUnavailable);
       continue;
     }
@@ -110,7 +110,7 @@ sim::Task<Result<ClientResponse>> ZkClient::Execute(Op op,
 sim::Task<Status> ZkClient::Connect() {
   Op op;
   op.type = OpType::kCreateSession;
-  auto resp = co_await Execute(std::move(op), {});
+  auto resp = co_await Execute<ClientResponse>(std::move(op), {});
   if (!resp.ok()) co_return resp.status();
   connected_ = resp->result.ok();
   co_return resp->result.ToStatus();
@@ -119,7 +119,7 @@ sim::Task<Status> ZkClient::Connect() {
 sim::Task<Status> ZkClient::Close() {
   Op op;
   op.type = OpType::kCloseSession;
-  auto resp = co_await Execute(std::move(op), {});
+  auto resp = co_await Execute<ClientResponse>(std::move(op), {});
   connected_ = false;
   if (!resp.ok()) co_return resp.status();
   co_return resp->result.ToStatus();
@@ -128,9 +128,8 @@ sim::Task<Status> ZkClient::Close() {
 sim::Task<Result<std::string>> ZkClient::Create(std::string path,
                                                 std::vector<std::uint8_t> data,
                                                 CreateMode mode) {
-  auto resp = co_await Execute(Op::Create(std::move(path), std::move(data),
-                                          mode),
-                               {});
+  auto resp = co_await Execute<ClientResponse>(
+      Op::Create(std::move(path), std::move(data), mode), {});
   if (!resp.ok()) co_return resp.status();
   if (!resp->result.ok()) co_return resp->result.ToStatus();
   co_return std::move(resp->result.created_path);
@@ -141,7 +140,7 @@ sim::Task<Result<OpResult>> ZkClient::Get(std::string path, bool watch) {
   op.type = OpType::kGetData;
   op.path = std::move(path);
   op.watch = watch;
-  auto resp = co_await Execute(std::move(op), {});
+  auto resp = co_await Execute<ClientResponse>(std::move(op), {});
   if (!resp.ok()) co_return resp.status();
   if (!resp->result.ok()) co_return resp->result.ToStatus();
   co_return std::move(resp->result);
@@ -150,7 +149,7 @@ sim::Task<Result<OpResult>> ZkClient::Get(std::string path, bool watch) {
 sim::Task<Result<ZnodeStat>> ZkClient::Set(std::string path,
                                            std::vector<std::uint8_t> data,
                                            std::int32_t version) {
-  auto resp = co_await Execute(
+  auto resp = co_await Execute<ClientResponse>(
       Op::SetData(std::move(path), std::move(data), version), {});
   if (!resp.ok()) co_return resp.status();
   if (!resp->result.ok()) co_return resp->result.ToStatus();
@@ -158,7 +157,8 @@ sim::Task<Result<ZnodeStat>> ZkClient::Set(std::string path,
 }
 
 sim::Task<Status> ZkClient::Delete(std::string path, std::int32_t version) {
-  auto resp = co_await Execute(Op::Delete(std::move(path), version), {});
+  auto resp = co_await Execute<ClientResponse>(
+      Op::Delete(std::move(path), version), {});
   if (!resp.ok()) co_return resp.status();
   co_return resp->result.ToStatus();
 }
@@ -168,7 +168,7 @@ sim::Task<Result<ZnodeStat>> ZkClient::Exists(std::string path, bool watch) {
   op.type = OpType::kExists;
   op.path = std::move(path);
   op.watch = watch;
-  auto resp = co_await Execute(std::move(op), {});
+  auto resp = co_await Execute<ClientResponse>(std::move(op), {});
   if (!resp.ok()) co_return resp.status();
   if (!resp->result.ok()) co_return resp->result.ToStatus();
   co_return resp->result.stat;
@@ -180,7 +180,7 @@ sim::Task<Result<std::vector<std::string>>> ZkClient::GetChildren(
   op.type = OpType::kGetChildren;
   op.path = std::move(path);
   op.watch = watch;
-  auto resp = co_await Execute(std::move(op), {});
+  auto resp = co_await Execute<ClientResponse>(std::move(op), {});
   if (!resp.ok()) co_return resp.status();
   if (!resp->result.ok()) co_return resp->result.ToStatus();
   co_return std::move(resp->result.children);
@@ -189,7 +189,7 @@ sim::Task<Result<std::vector<std::string>>> ZkClient::GetChildren(
 sim::Task<Status> ZkClient::Sync() {
   Op op;
   op.type = OpType::kSync;
-  auto resp = co_await Execute(std::move(op), {});
+  auto resp = co_await Execute<ClientResponse>(std::move(op), {});
   if (!resp.ok()) co_return resp.status();
   co_return resp->result.ToStatus();
 }
@@ -197,47 +197,41 @@ sim::Task<Status> ZkClient::Sync() {
 sim::Task<Result<std::vector<OpResult>>> ZkClient::Multi(std::vector<Op> ops) {
   Op op;
   op.type = OpType::kMulti;
-  auto resp = co_await Execute(std::move(op), std::move(ops));
+  auto resp = co_await Execute<ClientResponse>(std::move(op), std::move(ops));
   if (!resp.ok()) co_return resp.status();
   if (!resp->result.ok()) co_return resp->result.ToStatus();
   co_return std::move(resp->multi_results);
 }
 
-sim::Task<Result<OpResult>> ZkClient::Resolve(std::string path, bool watch,
-                                              std::uint8_t dir_tag) {
-  auto resp = co_await Execute(
+sim::Task<Result<CompoundReply>> ZkClient::Resolve(std::string path,
+                                                   bool watch,
+                                                   std::uint8_t dir_tag) {
+  co_return co_await Execute<CompoundReply>(
       Op::ResolvePath(std::move(path), watch, dir_tag), {});
-  if (!resp.ok()) co_return resp.status();
-  co_return std::move(resp->result);
 }
 
-sim::Task<Result<OpResult>> ZkClient::ReadDirPlus(std::string path, bool watch,
-                                                  std::uint8_t dir_tag) {
-  auto resp = co_await Execute(
+sim::Task<Result<CompoundReply>> ZkClient::ReadDirPlus(std::string path,
+                                                       bool watch,
+                                                       std::uint8_t dir_tag) {
+  co_return co_await Execute<CompoundReply>(
       Op::ReadDirPlus(std::move(path), watch, dir_tag), {});
-  if (!resp.ok()) co_return resp.status();
-  co_return std::move(resp->result);
 }
 
-sim::Task<Result<OpResult>> ZkClient::ResolveCreate(
+sim::Task<Result<CompoundReply>> ZkClient::ResolveCreate(
     std::string path, std::vector<std::uint8_t> data, CreateMode mode,
     std::uint8_t dir_tag, bool watch) {
-  auto resp = co_await Execute(
+  co_return co_await Execute<CompoundReply>(
       Op::ResolveCreate(std::move(path), std::move(data), mode, dir_tag,
                         watch),
       {});
-  if (!resp.ok()) co_return resp.status();
-  co_return std::move(resp->result);
 }
 
-sim::Task<Result<OpResult>> ZkClient::ResolveDelete(std::string path,
-                                                    std::int32_t version,
-                                                    std::uint8_t dir_tag,
-                                                    bool watch) {
-  auto resp = co_await Execute(
+sim::Task<Result<CompoundReply>> ZkClient::ResolveDelete(std::string path,
+                                                         std::int32_t version,
+                                                         std::uint8_t dir_tag,
+                                                         bool watch) {
+  co_return co_await Execute<CompoundReply>(
       Op::ResolveDelete(std::move(path), version, dir_tag, watch), {});
-  if (!resp.ok()) co_return resp.status();
-  co_return std::move(resp->result);
 }
 
 }  // namespace dufs::zk

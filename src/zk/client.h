@@ -59,24 +59,24 @@ class ZkClient {
   sim::Task<Result<std::vector<OpResult>>> Multi(std::vector<Op> ops);
 
   // --- compound ops (server-side path resolution, DESIGN.md §13) ----------
-  // Unlike the zoo_* calls above, these return the whole OpResult with the
+  // Unlike the zoo_* calls above, these return the whole reply with the
   // application-level code left *inside* it (only transport failures become
   // a bad status): a partial miss still carries the resolved prefix the
   // caller seeds its cache from. A nonzero dir_tag makes the server require
   // every interior component's data to begin with that byte (ENOTDIR
   // otherwise); `watch` registers per-component one-shot watches.
-  sim::Task<Result<OpResult>> Resolve(std::string path, bool watch = false,
-                                      std::uint8_t dir_tag = 0);
-  sim::Task<Result<OpResult>> ReadDirPlus(std::string path, bool watch = false,
-                                          std::uint8_t dir_tag = 0);
-  sim::Task<Result<OpResult>> ResolveCreate(
+  sim::Task<Result<CompoundReply>> Resolve(std::string path, bool watch = false,
+                                           std::uint8_t dir_tag = 0);
+  sim::Task<Result<CompoundReply>> ReadDirPlus(std::string path,
+                                               bool watch = false,
+                                               std::uint8_t dir_tag = 0);
+  sim::Task<Result<CompoundReply>> ResolveCreate(
       std::string path, std::vector<std::uint8_t> data,
       CreateMode mode = CreateMode::kPersistent, std::uint8_t dir_tag = 0,
       bool watch = false);
-  sim::Task<Result<OpResult>> ResolveDelete(std::string path,
-                                            std::int32_t version = kAnyVersion,
-                                            std::uint8_t dir_tag = 0,
-                                            bool watch = false);
+  sim::Task<Result<CompoundReply>> ResolveDelete(
+      std::string path, std::int32_t version = kAnyVersion,
+      std::uint8_t dir_tag = 0, bool watch = false);
 
   // One watch sink per client node (first client to register wins).
   void SetWatchHandler(WatchCallback cb);
@@ -93,7 +93,11 @@ class ZkClient {
   void AttachObs(obs::NodeObs node_obs);
 
  private:
-  sim::Task<Result<ClientResponse>> Execute(Op op, std::vector<Op> multi_ops);
+  // Sends one request and decodes the reply as `Reply` (ClientResponse or
+  // CompoundReply). The only retry loop: a transport failure, a reply that
+  // does not decode and a kUnavailable reply each fail over and retry.
+  template <typename Reply>
+  sim::Task<Result<Reply>> Execute(Op op, std::vector<Op> multi_ops);
 
   net::RpcEndpoint& endpoint_;
   ZkClientConfig config_;

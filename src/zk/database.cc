@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/log.h"
@@ -38,32 +39,19 @@ StatusCode ResolveChain(const DataTree& tree,
   return StatusCode::kOk;
 }
 
-// Copies the first `count` chain nodes into res.prefix and stamps
-// res.resolved_depth. Called *after* any mutation: the chain holds live
-// pointers, so ancestor stats (pzxid/cversion/num_children) reflect the
-// post-op state the client should seed.
-void FillResolved(const std::vector<const DataTree::Znode*>& chain,
-                  std::size_t count, std::uint32_t depth, OpResult& res) {
-  res.resolved_depth = depth;
-  res.prefix.clear();
-  res.prefix.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    ResolvedNode n;
-    n.name = chain[i]->name;
-    n.stat = chain[i]->stat;
-    n.data = chain[i]->data;
-    res.prefix.push_back(std::move(n));
-  }
+using Writer = wire::BufferWriter;
+
+// One compound-reply node (CompoundReply in proto.h): name, stat, data.
+std::size_t NodeSize(std::string_view name, const DataTree::Znode& node) {
+  return Writer::BlobSize(name.size()) + ZnodeStat::kEncodedSize +
+         Writer::BlobSize(node.data.size());
 }
 
-// Shared failure-path shaping for compound ops: a partial resolution ships
-// the whole existing prefix back so the client can seed positives for it.
-void FillPartial(StatusCode code,
-                 const std::vector<const DataTree::Znode*>& chain,
-                 OpResult& res) {
-  res.code = code;
-  FillResolved(chain, chain.size(), static_cast<std::uint32_t>(chain.size()),
-               res);
+void WriteNode(wire::BufferWriter& w, std::string_view name,
+               const DataTree::Znode& node) {
+  w.WriteString(name);
+  node.stat.Encode(w);
+  w.WriteBytes(node.data);
 }
 
 // The path a create under `op.path`'s parent gave `node` (a sequential
@@ -122,67 +110,52 @@ OpResult Database::Read(const Op& op) const {
     }
     case OpType::kSync:
       return res;  // ordering is handled by the server pipeline
-    case OpType::kResolvePath: {
-      if (auto st = ValidatePath(op.path); !st.ok()) {
-        res.code = st.code();
-        return res;
-      }
-      if (const StatusCode code = Resolve(op.path, op.dir_tag);
-          code != StatusCode::kOk) {
-        FillPartial(code, chain_, res);
-        return res;
-      }
-      const std::size_t n = components_.size();
-      // Terminal stat/data ride the ordinary fields; prefix excludes it.
-      FillResolved(chain_, n == 0 ? 0 : n - 1, static_cast<std::uint32_t>(n),
-                   res);
-      const DataTree::Znode& terminal = n == 0 ? tree_->root() : *chain_.back();
-      res.stat = terminal.stat;
-      res.data = terminal.data;
-      return res;
-    }
-    case OpType::kReadDirPlus: {
-      if (auto st = ValidatePath(op.path); !st.ok()) {
-        res.code = st.code();
-        return res;
-      }
-      if (const StatusCode code = Resolve(op.path, op.dir_tag);
-          code != StatusCode::kOk) {
-        FillPartial(code, chain_, res);
-        return res;
-      }
-      const std::size_t n = components_.size();
-      const DataTree::Znode* dir = n == 0 ? &tree_->root() : chain_.back();
-      FillResolved(chain_, n == 0 ? 0 : n - 1, static_cast<std::uint32_t>(n),
-                   res);
-      res.stat = dir->stat;
-      res.data = dir->data;
-      // The listed node itself must carry the directory tag when the guard
-      // is on — listing a file is ENOTDIR, with the full prefix (and the
-      // terminal's stat/data, above) still shipped for cache seeding.
-      if (op.dir_tag != 0 && n != 0 &&
-          (dir->data.empty() || dir->data[0] != op.dir_tag)) {
-        res.code = StatusCode::kNotADirectory;
-        return res;
-      }
-      res.entries.reserve(dir->children.size());
-      for (const auto& [name, child] : dir->children) {
-        ResolvedNode e;
-        e.name = name;
-        e.stat = child->stat;
-        e.data = child->data;
-        res.entries.push_back(std::move(e));
-      }
-      return res;
-    }
     default:
       res.code = StatusCode::kInvalidArgument;
       return res;
   }
 }
 
+std::vector<std::uint8_t> Database::EncodeCompoundRead(const Op& op) const {
+  DUFS_CHECK(op.type == OpType::kResolvePath ||
+             op.type == OpType::kReadDirPlus);
+  return EncodeReply(op, ResolveRead(op));
+}
+
+Database::CompoundOutcome Database::ResolveRead(const Op& op) const {
+  CompoundOutcome o;
+  if (auto st = ValidatePath(op.path); !st.ok()) {
+    o.code = st.code();
+    return o;
+  }
+  o.code = Resolve(op.path, op.dir_tag);
+  // A partial resolution ships the whole existing prefix back, so the
+  // client can seed positives for it.
+  o.prefix = chain_.size();
+  o.depth = static_cast<std::uint32_t>(chain_.size());
+  if (o.code != StatusCode::kOk) return o;
+  const std::size_t n = components_.size();
+  // Terminal stat/data ride the ordinary fields; the prefix excludes it.
+  o.prefix = n == 0 ? 0 : n - 1;
+  o.terminal = n == 0 ? &tree_->root() : chain_.back();
+  o.terminal_data = true;
+  if (op.type == OpType::kReadDirPlus) {
+    // The listed node itself must carry the directory tag when the guard
+    // is on — listing a file is ENOTDIR, with the full prefix and the
+    // terminal's stat/data still shipped for cache seeding.
+    if (op.dir_tag != 0 && n != 0 &&
+        (o.terminal->data.empty() || o.terminal->data[0] != op.dir_tag)) {
+      o.code = StatusCode::kNotADirectory;
+      return o;
+    }
+    o.listed = o.terminal;
+  }
+  return o;
+}
+
 OpResult Database::ApplyOne(const Op& op, SessionId session, Zxid zxid,
-                            std::int64_t now_ns, bool reply,
+                            std::int64_t now_ns,
+                            std::vector<std::uint8_t>* reply,
                             std::vector<AppliedTxn::Trigger>& out) {
   OpResult res;
   switch (op.type) {
@@ -239,7 +212,7 @@ OpResult Database::ApplyOne(const Op& op, SessionId session, Zxid zxid,
               ? ResolveCreate(op, session, zxid, now_ns, out)
               : ResolveDelete(op, zxid, out);
       res.code = outcome.code;
-      if (reply) ShapeReply(op, outcome, res);
+      if (reply != nullptr) *reply = EncodeReply(op, outcome);
       return res;
     }
     default:
@@ -291,6 +264,7 @@ Database::CompoundOutcome Database::ResolveCreate(
   o.prefix = n - 1;
   o.depth = static_cast<std::uint32_t>(n);
   o.terminal = *created;
+  o.created = true;
   out.push_back({WatchEventType::kNodeCreated, CreatedPath(op, *o.terminal)});
   out.push_back({WatchEventType::kNodeChildrenChanged, ParentPath(op.path)});
   return o;
@@ -337,18 +311,64 @@ Database::CompoundOutcome Database::ResolveDelete(
   return o;
 }
 
-// The reply a waiting client gets for a compound write; no other replica
-// builds one (DESIGN.md §13.2).
-void Database::ShapeReply(const Op& op, const CompoundOutcome& outcome,
-                          OpResult& res) const {
-  FillResolved(chain_, outcome.prefix, outcome.depth, res);
-  if (outcome.terminal != nullptr) {
-    res.stat = outcome.terminal->stat;
-    if (outcome.terminal_data) res.data = outcome.terminal->data;
+// The reply a waiting client gets for a compound op, written in one pass
+// into a buffer reserved at its exact size. For a write only the answering
+// replica encodes it (DESIGN.md §13.2).
+std::vector<std::uint8_t> Database::EncodeReply(
+    const Op& op, const CompoundOutcome& o) const {
+  const std::span<const std::uint8_t> data =
+      o.terminal_data ? std::span<const std::uint8_t>(o.terminal->data)
+                      : std::span<const std::uint8_t>();
+  std::string_view created_dir;
+  std::string_view created_name;
+  if (o.created) {
+    created_dir = std::string_view(op.path.data(), op.path.rfind('/') + 1);
+    created_name = o.terminal->name;
   }
-  if (op.type == OpType::kResolveCreate && outcome.code == StatusCode::kOk) {
-    res.created_path = CreatedPath(op, *outcome.terminal);
+  const std::size_t created_len = created_dir.size() + created_name.size();
+  const std::size_t n_entries =
+      o.listed != nullptr ? o.listed->children.size() : 0;
+
+  // code, created path, stat, data, children (0), depth, the prefix, the
+  // entries and the multi results (0).
+  std::size_t size = 1 + Writer::BlobSize(created_len) +
+                     ZnodeStat::kEncodedSize + Writer::BlobSize(data.size()) +
+                     1 + Writer::VarintSize(o.depth) +
+                     Writer::VarintSize(o.prefix) +
+                     Writer::VarintSize(n_entries) + 1;
+  for (std::size_t i = 0; i < o.prefix; ++i) {
+    size += NodeSize(chain_[i]->name, *chain_[i]);
   }
+  if (o.listed != nullptr) {
+    for (const auto& [name, child] : o.listed->children) {
+      size += NodeSize(name, *child);
+    }
+  }
+
+  wire::BufferWriter w;
+  w.Reserve(size);
+  w.WriteU8(static_cast<std::uint8_t>(o.code));
+  w.WriteVarint(created_len);
+  w.WriteRaw(created_dir.begin(), created_dir.end());
+  w.WriteRaw(created_name.begin(), created_name.end());
+  (o.terminal != nullptr ? o.terminal->stat : ZnodeStat{}).Encode(w);
+  w.WriteVarint(data.size());
+  w.WriteRaw(data.begin(), data.end());
+  w.WriteVarint(0);  // children: a plain getChildren field
+  w.WriteVarint(o.depth);
+  w.WriteVarint(o.prefix);
+  for (std::size_t i = 0; i < o.prefix; ++i) {
+    WriteNode(w, chain_[i]->name, *chain_[i]);
+  }
+  w.WriteVarint(n_entries);
+  if (o.listed != nullptr) {
+    for (const auto& [name, child] : o.listed->children) {
+      WriteNode(w, name, *child);
+    }
+  }
+  w.WriteVarint(0);  // multi results
+  DUFS_CHECK(w.size() == size);
+  return w.Take();
 }
 
 AppliedTxn Database::ApplyMulti(const Txn& txn, Zxid zxid,
@@ -471,8 +491,8 @@ AppliedTxn Database::ApplyMulti(const Txn& txn, Zxid zxid,
   // Phase 2 — apply for real; validation guarantees success.
   applied.multi_results.clear();
   for (const auto& op : txn.multi_ops) {
-    // Multi carries plain ops only, so there is no reply to shape.
-    OpResult r = ApplyOne(op, txn.session, zxid, now_ns, /*reply=*/false,
+    // Multi carries plain ops only, so there is no reply to encode.
+    OpResult r = ApplyOne(op, txn.session, zxid, now_ns, /*reply=*/nullptr,
                           applied.triggers);
     DUFS_CHECK(r.ok());
     applied.multi_results.push_back(std::move(r));
@@ -519,8 +539,9 @@ AppliedTxn Database::Apply(const Txn& txn, Zxid zxid, std::int64_t now_ns,
     }
     default:
       applied.triggers.reserve(2);  // the most one plain or compound op fires
-      applied.result = ApplyOne(txn.op, txn.session, zxid, now_ns, reply,
-                                applied.triggers);
+      applied.result =
+          ApplyOne(txn.op, txn.session, zxid, now_ns,
+                   reply ? &applied.reply : nullptr, applied.triggers);
   }
   return applied;
 }

@@ -3,10 +3,7 @@
 namespace dufs::zk {
 namespace {
 
-// A WriteString/WriteBytes field of `n` bytes: varint length, then the bytes.
-std::size_t BlobSize(std::size_t n) {
-  return wire::BufferWriter::VarintSize(n) + n;
-}
+using Writer = wire::BufferWriter;
 
 }  // namespace
 
@@ -43,7 +40,8 @@ void Op::Encode(wire::BufferWriter& w) const {
 
 std::size_t Op::EncodedSize() const {
   // type, mode, watch and dir_tag are one byte each; version is 4.
-  return 4 + 4 + BlobSize(path.size()) + BlobSize(data.size());
+  return 4 + 4 + Writer::BlobSize(path.size()) +
+         Writer::BlobSize(data.size());
 }
 
 Result<Op> Op::Decode(wire::BufferReader& r) {
@@ -215,30 +213,6 @@ Result<ProposeMsg> ProposeMsg::Decode(const std::vector<std::uint8_t>& bytes) {
   return m;
 }
 
-void ResolvedNode::Encode(wire::BufferWriter& w) const {
-  w.WriteString(name);
-  stat.Encode(w);
-  w.WriteBytes(data);
-}
-
-std::size_t ResolvedNode::EncodedSize() const {
-  return BlobSize(name.size()) + ZnodeStat::kEncodedSize + BlobSize(data.size());
-}
-
-Result<ResolvedNode> ResolvedNode::Decode(wire::BufferReader& r) {
-  ResolvedNode node;
-  auto name = r.ReadString();
-  DUFS_RETURN_IF_ERROR(name);
-  node.name = std::move(*name);
-  auto stat = ZnodeStat::Decode(r);
-  DUFS_RETURN_IF_ERROR(stat);
-  node.stat = *stat;
-  auto data = r.ReadBytes();
-  DUFS_RETURN_IF_ERROR(data);
-  node.data = std::move(*data);
-  return node;
-}
-
 void OpResult::Encode(wire::BufferWriter& w) const {
   w.WriteU8(static_cast<std::uint8_t>(code));
   w.WriteString(created_path);
@@ -246,23 +220,17 @@ void OpResult::Encode(wire::BufferWriter& w) const {
   w.WriteBytes(data);
   w.WriteVarint(children.size());
   for (const auto& c : children) w.WriteString(c);
-  w.WriteVarint(resolved_depth);
-  w.WriteVarint(prefix.size());
-  for (const auto& n : prefix) n.Encode(w);
-  w.WriteVarint(entries.size());
-  for (const auto& n : entries) n.Encode(w);
+  // The compound fields: resolved depth, prefix count, entry count.
+  w.WriteVarint(0);
+  w.WriteVarint(0);
+  w.WriteVarint(0);
 }
 
 std::size_t OpResult::EncodedSize() const {
-  std::size_t n = 1 + BlobSize(created_path.size()) + ZnodeStat::kEncodedSize +
-                  BlobSize(data.size()) +
-                  wire::BufferWriter::VarintSize(children.size()) +
-                  wire::BufferWriter::VarintSize(resolved_depth) +
-                  wire::BufferWriter::VarintSize(prefix.size()) +
-                  wire::BufferWriter::VarintSize(entries.size());
-  for (const auto& c : children) n += BlobSize(c.size());
-  for (const auto& node : prefix) n += node.EncodedSize();
-  for (const auto& node : entries) n += node.EncodedSize();
+  std::size_t n = 1 + Writer::BlobSize(created_path.size()) +
+                  ZnodeStat::kEncodedSize + Writer::BlobSize(data.size()) +
+                  Writer::VarintSize(children.size()) + 3;
+  for (const auto& c : children) n += Writer::BlobSize(c.size());
   return n;
 }
 
@@ -287,24 +255,101 @@ Result<OpResult> OpResult::Decode(wire::BufferReader& r) {
     DUFS_RETURN_IF_ERROR(child);
     res.children.push_back(std::move(*child));
   }
-  auto depth = r.ReadVarint();
-  DUFS_RETURN_IF_ERROR(depth);
-  res.resolved_depth = static_cast<std::uint32_t>(*depth);
-  auto n_prefix = r.ReadVarint();
-  DUFS_RETURN_IF_ERROR(n_prefix);
-  for (std::uint64_t i = 0; i < *n_prefix; ++i) {
-    auto node = ResolvedNode::Decode(r);
-    DUFS_RETURN_IF_ERROR(node);
-    res.prefix.push_back(std::move(*node));
-  }
-  auto n_entries = r.ReadVarint();
-  DUFS_RETURN_IF_ERROR(n_entries);
-  for (std::uint64_t i = 0; i < *n_entries; ++i) {
-    auto node = ResolvedNode::Decode(r);
-    DUFS_RETURN_IF_ERROR(node);
-    res.entries.push_back(std::move(*node));
+  for (int field = 0; field < 3; ++field) {
+    auto empty = r.ReadVarint();
+    DUFS_RETURN_IF_ERROR(empty);
+    if (*empty != 0) {
+      return Status(StatusCode::kIoError,
+                    "wire: compound fields in a plain reply");
+    }
   }
   return res;
+}
+
+namespace {
+
+// The fewest bytes a compound-reply node takes: an empty name, its stat
+// and empty data.
+constexpr std::size_t kMinNodeSize = 1 + ZnodeStat::kEncodedSize + 1;
+
+// One compound-reply node; its views alias the reader's buffer.
+Result<CompoundReply::Node> ReadNode(wire::BufferReader& r) {
+  CompoundReply::Node node;
+  auto name = r.ReadStringView();
+  DUFS_RETURN_IF_ERROR(name);
+  node.name = *name;
+  auto stat = r.ReadBlock(ZnodeStat::kEncodedSize);
+  DUFS_RETURN_IF_ERROR(stat);
+  node.stat_block = *stat;
+  auto data = r.ReadBytesView();
+  DUFS_RETURN_IF_ERROR(data);
+  node.data = *data;
+  return node;
+}
+
+// `n` nodes into `out`, which has room for them.
+Status ReadNodes(wire::BufferReader& r, std::uint64_t n,
+                 std::vector<CompoundReply::Node>& out) {
+  if (n > out.capacity() - out.size()) {
+    return Status(StatusCode::kIoError, "wire: node count past the frame");
+  }
+  for (std::uint64_t i = 0; i < n; ++i) {
+    auto node = ReadNode(r);
+    DUFS_RETURN_IF_ERROR(node);
+    out.push_back(*node);
+  }
+  return Status::Ok();
+}
+
+Status ExpectZero(wire::BufferReader& r, const char* what) {
+  auto n = r.ReadVarint();
+  DUFS_RETURN_IF_ERROR(n);
+  if (*n != 0) return Status(StatusCode::kIoError, what);
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<CompoundReply> CompoundReply::Decode(std::vector<std::uint8_t> bytes) {
+  CompoundReply reply;
+  reply.bytes_ = std::move(bytes);
+  wire::BufferReader r(reply.bytes_);
+  auto code = r.ReadU8();
+  DUFS_RETURN_IF_ERROR(code);
+  reply.code_ = static_cast<StatusCode>(*code);
+  auto created = r.ReadStringView();
+  DUFS_RETURN_IF_ERROR(created);
+  reply.created_path_ = *created;
+  auto stat = ZnodeStat::Decode(r);
+  DUFS_RETURN_IF_ERROR(stat);
+  reply.stat_ = *stat;
+  auto data = r.ReadBytesView();
+  DUFS_RETURN_IF_ERROR(data);
+  reply.data_ = *data;
+  DUFS_RETURN_IF_ERROR(ExpectZero(r, "wire: children in a compound reply"));
+  auto depth = r.ReadVarint();
+  DUFS_RETURN_IF_ERROR(depth);
+  if (*depth > UINT32_MAX) {
+    return Status(StatusCode::kIoError, "wire: resolved depth overflow");
+  }
+  reply.resolved_depth_ = static_cast<std::uint32_t>(*depth);
+  // Every node takes at least kMinNodeSize of the bytes left, so a table
+  // of that many holds the prefix and the entries together: one
+  // allocation, and no second pass to count them first.
+  reply.nodes_.reserve(r.remaining() / kMinNodeSize);
+  auto n_prefix = r.ReadVarint();
+  DUFS_RETURN_IF_ERROR(n_prefix);
+  DUFS_RETURN_IF_ERROR(ReadNodes(r, *n_prefix, reply.nodes_));
+  reply.n_prefix_ = reply.nodes_.size();
+  auto n_entries = r.ReadVarint();
+  DUFS_RETURN_IF_ERROR(n_entries);
+  DUFS_RETURN_IF_ERROR(ReadNodes(r, *n_entries, reply.nodes_));
+  DUFS_RETURN_IF_ERROR(
+      ExpectZero(r, "wire: multi results in a compound reply"));
+  if (!r.AtEnd()) {
+    return Status(StatusCode::kIoError, "wire: trailing bytes after a reply");
+  }
+  return reply;
 }
 
 std::vector<std::uint8_t> ClientRequest::Encode() const {
@@ -384,7 +429,7 @@ Result<ClientResponse> ClientResponse::Decode(
 
 std::vector<std::uint8_t> WatchEvent::Encode() const {
   wire::BufferWriter w;
-  w.Reserve(1 + BlobSize(path.size()) + 8);
+  w.Reserve(1 + Writer::BlobSize(path.size()) + 8);
   w.WriteU8(static_cast<std::uint8_t>(type));
   w.WriteString(path);
   w.WriteU64(session);

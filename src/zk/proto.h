@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -139,48 +141,20 @@ struct ProposeMsg {
   static Result<ProposeMsg> Decode(const std::vector<std::uint8_t>& bytes);
 };
 
-// One resolved path component (compound-op replies): its name plus the
-// stat/data snapshot taken during the server-side resolution walk.
-struct ResolvedNode {
-  std::string name;
-  ZnodeStat stat;
-  std::vector<std::uint8_t> data;
-
-  void Encode(wire::BufferWriter& w) const;
-  static Result<ResolvedNode> Decode(wire::BufferReader& r);
-  std::size_t EncodedSize() const;
-};
-
-// Result of applying one Op.
-//
-// Compound-op contract (kResolvePath/kReadDirPlus/kResolveCreate/
-// kResolveDelete — see DESIGN.md §13):
-//   - resolved_depth = number of leading components of Op::path that exist
-//     *after* the op ran (so a successful ResolveDelete of an n-component
-//     path reports n-1; a successful ResolveCreate reports n).
-//   - prefix = one ResolvedNode per existing leading component EXCLUDING
-//     the terminal; the terminal's stat/data ride `stat`/`data` as usual.
-//     prefix.size() == min(resolved_depth, n_components - 1). On a partial
-//     miss (code kNotFound) the prefix covers exactly the components that
-//     do exist, so the client can seed positives for them and a negative
-//     for the first missing one. On kNotADirectory the offending non-dir
-//     component is the *last* prefix entry; components past it were never
-//     examined, so no negative may be inferred.
-//   - entries = kReadDirPlus only: every child of the terminal directory
-//     with its stat+data, in sorted (map) order.
+// Result of applying one plain Op. A compound op's reply is not an OpResult
+// but bytes (CompoundReply below); on the wire both are the same frame.
 struct OpResult {
   StatusCode code = StatusCode::kOk;
   std::string created_path;          // kCreate
   ZnodeStat stat;                    // kExists/kSetData/kGetData
   std::vector<std::uint8_t> data;    // kGetData
   std::vector<std::string> children; // kGetChildren
-  std::uint32_t resolved_depth = 0;  // compound ops
-  std::vector<ResolvedNode> prefix;  // compound ops
-  std::vector<ResolvedNode> entries; // kReadDirPlus
 
   bool ok() const { return code == StatusCode::kOk; }
   Status ToStatus() const { return Status(code); }
 
+  // The compound fields (resolved depth, prefix and entries) go out empty
+  // and must come back empty.
   void Encode(wire::BufferWriter& w) const;
   static Result<OpResult> Decode(wire::BufferReader& r);
   std::size_t EncodedSize() const;
@@ -201,10 +175,92 @@ struct ClientResponse {
   OpResult result;                  // result of `op` (or first failed multi op)
   std::vector<OpResult> multi_results;
 
+  StatusCode code() const { return result.code; }
+
   std::vector<std::uint8_t> Encode() const;
   void Encode(wire::BufferWriter& w) const;
   std::size_t EncodedSize() const;
   static Result<ClientResponse> Decode(const std::vector<std::uint8_t>& bytes);
+};
+
+// The reply to a compound op (kResolvePath/kReadDirPlus/kResolveCreate/
+// kResolveDelete, DESIGN.md §13.1), read in place. It is a ClientResponse
+// frame with no multi results whose OpResult carries, after the plain
+// fields (children always empty):
+//   varint resolved_depth
+//   varint n, then n prefix nodes
+//   varint m, then m entries
+// and a node is WriteString(name), the 64-byte ZnodeStat, WriteBytes(data).
+// Database::EncodeReply writes it straight from the tree; the servers pass
+// the bytes on unchanged and the client decodes them once, here.
+//
+// Contract (the same bytes whichever replica encoded them):
+//   - resolved_depth = number of leading components of Op::path that exist
+//     *after* the op ran (so a successful ResolveDelete of an n-component
+//     path reports n-1; a successful ResolveCreate reports n).
+//   - prefix = one node per existing leading component EXCLUDING the
+//     terminal, whose stat/data ride stat()/data().
+//     prefix().size() == min(resolved_depth, n_components - 1). On a partial
+//     miss (code kNotFound) the prefix covers exactly the components that
+//     do exist, so the client can seed positives for them and a negative
+//     for the first missing one. On kNotADirectory the offending non-dir
+//     component is the *last* prefix node; components past it were never
+//     examined, so no negative may be inferred.
+//   - entries = kReadDirPlus only: every child of the listed directory with
+//     its stat+data, in sorted (map) order.
+//
+// Names and data are views into the payload the reply owns. It is
+// move-only, and a move keeps every view valid.
+class CompoundReply {
+ public:
+  struct Node {
+    std::string_view name;
+    const std::uint8_t* stat_block;  // ZnodeStat::kEncodedSize bytes
+    std::span<const std::uint8_t> data;
+
+    // Decoded on each call: a reader that never looks at a node's stat
+    // (the server registering watches) never pays for it.
+    ZnodeStat stat() const { return ZnodeStat::DecodeFrom(stat_block); }
+  };
+
+  // Takes the payload and reads it in one pass. Any malformed or truncated
+  // frame is an error; a well-formed one costs at most one allocation (the
+  // node table).
+  static Result<CompoundReply> Decode(std::vector<std::uint8_t> bytes);
+
+  CompoundReply(CompoundReply&&) = default;
+  CompoundReply& operator=(CompoundReply&&) = default;
+  CompoundReply(const CompoundReply&) = delete;
+  CompoundReply& operator=(const CompoundReply&) = delete;
+
+  StatusCode code() const { return code_; }
+  bool ok() const { return code_ == StatusCode::kOk; }
+  Status ToStatus() const { return Status(code_); }
+  const ZnodeStat& stat() const { return stat_; }
+  std::span<const std::uint8_t> data() const { return data_; }
+  std::string_view created_path() const { return created_path_; }
+  std::uint32_t resolved_depth() const { return resolved_depth_; }
+  std::span<const Node> prefix() const {
+    return std::span<const Node>(nodes_).first(n_prefix_);
+  }
+  std::span<const Node> entries() const {
+    return std::span<const Node>(nodes_).subspan(n_prefix_);
+  }
+
+  // Hands the payload back (to forward it); the views go with it.
+  std::vector<std::uint8_t> TakeBytes() && { return std::move(bytes_); }
+
+ private:
+  CompoundReply() = default;
+
+  std::vector<std::uint8_t> bytes_;
+  StatusCode code_ = StatusCode::kOk;
+  ZnodeStat stat_;
+  std::span<const std::uint8_t> data_;
+  std::string_view created_path_;
+  std::uint32_t resolved_depth_ = 0;
+  std::vector<Node> nodes_;  // the prefix, then the entries
+  std::size_t n_prefix_ = 0;
 };
 
 // Watch event pushed to clients (method::kWatchEvent).

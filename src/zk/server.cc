@@ -69,32 +69,30 @@ Result<Zxid> DecodeZxid(const net::Payload& bytes) {
   return r.ReadI64();
 }
 
+// Leader -> follower reply to a forwarded write: zxid, then
+// WriteBytes(the encoded ClientResponse). The follower strips the header in
+// place and hands the client the very bytes the leader encoded.
 struct ForwardResponse {
-  Zxid zxid = 0;
-  ClientResponse response;
-
-  net::Payload Encode() const {
-    // Same bytes as WriteBytes(response.Encode()), with no temporary.
-    const std::size_t len = response.EncodedSize();
+  static net::Payload Encode(Zxid zxid, const net::Payload& reply) {
     wire::BufferWriter w;
-    w.Reserve(8 + wire::BufferWriter::VarintSize(len) + len);
+    w.Reserve(8 + wire::BufferWriter::BlobSize(reply.size()));
     w.WriteI64(zxid);
-    w.WriteVarint(len);
-    response.Encode(w);
+    w.WriteBytes(reply);
     return w.Take();
   }
-  static Result<ForwardResponse> Decode(const net::Payload& bytes) {
+  // Leaves just the reply in `bytes` and returns the zxid.
+  static Result<Zxid> TakeReply(net::Payload& bytes) {
     wire::BufferReader r(bytes);
-    ForwardResponse f;
     auto zxid = r.ReadI64();
     DUFS_RETURN_IF_ERROR(zxid);
-    f.zxid = *zxid;
-    auto blob = r.ReadBytes();
-    DUFS_RETURN_IF_ERROR(blob);
-    auto resp = ClientResponse::Decode(*blob);
-    DUFS_RETURN_IF_ERROR(resp);
-    f.response = std::move(*resp);
-    return f;
+    auto len = r.ReadVarint();
+    DUFS_RETURN_IF_ERROR(len);
+    if (*len != r.remaining()) {
+      return Status(StatusCode::kIoError, "wire: bad forward reply length");
+    }
+    bytes.erase(bytes.begin(),
+                bytes.end() - static_cast<std::ptrdiff_t>(r.remaining()));
+    return *zxid;
   }
 };
 
@@ -354,15 +352,10 @@ sim::Task<net::RpcResult> ZkServer::HandleRequest(net::NodeId from,
     auto resp = co_await SubmitWrite(std::move(txn));
     if (!resp.ok()) co_return UnavailableResponse().Encode();
     if (IsCompound(op_type)) {
-      c_compound_.Inc();
-      h_resolve_depth_.Record(
-          static_cast<std::int64_t>(resp->result.resolved_depth));
-      if (op_watch) {
-        RegisterCompoundWatches(op_type, op_path, resp->result, req->session,
-                                from);
-      }
+      co_return ServeCompound(op_type, op_watch, op_path, std::move(*resp),
+                              req->session, from);
     }
-    co_return resp->Encode();
+    co_return std::move(*resp);
   }
 
   // Local read through the serialized read pipeline.
@@ -379,21 +372,28 @@ sim::Task<net::RpcResult> ZkServer::HandleRequest(net::NodeId from,
     auto guard = co_await read_pipeline_->Acquire();
     co_await endpoint_.sim().Delay(config_.perf.read_cpu);
   }
+  ++reads_served_;
+  if (IsCompound(req->op.type)) {
+    co_return ServeCompound(req->op.type, req->op.watch, req->op.path,
+                            db_->EncodeCompoundRead(req->op), req->session,
+                            from);
+  }
   ClientResponse resp;
   resp.result = db_->Read(req->op);
-  if (IsCompound(req->op.type)) {
-    c_compound_.Inc();
-    h_resolve_depth_.Record(
-        static_cast<std::int64_t>(resp.result.resolved_depth));
-    if (req->op.watch) {
-      RegisterCompoundWatches(req->op.type, req->op.path, resp.result,
-                              req->session, from);
-    }
-  } else if (req->op.watch) {
-    RegisterWatch(req->op, req->session, from);
-  }
-  ++reads_served_;
+  if (req->op.watch) RegisterWatch(req->op, req->session, from);
   co_return resp.Encode();
+}
+
+net::Payload ZkServer::ServeCompound(OpType type, bool watch,
+                                     std::string_view path,
+                                     net::Payload reply, SessionId session,
+                                     net::NodeId client) {
+  auto view = CompoundReply::Decode(std::move(reply));
+  if (!view.ok()) return UnavailableResponse().Encode();
+  c_compound_.Inc();
+  h_resolve_depth_.Record(static_cast<std::int64_t>(view->resolved_depth()));
+  if (watch) RegisterCompoundWatches(type, path, *view, session, client);
+  return std::move(*view).TakeBytes();
 }
 
 void ZkServer::RegisterWatch(const Op& op, SessionId session,
@@ -411,21 +411,22 @@ void ZkServer::RegisterWatch(const Op& op, SessionId session,
   }
 }
 
-void ZkServer::RegisterCompoundWatches(OpType type, const std::string& path,
-                                       const OpResult& result,
+void ZkServer::RegisterCompoundWatches(OpType type, std::string_view path,
+                                       const CompoundReply& reply,
                                        SessionId session,
                                        net::NodeId client) {
-  const auto components = PathComponents(path);
+  std::vector<std::string_view>& components = watch_components_;
+  PathComponents(path, components);
   const WatchTable::Watcher watcher{session, client};
   // Data watch on every component the walk resolved. resolved_depth may
-  // exceed prefix.size() by one (the terminal rides stat/data), and for a
+  // exceed prefix().size() by one (the terminal rides stat/data), and for a
   // successful ResolveDelete it is one *less* than the walk reached — the
   // deleted terminal must not be re-watched, or the watch would never fire.
   // Every prefix, and below every child path, is built in one reused buffer.
   std::string& znode_path = watch_path_;
   znode_path.clear();
   const std::size_t watched =
-      std::min<std::size_t>(result.resolved_depth, components.size());
+      std::min<std::size_t>(reply.resolved_depth(), components.size());
   for (std::size_t i = 0; i < watched; ++i) {
     znode_path.push_back('/');
     znode_path.append(components[i]);
@@ -439,14 +440,14 @@ void ZkServer::RegisterCompoundWatches(OpType type, const std::string& path,
     data_watches_.Add(znode_path, watcher);
     return;
   }
-  if (type == OpType::kReadDirPlus && result.ok()) {
+  if (type == OpType::kReadDirPlus && reply.ok()) {
     // The listing seeds one positive cache entry per child: mirror it with
     // a child watch on the directory plus a data watch per entry.
     child_watches_.Add(path, watcher);
     znode_path.assign(path);
     if (path != "/") znode_path.push_back('/');
     const std::size_t dir_len = znode_path.size();
-    for (const auto& entry : result.entries) {
+    for (const CompoundReply::Node& entry : reply.entries()) {
       znode_path.resize(dir_len);
       znode_path.append(entry.name);
       data_watches_.Add(znode_path, watcher);
@@ -483,14 +484,14 @@ AppliedTxn ZkServer::ApplyTxn(const Txn& txn, Zxid zxid, bool reply) {
 
 // -------------------------------------------------------------- writes ----
 
-sim::Task<Result<ClientResponse>> ZkServer::SubmitWrite(Txn txn) {
+sim::Task<Result<net::Payload>> ZkServer::SubmitWrite(Txn txn) {
   Zxid zxid = 0;
   auto resp = co_await SubmitWriteTracked(std::move(txn), zxid);
   co_return resp;
 }
 
-sim::Task<Result<ClientResponse>> ZkServer::SubmitWriteTracked(Txn txn,
-                                                               Zxid& zxid) {  // dufs-lint: allow(coro-ref-param)
+sim::Task<Result<net::Payload>> ZkServer::SubmitWriteTracked(Txn txn,
+                                                             Zxid& zxid) {  // dufs-lint: allow(coro-ref-param)
   if (role_ == Role::kLeading) {
     {
       // The leader's single request-processor thread: serialization +
@@ -529,9 +530,9 @@ sim::Task<Result<ClientResponse>> ZkServer::SubmitWriteTracked(Txn txn,
     if (it == local_results_.end()) {
       co_return Status(StatusCode::kInternal, "missing local result");
     }
-    ClientResponse resp = std::move(it->second);
+    net::Payload reply = std::move(it->second);
     local_results_.erase(it);
-    co_return resp;
+    co_return reply;
   }
 
   // Follower: forward to the leader, then wait until the local replica has
@@ -543,11 +544,11 @@ sim::Task<Result<ClientResponse>> ZkServer::SubmitWriteTracked(Txn txn,
                                         method::kForward, w.Take(),
                                         /*timeout=*/sim::Sec(2));
   if (!result.ok()) co_return result.status();
-  auto fwd = ForwardResponse::Decode(*result);
-  if (!fwd.ok()) co_return fwd.status();
-  zxid = fwd->zxid;
-  (void)co_await WaitApplied(fwd->zxid);
-  co_return std::move(fwd->response);
+  auto fwd_zxid = ForwardResponse::TakeReply(*result);
+  if (!fwd_zxid.ok()) co_return fwd_zxid.status();
+  zxid = *fwd_zxid;
+  (void)co_await WaitApplied(zxid);
+  co_return std::move(*result);
 }
 
 sim::Task<net::RpcResult> ZkServer::HandleForward(net::NodeId /*from*/,
@@ -563,10 +564,7 @@ sim::Task<net::RpcResult> ZkServer::HandleForward(net::NodeId /*from*/,
   Zxid zxid = 0;
   auto resp = co_await SubmitWriteTracked(std::move(*txn), zxid);
   if (!resp.ok()) co_return resp.status();
-  ForwardResponse fwd;
-  fwd.zxid = zxid;
-  fwd.response = std::move(*resp);
-  co_return fwd.Encode();
+  co_return ForwardResponse::Encode(zxid, *resp);
 }
 
 Zxid ZkServer::ProposeAsLeader(Txn txn) {
@@ -896,10 +894,16 @@ void ZkServer::ApplyCommitted() {
     // leader later and must be able to sync lagging followers.
     committed_log_.Append(zxid, it->second);
     if (reply) {
-      ClientResponse resp;
-      resp.result = std::move(applied.result);
-      resp.multi_results = std::move(applied.multi_results);
-      local_results_[zxid] = std::move(resp);
+      // A compound write's reply was encoded by the apply; any other write
+      // is encoded once here.
+      if (IsCompound(it->second.op.type)) {
+        local_results_[zxid] = std::move(applied.reply);
+      } else {
+        ClientResponse resp;
+        resp.result = std::move(applied.result);
+        resp.multi_results = std::move(applied.multi_results);
+        local_results_[zxid] = resp.Encode();
+      }
       result_wanted_.erase(wanted);
     }
     pending_txns_.erase(it);

@@ -183,10 +183,11 @@ class ZkServer {
                                                net::Payload req);
 
   // Write-path helpers.
-  sim::Task<Result<ClientResponse>> SubmitWrite(Txn txn);
+  // Both return the encoded ClientResponse the client receives.
+  sim::Task<Result<net::Payload>> SubmitWrite(Txn txn);
   // `zxid` is an out-param owned by the awaiting HandleRequest frame.
   // dufs-lint: allow(coro-ref-param)
-  sim::Task<Result<ClientResponse>> SubmitWriteTracked(Txn txn, Zxid& zxid);
+  sim::Task<Result<net::Payload>> SubmitWriteTracked(Txn txn, Zxid& zxid);
   Zxid ProposeAsLeader(Txn txn);  // returns the assigned zxid
   // Group-commit path: drains propose_queue_ in max_journal_batch-sized
   // waves, paying the per-follower replication cost once per wave.
@@ -223,9 +224,15 @@ class ZkServer {
   // missing one on a partial miss), and for ReadDirPlus a child watch on
   // the directory + data watches on every listed entry — the server-side
   // mirror of the client seeding every one of those cache entries.
-  void RegisterCompoundWatches(OpType type, const std::string& path,
-                               const OpResult& result, SessionId session,
+  void RegisterCompoundWatches(OpType type, std::string_view path,
+                               const CompoundReply& reply, SessionId session,
                                net::NodeId client);
+  // A compound op's encoded reply on its way to the client: counts the op,
+  // records its depth and registers its watches from the bytes, then
+  // returns the same bytes.
+  net::Payload ServeCompound(OpType type, bool watch, std::string_view path,
+                             net::Payload reply, SessionId session,
+                             net::NodeId client);
   void FireTriggers(const std::vector<AppliedTxn::Trigger>& triggers);
   // Applies one committed txn to this replica: the database, then the watch
   // tables (a closed session's watches go, then the triggers fire). `reply`:
@@ -266,9 +273,9 @@ class ZkServer {
   std::map<Zxid, Txn> pending_txns_;   // proposed, not yet committed
   std::set<Zxid> committed_not_applied_;
   std::map<Zxid, std::vector<sim::Promise<bool>>> apply_waiters_;
-  // Apply results cached for requests that originated at this server.
+  // Encoded replies cached for requests that originated at this server.
   std::set<Zxid> result_wanted_;
-  std::map<Zxid, ClientResponse> local_results_;
+  std::map<Zxid, net::Payload> local_results_;
 
   // Pipelines.
   std::unique_ptr<sim::Resource> read_pipeline_;
@@ -282,7 +289,9 @@ class ZkServer {
   // Watches registered at this server (DESIGN.md §13.4).
   WatchTable data_watches_;
   WatchTable child_watches_;
-  // Reused by RegisterCompoundWatches for every prefix and child path.
+  // Reused by RegisterCompoundWatches: the op path's components, and every
+  // prefix and child path built from them.
+  std::vector<std::string_view> watch_components_;
   std::string watch_path_;
 
   // Election state.

@@ -6,48 +6,40 @@
 
 namespace dufs::zk {
 
-void ZnodeStat::Encode(wire::BufferWriter& w) const {
-  w.WriteI64(czxid);
-  w.WriteI64(mzxid);
-  w.WriteI64(pzxid);
-  w.WriteI64(ctime);
-  w.WriteI64(mtime);
-  w.WriteU32(static_cast<std::uint32_t>(version));
-  w.WriteU32(static_cast<std::uint32_t>(cversion));
-  w.WriteU64(ephemeral_owner);
-  w.WriteU32(static_cast<std::uint32_t>(num_children));
-  w.WriteU32(static_cast<std::uint32_t>(data_length));
+void ZnodeStat::EncodeTo(std::uint8_t* out) const {
+  using wire::StoreLE;
+  StoreLE(out, static_cast<std::uint64_t>(czxid));
+  StoreLE(out + 8, static_cast<std::uint64_t>(mzxid));
+  StoreLE(out + 16, static_cast<std::uint64_t>(pzxid));
+  StoreLE(out + 24, static_cast<std::uint64_t>(ctime));
+  StoreLE(out + 32, static_cast<std::uint64_t>(mtime));
+  StoreLE(out + 40, static_cast<std::uint32_t>(version));
+  StoreLE(out + 44, static_cast<std::uint32_t>(cversion));
+  StoreLE(out + 48, ephemeral_owner);
+  StoreLE(out + 56, static_cast<std::uint32_t>(num_children));
+  StoreLE(out + 60, static_cast<std::uint32_t>(data_length));
+}
+
+ZnodeStat ZnodeStat::DecodeFrom(const std::uint8_t* in) {
+  using wire::LoadLE;
+  ZnodeStat s;
+  s.czxid = static_cast<Zxid>(LoadLE<std::uint64_t>(in));
+  s.mzxid = static_cast<Zxid>(LoadLE<std::uint64_t>(in + 8));
+  s.pzxid = static_cast<Zxid>(LoadLE<std::uint64_t>(in + 16));
+  s.ctime = static_cast<std::int64_t>(LoadLE<std::uint64_t>(in + 24));
+  s.mtime = static_cast<std::int64_t>(LoadLE<std::uint64_t>(in + 32));
+  s.version = static_cast<std::int32_t>(LoadLE<std::uint32_t>(in + 40));
+  s.cversion = static_cast<std::int32_t>(LoadLE<std::uint32_t>(in + 44));
+  s.ephemeral_owner = LoadLE<std::uint64_t>(in + 48);
+  s.num_children = static_cast<std::int32_t>(LoadLE<std::uint32_t>(in + 56));
+  s.data_length = static_cast<std::int32_t>(LoadLE<std::uint32_t>(in + 60));
+  return s;
 }
 
 Result<ZnodeStat> ZnodeStat::Decode(wire::BufferReader& r) {
-  ZnodeStat s;
-  auto read_i64 = [&](Zxid& out) -> Status {
-    auto v = r.ReadI64();
-    if (!v.ok()) return v.status();
-    out = *v;
-    return Status::Ok();
-  };
-  DUFS_RETURN_IF_ERROR(read_i64(s.czxid));
-  DUFS_RETURN_IF_ERROR(read_i64(s.mzxid));
-  DUFS_RETURN_IF_ERROR(read_i64(s.pzxid));
-  DUFS_RETURN_IF_ERROR(read_i64(s.ctime));
-  DUFS_RETURN_IF_ERROR(read_i64(s.mtime));
-  auto version = r.ReadU32();
-  DUFS_RETURN_IF_ERROR(version);
-  s.version = static_cast<std::int32_t>(*version);
-  auto cversion = r.ReadU32();
-  DUFS_RETURN_IF_ERROR(cversion);
-  s.cversion = static_cast<std::int32_t>(*cversion);
-  auto owner = r.ReadU64();
-  DUFS_RETURN_IF_ERROR(owner);
-  s.ephemeral_owner = *owner;
-  auto nc = r.ReadU32();
-  DUFS_RETURN_IF_ERROR(nc);
-  s.num_children = static_cast<std::int32_t>(*nc);
-  auto dl = r.ReadU32();
-  DUFS_RETURN_IF_ERROR(dl);
-  s.data_length = static_cast<std::int32_t>(*dl);
-  return s;
+  auto block = r.ReadBlock(kEncodedSize);
+  DUFS_RETURN_IF_ERROR(block);
+  return DecodeFrom(*block);
 }
 
 Status ValidatePath(std::string_view path) {

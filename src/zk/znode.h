@@ -33,8 +33,12 @@ struct ZnodeStat {
   std::int32_t num_children = 0;
   std::int32_t data_length = 0;
 
+  // One fixed block on the wire: the fields in declaration order, each
+  // little-endian at its full width.
   static constexpr std::size_t kEncodedSize = 5 * 8 + 2 * 4 + 8 + 2 * 4;
-  void Encode(wire::BufferWriter& w) const;
+  void EncodeTo(std::uint8_t* out) const;  // writes kEncodedSize bytes
+  static ZnodeStat DecodeFrom(const std::uint8_t* in);
+  void Encode(wire::BufferWriter& w) const { EncodeTo(w.Extend(kEncodedSize)); }
   static Result<ZnodeStat> Decode(wire::BufferReader& r);
   friend bool operator==(const ZnodeStat&, const ZnodeStat&) = default;
 };

@@ -7,7 +7,9 @@
 //  - the always-on observability path: FlightRecorder::Admit once its rings
 //    are reserved and Incidents::RecordOp within one window. Both are 0;
 //  - the steps every ZooKeeper replica runs per write, bounded at the counts
-//    they reach.
+//    they reach;
+//  - a compound reply: encoded into one buffer whatever its size, and read
+//    back in place with at most one allocation.
 //
 // A change that puts a std::function, a node container, a std::string or
 // vector growth on one of these paths fails here rather than only showing
@@ -122,6 +124,10 @@ constexpr std::size_t kMaxResolveCreateAllocs = 6;
 constexpr std::size_t kMaxResolveDeleteAllocs = 3;
 // PROPOSE: the payload, reserved once at its exact size.
 constexpr std::size_t kMaxProposeEncodeAllocs = 1;
+// A compound reply: its buffer, reserved once at its exact size.
+constexpr std::size_t kCompoundReplyEncodeAllocs = 1;
+// Its view: the node table, sized once.
+constexpr std::size_t kCompoundReplyDecodeAllocs = 1;
 
 TEST_F(WritePathAllocTest, NonAnsweringResolveCreate) {
   const Txn txn = MakeTxn(CreateFile("file.000017"));
@@ -148,13 +154,56 @@ TEST_F(WritePathAllocTest, NonAnsweringResolveDelete) {
 // of the same single walk.
 TEST_F(WritePathAllocTest, AnsweringResolveCreateAddsOnlyTheReply) {
   const Txn txn = MakeTxn(CreateFile("file.000018"));
-  const std::size_t n = CountAllocs([&] {
-    const AppliedTxn applied = db_.Apply(txn, ++zxid_, 0, /*reply=*/true);
-    EXPECT_EQ(applied.result.prefix.size(), 4u);
+  AppliedTxn applied;
+  const std::size_t n = CountAllocs(
+      [&] { applied = db_.Apply(txn, ++zxid_, 0, /*reply=*/true); });
+  // The reply: one buffer holding the prefix, the stat and the created path.
+  EXPECT_LE(n, kMaxResolveCreateAllocs + kCompoundReplyEncodeAllocs);
+  RecordProperty("allocs", static_cast<int>(n));
+  auto reply = CompoundReply::Decode(std::move(applied.reply));
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->prefix().size(), 4u);
+  EXPECT_EQ(reply->created_path(), "/mdtest/d0/d1/d2/file.000018");
+}
+
+// Listing a directory costs the same whatever its size: the reply is
+// written from the tree into one buffer.
+TEST_F(WritePathAllocTest, ReadDirPlusEncodeIsOneBufferWhateverTheSize) {
+  for (const char* dir : {"/mdtest/small", "/mdtest/large"}) {
+    ASSERT_TRUE(Apply(Op::Create(dir, Record(kDirTag)), false).result.ok());
+  }
+  for (int i = 0; i < 64; ++i) {
+    const std::string name = "/file." + std::to_string(i);
+    if (i < 2) {
+      ASSERT_TRUE(
+          Apply(Op::Create("/mdtest/small" + name, Record('F')), false)
+              .result.ok());
+    }
+    ASSERT_TRUE(Apply(Op::Create("/mdtest/large" + name, Record('F')), false)
+                    .result.ok());
+  }
+  const Op small = Op::ReadDirPlus("/mdtest/small", false, kDirTag);
+  const Op large = Op::ReadDirPlus("/mdtest/large", false, kDirTag);
+  std::vector<std::uint8_t> small_reply;
+  std::vector<std::uint8_t> large_reply;
+  const std::size_t n_small =
+      CountAllocs([&] { small_reply = db_.EncodeCompoundRead(small); });
+  const std::size_t n_large =
+      CountAllocs([&] { large_reply = db_.EncodeCompoundRead(large); });
+  EXPECT_EQ(n_small, kCompoundReplyEncodeAllocs);
+  EXPECT_EQ(n_large, n_small);
+  EXPECT_EQ(large_reply.size(), large_reply.capacity());
+  RecordProperty("allocs", static_cast<int>(n_large));
+
+  std::size_t entries = 0;
+  const std::size_t n_decode = CountAllocs([&] {
+    auto view = CompoundReply::Decode(std::move(large_reply));
+    EXPECT_TRUE(view.ok());
+    if (view.ok()) entries = view->entries().size();
   });
-  // The reply: the prefix vector, one data copy per prefix node and the
-  // created path.
-  EXPECT_LE(n, kMaxResolveCreateAllocs + 1 + 4 + 1);
+  EXPECT_EQ(entries, 64u);
+  EXPECT_EQ(n_decode, kCompoundReplyDecodeAllocs);
+  RecordProperty("decode_allocs", static_cast<int>(n_decode));
 }
 
 TEST_F(WritePathAllocTest, ProposeEncode) {

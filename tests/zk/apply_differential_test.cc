@@ -133,13 +133,15 @@ TEST(ApplyDifferentialTest, ReplyShapingChangesNothingButTheReply) {
       ASSERT_EQ(answering.Fingerprint(), silent.Fingerprint());
       if (IsCompound(txn.op.type)) {
         compound_codes.insert(a.result.code);
-        // The silent replica built no reply at all.
-        EXPECT_TRUE(b.result.prefix.empty());
-        EXPECT_TRUE(b.result.data.empty());
-        EXPECT_TRUE(b.result.created_path.empty());
-        EXPECT_EQ(b.result.resolved_depth, 0u);
+        // The answering replica encoded the reply, with the same code; the
+        // silent one encoded nothing.
+        auto reply = CompoundReply::Decode(a.reply);
+        ASSERT_TRUE(reply.ok());
+        EXPECT_EQ(reply->code(), a.result.code);
+        EXPECT_TRUE(b.reply.empty());
       } else {
         plain_codes.insert(a.result.code);
+        EXPECT_TRUE(a.reply.empty());
       }
     }
   }

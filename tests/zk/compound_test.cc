@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 
 #include "net/rpc.h"
 #include "sim/gather.h"
@@ -27,6 +28,19 @@ constexpr std::uint8_t kTag = 'D';
 std::vector<std::uint8_t> DirData() { return Bytes("Ddir"); }
 std::vector<std::uint8_t> FileData(std::string_view v = "Ffile") {
   return Bytes(v);
+}
+
+// A reply's data view as bytes, for comparison.
+std::vector<std::uint8_t> Vec(std::span<const std::uint8_t> data) {
+  return std::vector<std::uint8_t>(data.begin(), data.end());
+}
+
+// Decodes a reply the test expects to be well-formed (a malformed one
+// throws, which fails the test).
+CompoundReply Decoded(std::vector<std::uint8_t> bytes) {
+  auto reply = CompoundReply::Decode(std::move(bytes));
+  EXPECT_TRUE(reply.ok()) << reply.status();
+  return std::move(reply).value();
 }
 
 // ------------------------------------------------------ proto round-trips --
@@ -92,40 +106,51 @@ TEST(CompoundProtoTest, LegacyOpDefaultsSurviveRoundTrip) {
   EXPECT_FALSE(op.watch);
 }
 
-TEST(CompoundProtoTest, OpResultRoundTripWithPrefixAndEntries) {
-  OpResult in;
-  in.code = StatusCode::kNotFound;
-  in.resolved_depth = 2;
-  ResolvedNode a;
-  a.name = "a";
-  a.stat.czxid = 5;
-  a.stat.version = 3;
-  a.data = DirData();
-  ResolvedNode b;
-  b.name = "b";
-  b.stat.num_children = 4;
-  b.data = DirData();
-  in.prefix = {a, b};
-  ResolvedNode child;
-  child.name = "f";
-  child.stat.mzxid = 9;
-  child.data = FileData();
-  in.entries = {child};
+// A reply frame written field by field as CompoundReply documents it, so
+// the decoder is checked against the format rather than against the one
+// encoder.
+TEST(CompoundProtoTest, CompoundReplyDecodesPrefixAndEntries) {
+  ZnodeStat a_stat;
+  a_stat.czxid = 5;
+  a_stat.version = 3;
+  ZnodeStat b_stat;
+  b_stat.num_children = 4;
+  ZnodeStat f_stat;
+  f_stat.mzxid = 9;
+  wire::BufferWriter w;
+  w.WriteU8(static_cast<std::uint8_t>(StatusCode::kNotFound));
+  w.WriteString("");      // created path
+  ZnodeStat{}.Encode(w);  // terminal stat
+  w.WriteBytes({});       // terminal data
+  w.WriteVarint(0);       // children
+  w.WriteVarint(2);       // resolved depth
+  w.WriteVarint(2);       // prefix
+  w.WriteString("a");
+  a_stat.Encode(w);
+  w.WriteBytes(DirData());
+  w.WriteString("b");
+  b_stat.Encode(w);
+  w.WriteBytes(DirData());
+  w.WriteVarint(1);  // entries
+  w.WriteString("f");
+  f_stat.Encode(w);
+  w.WriteBytes(FileData());
+  w.WriteVarint(0);  // multi results
 
-  auto out = RoundTrip(in, OpResult::Decode);
-  EXPECT_EQ(out.code, StatusCode::kNotFound);
-  EXPECT_EQ(out.resolved_depth, 2u);
-  ASSERT_EQ(out.prefix.size(), 2u);
-  EXPECT_EQ(out.prefix[0].name, "a");
-  EXPECT_EQ(out.prefix[0].stat.czxid, 5);
-  EXPECT_EQ(out.prefix[0].stat.version, 3);
-  EXPECT_EQ(out.prefix[0].data, DirData());
-  EXPECT_EQ(out.prefix[1].name, "b");
-  EXPECT_EQ(out.prefix[1].stat.num_children, 4);
-  ASSERT_EQ(out.entries.size(), 1u);
-  EXPECT_EQ(out.entries[0].name, "f");
-  EXPECT_EQ(out.entries[0].stat.mzxid, 9);
-  EXPECT_EQ(out.entries[0].data, FileData());
+  const CompoundReply out = Decoded(w.Take());
+  EXPECT_EQ(out.code(), StatusCode::kNotFound);
+  EXPECT_EQ(out.resolved_depth(), 2u);
+  ASSERT_EQ(out.prefix().size(), 2u);
+  EXPECT_EQ(out.prefix()[0].name, "a");
+  EXPECT_EQ(out.prefix()[0].stat().czxid, 5);
+  EXPECT_EQ(out.prefix()[0].stat().version, 3);
+  EXPECT_EQ(Vec(out.prefix()[0].data), DirData());
+  EXPECT_EQ(out.prefix()[1].name, "b");
+  EXPECT_EQ(out.prefix()[1].stat().num_children, 4);
+  ASSERT_EQ(out.entries().size(), 1u);
+  EXPECT_EQ(out.entries()[0].name, "f");
+  EXPECT_EQ(out.entries()[0].stat().mzxid, 9);
+  EXPECT_EQ(Vec(out.entries()[0].data), FileData());
 }
 
 TEST(CompoundProtoTest, OpTypeNamesAreStable) {
@@ -150,6 +175,10 @@ class CompoundDatabaseTest : public ::testing::Test {
     return db_.Apply(txn, zxid_, zxid_ * 100);
   }
 
+  CompoundReply Read(const Op& op) {
+    return Decoded(db_.EncodeCompoundRead(op));
+  }
+
   // Builds /a/b/c (dirs) with file /a/b/c/f.
   void BuildChain() {
     ASSERT_TRUE(Apply(Op::Create("/a", DirData())).result.ok());
@@ -161,72 +190,72 @@ class CompoundDatabaseTest : public ::testing::Test {
 
 TEST_F(CompoundDatabaseTest, ResolveDeepChainHit) {
   BuildChain();
-  auto res = db_.Read(Op::ResolvePath("/a/b/c/f", false, kTag));
-  EXPECT_EQ(res.code, StatusCode::kOk);
-  EXPECT_EQ(res.resolved_depth, 4u);
-  ASSERT_EQ(res.prefix.size(), 3u);  // terminal excluded
-  EXPECT_EQ(res.prefix[0].name, "a");
-  EXPECT_EQ(res.prefix[1].name, "b");
-  EXPECT_EQ(res.prefix[2].name, "c");
-  EXPECT_EQ(res.prefix[2].data, DirData());
-  EXPECT_EQ(res.data, FileData());
-  EXPECT_GT(res.stat.czxid, 0);
+  auto res = Read(Op::ResolvePath("/a/b/c/f", false, kTag));
+  EXPECT_EQ(res.code(), StatusCode::kOk);
+  EXPECT_EQ(res.resolved_depth(), 4u);
+  ASSERT_EQ(res.prefix().size(), 3u);  // terminal excluded
+  EXPECT_EQ(res.prefix()[0].name, "a");
+  EXPECT_EQ(res.prefix()[1].name, "b");
+  EXPECT_EQ(res.prefix()[2].name, "c");
+  EXPECT_EQ(Vec(res.prefix()[2].data), DirData());
+  EXPECT_EQ(Vec(res.data()), FileData());
+  EXPECT_GT(res.stat().czxid, 0);
 }
 
 TEST_F(CompoundDatabaseTest, ResolvePartialMissReportsPrefixDepth) {
   BuildChain();
-  auto res = db_.Read(Op::ResolvePath("/a/b/x/y", false, kTag));
-  EXPECT_EQ(res.code, StatusCode::kNotFound);
-  EXPECT_EQ(res.resolved_depth, 2u);
-  ASSERT_EQ(res.prefix.size(), 2u);  // exactly the components that exist
-  EXPECT_EQ(res.prefix[0].name, "a");
-  EXPECT_EQ(res.prefix[1].name, "b");
+  auto res = Read(Op::ResolvePath("/a/b/x/y", false, kTag));
+  EXPECT_EQ(res.code(), StatusCode::kNotFound);
+  EXPECT_EQ(res.resolved_depth(), 2u);
+  ASSERT_EQ(res.prefix().size(), 2u);  // exactly the components that exist
+  EXPECT_EQ(res.prefix()[0].name, "a");
+  EXPECT_EQ(res.prefix()[1].name, "b");
 }
 
 TEST_F(CompoundDatabaseTest, ResolveInteriorFileIsNotADirectory) {
   BuildChain();
-  auto res = db_.Read(Op::ResolvePath("/a/b/c/f/deeper", false, kTag));
-  EXPECT_EQ(res.code, StatusCode::kNotADirectory);
-  EXPECT_EQ(res.resolved_depth, 4u);  // offender included
-  ASSERT_EQ(res.prefix.size(), 4u);
-  EXPECT_EQ(res.prefix.back().name, "f");
+  auto res = Read(Op::ResolvePath("/a/b/c/f/deeper", false, kTag));
+  EXPECT_EQ(res.code(), StatusCode::kNotADirectory);
+  EXPECT_EQ(res.resolved_depth(), 4u);  // offender included
+  ASSERT_EQ(res.prefix().size(), 4u);
+  EXPECT_EQ(res.prefix().back().name, "f");
   // Without the tag the guard is off: plain existence walk -> the file has
   // no children, so the next component is simply absent.
-  auto untagged = db_.Read(Op::ResolvePath("/a/b/c/f/deeper", false, 0));
-  EXPECT_EQ(untagged.code, StatusCode::kNotFound);
-  EXPECT_EQ(untagged.resolved_depth, 4u);
+  auto untagged = Read(Op::ResolvePath("/a/b/c/f/deeper", false, 0));
+  EXPECT_EQ(untagged.code(), StatusCode::kNotFound);
+  EXPECT_EQ(untagged.resolved_depth(), 4u);
 }
 
 TEST_F(CompoundDatabaseTest, ResolveRootHasNoComponents) {
-  auto res = db_.Read(Op::ResolvePath("/", false, kTag));
-  EXPECT_EQ(res.code, StatusCode::kOk);
-  EXPECT_EQ(res.resolved_depth, 0u);
-  EXPECT_TRUE(res.prefix.empty());
+  auto res = Read(Op::ResolvePath("/", false, kTag));
+  EXPECT_EQ(res.code(), StatusCode::kOk);
+  EXPECT_EQ(res.resolved_depth(), 0u);
+  EXPECT_TRUE(res.prefix().empty());
 }
 
 TEST_F(CompoundDatabaseTest, ReadDirPlusListsEntriesWithStatAndData) {
   BuildChain();
   ASSERT_TRUE(Apply(Op::Create("/a/b/c/g", FileData("Fother"))).result.ok());
-  auto res = db_.Read(Op::ReadDirPlus("/a/b/c", false, kTag));
-  EXPECT_EQ(res.code, StatusCode::kOk);
-  EXPECT_EQ(res.resolved_depth, 3u);
-  ASSERT_EQ(res.entries.size(), 2u);  // sorted map order
-  EXPECT_EQ(res.entries[0].name, "f");
-  EXPECT_EQ(res.entries[0].data, FileData());
-  EXPECT_EQ(res.entries[1].name, "g");
-  EXPECT_EQ(res.entries[1].data, FileData("Fother"));
-  EXPECT_GT(res.entries[0].stat.czxid, 0);
+  auto res = Read(Op::ReadDirPlus("/a/b/c", false, kTag));
+  EXPECT_EQ(res.code(), StatusCode::kOk);
+  EXPECT_EQ(res.resolved_depth(), 3u);
+  ASSERT_EQ(res.entries().size(), 2u);  // sorted map order
+  EXPECT_EQ(res.entries()[0].name, "f");
+  EXPECT_EQ(Vec(res.entries()[0].data), FileData());
+  EXPECT_EQ(res.entries()[1].name, "g");
+  EXPECT_EQ(Vec(res.entries()[1].data), FileData("Fother"));
+  EXPECT_GT(res.entries()[0].stat().czxid, 0);
 }
 
 TEST_F(CompoundDatabaseTest, ReadDirPlusOnFileIsNotADirectory) {
   BuildChain();
-  auto res = db_.Read(Op::ReadDirPlus("/a/b/c/f", false, kTag));
-  EXPECT_EQ(res.code, StatusCode::kNotADirectory);
+  auto res = Read(Op::ReadDirPlus("/a/b/c/f", false, kTag));
+  EXPECT_EQ(res.code(), StatusCode::kNotADirectory);
   // Terminal offender: the full path resolved, so the depth covers it and
   // its stat/data still ride back for cache seeding.
-  EXPECT_EQ(res.resolved_depth, 4u);
-  EXPECT_EQ(res.data, FileData());
-  EXPECT_TRUE(res.entries.empty());
+  EXPECT_EQ(res.resolved_depth(), 4u);
+  EXPECT_EQ(Vec(res.data()), FileData());
+  EXPECT_TRUE(res.entries().empty());
 }
 
 TEST_F(CompoundDatabaseTest, ResolveCreateSucceedsAndUpdatesParentStat) {
@@ -234,13 +263,15 @@ TEST_F(CompoundDatabaseTest, ResolveCreateSucceedsAndUpdatesParentStat) {
   auto applied = Apply(Op::ResolveCreate("/a/b/c/new", FileData("Fnew"),
                                          CreateMode::kPersistent, kTag,
                                          false));
+  const CompoundReply reply = Decoded(applied.reply);
+  EXPECT_EQ(reply.code(), applied.result.code);
   EXPECT_EQ(applied.result.code, StatusCode::kOk);
-  EXPECT_EQ(applied.result.created_path, "/a/b/c/new");
-  EXPECT_EQ(applied.result.resolved_depth, 4u);
-  ASSERT_EQ(applied.result.prefix.size(), 3u);
+  EXPECT_EQ(reply.created_path(), "/a/b/c/new");
+  EXPECT_EQ(reply.resolved_depth(), 4u);
+  ASSERT_EQ(reply.prefix().size(), 3u);
   // The parent's stat in the prefix is post-create: both children visible.
-  EXPECT_EQ(applied.result.prefix[2].stat.num_children, 2);
-  EXPECT_GT(applied.result.stat.czxid, 0);
+  EXPECT_EQ(reply.prefix()[2].stat().num_children, 2);
+  EXPECT_GT(reply.stat().czxid, 0);
   // Triggers match a plain create.
   ASSERT_EQ(applied.triggers.size(), 2u);
   EXPECT_EQ(applied.triggers[0].type, WatchEventType::kNodeCreated);
@@ -255,10 +286,12 @@ TEST_F(CompoundDatabaseTest, ResolveCreateMissingAncestorFailsWithPrefix) {
   auto applied = Apply(Op::ResolveCreate("/a/nope/deep/new", FileData(),
                                          CreateMode::kPersistent, kTag,
                                          false));
+  const CompoundReply reply = Decoded(applied.reply);
+  EXPECT_EQ(reply.code(), applied.result.code);
   EXPECT_EQ(applied.result.code, StatusCode::kNotFound);
-  EXPECT_EQ(applied.result.resolved_depth, 1u);
-  ASSERT_EQ(applied.result.prefix.size(), 1u);
-  EXPECT_EQ(applied.result.prefix[0].name, "a");
+  EXPECT_EQ(reply.resolved_depth(), 1u);
+  ASSERT_EQ(reply.prefix().size(), 1u);
+  EXPECT_EQ(reply.prefix()[0].name, "a");
   EXPECT_TRUE(applied.triggers.empty());
 }
 
@@ -267,12 +300,14 @@ TEST_F(CompoundDatabaseTest, ResolveCreateExistingReturnsCurrentNode) {
   auto applied = Apply(Op::ResolveCreate("/a/b/c/f", FileData("Floser"),
                                          CreateMode::kPersistent, kTag,
                                          false));
+  const CompoundReply reply = Decoded(applied.reply);
+  EXPECT_EQ(reply.code(), applied.result.code);
   EXPECT_EQ(applied.result.code, StatusCode::kAlreadyExists);
-  EXPECT_EQ(applied.result.resolved_depth, 4u);
-  EXPECT_EQ(applied.result.prefix.size(), 3u);
+  EXPECT_EQ(reply.resolved_depth(), 4u);
+  EXPECT_EQ(reply.prefix().size(), 3u);
   // The raced-against node's record rides back — the freshest view the
   // losing client can seed.
-  EXPECT_EQ(applied.result.data, FileData());
+  EXPECT_EQ(Vec(reply.data()), FileData());
 }
 
 TEST_F(CompoundDatabaseTest, ResolveCreateFileParentIsNotADirectory) {
@@ -280,8 +315,10 @@ TEST_F(CompoundDatabaseTest, ResolveCreateFileParentIsNotADirectory) {
   auto applied = Apply(Op::ResolveCreate("/a/b/c/f/x", FileData(),
                                          CreateMode::kPersistent, kTag,
                                          false));
+  const CompoundReply reply = Decoded(applied.reply);
+  EXPECT_EQ(reply.code(), applied.result.code);
   EXPECT_EQ(applied.result.code, StatusCode::kNotADirectory);
-  EXPECT_EQ(applied.result.resolved_depth, 4u);
+  EXPECT_EQ(reply.resolved_depth(), 4u);
   EXPECT_FALSE(db_.tree().Exists("/a/b/c/f/x"));
 }
 
@@ -289,12 +326,14 @@ TEST_F(CompoundDatabaseTest, ResolveDeleteReturnsPreDeleteRecord) {
   BuildChain();
   auto applied =
       Apply(Op::ResolveDelete("/a/b/c/f", kAnyVersion, kTag, false));
+  const CompoundReply reply = Decoded(applied.reply);
+  EXPECT_EQ(reply.code(), applied.result.code);
   EXPECT_EQ(applied.result.code, StatusCode::kOk);
   // Depth excludes the deleted terminal; data carries its last record.
-  EXPECT_EQ(applied.result.resolved_depth, 3u);
-  EXPECT_EQ(applied.result.prefix.size(), 3u);
-  EXPECT_EQ(applied.result.data, FileData());
-  EXPECT_EQ(applied.result.prefix[2].stat.num_children, 0);
+  EXPECT_EQ(reply.resolved_depth(), 3u);
+  EXPECT_EQ(reply.prefix().size(), 3u);
+  EXPECT_EQ(Vec(reply.data()), FileData());
+  EXPECT_EQ(reply.prefix()[2].stat().num_children, 0);
   EXPECT_FALSE(db_.tree().Exists("/a/b/c/f"));
   ASSERT_EQ(applied.triggers.size(), 2u);
   EXPECT_EQ(applied.triggers[0].type, WatchEventType::kNodeDeleted);
@@ -303,8 +342,10 @@ TEST_F(CompoundDatabaseTest, ResolveDeleteReturnsPreDeleteRecord) {
 TEST_F(CompoundDatabaseTest, ResolveDeleteVersionMismatchKeepsNode) {
   BuildChain();
   auto applied = Apply(Op::ResolveDelete("/a/b/c/f", 99, kTag, false));
+  const CompoundReply reply = Decoded(applied.reply);
+  EXPECT_EQ(reply.code(), applied.result.code);
   EXPECT_EQ(applied.result.code, StatusCode::kBadVersion);
-  EXPECT_EQ(applied.result.resolved_depth, 4u);
+  EXPECT_EQ(reply.resolved_depth(), 4u);
   EXPECT_TRUE(db_.tree().Exists("/a/b/c/f"));
 }
 
@@ -434,9 +475,9 @@ TEST(CompoundEnsembleTest, ResolveCostsOneRequest) {
     const auto before = en.client().requests_sent();
     auto res = co_await en.client().Resolve("/a/b/c/f", false, kTag);
     CO_ASSERT_OK(res.status());
-    CO_ASSERT_TRUE(res->code == StatusCode::kOk);
-    CO_ASSERT_TRUE(res->resolved_depth == 4u);
-    CO_ASSERT_TRUE(res->prefix.size() == 3u);
+    CO_ASSERT_TRUE(res->code() == StatusCode::kOk);
+    CO_ASSERT_TRUE(res->resolved_depth() == 4u);
+    CO_ASSERT_TRUE(res->prefix().size() == 3u);
     CO_ASSERT_TRUE(en.client().requests_sent() - before == 1u);
   }(e));
 }
@@ -449,12 +490,12 @@ TEST(CompoundEnsembleTest, CompoundWritesReplicateToAllServers) {
     auto created = co_await en.client().ResolveCreate(
         "/a/b/c/g", FileData("Fg"), CreateMode::kPersistent, kTag, false);
     CO_ASSERT_OK(created.status());
-    CO_ASSERT_TRUE(created->code == StatusCode::kOk);
+    CO_ASSERT_TRUE(created->code() == StatusCode::kOk);
     auto deleted =
         co_await en.client().ResolveDelete("/a/b/c/f", kAnyVersion, kTag,
                                            false);
     CO_ASSERT_OK(deleted.status());
-    CO_ASSERT_TRUE(deleted->code == StatusCode::kOk);
+    CO_ASSERT_TRUE(deleted->code() == StatusCode::kOk);
   }(e));
   e.Drain();
   EXPECT_TRUE(e.Converged());
@@ -473,26 +514,26 @@ TEST(CompoundEnsembleTest, ConcurrentDeleteUnderResolve) {
   sim::RunTask(e.sim, [](Ensemble& en) -> sim::Task<void> {
     // The resolver builds the chain so its session server has applied it.
     co_await BuildChain(en.client(0));
-    auto resolver = [](Ensemble& es) -> sim::Task<Result<OpResult>> {
+    auto resolver = [](Ensemble& es) -> sim::Task<Result<CompoundReply>> {
       co_return co_await es.client(0).Resolve("/a/b/c/f", false, kTag);
     };
-    auto deleter = [](Ensemble& es) -> sim::Task<Result<OpResult>> {
+    auto deleter = [](Ensemble& es) -> sim::Task<Result<CompoundReply>> {
       co_return co_await es.client(1).ResolveDelete("/a/b/c/f", kAnyVersion,
                                                     kTag, false);
     };
-    std::vector<sim::Task<Result<OpResult>>> tasks;
+    std::vector<sim::Task<Result<CompoundReply>>> tasks;
     tasks.push_back(resolver(en));
     tasks.push_back(deleter(en));
     auto results = co_await sim::WhenAll(std::move(tasks));
     CO_ASSERT_OK(results[0].status());
     CO_ASSERT_OK(results[1].status());
-    CO_ASSERT_TRUE(results[1]->code == StatusCode::kOk);  // delete wins once
-    if (results[0]->code == StatusCode::kOk) {
-      CO_ASSERT_TRUE(results[0]->resolved_depth == 4u);
+    CO_ASSERT_TRUE(results[1]->code() == StatusCode::kOk);  // delete wins once
+    if (results[0]->code() == StatusCode::kOk) {
+      CO_ASSERT_TRUE(results[0]->resolved_depth() == 4u);
     } else {
-      CO_ASSERT_TRUE(results[0]->code == StatusCode::kNotFound);
-      CO_ASSERT_TRUE(results[0]->resolved_depth == 3u);
-      CO_ASSERT_TRUE(results[0]->prefix.size() == 3u);
+      CO_ASSERT_TRUE(results[0]->code() == StatusCode::kNotFound);
+      CO_ASSERT_TRUE(results[0]->resolved_depth() == 3u);
+      CO_ASSERT_TRUE(results[0]->prefix().size() == 3u);
     }
   }(e));
   e.Drain();
@@ -512,7 +553,7 @@ TEST(CompoundEnsembleTest, ResolveWatchFiresOnPrefixComponent) {
     // resolve targeted the terminal.
     auto res = co_await en.client(0).Resolve("/a/b/c/f", /*watch=*/true, kTag);
     CO_ASSERT_OK(res.status());
-    CO_ASSERT_TRUE(res->code == StatusCode::kOk);
+    CO_ASSERT_TRUE(res->code() == StatusCode::kOk);
     auto set = co_await en.client(1).Set("/a/b", DirData());
     CO_ASSERT_OK(set.status());
   }(e));
@@ -535,8 +576,8 @@ TEST(CompoundEnsembleTest, PartialMissWatchFiresOnCreation) {
     auto res = co_await en.client(0).Resolve("/a/b/missing", /*watch=*/true,
                                              kTag);
     CO_ASSERT_OK(res.status());
-    CO_ASSERT_TRUE(res->code == StatusCode::kNotFound);
-    CO_ASSERT_TRUE(res->resolved_depth == 2u);
+    CO_ASSERT_TRUE(res->code() == StatusCode::kNotFound);
+    CO_ASSERT_TRUE(res->resolved_depth() == 2u);
     auto created = co_await en.client(1).Create("/a/b/missing", FileData());
     CO_ASSERT_OK(created.status());
   }(e));
@@ -557,8 +598,8 @@ TEST(CompoundEnsembleTest, ReadDirPlusRegistersChildWatches) {
     auto res = co_await en.client(0).ReadDirPlus("/a/b/c", /*watch=*/true,
                                                  kTag);
     CO_ASSERT_OK(res.status());
-    CO_ASSERT_TRUE(res->code == StatusCode::kOk);
-    CO_ASSERT_TRUE(res->entries.size() == 1u);
+    CO_ASSERT_TRUE(res->code() == StatusCode::kOk);
+    CO_ASSERT_TRUE(res->entries().size() == 1u);
     // Mutating a listed entry fires its per-entry data watch.
     auto set = co_await en.client(1).Set("/a/b/c/f", FileData("Fv2"));
     CO_ASSERT_OK(set.status());

@@ -106,7 +106,6 @@ struct Lambda {
   bool default_copy_capture = false;   // [=] or [=, &x]
   bool explicit_ref_capture = false;   // [&x] (incl. [&x = init])
   bool captures_this = false;          // [this]
-  int ref_param_line = 0;              // 0 = none
   bool returns_task = false;           // -> sim::Task<...> / Future
   bool body_has_co = false;            // co_await / co_return / co_yield
   bool IsCoroutine() const { return returns_task || body_has_co; }
@@ -182,7 +181,6 @@ bool ParseLambda(const std::vector<Token>& toks, std::size_t i, Lambda* out,
   if (j < toks.size() && IsPunct(toks[j], "(")) {
     const std::size_t close = MatchParen(toks, j);
     if (close == kNpos) return false;
-    out->ref_param_line = FindRefParamLine(toks, j, close - 1);
     j = close;
   }
   // Specifiers / trailing return type, up to the body `{`.
