@@ -258,7 +258,8 @@ sim::Task<Result<DufsClient::Lookup>> DufsClient::LookupWalk(
 StatusCode DufsClient::SeedFromReply(zk::OpType type,
                                      const std::string& znode_path,
                                      const zk::CompoundReply& reply,
-                                     std::vector<vfs::DirEntry>* listing) {
+                                     std::vector<vfs::DirEntry>* listing,
+                                     std::optional<MetaRecord>* terminal) {
   zk::PathComponents(znode_path, split_);
   const StatusCode code = MapCompoundCode(type, reply, split_.size());
   const bool seed = config_.enable_meta_cache;
@@ -273,27 +274,29 @@ StatusCode DufsClient::SeedFromReply(zk::OpType type,
         meta_cache_.PutPositive(seeded, std::move(*rec), node.stat());
       }
     }
-    if (reply.resolved_depth() >= split_.size()) {
-      // Fully resolved. The terminal's record rides stat/data (compound
-      // writes that already know their record leave data empty and seed at
-      // the call site instead).
-      if (!reply.data().empty()) {
-        auto rec = DecodeRecord(reply.data());
-        if (rec.ok()) {
+  }
+  if (reply.resolved_depth() >= split_.size()) {
+    // Fully resolved. The terminal's record rides stat/data (compound
+    // writes that already know their record leave data empty and seed at
+    // the call site instead).
+    if (!reply.data().empty() && (seed || terminal != nullptr)) {
+      auto rec = DecodeRecord(reply.data());
+      if (rec.ok()) {
+        if (terminal != nullptr) *terminal = *rec;
+        if (seed) {
           meta_cache_.PutPositive(znode_path, std::move(*rec), reply.stat());
         }
       }
-    } else if (reply.code() == StatusCode::kOk ||
-               reply.code() == StatusCode::kNotFound) {
-      // Partial miss (or a delete that just removed the terminal): the
-      // first missing component is *known* absent and the server holds a
-      // creation watch on it — exactly what a coherent negative entry
-      // needs. Not on kNotADirectory: components past the offender were
-      // never examined.
-      seeded.push_back('/');
-      seeded.append(split_[reply.resolved_depth()]);
-      meta_cache_.PutNegative(seeded);
     }
+  } else if (seed && (reply.code() == StatusCode::kOk ||
+                      reply.code() == StatusCode::kNotFound)) {
+    // Partial miss (or a delete that just removed the terminal): the first
+    // missing component is *known* absent and the server holds a creation
+    // watch on it — exactly what a coherent negative entry needs. Not on
+    // kNotADirectory: components past the offender were never examined.
+    seeded.push_back('/');
+    seeded.append(split_[reply.resolved_depth()]);
+    meta_cache_.PutNegative(seeded);
   }
   if (reply.entries().empty()) return code;
   // A listing: one positive entry per child, each path built in the same
@@ -344,10 +347,11 @@ sim::Task<Result<DufsClient::Lookup>> DufsClient::LookupCompound(
   auto res = co_await zk_.Resolve(znode, /*watch=*/config_.enable_meta_cache,
                                   kDirTag);
   if (!res.ok()) co_return Status(MapZkCode(res.code()), virtual_path);
-  const StatusCode code = SeedFromReply(zk::OpType::kResolvePath, znode, *res);
+  std::optional<MetaRecord> record;
+  const StatusCode code = SeedFromReply(zk::OpType::kResolvePath, znode, *res,
+                                        /*listing=*/nullptr, &record);
   if (code != StatusCode::kOk) co_return Status(code, virtual_path);
-  auto record = DecodeRecord(res->data());
-  if (!record.ok()) co_return record.status();
+  if (!record.has_value()) co_return DecodeRecord(res->data()).status();
   Lookup out;
   out.record = std::move(*record);
   out.stat = res->stat();

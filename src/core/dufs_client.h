@@ -156,10 +156,13 @@ class DufsClient : public vfs::FileSystem {
   // one-shot watches, so every seeded entry is invalidated on remote change
   // exactly like a LookupSingle fill. Appends each listed child to
   // `listing` when one is given, and returns the reply's code mapped onto
-  // the filesystem's (MapCompoundCode in dufs_client.cc).
+  // the filesystem's (MapCompoundCode in dufs_client.cc). When `terminal`
+  // is given and the terminal's record rode back, it receives that record,
+  // decoded once for the cache and the caller both.
   StatusCode SeedFromReply(zk::OpType type, const std::string& znode_path,
                            const zk::CompoundReply& reply,
-                           std::vector<vfs::DirEntry>* listing = nullptr);
+                           std::vector<vfs::DirEntry>* listing = nullptr,
+                           std::optional<MetaRecord>* terminal = nullptr);
 
   // Own-write invalidation: drops `virtual_path` (and, when `subtree`, all
   // cached descendants) plus the parent's cached attr (child count/mtime

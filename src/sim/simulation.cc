@@ -1,5 +1,6 @@
 #include "sim/simulation.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -47,11 +48,12 @@ void Simulation::Append(EventList& list, EventNode* n) {
   list.tail = n;
 }
 
-// Places a node whose time shares its 2^36 block with the cursor. Level =
-// position of the highest bit where `at` differs from the cursor (level 0 if
-// it is within the low 12 bits); slot = that level's digit of the absolute
-// time. Same-time nodes always map to the same slot and are appended, so
-// FIFO-per-timestamp holds by construction.
+// Places a node less than the wheel span past the cursor. Level = position
+// of the highest bit where `at` differs from the cursor (level 0 if it is
+// within the low 12 bits), capped at the top level, which takes every node
+// past the cursor's 2^36 block (the ring, see PopNextBefore); slot = that
+// level's digit of the absolute time. Same-time nodes always map to the
+// same slot and are appended, so FIFO-per-timestamp holds by construction.
 void Simulation::PlaceInWheel(EventNode* n) {
   const auto x =
       static_cast<std::uint64_t>(n->at) ^ static_cast<std::uint64_t>(cursor_);
@@ -62,7 +64,9 @@ void Simulation::PlaceInWheel(EventNode* n) {
     l0_summary_ |= std::uint64_t{1} << (slot >> 6);
     return;
   }
-  const int level = (std::bit_width(x) - kL0Bits - 1) / kSlotBits;  // 0..3
+  const int level =
+      std::min((static_cast<int>(std::bit_width(x)) - kL0Bits - 1) / kSlotBits,
+               kTopLevel);
   const int slot = static_cast<int>(
       (n->at >> (kL0Bits + kSlotBits * level)) & (kSlots - 1));
   Append(upper_[level][slot], n);
@@ -77,9 +81,7 @@ void Simulation::InsertNode(EventNode* n) {
     Append(early_[n->at], n);
     return;
   }
-  if (((static_cast<std::uint64_t>(n->at) ^
-        static_cast<std::uint64_t>(cursor_)) >>
-       kWheelBits) != 0) {
+  if (n->at - cursor_ >= kWheelSpan) {
     Append(overflow_[n->at], n);
     return;
   }
@@ -135,17 +137,29 @@ EventNode* Simulation::PopNextBefore(SimTime until) {
     for (int level = 0; level < kUpperLevels; ++level) {
       const int shift = kL0Bits + kSlotBits * level;
       const int cur = static_cast<int>((cursor_ >> shift) & (kSlots - 1));
-      const std::uint64_t mask =
-          cur == kSlots - 1 ? 0 : ~std::uint64_t{0} << (cur + 1);
-      const std::uint64_t m = occupied_[level] & mask;
-      if (m == 0) continue;
-      const int slot = std::countr_zero(m);
+      int slot;
+      SimTime window;  // the start of the slot's time range
+      if (level < kTopLevel) {
+        const std::uint64_t mask =
+            cur == kSlots - 1 ? 0 : ~std::uint64_t{0} << (cur + 1);
+        const std::uint64_t m = occupied_[level] & mask;
+        if (m == 0) continue;
+        slot = std::countr_zero(m);
+        const SimTime low_mask = (SimTime(1) << (shift + kSlotBits)) - 1;
+        window = (cursor_ & ~low_mask) | (SimTime(slot) << shift);
+      } else {
+        // The ring: slots in order from the one after the cursor's, each
+        // one block further on; the cursor's own slot, reached last, holds
+        // the block 64 blocks on (every node is within the span).
+        if (occupied_[level] == 0) continue;
+        const int ahead = std::countr_zero(std::rotr(occupied_[level], cur + 1));
+        slot = (cur + 1 + ahead) & (kSlots - 1);
+        window = ((cursor_ >> shift) + 1 + ahead) << shift;
+      }
       // Advance the cursor to the start of that slot's window (lower digits
       // zero), then redistribute its list into lower levels in FIFO order.
       // Every event in the slot is at or after the window start, so a window
       // past the horizon means nothing left to run — without cascading.
-      const SimTime low_mask = (SimTime(1) << (shift + kSlotBits)) - 1;
-      const SimTime window = (cursor_ & ~low_mask) | (SimTime(slot) << shift);
       if (window > until) return nullptr;
       cursor_ = window;
       EventList list = upper_[level][slot];
@@ -168,9 +182,7 @@ EventNode* Simulation::PopNextBefore(SimTime until) {
     cursor_ = first;
     prof::ProfScope wheel_scope("engine.wheel", prof::FrameKind::kEnginePhase);
     while (!overflow_.empty() &&
-           ((static_cast<std::uint64_t>(overflow_.begin()->first) ^
-             static_cast<std::uint64_t>(cursor_)) >>
-            kWheelBits) == 0) {
+           overflow_.begin()->first - cursor_ < kWheelSpan) {
       EventList list = overflow_.begin()->second;
       overflow_.erase(overflow_.begin());
       for (EventNode* n = list.head; n != nullptr;) {

@@ -7,22 +7,24 @@
 // Determinism: one thread, one seeded RNG, events ordered by (time, schedule
 // order). The scheduler is a hierarchical timing wheel: a wide level 0 of
 // 4096 one-nanosecond slots (so the common sub-4µs delays pop without any
-// cascading) under four 64-slot upper levels:
+// cascading) under five 64-slot upper levels:
 //
 //   * A level-k (k >= 1) slot spans 4096·64^(k-1) ns; the whole wheel covers
-//     2^36 ns (~68.7 simulated seconds) past the wheel cursor.
+//     2^42 ns (~73.3 simulated minutes) past the wheel cursor.
 //   * Events land in the slot whose time differs from the cursor first at
 //     that level's bit group (absolute-time indexing, so no per-tick
 //     re-hashing); occupancy bitmaps (a 64-word bitmap plus a one-word
 //     summary for level 0, one word per upper level) make "next non-empty
-//     slot" a couple of count-trailing-zeros.
+//     slot" a couple of count-trailing-zeros. The top level is a ring: a
+//     slot at or behind the cursor's holds the next 2^42 ns block, so an
+//     event a microsecond past a block boundary stays in the wheel.
 //   * Every slot is a FIFO list. Direct inserts append in schedule order and
 //     cascades preserve relative order, so same-timestamp events pop in
 //     exactly the (time, seq) order the old priority_queue produced — that
 //     equivalence is what keeps metric/trace exports byte-identical
 //     (DESIGN.md §10 has the full argument).
-//   * Timers beyond the wheel span wait in a sorted overflow map and are
-//     promoted wholesale when the wheel drains; events scheduled behind the
+//   * Timers more than the wheel span away wait in a sorted overflow map
+//     and are promoted wholesale when the wheel drains; events scheduled behind the
 //     cursor (possible after Run(until) parked the cursor ahead of now())
 //     wait in a sorted "early" map that is always drained first.
 //
@@ -247,9 +249,10 @@ class Simulation {
   static constexpr int kL0Words = kL0Slots / 64;
   static constexpr int kSlotBits = 6;
   static constexpr int kSlots = 1 << kSlotBits;  // 64 slots per upper level
-  static constexpr int kUpperLevels = 4;
-  static constexpr int kWheelBits = kL0Bits + kSlotBits * kUpperLevels;  // 36
-  // Span past the cursor: 2^36 ns ≈ 68.7 sim-seconds.
+  static constexpr int kUpperLevels = 5;
+  static constexpr int kTopLevel = kUpperLevels - 1;  // the ring
+  static constexpr int kWheelBits = kL0Bits + kSlotBits * kUpperLevels;  // 42
+  // Span past the cursor: 2^42 ns ≈ 73.3 sim-minutes.
   static constexpr SimTime kWheelSpan = SimTime(1) << kWheelBits;
 
   struct EventList {

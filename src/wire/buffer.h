@@ -126,6 +126,8 @@ class BufferReader {
   Result<const std::uint8_t*> ReadBlock(std::size_t n);
 
   std::size_t remaining() const { return size_ - pos_; }
+  // The next unread byte, so a caller can take a view of what it read.
+  const std::uint8_t* cursor() const { return data_ + pos_; }
   bool AtEnd() const { return pos_ == size_; }
 
  private:

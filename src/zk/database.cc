@@ -54,15 +54,8 @@ void WriteNode(wire::BufferWriter& w, std::string_view name,
   w.WriteBytes(node.data);
 }
 
-// The path a create under `op.path`'s parent gave `node` (a sequential
-// node's name carries its suffix), built with one allocation.
-std::string CreatedPath(const Op& op, const DataTree::Znode& node) {
-  const std::string_view dir(op.path.data(), op.path.rfind('/') + 1);
-  std::string path;
-  path.reserve(dir.size() + node.name.size());
-  path.append(dir);
-  path.append(node.name);
-  return path;
+std::vector<std::uint8_t> Copy(std::span<const std::uint8_t> data) {
+  return std::vector<std::uint8_t>(data.begin(), data.end());
 }
 
 }  // namespace
@@ -75,7 +68,16 @@ StatusCode Database::Resolve(std::string_view path,
   return ResolveChain(*tree_, components_, dir_tag, chain_);
 }
 
-OpResult Database::Read(const Op& op) const {
+std::string_view Database::CreatedPath(const OpView& op,
+                                       const DataTree::Znode& node) {
+  if (!IsSequential(op.mode)) return op.path;
+  const std::string_view dir(op.path.data(), op.path.rfind('/') + 1);
+  created_path_.assign(dir);
+  created_path_.append(node.name);
+  return created_path_;
+}
+
+OpResult Database::Read(const OpView& op) const {
   OpResult res;
   switch (op.type) {
     case OpType::kGetData: {
@@ -116,13 +118,14 @@ OpResult Database::Read(const Op& op) const {
   }
 }
 
-std::vector<std::uint8_t> Database::EncodeCompoundRead(const Op& op) const {
+std::vector<std::uint8_t> Database::EncodeCompoundRead(
+    const OpView& op) const {
   DUFS_CHECK(op.type == OpType::kResolvePath ||
              op.type == OpType::kReadDirPlus);
   return EncodeReply(op, ResolveRead(op));
 }
 
-Database::CompoundOutcome Database::ResolveRead(const Op& op) const {
+Database::CompoundOutcome Database::ResolveRead(const OpView& op) const {
   CompoundOutcome o;
   if (auto st = ValidatePath(op.path); !st.ok()) {
     o.code = st.code();
@@ -153,14 +156,14 @@ Database::CompoundOutcome Database::ResolveRead(const Op& op) const {
   return o;
 }
 
-OpResult Database::ApplyOne(const Op& op, SessionId session, Zxid zxid,
+OpResult Database::ApplyOne(const OpView& op, SessionId session, Zxid zxid,
                             std::int64_t now_ns,
                             std::vector<std::uint8_t>* reply,
                             std::vector<AppliedTxn::Trigger>& out) {
   OpResult res;
   switch (op.type) {
     case OpType::kCreate: {
-      auto created = tree_->Create(op.path, op.data, op.mode,
+      auto created = tree_->Create(op.path, Copy(op.data), op.mode,
                                    IsEphemeral(op.mode) ? session : 0, zxid,
                                    now_ns);
       if (!created.ok()) {
@@ -168,9 +171,10 @@ OpResult Database::ApplyOne(const Op& op, SessionId session, Zxid zxid,
         return res;
       }
       res.created_path = std::move(*created);
-      out.push_back({WatchEventType::kNodeCreated, res.created_path});
-      out.push_back({WatchEventType::kNodeChildrenChanged,
-                     ParentPath(res.created_path)});
+      std::string_view path = op.path;
+      if (IsSequential(op.mode)) path = created_path_.assign(res.created_path);
+      out.push_back({WatchEventType::kNodeCreated, path});
+      out.push_back({WatchEventType::kNodeChildrenChanged, ParentView(path)});
       return res;
     }
     case OpType::kDelete: {
@@ -180,12 +184,12 @@ OpResult Database::ApplyOne(const Op& op, SessionId session, Zxid zxid,
         return res;
       }
       out.push_back({WatchEventType::kNodeDeleted, op.path});
-      out.push_back(
-          {WatchEventType::kNodeChildrenChanged, ParentPath(op.path)});
+      out.push_back({WatchEventType::kNodeChildrenChanged, ParentView(op.path)});
       return res;
     }
     case OpType::kSetData: {
-      auto stat = tree_->SetData(op.path, op.data, op.version, zxid, now_ns);
+      auto stat =
+          tree_->SetData(op.path, Copy(op.data), op.version, zxid, now_ns);
       if (!stat.ok()) {
         res.code = stat.code();
         return res;
@@ -224,7 +228,7 @@ OpResult Database::ApplyOne(const Op& op, SessionId session, Zxid zxid,
 // One walk: the chain the resolution builds is the parent the create goes
 // under, so the mutation walks nothing further.
 Database::CompoundOutcome Database::ResolveCreate(
-    const Op& op, SessionId session, Zxid zxid, std::int64_t now_ns,
+    const OpView& op, SessionId session, Zxid zxid, std::int64_t now_ns,
     std::vector<AppliedTxn::Trigger>& out) {
   CompoundOutcome o;
   if (auto st = ValidatePath(op.path); !st.ok() || op.path == "/") {
@@ -251,7 +255,7 @@ Database::CompoundOutcome Database::ResolveCreate(
     return o;
   }
   const DataTree::Znode& parent = n == 1 ? tree_->root() : *chain_[n - 2];
-  auto created = tree_->CreateChild(parent, components_.back(), op.data,
+  auto created = tree_->CreateChild(parent, components_.back(), Copy(op.data),
                                     op.mode,
                                     IsEphemeral(op.mode) ? session : 0, zxid,
                                     now_ns);
@@ -266,12 +270,12 @@ Database::CompoundOutcome Database::ResolveCreate(
   o.terminal = *created;
   o.created = true;
   out.push_back({WatchEventType::kNodeCreated, CreatedPath(op, *o.terminal)});
-  out.push_back({WatchEventType::kNodeChildrenChanged, ParentPath(op.path)});
+  out.push_back({WatchEventType::kNodeChildrenChanged, ParentView(op.path)});
   return o;
 }
 
 Database::CompoundOutcome Database::ResolveDelete(
-    const Op& op, Zxid zxid, std::vector<AppliedTxn::Trigger>& out) {
+    const OpView& op, Zxid zxid, std::vector<AppliedTxn::Trigger>& out) {
   CompoundOutcome o;
   if (auto st = ValidatePath(op.path); !st.ok() || op.path == "/") {
     o.code = st.ok() ? StatusCode::kInvalidArgument : st.code();
@@ -307,7 +311,7 @@ Database::CompoundOutcome Database::ResolveDelete(
   o.depth = static_cast<std::uint32_t>(n - 1);
   o.deleted = std::move(*removed);
   out.push_back({WatchEventType::kNodeDeleted, op.path});
-  out.push_back({WatchEventType::kNodeChildrenChanged, ParentPath(op.path)});
+  out.push_back({WatchEventType::kNodeChildrenChanged, ParentView(op.path)});
   return o;
 }
 
@@ -315,7 +319,7 @@ Database::CompoundOutcome Database::ResolveDelete(
 // into a buffer reserved at its exact size. For a write only the answering
 // replica encodes it (DESIGN.md §13.2).
 std::vector<std::uint8_t> Database::EncodeReply(
-    const Op& op, const CompoundOutcome& o) const {
+    const OpView& op, const CompoundOutcome& o) const {
   const std::span<const std::uint8_t> data =
       o.terminal_data ? std::span<const std::uint8_t>(o.terminal->data)
                       : std::span<const std::uint8_t>();
@@ -371,9 +375,9 @@ std::vector<std::uint8_t> Database::EncodeReply(
   return w.Take();
 }
 
-AppliedTxn Database::ApplyMulti(const Txn& txn, Zxid zxid,
-                                std::int64_t now_ns) {
-  AppliedTxn applied;
+void Database::ApplyMulti(const TxnView& txn, Zxid zxid,
+                          std::int64_t now_ns) {
+  AppliedTxn& applied = applied_;
 
   // Phase 1 — validate against the tree plus an overlay of the multi's own
   // effects, so the whole batch is atomic: either all ops apply or none do.
@@ -405,7 +409,7 @@ AppliedTxn Database::ApplyMulti(const Txn& txn, Zxid zxid,
   };
 
   StatusCode failure = StatusCode::kOk;
-  for (const auto& op : txn.multi_ops) {
+  for (const OpView& op : txn.multi_ops) {
     StatusCode code = StatusCode::kOk;
     switch (op.type) {
       case OpType::kCreate: {
@@ -426,7 +430,7 @@ AppliedTxn Database::ApplyMulti(const Txn& txn, Zxid zxid,
           code = StatusCode::kNotFound;
           break;
         }
-        ov.exists[op.path] = true;
+        ov.exists[std::string(op.path)] = true;
         ++ov.child_delta[parent];
         break;
       }
@@ -447,7 +451,7 @@ AppliedTxn Database::ApplyMulti(const Txn& txn, Zxid zxid,
           code = StatusCode::kBadVersion;
           break;
         }
-        ov.exists[op.path] = false;
+        ov.exists[std::string(op.path)] = false;
         --ov.child_delta[ParentPath(op.path)];
         break;
       }
@@ -460,7 +464,7 @@ AppliedTxn Database::ApplyMulti(const Txn& txn, Zxid zxid,
           code = StatusCode::kBadVersion;
           break;
         }
-        ++ov.version_bump[op.path];
+        ++ov.version_bump[std::string(op.path)];
         break;
       }
       case OpType::kCheckVersion: {
@@ -485,32 +489,35 @@ AppliedTxn Database::ApplyMulti(const Txn& txn, Zxid zxid,
 
   if (failure != StatusCode::kOk) {
     applied.result.code = failure;
-    return applied;
+    return;
   }
 
   // Phase 2 — apply for real; validation guarantees success.
   applied.multi_results.clear();
-  for (const auto& op : txn.multi_ops) {
+  for (const OpView& op : txn.multi_ops) {
     // Multi carries plain ops only, so there is no reply to encode.
     OpResult r = ApplyOne(op, txn.session, zxid, now_ns, /*reply=*/nullptr,
                           applied.triggers);
     DUFS_CHECK(r.ok());
     applied.multi_results.push_back(std::move(r));
   }
-  return applied;
 }
 
-AppliedTxn Database::Apply(const Txn& txn, Zxid zxid, std::int64_t now_ns,
-                           bool reply) {
+AppliedTxn& Database::Apply(const TxnView& txn, Zxid zxid,
+                            std::int64_t now_ns, bool reply) {
   // Replicas must stamp identical times: prefer the leader-assigned stamp.
   if (txn.time != 0) now_ns = txn.time;
   DUFS_CHECK(zxid > last_applied_);
   last_applied_ = zxid;
 
-  AppliedTxn applied;
+  AppliedTxn& applied = applied_;
+  applied.result = OpResult{};
+  applied.multi_results.clear();
+  applied.reply.clear();
+  applied.triggers.clear();
   switch (txn.op.type) {
     case OpType::kMulti:
-      applied = ApplyMulti(txn, zxid, now_ns);
+      ApplyMulti(txn, zxid, now_ns);
       break;
     case OpType::kSync:
       break;  // ordering no-op: forces the session server to catch up
@@ -520,30 +527,39 @@ AppliedTxn Database::Apply(const Txn& txn, Zxid zxid, std::int64_t now_ns,
     case OpType::kCloseSession: {
       // Deterministic ephemeral cleanup on every replica. Ephemerals cannot
       // have children, so plain deletes always succeed.
-      auto ephemerals = tree_->EphemeralsOf(txn.session);
+      std::vector<std::string>& ephemerals = closed_ephemerals_;
+      ephemerals = tree_->EphemeralsOf(txn.session);
       // Delete deepest-first so parents empty out before their own delete.
       std::sort(ephemerals.begin(), ephemerals.end(),
                 [](const std::string& a, const std::string& b) {
                   return a.size() > b.size();
                 });
-      for (const auto& path : ephemerals) {
+      for (const std::string& path : ephemerals) {
         auto st = tree_->Delete(path, kAnyVersion, zxid);
         if (st.ok()) {
           applied.triggers.push_back({WatchEventType::kNodeDeleted, path});
           applied.triggers.push_back(
-              {WatchEventType::kNodeChildrenChanged, ParentPath(path)});
+              {WatchEventType::kNodeChildrenChanged, ParentView(path)});
         }
       }
       sessions_.erase(txn.session);
       break;
     }
     default:
-      applied.triggers.reserve(2);  // the most one plain or compound op fires
       applied.result =
           ApplyOne(txn.op, txn.session, zxid, now_ns,
                    reply ? &applied.reply : nullptr, applied.triggers);
   }
   return applied;
+}
+
+AppliedTxn& Database::Apply(const Txn& txn, Zxid zxid, std::int64_t now_ns,
+                            bool reply) {
+  txn_bytes_.Clear();
+  txn.Encode(txn_bytes_);
+  auto view = TxnView::Decode(txn_bytes_.data());
+  DUFS_CHECK(view.ok());
+  return Apply(*view, zxid, now_ns, reply);
 }
 
 std::vector<std::uint8_t> Database::Snapshot() const {

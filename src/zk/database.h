@@ -10,6 +10,8 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -25,9 +27,13 @@ struct AppliedTxn {
   // (a CompoundReply) the client receives. Its code is result.code.
   std::vector<std::uint8_t> reply;
 
+  // A path views the applied txn's bytes or a buffer of the database (a
+  // sequential node's name, a closed session's ephemerals), so it is valid
+  // while those bytes live and until the database applies the next txn.
+  // The server builds a string only for a watch that fires.
   struct Trigger {
     WatchEventType type;
-    std::string path;
+    std::string_view path;
   };
   std::vector<Trigger> triggers;
 };
@@ -39,17 +45,23 @@ class Database {
   // --- replicated writes --------------------------------------------------
   // `reply` = a client waits for this result. Without it the state change,
   // status codes and triggers are the same, but a compound op encodes no
-  // AppliedTxn::reply.
-  AppliedTxn Apply(const Txn& txn, Zxid zxid, std::int64_t now_ns,
-                   bool reply = true);
+  // AppliedTxn::reply. The result is the database's own record, reused by
+  // every Apply (so a warm apply allocates only what the tree keeps); the
+  // caller may move the reply out.
+  AppliedTxn& Apply(const TxnView& txn, Zxid zxid, std::int64_t now_ns,
+                    bool reply = true);
+  // The same for a txn built as an object: encoded into a buffer of the
+  // database first, which the triggers then view.
+  AppliedTxn& Apply(const Txn& txn, Zxid zxid, std::int64_t now_ns,
+                    bool reply = true);
   Zxid last_applied() const { return last_applied_; }
 
   // --- local reads ----------------------------------------------------
   // Plain reads (kGetData/kExists/kGetChildren/kSync).
-  OpResult Read(const Op& op) const;
+  OpResult Read(const OpView& op) const;
   // kResolvePath/kReadDirPlus: the encoded ClientResponse, written from the
   // walk into one buffer reserved at its exact size.
-  std::vector<std::uint8_t> EncodeCompoundRead(const Op& op) const;
+  std::vector<std::uint8_t> EncodeCompoundRead(const OpView& op) const;
 
   bool SessionExists(SessionId id) const { return sessions_.count(id) > 0; }
   std::size_t session_count() const { return sessions_.size(); }
@@ -84,20 +96,23 @@ class Database {
   };
 
   // `reply`, when set, receives a compound op's encoded reply.
-  OpResult ApplyOne(const Op& op, SessionId session, Zxid zxid,
+  OpResult ApplyOne(const OpView& op, SessionId session, Zxid zxid,
                     std::int64_t now_ns, std::vector<std::uint8_t>* reply,
                     std::vector<AppliedTxn::Trigger>& out);
-  CompoundOutcome ResolveRead(const Op& op) const;
-  CompoundOutcome ResolveCreate(const Op& op, SessionId session, Zxid zxid,
+  CompoundOutcome ResolveRead(const OpView& op) const;
+  CompoundOutcome ResolveCreate(const OpView& op, SessionId session, Zxid zxid,
                                 std::int64_t now_ns,
                                 std::vector<AppliedTxn::Trigger>& out);
-  CompoundOutcome ResolveDelete(const Op& op, Zxid zxid,
+  CompoundOutcome ResolveDelete(const OpView& op, Zxid zxid,
                                 std::vector<AppliedTxn::Trigger>& out);
   // The one compound-reply encoder: the ClientResponse bytes for `outcome`,
   // read from chain_ and the tree.
-  std::vector<std::uint8_t> EncodeReply(const Op& op,
+  std::vector<std::uint8_t> EncodeReply(const OpView& op,
                                         const CompoundOutcome& outcome) const;
-  AppliedTxn ApplyMulti(const Txn& txn, Zxid zxid, std::int64_t now_ns);
+  void ApplyMulti(const TxnView& txn, Zxid zxid, std::int64_t now_ns);
+  // The path a create of `op.path` made `node` at: the op path itself,
+  // unless the node's name took a sequential suffix (built in created_path_).
+  std::string_view CreatedPath(const OpView& op, const DataTree::Znode& node);
   // Splits `path` into components_ and walks them into chain_ (see
   // ResolveChain in database.cc); returns the walk's status.
   StatusCode Resolve(std::string_view path, std::uint8_t dir_tag) const;
@@ -109,6 +124,12 @@ class Database {
   mutable std::vector<const DataTree::Znode*> chain_;
   std::unordered_set<SessionId> sessions_;
   Zxid last_applied_ = 0;
+  // Reused by every Apply: the record it returns, the bytes of a txn given
+  // as an object, and the trigger paths no txn byte holds.
+  AppliedTxn applied_;
+  wire::BufferWriter txn_bytes_;
+  std::string created_path_;
+  std::vector<std::string> closed_ephemerals_;
 };
 
 }  // namespace dufs::zk

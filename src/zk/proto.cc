@@ -1,5 +1,7 @@
 #include "zk/proto.h"
 
+#include "common/log.h"
+
 namespace dufs::zk {
 namespace {
 
@@ -42,32 +44,6 @@ std::size_t Op::EncodedSize() const {
   // type, mode, watch and dir_tag are one byte each; version is 4.
   return 4 + 4 + Writer::BlobSize(path.size()) +
          Writer::BlobSize(data.size());
-}
-
-Result<Op> Op::Decode(wire::BufferReader& r) {
-  Op op;
-  auto type = r.ReadU8();
-  DUFS_RETURN_IF_ERROR(type);
-  op.type = static_cast<OpType>(*type);
-  auto path = r.ReadString();
-  DUFS_RETURN_IF_ERROR(path);
-  op.path = std::move(*path);
-  auto data = r.ReadBytes();
-  DUFS_RETURN_IF_ERROR(data);
-  op.data = std::move(*data);
-  auto mode = r.ReadU8();
-  DUFS_RETURN_IF_ERROR(mode);
-  op.mode = static_cast<CreateMode>(*mode);
-  auto version = r.ReadU32();
-  DUFS_RETURN_IF_ERROR(version);
-  op.version = static_cast<std::int32_t>(*version);
-  auto watch = r.ReadBool();
-  DUFS_RETURN_IF_ERROR(watch);
-  op.watch = *watch;
-  auto dir_tag = r.ReadU8();
-  DUFS_RETURN_IF_ERROR(dir_tag);
-  op.dir_tag = *dir_tag;
-  return op;
 }
 
 Op Op::Create(std::string path, std::vector<std::uint8_t> data,
@@ -156,8 +132,118 @@ void Txn::Encode(wire::BufferWriter& w) const {
   for (const auto& o : multi_ops) o.Encode(w);
 }
 
+std::size_t Txn::EncodedSize() const {
+  std::size_t n = 8 + 8 + wire::BufferWriter::VarintSize(trace) +
+                  op.EncodedSize() +
+                  wire::BufferWriter::VarintSize(multi_ops.size());
+  for (const auto& o : multi_ops) n += o.EncodedSize();
+  return n;
+}
+
+std::vector<std::uint8_t> Txn::Encode() const {
+  wire::BufferWriter w;
+  w.Reserve(EncodedSize());
+  Encode(w);
+  return w.Take();
+}
+
+void StampTxnTime(std::span<std::uint8_t> txn, std::int64_t time) {
+  DUFS_CHECK(txn.size() >= kTxnTimeOffset + 8);
+  wire::StoreLE(txn.data() + kTxnTimeOffset, static_cast<std::uint64_t>(time));
+}
+
+Result<OpView> OpView::Read(wire::BufferReader& r) {
+  OpView op;
+  auto type = r.ReadU8();
+  DUFS_RETURN_IF_ERROR(type);
+  op.type = static_cast<OpType>(*type);
+  auto path = r.ReadStringView();
+  DUFS_RETURN_IF_ERROR(path);
+  op.path = *path;
+  auto data = r.ReadBytesView();
+  DUFS_RETURN_IF_ERROR(data);
+  op.data = *data;
+  auto mode = r.ReadU8();
+  DUFS_RETURN_IF_ERROR(mode);
+  op.mode = static_cast<CreateMode>(*mode);
+  auto version = r.ReadU32();
+  DUFS_RETURN_IF_ERROR(version);
+  op.version = static_cast<std::int32_t>(*version);
+  auto watch = r.ReadBool();
+  DUFS_RETURN_IF_ERROR(watch);
+  op.watch = *watch;
+  auto dir_tag = r.ReadU8();
+  DUFS_RETURN_IF_ERROR(dir_tag);
+  op.dir_tag = *dir_tag;
+  return op;
+}
+
+namespace {
+
+Op ToOp(const OpView& v) {
+  Op op;
+  op.type = v.type;
+  op.path = std::string(v.path);
+  op.data.assign(v.data.begin(), v.data.end());
+  op.mode = v.mode;
+  op.version = v.version;
+  op.watch = v.watch;
+  op.dir_tag = v.dir_tag;
+  return op;
+}
+
+}  // namespace
+
+Result<Op> Op::Decode(wire::BufferReader& r) {
+  auto view = OpView::Read(r);
+  DUFS_RETURN_IF_ERROR(view);
+  return ToOp(*view);
+}
+
 Result<Txn> Txn::Decode(wire::BufferReader& r) {
+  auto view = TxnView::Read(r);
+  DUFS_RETURN_IF_ERROR(view);
   Txn txn;
+  txn.session = view->session;
+  txn.time = view->time;
+  txn.trace = view->trace;
+  txn.op = ToOp(view->op);
+  for (const OpView& op : view->multi_ops) txn.multi_ops.push_back(ToOp(op));
+  return txn;
+}
+
+void OpList::Iterator::Next() {
+  auto op = OpView::Read(r_);
+  DUFS_CHECK(op.ok());  // the list's owner read every op once already
+  op_ = *op;
+}
+
+namespace {
+
+// The fewest bytes an op takes: type, empty path and data, mode, version,
+// watch and dir_tag.
+constexpr std::size_t kMinOpSize = 1 + 1 + 1 + 1 + 4 + 1 + 1;
+
+}  // namespace
+
+Result<OpList> OpList::Read(wire::BufferReader& r) {
+  auto n = r.ReadVarint();
+  DUFS_RETURN_IF_ERROR(n);
+  if (*n > r.remaining() / kMinOpSize) {
+    return Status(StatusCode::kIoError, "wire: op count past the frame");
+  }
+  const std::uint8_t* first = r.cursor();
+  for (std::uint64_t i = 0; i < *n; ++i) {
+    auto op = OpView::Read(r);
+    DUFS_RETURN_IF_ERROR(op);
+  }
+  return OpList(first, static_cast<std::size_t>(r.cursor() - first),
+                static_cast<std::size_t>(*n));
+}
+
+Result<TxnView> TxnView::Read(wire::BufferReader& r) {
+  TxnView txn;
+  const std::uint8_t* first = r.cursor();
   auto session = r.ReadU64();
   DUFS_RETURN_IF_ERROR(session);
   txn.session = *session;
@@ -167,50 +253,158 @@ Result<Txn> Txn::Decode(wire::BufferReader& r) {
   auto trace = r.ReadVarint();
   DUFS_RETURN_IF_ERROR(trace);
   txn.trace = *trace;
-  auto op = Op::Decode(r);
+  auto op = OpView::Read(r);
   DUFS_RETURN_IF_ERROR(op);
-  txn.op = std::move(*op);
-  auto n = r.ReadVarint();
-  DUFS_RETURN_IF_ERROR(n);
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    auto sub = Op::Decode(r);
-    DUFS_RETURN_IF_ERROR(sub);
-    txn.multi_ops.push_back(std::move(*sub));
-  }
+  txn.op = *op;
+  auto multi = OpList::Read(r);
+  DUFS_RETURN_IF_ERROR(multi);
+  txn.multi_ops = *multi;
+  txn.bytes = std::span<const std::uint8_t>(
+      first, static_cast<std::size_t>(r.cursor() - first));
   return txn;
 }
 
-std::size_t Txn::EncodedSize() const {
-  std::size_t n = 8 + 8 + wire::BufferWriter::VarintSize(trace) +
-                  op.EncodedSize() +
-                  wire::BufferWriter::VarintSize(multi_ops.size());
-  for (const auto& o : multi_ops) n += o.EncodedSize();
-  return n;
+namespace {
+
+Status ExpectEnd(const wire::BufferReader& r) {
+  if (!r.AtEnd()) {
+    return Status(StatusCode::kIoError, "wire: trailing bytes after a frame");
+  }
+  return Status::Ok();
 }
 
-std::vector<std::uint8_t> ProposeMsg::Encode(Zxid zxid, std::int64_t epoch,
-                                             const Txn& txn) {
+}  // namespace
+
+Result<TxnView> TxnView::Decode(std::span<const std::uint8_t> bytes) {
+  wire::BufferReader r(bytes.data(), bytes.size());
+  auto txn = Read(r);
+  DUFS_RETURN_IF_ERROR(txn);
+  DUFS_RETURN_IF_ERROR(ExpectEnd(r));
+  return txn;
+}
+
+std::vector<std::uint8_t> EncodePropose(Zxid zxid, std::int64_t epoch,
+                                        std::span<const std::uint8_t> txn) {
   wire::BufferWriter w;
-  w.Reserve(8 + 8 + txn.EncodedSize());
+  w.Reserve(8 + 8 + txn.size());
   w.WriteI64(zxid);
   w.WriteI64(epoch);
-  txn.Encode(w);
+  w.WriteRaw(txn.begin(), txn.end());
   return w.Take();
 }
 
-Result<ProposeMsg> ProposeMsg::Decode(const std::vector<std::uint8_t>& bytes) {
-  wire::BufferReader r(bytes);
-  ProposeMsg m;
+Result<ProposeView> ProposeView::Decode(std::span<const std::uint8_t> bytes) {
+  wire::BufferReader r(bytes.data(), bytes.size());
+  ProposeView m;
   auto zxid = r.ReadI64();
   DUFS_RETURN_IF_ERROR(zxid);
   m.zxid = *zxid;
   auto epoch = r.ReadI64();
   DUFS_RETURN_IF_ERROR(epoch);
   m.epoch = *epoch;
-  auto txn = Txn::Decode(r);
+  auto txn = TxnView::Read(r);
   DUFS_RETURN_IF_ERROR(txn);
-  m.txn = std::move(*txn);
+  m.txn = *txn;
+  DUFS_RETURN_IF_ERROR(ExpectEnd(r));
   return m;
+}
+
+std::vector<std::uint8_t> EncodeBatchPropose(
+    std::int64_t epoch, std::span<const BatchEntry> entries) {
+  std::size_t size = 8 + Writer::VarintSize(entries.size());
+  for (const BatchEntry& e : entries) size += 8 + e.txn.size();
+  wire::BufferWriter w;
+  w.Reserve(size);
+  w.WriteI64(epoch);
+  w.WriteVarint(entries.size());
+  for (const BatchEntry& e : entries) {
+    w.WriteI64(e.zxid);
+    w.WriteRaw(e.txn.begin(), e.txn.end());
+  }
+  return w.Take();
+}
+
+Result<BatchProposeView> BatchProposeView::Decode(
+    std::span<const std::uint8_t> bytes) {
+  wire::BufferReader r(bytes.data(), bytes.size());
+  BatchProposeView m;
+  auto epoch = r.ReadI64();
+  DUFS_RETURN_IF_ERROR(epoch);
+  m.epoch_ = *epoch;
+  auto count = r.ReadVarint();
+  DUFS_RETURN_IF_ERROR(count);
+  const std::uint8_t* first = r.cursor();
+  for (std::uint64_t i = 0; i < *count; ++i) {
+    auto zxid = r.ReadI64();
+    DUFS_RETURN_IF_ERROR(zxid);
+    auto txn = TxnView::Read(r);
+    DUFS_RETURN_IF_ERROR(txn);
+    if (i == 0) {
+      m.lo_ = *zxid;
+      m.front_trace_ = txn->trace;
+    }
+    m.hi_ = *zxid;
+  }
+  DUFS_RETURN_IF_ERROR(ExpectEnd(r));
+  m.count_ = static_cast<std::size_t>(*count);
+  m.entries_ = std::span<const std::uint8_t>(
+      first, static_cast<std::size_t>(r.cursor() - first));
+  return m;
+}
+
+std::vector<std::uint8_t> EncodeZxid(Zxid zxid) {
+  wire::BufferWriter w;
+  w.WriteI64(zxid);
+  return w.Take();
+}
+
+Result<Zxid> DecodeZxid(std::span<const std::uint8_t> bytes) {
+  wire::BufferReader r(bytes.data(), bytes.size());
+  auto zxid = r.ReadI64();
+  DUFS_RETURN_IF_ERROR(zxid);
+  DUFS_RETURN_IF_ERROR(ExpectEnd(r));
+  return *zxid;
+}
+
+std::vector<std::uint8_t> EncodeZxidRange(Zxid lo, Zxid hi) {
+  wire::BufferWriter w;
+  w.WriteI64(lo);
+  w.WriteI64(hi);
+  return w.Take();
+}
+
+Result<std::pair<Zxid, Zxid>> DecodeZxidRange(
+    std::span<const std::uint8_t> bytes) {
+  wire::BufferReader r(bytes.data(), bytes.size());
+  auto lo = r.ReadI64();
+  DUFS_RETURN_IF_ERROR(lo);
+  auto hi = r.ReadI64();
+  DUFS_RETURN_IF_ERROR(hi);
+  DUFS_RETURN_IF_ERROR(ExpectEnd(r));
+  return std::pair<Zxid, Zxid>(*lo, *hi);
+}
+
+std::vector<std::uint8_t> ForwardReply::Encode(
+    Zxid zxid, const std::vector<std::uint8_t>& reply) {
+  wire::BufferWriter w;
+  w.Reserve(8 + Writer::BlobSize(reply.size()));
+  w.WriteI64(zxid);
+  w.WriteBytes(reply);
+  return w.Take();
+}
+
+Result<Zxid> ForwardReply::TakeReply(std::vector<std::uint8_t>& bytes) {
+  wire::BufferReader r(bytes);
+  auto zxid = r.ReadI64();
+  DUFS_RETURN_IF_ERROR(zxid);
+  auto len = r.ReadVarint();
+  DUFS_RETURN_IF_ERROR(len);
+  if (*len != r.remaining()) {
+    return Status(StatusCode::kIoError, "wire: bad forward reply length");
+  }
+  bytes.erase(bytes.begin(),
+              bytes.end() - static_cast<std::ptrdiff_t>(r.remaining()));
+  return *zxid;
 }
 
 void OpResult::Encode(wire::BufferWriter& w) const {
@@ -367,27 +561,35 @@ std::vector<std::uint8_t> ClientRequest::Encode() const {
   return w.Take();
 }
 
-Result<ClientRequest> ClientRequest::Decode(
-    const std::vector<std::uint8_t>& bytes) {
-  wire::BufferReader r(bytes);
-  ClientRequest req;
+Result<RequestView> RequestView::Decode(std::span<const std::uint8_t> bytes) {
+  wire::BufferReader r(bytes.data(), bytes.size());
+  RequestView req;
   auto session = r.ReadU64();
   DUFS_RETURN_IF_ERROR(session);
   req.session = *session;
   auto trace = r.ReadVarint();
   DUFS_RETURN_IF_ERROR(trace);
   req.trace = *trace;
-  auto op = Op::Decode(r);
+  auto op = OpView::Read(r);
   DUFS_RETURN_IF_ERROR(op);
-  req.op = std::move(*op);
-  auto n = r.ReadVarint();
-  DUFS_RETURN_IF_ERROR(n);
-  for (std::uint64_t i = 0; i < *n; ++i) {
-    auto sub = Op::Decode(r);
-    DUFS_RETURN_IF_ERROR(sub);
-    req.multi_ops.push_back(std::move(*sub));
-  }
+  req.op = *op;
+  auto multi = OpList::Read(r);
+  DUFS_RETURN_IF_ERROR(multi);
+  req.multi_ops = *multi;
+  DUFS_RETURN_IF_ERROR(ExpectEnd(r));
+  req.bytes = bytes;
   return req;
+}
+
+std::vector<std::uint8_t> RequestView::TxnBytes() const {
+  // A request starts with the U64 session, as a txn does.
+  const auto rest = bytes.begin() + 8;
+  wire::BufferWriter w;
+  w.Reserve(bytes.size() + 8);
+  w.WriteRaw(bytes.begin(), rest);
+  w.WriteI64(0);
+  w.WriteRaw(rest, bytes.end());
+  return w.Take();
 }
 
 std::vector<std::uint8_t> ClientResponse::Encode() const {

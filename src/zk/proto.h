@@ -11,6 +11,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -94,6 +95,7 @@ struct Op {
   std::uint8_t dir_tag = 0;
 
   void Encode(wire::BufferWriter& w) const;
+  // An owning copy; the servers read ops in place (OpView).
   static Result<Op> Decode(wire::BufferReader& r);
   std::size_t EncodedSize() const;  // bytes Encode appends
 
@@ -112,9 +114,82 @@ struct Op {
                           std::uint8_t dir_tag, bool watch);
 };
 
+// One operation read in place: the path and data view the bytes it was
+// read from. An Op converts to its view, so a caller holding an Op passes
+// it wherever a view goes.
+struct OpView {
+  OpType type = OpType::kGetData;
+  std::string_view path;
+  std::span<const std::uint8_t> data;
+  CreateMode mode = CreateMode::kPersistent;
+  std::int32_t version = kAnyVersion;
+  bool watch = false;
+  std::uint8_t dir_tag = 0;
+
+  OpView() = default;
+  OpView(const Op& op)  // NOLINT(google-explicit-constructor)
+      : type(op.type),
+        path(op.path),
+        data(op.data),
+        mode(op.mode),
+        version(op.version),
+        watch(op.watch),
+        dir_tag(op.dir_tag) {}
+
+  static Result<OpView> Read(wire::BufferReader& r);
+};
+
+// The ops of a Multi, read in place from bytes the view that holds this
+// list has already checked.
+class OpList {
+ public:
+  class Iterator {
+   public:
+    Iterator(const std::uint8_t* at, std::size_t size, std::size_t left)
+        : r_(at, size), left_(left) {
+      if (left_ > 0) Next();
+    }
+    const OpView& operator*() const { return op_; }
+    const OpView* operator->() const { return &op_; }
+    Iterator& operator++() {
+      if (--left_ > 0) Next();
+      return *this;
+    }
+    bool operator==(const Iterator& o) const { return left_ == o.left_; }
+
+   private:
+    void Next();
+
+    wire::BufferReader r_;
+    std::size_t left_;
+    OpView op_;
+  };
+
+  OpList() = default;
+  OpList(const std::uint8_t* data, std::size_t size, std::size_t count)
+      : data_(data), size_(size), count_(count) {}
+
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  Iterator begin() const { return Iterator(data_, size_, count_); }
+  Iterator end() const { return Iterator(data_, 0, 0); }
+
+  // Reads `varint n, then n ops` from `r` and returns them as a list.
+  static Result<OpList> Read(wire::BufferReader& r);
+
+ private:
+  const std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t count_ = 0;
+};
+
 // A replicated transaction: the client's write plus its session stamp and
 // the leader-assigned wall time (so ctime/mtime are identical on every
-// replica, exactly like ZooKeeper's TxnHeader time).
+// replica, exactly like ZooKeeper's TxnHeader time). On the wire it is the
+// request (RequestView) with the time spliced in after the session:
+//   U64 session, I64 time, varint trace, op, varint n, n multi ops.
+// Replicas hold and apply it as these bytes (TxnView); this struct builds
+// one (tests, the session-expiry CloseSession).
 struct Txn {
   SessionId session = 0;
   std::int64_t time = 0;     // leader clock at sequencing time (sim ns)
@@ -124,21 +199,98 @@ struct Txn {
   std::vector<Op> multi_ops; // when op.type == kMulti
 
   void Encode(wire::BufferWriter& w) const;
+  std::vector<std::uint8_t> Encode() const;
+  // An owning copy; the servers read txns in place (TxnView).
   static Result<Txn> Decode(wire::BufferReader& r);
   std::size_t EncodedSize() const;  // bytes Encode appends
 };
 
-// Leader -> follower PROPOSE (method::kPropose): one sequenced txn. Encode
-// writes straight from the leader's txn into a buffer of the exact size;
-// Decode gives the follower its own copy.
-struct ProposeMsg {
+// Where Txn::time sits in an encoded txn: the leader stamps it in place.
+inline constexpr std::size_t kTxnTimeOffset = 8;
+void StampTxnTime(std::span<std::uint8_t> txn, std::int64_t time);
+
+// A txn read in place. Its views alias the bytes it was read from.
+struct TxnView {
+  SessionId session = 0;
+  std::int64_t time = 0;
+  std::uint64_t trace = 0;
+  OpView op;
+  OpList multi_ops;  // when op.type == kMulti
+  std::span<const std::uint8_t> bytes;  // the whole encoded txn
+
+  // One txn from `r`, which may hold more after it (a batch, a diff).
+  static Result<TxnView> Read(wire::BufferReader& r);
+  // Exactly one txn: trailing bytes are an error.
+  static Result<TxnView> Decode(std::span<const std::uint8_t> bytes);
+};
+
+// Leader -> follower PROPOSE (method::kPropose): I64 zxid, I64 epoch, then
+// the txn bytes as the leader sequenced them.
+std::vector<std::uint8_t> EncodePropose(Zxid zxid, std::int64_t epoch,
+                                        std::span<const std::uint8_t> txn);
+struct ProposeView {
   Zxid zxid = 0;
   std::int64_t epoch = 0;
-  Txn txn;
+  TxnView txn;
 
-  static std::vector<std::uint8_t> Encode(Zxid zxid, std::int64_t epoch,
-                                          const Txn& txn);
-  static Result<ProposeMsg> Decode(const std::vector<std::uint8_t>& bytes);
+  static Result<ProposeView> Decode(std::span<const std::uint8_t> bytes);
+};
+
+// Leader -> follower BATCH PROPOSE (method::kBatchPropose, group commit): a
+// contiguous run of sequenced txns, I64 epoch, varint n, then n times
+// (I64 zxid, txn bytes). The follower journals the run with one fsync and
+// ACKs the whole [lo, hi] zxid range back.
+struct BatchEntry {
+  Zxid zxid = 0;
+  std::vector<std::uint8_t> txn;
+};
+std::vector<std::uint8_t> EncodeBatchPropose(
+    std::int64_t epoch, std::span<const BatchEntry> entries);
+class BatchProposeView {
+ public:
+  std::int64_t epoch() const { return epoch_; }
+  std::size_t size() const { return count_; }
+  Zxid lo() const { return lo_; }
+  Zxid hi() const { return hi_; }
+  std::uint64_t front_trace() const { return front_trace_; }
+
+  // Calls fn(zxid, txn) for each entry in order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    wire::BufferReader r(entries_.data(), entries_.size());
+    for (std::size_t i = 0; i < count_; ++i) {
+      const Zxid zxid = *r.ReadI64();
+      fn(zxid, *TxnView::Read(r));
+    }
+  }
+
+  static Result<BatchProposeView> Decode(std::span<const std::uint8_t> bytes);
+
+ private:
+  std::int64_t epoch_ = 0;
+  std::size_t count_ = 0;
+  Zxid lo_ = 0;
+  Zxid hi_ = 0;
+  std::uint64_t front_trace_ = 0;
+  std::span<const std::uint8_t> entries_;
+};
+
+// ACK and COMMIT carry one zxid; the batch ACK carries a [lo, hi] range.
+std::vector<std::uint8_t> EncodeZxid(Zxid zxid);
+Result<Zxid> DecodeZxid(std::span<const std::uint8_t> bytes);
+std::vector<std::uint8_t> EncodeZxidRange(Zxid lo, Zxid hi);
+Result<std::pair<Zxid, Zxid>> DecodeZxidRange(
+    std::span<const std::uint8_t> bytes);
+
+// Leader -> follower reply to a FORWARD (whose request is the txn bytes):
+// I64 zxid, then WriteBytes(the encoded ClientResponse). The follower
+// strips the header in place and hands the client the very bytes the
+// leader encoded.
+struct ForwardReply {
+  static std::vector<std::uint8_t> Encode(
+      Zxid zxid, const std::vector<std::uint8_t>& reply);
+  // Leaves just the reply in `bytes` and returns the zxid.
+  static Result<Zxid> TakeReply(std::vector<std::uint8_t>& bytes);
 };
 
 // Result of applying one plain Op. A compound op's reply is not an OpResult
@@ -160,7 +312,8 @@ struct OpResult {
   std::size_t EncodedSize() const;
 };
 
-// Client-facing request/response frames (method::kRequest).
+// Client-facing request/response frames (method::kRequest). A request is
+//   U64 session, varint trace, op, varint n, n multi ops.
 struct ClientRequest {
   SessionId session = 0;
   std::uint64_t trace = 0;  // see Txn::trace
@@ -168,7 +321,20 @@ struct ClientRequest {
   std::vector<Op> multi_ops;
 
   std::vector<std::uint8_t> Encode() const;
-  static Result<ClientRequest> Decode(const std::vector<std::uint8_t>& bytes);
+};
+
+// A request read in place by the server it arrives at.
+struct RequestView {
+  SessionId session = 0;
+  std::uint64_t trace = 0;
+  OpView op;
+  OpList multi_ops;
+  std::span<const std::uint8_t> bytes;  // the whole request
+
+  static Result<RequestView> Decode(std::span<const std::uint8_t> bytes);
+  // The txn a write request becomes, built with one allocation: the
+  // session, a zero time (the leader stamps it), then the rest unchanged.
+  std::vector<std::uint8_t> TxnBytes() const;
 };
 
 struct ClientResponse {

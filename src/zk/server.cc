@@ -7,94 +7,7 @@
 namespace dufs::zk {
 namespace {
 
-// Internal peer-message codecs (PROPOSE's is in proto.h).
-
-// A contiguous run of sequenced proposals shipped as one message (group
-// commit). The follower journals the run with one fsync and ACKs the whole
-// [lo, hi] zxid range back. Like PROPOSE, it is encoded straight from the
-// leader's txns; `txn_bytes` is the sum of their encoded sizes.
-struct BatchProposeMsg {
-  std::int64_t epoch;
-  std::vector<std::pair<Zxid, Txn>> entries;
-
-  static net::Payload Encode(std::int64_t epoch,
-                             const std::vector<std::pair<Zxid, Txn>>& entries,
-                             std::size_t txn_bytes) {
-    wire::BufferWriter w;
-    w.Reserve(8 + wire::BufferWriter::VarintSize(entries.size()) +
-              8 * entries.size() + txn_bytes);
-    w.WriteI64(epoch);
-    w.WriteVarint(entries.size());
-    for (const auto& [zxid, txn] : entries) {
-      w.WriteI64(zxid);
-      txn.Encode(w);
-    }
-    return w.Take();
-  }
-  static Result<BatchProposeMsg> Decode(const net::Payload& bytes) {
-    wire::BufferReader r(bytes);
-    BatchProposeMsg m;
-    auto epoch = r.ReadI64();
-    DUFS_RETURN_IF_ERROR(epoch);
-    m.epoch = *epoch;
-    auto count = r.ReadVarint();
-    DUFS_RETURN_IF_ERROR(count);
-    m.entries.reserve(*count);
-    for (std::uint64_t i = 0; i < *count; ++i) {
-      auto zxid = r.ReadI64();
-      DUFS_RETURN_IF_ERROR(zxid);
-      auto txn = Txn::Decode(r);
-      DUFS_RETURN_IF_ERROR(txn);
-      m.entries.emplace_back(*zxid, std::move(*txn));
-    }
-    return m;
-  }
-};
-
-net::Payload EncodeZxid(Zxid zxid) {
-  wire::BufferWriter w;
-  w.WriteI64(zxid);
-  return w.Take();
-}
-
-net::Payload EncodeZxidRange(Zxid lo, Zxid hi) {
-  wire::BufferWriter w;
-  w.WriteI64(lo);
-  w.WriteI64(hi);
-  return w.Take();
-}
-
-Result<Zxid> DecodeZxid(const net::Payload& bytes) {
-  wire::BufferReader r(bytes);
-  return r.ReadI64();
-}
-
-// Leader -> follower reply to a forwarded write: zxid, then
-// WriteBytes(the encoded ClientResponse). The follower strips the header in
-// place and hands the client the very bytes the leader encoded.
-struct ForwardResponse {
-  static net::Payload Encode(Zxid zxid, const net::Payload& reply) {
-    wire::BufferWriter w;
-    w.Reserve(8 + wire::BufferWriter::BlobSize(reply.size()));
-    w.WriteI64(zxid);
-    w.WriteBytes(reply);
-    return w.Take();
-  }
-  // Leaves just the reply in `bytes` and returns the zxid.
-  static Result<Zxid> TakeReply(net::Payload& bytes) {
-    wire::BufferReader r(bytes);
-    auto zxid = r.ReadI64();
-    DUFS_RETURN_IF_ERROR(zxid);
-    auto len = r.ReadVarint();
-    DUFS_RETURN_IF_ERROR(len);
-    if (*len != r.remaining()) {
-      return Status(StatusCode::kIoError, "wire: bad forward reply length");
-    }
-    bytes.erase(bytes.begin(),
-                bytes.end() - static_cast<std::ptrdiff_t>(r.remaining()));
-    return *zxid;
-  }
-};
+// Election and ping messages; the replication ones are in proto.h.
 
 struct VoteMsg {
   std::int64_t round;
@@ -144,10 +57,8 @@ ClientResponse UnavailableResponse() {
 
 // ------------------------------------------------------- committed log ----
 
-void CommittedLog::Append(Zxid zxid, const Txn& txn) {
-  encoder_.Clear();
-  txn.Encode(encoder_);
-  bytes_.insert(bytes_.end(), encoder_.data().begin(), encoder_.data().end());
+void CommittedLog::Append(Zxid zxid, std::span<const std::uint8_t> txn) {
+  bytes_.insert(bytes_.end(), txn.begin(), txn.end());
   index_.push_back({zxid, dropped_bytes_ + bytes_.size()});
   if (index_.size() > max_entries_) {
     // Older followers resync via snapshot.
@@ -197,6 +108,14 @@ ZkServer::ZkServer(net::RpcEndpoint& endpoint, ZkEnsembleConfig config,
       committed_log_(config_.max_log_entries) {
   DUFS_CHECK(my_index_ < config_.servers.size());
   DUFS_CHECK(config_.servers[my_index_] == endpoint_.self());
+  DUFS_CHECK(config_.servers.size() <= 64);  // Proposal::acks is a bitmask
+}
+
+std::uint64_t ZkServer::AckBit(net::NodeId node) const {
+  for (std::size_t i = 0; i < config_.servers.size(); ++i) {
+    if (config_.servers[i] == node) return std::uint64_t{1} << i;
+  }
+  return 0;
 }
 
 void ZkServer::Start() {
@@ -271,7 +190,6 @@ void ZkServer::OnRestart() {
   pending_txns_.clear();
   committed_not_applied_.clear();
   apply_waiters_.clear();
-  result_wanted_.clear();
   local_results_.clear();
   last_committed_ = db_->last_applied();
   // The in-memory log may disagree with the restored snapshot; drop it and
@@ -317,7 +235,9 @@ void ZkServer::AttachObs(obs::NodeObs node_obs) {
 
 sim::Task<net::RpcResult> ZkServer::HandleRequest(net::NodeId from,
                                                   net::Payload req_bytes) {
-  auto req = ClientRequest::Decode(req_bytes);
+  // The view reads the request in place; req_bytes stays in this frame, so
+  // its path outlives every co_await below.
+  auto req = RequestView::Decode(req_bytes);
   if (!req.ok()) co_return req.status();
   if (req->session != 0) {
     session_activity_[req->session] = endpoint_.sim().now();
@@ -339,21 +259,12 @@ sim::Task<net::RpcResult> ZkServer::HandleRequest(net::NodeId from,
     prof::ProfScope node_scope(obs_.prof_name, prof::FrameKind::kNode);
     obs::Span span(obs_.tracer, obs_.track, "zk-write", "zk", req->trace);
     // Compound writes register watches *here* on the session server after
-    // the txn applies (the replicated state machine stays watch-free); the
-    // op fields needed for that outlive the move below.
-    const OpType op_type = req->op.type;
-    const bool op_watch = req->op.watch;
-    std::string op_path = IsCompound(op_type) ? req->op.path : std::string();
-    Txn txn;
-    txn.session = req->session;
-    txn.trace = req->trace;
-    txn.op = std::move(req->op);
-    txn.multi_ops = std::move(req->multi_ops);
-    auto resp = co_await SubmitWrite(std::move(txn));
+    // the txn applies (the replicated state machine stays watch-free).
+    auto resp = co_await SubmitWrite(req->TxnBytes());
     if (!resp.ok()) co_return UnavailableResponse().Encode();
-    if (IsCompound(op_type)) {
-      co_return ServeCompound(op_type, op_watch, op_path, std::move(*resp),
-                              req->session, from);
+    if (IsCompound(req->op.type)) {
+      co_return ServeCompound(req->op.type, req->op.watch, req->op.path,
+                              std::move(*resp), req->session, from);
     }
     co_return std::move(*resp);
   }
@@ -396,7 +307,7 @@ net::Payload ZkServer::ServeCompound(OpType type, bool watch,
   return std::move(*view).TakeBytes();
 }
 
-void ZkServer::RegisterWatch(const Op& op, SessionId session,
+void ZkServer::RegisterWatch(const OpView& op, SessionId session,
                              net::NodeId client) {
   switch (op.type) {
     case OpType::kGetData:
@@ -461,6 +372,7 @@ void ZkServer::FireTriggers(const std::vector<AppliedTxn::Trigger>& triggers) {
                       ? child_watches_
                       : data_watches_;
     for (const WatchTable::Watcher& watcher : table.Take(trig.path)) {
+      // The one place a trigger's path becomes a string: a watch fired.
       WatchEvent ev;
       ev.type = trig.type;
       ev.path = trig.path;
@@ -470,8 +382,8 @@ void ZkServer::FireTriggers(const std::vector<AppliedTxn::Trigger>& triggers) {
   }
 }
 
-AppliedTxn ZkServer::ApplyTxn(const Txn& txn, Zxid zxid, bool reply) {
-  AppliedTxn applied = db_->Apply(txn, zxid, endpoint_.sim().now(), reply);
+AppliedTxn& ZkServer::ApplyTxn(const TxnView& txn, Zxid zxid, bool reply) {
+  AppliedTxn& applied = db_->Apply(txn, zxid, endpoint_.sim().now(), reply);
   if (txn.op.type == OpType::kCloseSession) {
     // Like ZooKeeper, a closed session's watches go with it, so the
     // deletes of its ephemerals below notify only sessions still open.
@@ -484,14 +396,14 @@ AppliedTxn ZkServer::ApplyTxn(const Txn& txn, Zxid zxid, bool reply) {
 
 // -------------------------------------------------------------- writes ----
 
-sim::Task<Result<net::Payload>> ZkServer::SubmitWrite(Txn txn) {
+sim::Task<Result<net::Payload>> ZkServer::SubmitWrite(net::Payload txn) {
   Zxid zxid = 0;
   auto resp = co_await SubmitWriteTracked(std::move(txn), zxid);
   co_return resp;
 }
 
-sim::Task<Result<net::Payload>> ZkServer::SubmitWriteTracked(Txn txn,
-                                                             Zxid& zxid) {  // dufs-lint: allow(coro-ref-param)
+sim::Task<Result<net::Payload>> ZkServer::SubmitWriteTracked(
+    net::Payload txn, Zxid& zxid) {  // dufs-lint: allow(coro-ref-param)
   if (role_ == Role::kLeading) {
     {
       // The leader's single request-processor thread: serialization +
@@ -506,8 +418,8 @@ sim::Task<Result<net::Payload>> ZkServer::SubmitWriteTracked(Txn txn,
         // flush task, which queues behind the submitters on this pipeline.
         co_await endpoint_.sim().Delay(config_.perf.write_cpu);
         zxid = MakeZxid();
-        txn.time = endpoint_.sim().now();
-        propose_queue_.emplace_back(zxid, std::move(txn));
+        StampTxnTime(txn, endpoint_.sim().now());
+        propose_queue_.push_back({zxid, std::move(txn)});
       } else {
         const auto peers =
             static_cast<sim::Duration>(config_.servers.size() - 1);
@@ -520,31 +432,29 @@ sim::Task<Result<net::Payload>> ZkServer::SubmitWriteTracked(Txn txn,
     } else {
       zxid = ProposeAsLeader(std::move(txn));
     }
-    result_wanted_.insert(zxid);
+    local_results_.insert({zxid, false, {}});
     const bool applied = co_await WaitApplied(zxid);
+    auto it = local_results_.find(zxid);
     if (!applied) {
-      result_wanted_.erase(zxid);
+      if (it != local_results_.end()) local_results_.erase(it);
       co_return Status(StatusCode::kUnavailable, "commit timed out");
     }
-    auto it = local_results_.find(zxid);
-    if (it == local_results_.end()) {
+    if (it == local_results_.end() || !it->applied) {
       co_return Status(StatusCode::kInternal, "missing local result");
     }
-    net::Payload reply = std::move(it->second);
+    net::Payload reply = std::move(it->reply);
     local_results_.erase(it);
     co_return reply;
   }
 
-  // Follower: forward to the leader, then wait until the local replica has
-  // applied the txn so this session observes its own write.
-  wire::BufferWriter w;
-  w.Reserve(txn.EncodedSize());
-  txn.Encode(w);
+  // Follower: forward the txn bytes as they are to the leader, then wait
+  // until the local replica has applied the txn so this session observes
+  // its own write.
   auto result = co_await endpoint_.Call(server_node(leader_index_),
-                                        method::kForward, w.Take(),
+                                        method::kForward, std::move(txn),
                                         /*timeout=*/sim::Sec(2));
   if (!result.ok()) co_return result.status();
-  auto fwd_zxid = ForwardResponse::TakeReply(*result);
+  auto fwd_zxid = ForwardReply::TakeReply(*result);
   if (!fwd_zxid.ok()) co_return fwd_zxid.status();
   zxid = *fwd_zxid;
   (void)co_await WaitApplied(zxid);
@@ -553,8 +463,7 @@ sim::Task<Result<net::Payload>> ZkServer::SubmitWriteTracked(Txn txn,
 
 sim::Task<net::RpcResult> ZkServer::HandleForward(net::NodeId /*from*/,
                                                   net::Payload req) {
-  wire::BufferReader r(req);
-  auto txn = Txn::Decode(r);
+  auto txn = TxnView::Decode(req);
   if (!txn.ok()) co_return txn.status();
   if (role_ != Role::kLeading) {
     // Stale leadership information at the forwarder; let it time out and
@@ -562,27 +471,33 @@ sim::Task<net::RpcResult> ZkServer::HandleForward(net::NodeId /*from*/,
     co_return Status(StatusCode::kUnavailable, "not the leader");
   }
   Zxid zxid = 0;
-  auto resp = co_await SubmitWriteTracked(std::move(*txn), zxid);
+  auto resp = co_await SubmitWriteTracked(std::move(req), zxid);
   if (!resp.ok()) co_return resp.status();
-  co_return ForwardResponse::Encode(zxid, *resp);
+  co_return ForwardReply::Encode(zxid, *resp);
 }
 
-Zxid ZkServer::ProposeAsLeader(Txn txn) {
+Zxid ZkServer::ProposeAsLeader(net::Payload txn) {
   DUFS_CHECK(role_ == Role::kLeading);
   const Zxid zxid = MakeZxid();
-  txn.time = endpoint_.sim().now();  // replica-identical ctime/mtime stamps
-  const std::size_t txn_bytes = txn.EncodedSize();
-  const obs::TraceId trace = txn.trace;
+  // Replica-identical ctime/mtime stamps.
+  StampTxnTime(txn, endpoint_.sim().now());
+  auto view = TxnView::Decode(txn);
+  DUFS_CHECK(view.ok());  // the session server or HandleForward read it
+  const std::size_t txn_bytes = txn.size();
+  const obs::TraceId trace = view->trace;
 
-  const auto payload = ProposeMsg::Encode(zxid, epoch_, txn);
+  // One payload: every follower but the last gets a copy of it, the last
+  // the payload itself.
+  auto payload = EncodePropose(zxid, epoch_, txn);
+  std::size_t followers_left = config_.servers.size() - 1;
   for (std::size_t i = 0; i < config_.servers.size(); ++i) {
     if (i == my_index_) continue;
-    endpoint_.Notify(server_node(i), method::kPropose, payload);
+    endpoint_.Notify(server_node(i), method::kPropose,
+                     --followers_left == 0 ? std::move(payload) : payload);
   }
 
-  pending_txns_.emplace(zxid, std::move(txn));
-  proposals_.emplace(zxid,
-                     Proposal{trace, {}, false, endpoint_.sim().now()});
+  pending_txns_.insert({zxid, std::move(txn), nullptr, *view});
+  proposals_.insert(Proposal{zxid, trace, 0, endpoint_.sim().now()});
   MaybeScheduleRetransmit();
 
   // Self-ack after the local journal write.
@@ -593,7 +508,7 @@ Zxid ZkServer::ProposeAsLeader(Txn txn) {
         co_await self.JournalAppend(z, bytes, tr);
         auto it = self.proposals_.find(z);
         if (it == self.proposals_.end()) co_return;
-        it->second.acks.insert(self.endpoint_.self());
+        it->acks |= std::uint64_t{1} << self.my_index_;
         self.TryCommitInOrder();
       }(*this, zxid, txn_bytes, trace));
   return zxid;
@@ -635,7 +550,7 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
     if (propose_queue_.empty()) break;
     const std::size_t n =
         std::min(propose_queue_.size(), config_.perf.max_journal_batch);
-    std::vector<std::pair<Zxid, Txn>> batch(
+    std::vector<BatchEntry> batch(
         std::make_move_iterator(propose_queue_.begin()),
         std::make_move_iterator(propose_queue_.begin() +
                                 static_cast<std::ptrdiff_t>(n)));
@@ -645,24 +560,33 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
     ++batch_rounds_;
     proposals_batched_ += n;
     const sim::SimTime wave_start = endpoint_.sim().now();
-    const obs::TraceId wave_trace = batch.front().second.trace;
+    std::vector<TxnView> views;
+    views.reserve(n);
+    for (const BatchEntry& entry : batch) {
+      auto view = TxnView::Decode(entry.txn);
+      DUFS_CHECK(view.ok());  // the session server or HandleForward read it
+      views.push_back(*view);
+    }
+    const obs::TraceId wave_trace = views.front().trace;
     // Per-follower replication bookkeeping, amortized over the batch.
     const auto peers = static_cast<sim::Duration>(config_.servers.size() - 1);
     co_await endpoint_.sim().Delay(peers * config_.perf.per_peer_cpu);
 
     std::size_t total_bytes = 0;
-    for (const auto& entry : batch) total_bytes += entry.second.EncodedSize();
-    const auto payload = BatchProposeMsg::Encode(epoch_, batch, total_bytes);
+    for (const BatchEntry& entry : batch) total_bytes += entry.txn.size();
+    const auto payload = EncodeBatchPropose(epoch_, batch);
     for (std::size_t i = 0; i < config_.servers.size(); ++i) {
       if (i == my_index_) continue;
       endpoint_.Notify(server_node(i), method::kBatchPropose, payload);
     }
 
-    const Zxid lo = batch.front().first;
-    const Zxid hi = batch.back().first;
-    for (auto& [zxid, txn] : batch) {
-      proposals_.emplace(zxid, Proposal{txn.trace, {}, false, wave_start});
-      pending_txns_.emplace(zxid, std::move(txn));
+    const Zxid lo = batch.front().zxid;
+    const Zxid hi = batch.back().zxid;
+    for (std::size_t i = 0; i < n; ++i) {
+      proposals_.insert(
+          Proposal{batch[i].zxid, views[i].trace, 0, wave_start});
+      pending_txns_.insert(
+          {batch[i].zxid, std::move(batch[i].txn), nullptr, views[i]});
     }
     MaybeScheduleRetransmit();
 
@@ -688,8 +612,8 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
            obs::TraceId tr) -> sim::Task<void> {
           co_await self.JournalAppend(hi_z, bytes, tr);
           for (auto it = self.proposals_.lower_bound(lo_z);
-               it != self.proposals_.end() && it->first <= hi_z; ++it) {
-            it->second.acks.insert(self.endpoint_.self());
+               it != self.proposals_.end() && it->zxid <= hi_z; ++it) {
+            it->acks |= std::uint64_t{1} << self.my_index_;
           }
           self.TryCommitInOrder();
         }(*this, lo, hi, total_bytes, wave_trace));
@@ -711,15 +635,16 @@ void ZkServer::MaybeScheduleRetransmit() {
     retransmit_scheduled_ = false;
     if (role_ != Role::kLeading || !endpoint_.node().up()) return;
     std::size_t sent = 0;
-    for (const auto& [zxid, proposal] : proposals_) {
+    for (const Proposal& proposal : proposals_) {
       // A proposal's txn stays in pending_txns_ until it is applied, which
       // is after the proposal itself is gone.
-      const auto txn = pending_txns_.find(zxid);
+      const auto txn = pending_txns_.find(proposal.zxid);
       DUFS_CHECK(txn != pending_txns_.end());
-      const auto payload = ProposeMsg::Encode(zxid, epoch_, txn->second);
+      const auto payload =
+          EncodePropose(proposal.zxid, epoch_, txn->txn.bytes);
       for (std::size_t i = 0; i < config_.servers.size(); ++i) {
         if (i == my_index_) continue;
-        if (proposal.acks.count(server_node(i)) > 0) continue;
+        if ((proposal.acks & (std::uint64_t{1} << i)) != 0) continue;
         endpoint_.Notify(server_node(i), method::kPropose, payload);
       }
       if (++sent >= 16) break;  // head of the queue commits first anyway
@@ -730,7 +655,7 @@ void ZkServer::MaybeScheduleRetransmit() {
 
 sim::Task<net::RpcResult> ZkServer::HandlePropose(net::NodeId from,
                                                   net::Payload req) {
-  auto msg = ProposeMsg::Decode(req);
+  auto msg = ProposeView::Decode(req);
   if (!msg.ok()) co_return msg.status();
   if (msg->epoch < epoch_) co_return Status(StatusCode::kConflict, "stale");
   AdoptEpoch(msg->epoch);
@@ -738,13 +663,14 @@ sim::Task<net::RpcResult> ZkServer::HandlePropose(net::NodeId from,
   // Retransmit handling: if we already journaled this zxid (or applied
   // it), just re-ack — the original ACK may have been lost.
   if (msg->zxid <= db_->last_applied() ||
-      pending_txns_.count(msg->zxid) > 0) {
+      pending_txns_.contains(msg->zxid)) {
     endpoint_.Notify(from, method::kAckProposal, EncodeZxid(msg->zxid));
     co_return net::Payload{};
   }
   const std::size_t bytes = req.size();
   const obs::TraceId trace = msg->txn.trace;
-  pending_txns_.emplace(msg->zxid, std::move(msg->txn));
+  // The payload itself becomes the pending txn.
+  pending_txns_.insert({msg->zxid, std::move(req), nullptr, msg->txn});
   co_await endpoint_.node().Compute(config_.perf.follower_txn_cpu);
   co_await JournalAppend(msg->zxid, bytes, trace);
   endpoint_.Notify(from, method::kAckProposal, EncodeZxid(msg->zxid));
@@ -757,7 +683,7 @@ sim::Task<net::RpcResult> ZkServer::HandleAck(net::NodeId from,
   if (!zxid.ok()) co_return zxid.status();
   auto it = proposals_.find(*zxid);
   if (it != proposals_.end()) {
-    it->second.acks.insert(from);
+    it->acks |= AckBit(from);
     TryCommitInOrder();
   }
   co_return net::Payload{};
@@ -765,31 +691,35 @@ sim::Task<net::RpcResult> ZkServer::HandleAck(net::NodeId from,
 
 sim::Task<net::RpcResult> ZkServer::HandleBatchPropose(net::NodeId from,
                                                        net::Payload req) {
-  auto msg = BatchProposeMsg::Decode(req);
+  auto msg = BatchProposeView::Decode(req);
   if (!msg.ok()) co_return msg.status();
-  if (msg->entries.empty()) co_return net::Payload{};
-  if (msg->epoch < epoch_) co_return Status(StatusCode::kConflict, "stale");
-  AdoptEpoch(msg->epoch);
+  if (msg->size() == 0) co_return net::Payload{};
+  if (msg->epoch() < epoch_) {
+    co_return Status(StatusCode::kConflict, "stale");
+  }
+  AdoptEpoch(msg->epoch());
 
-  const Zxid lo = msg->entries.front().first;
-  const Zxid hi = msg->entries.back().first;
-  const obs::TraceId trace = msg->entries.front().second.trace;
+  const Zxid lo = msg->lo();
+  const Zxid hi = msg->hi();
+  const obs::TraceId trace = msg->front_trace();
+  const std::size_t bytes = req.size();
+  // The txns share the payload; moving it into the shared buffer keeps the
+  // views valid.
+  auto batch = std::make_shared<const net::Payload>(std::move(req));
   std::size_t fresh = 0;
-  for (auto& [zxid, txn] : msg->entries) {
+  msg->ForEach([&](Zxid zxid, const TxnView& txn) {
     // Retransmit handling: anything already journaled or applied is just
     // re-acked by the range ACK below.
-    if (zxid <= db_->last_applied() || pending_txns_.count(zxid) > 0) {
-      continue;
-    }
-    pending_txns_.emplace(zxid, std::move(txn));
+    if (zxid <= db_->last_applied() || pending_txns_.contains(zxid)) return;
+    pending_txns_.insert({zxid, net::Payload{}, batch, txn});
     ++fresh;
-  }
+  });
   if (fresh > 0) {
     co_await endpoint_.node().Compute(
         config_.perf.follower_txn_cpu * static_cast<sim::Duration>(fresh));
     // One journal entry for the run: a single group-commit fsync covers
     // the whole batch.
-    co_await JournalAppend(hi, req.size(), trace);
+    co_await JournalAppend(hi, bytes, trace);
   }
   // Cumulative ACK: every zxid in [lo, hi] is durable here. The range is
   // exact (never beyond what this message carried), so a lost earlier
@@ -800,15 +730,14 @@ sim::Task<net::RpcResult> ZkServer::HandleBatchPropose(net::NodeId from,
 
 sim::Task<net::RpcResult> ZkServer::HandleBatchAck(net::NodeId from,
                                                    net::Payload req) {
-  wire::BufferReader r(req);
-  auto lo = r.ReadI64();
-  if (!lo.ok()) co_return lo.status();
-  auto hi = r.ReadI64();
-  if (!hi.ok()) co_return hi.status();
+  auto range = DecodeZxidRange(req);
+  if (!range.ok()) co_return range.status();
+  const auto [lo, hi] = *range;
+  const std::uint64_t bit = AckBit(from);
   bool any = false;
-  for (auto it = proposals_.lower_bound(*lo);
-       it != proposals_.end() && it->first <= *hi; ++it) {
-    it->second.acks.insert(from);
+  for (auto it = proposals_.lower_bound(lo);
+       it != proposals_.end() && it->zxid <= hi; ++it) {
+    it->acks |= bit;
     any = true;
   }
   if (any) TryCommitInOrder();
@@ -820,30 +749,30 @@ void ZkServer::TryCommitInOrder() {
   // before anything behind it commits.
   bool committed_any = false;
   while (!proposals_.empty()) {
-    auto it = proposals_.begin();
+    const Proposal& head = proposals_.front();
     // +1: the leader's own durability is counted by its self-ack entry, so
     // quorum() includes it naturally.
-    if (it->second.acks.size() < quorum()) break;
-    const Zxid zxid = it->first;
-    if (recording() && it->second.proposed_at > 0) {
+    if (head.ack_count() < quorum()) break;
+    const Zxid zxid = head.zxid;
+    if (recording() && head.proposed_at > 0) {
       // PROPOSE -> quorum of ACKs, on the leader's track.
       std::vector<obs::Tracer::Arg> args;
       if (tracing()) {
         args = {{"zxid", {}, static_cast<std::int64_t>(zxid), false},
-                {"acks", {},
-                 static_cast<std::int64_t>(it->second.acks.size()), false}};
+                {"acks", {}, static_cast<std::int64_t>(head.ack_count()),
+                 false}};
       }
       obs_.tracer->Complete(obs_.track, "quorum-round", "zab",
-                            it->second.proposed_at,
-                            endpoint_.sim().now() - it->second.proposed_at,
-                            it->second.trace, std::move(args));
+                            head.proposed_at,
+                            endpoint_.sim().now() - head.proposed_at,
+                            head.trace, std::move(args));
     }
-    proposals_.erase(it);
+    proposals_.pop_front();
     last_committed_ = zxid;
     ++writes_committed_;
     committed_any = true;
     if (!config_.group_commit) BroadcastCommit(zxid);
-    committed_not_applied_.insert(zxid);
+    committed_not_applied_.insert({zxid});
     ApplyCommitted();
   }
   // Group commit: one COMMIT watermark for the whole quorumed run (the
@@ -852,10 +781,12 @@ void ZkServer::TryCommitInOrder() {
 }
 
 void ZkServer::BroadcastCommit(Zxid zxid) {
-  const auto payload = EncodeZxid(zxid);
+  auto payload = EncodeZxid(zxid);
+  std::size_t followers_left = config_.servers.size() - 1;
   for (std::size_t i = 0; i < config_.servers.size(); ++i) {
     if (i == my_index_) continue;
-    endpoint_.Notify(server_node(i), method::kCommit, payload);
+    endpoint_.Notify(server_node(i), method::kCommit,
+                     --followers_left == 0 ? std::move(payload) : payload);
   }
 }
 
@@ -868,10 +799,10 @@ sim::Task<net::RpcResult> ZkServer::HandleCommit(net::NodeId /*from*/,
   // every pending proposal <= z is committed too (this is what lets the
   // group-commit leader send one watermark per batch).
   for (auto it = pending_txns_.begin();
-       it != pending_txns_.end() && it->first <= *zxid; ++it) {
-    committed_not_applied_.insert(it->first);
+       it != pending_txns_.end() && it->zxid <= *zxid; ++it) {
+    committed_not_applied_.insert({it->zxid});
   }
-  committed_not_applied_.insert(*zxid);
+  committed_not_applied_.insert({*zxid});
   co_await endpoint_.node().Compute(config_.perf.apply_cpu);
   ApplyCommitted();
   co_return net::Payload{};
@@ -879,35 +810,35 @@ sim::Task<net::RpcResult> ZkServer::HandleCommit(net::NodeId /*from*/,
 
 void ZkServer::ApplyCommitted() {
   while (!committed_not_applied_.empty()) {
-    const Zxid zxid = *committed_not_applied_.begin();
+    const Zxid zxid = committed_not_applied_.front().zxid;
     if (zxid <= db_->last_applied()) {
-      committed_not_applied_.erase(committed_not_applied_.begin());
+      committed_not_applied_.pop_front();
       continue;  // already covered by a snapshot sync
     }
     auto it = pending_txns_.find(zxid);
     if (it == pending_txns_.end()) break;  // proposal not yet received
     // Only the replica a client waits on builds the reply.
-    const auto wanted = result_wanted_.find(zxid);
-    const bool reply = wanted != result_wanted_.end();
-    AppliedTxn applied = ApplyTxn(it->second, zxid, reply);
+    const auto wanted = local_results_.find(zxid);
+    const bool reply = wanted != local_results_.end() && !wanted->applied;
+    AppliedTxn& applied = ApplyTxn(it->txn, zxid, reply);
     // Every replica retains the committed tail: any of them may be elected
     // leader later and must be able to sync lagging followers.
-    committed_log_.Append(zxid, it->second);
+    committed_log_.Append(zxid, it->txn.bytes);
     if (reply) {
       // A compound write's reply was encoded by the apply; any other write
       // is encoded once here.
-      if (IsCompound(it->second.op.type)) {
-        local_results_[zxid] = std::move(applied.reply);
+      if (IsCompound(it->txn.op.type)) {
+        wanted->reply = std::move(applied.reply);
       } else {
         ClientResponse resp;
         resp.result = std::move(applied.result);
         resp.multi_results = std::move(applied.multi_results);
-        local_results_[zxid] = resp.Encode();
+        wanted->reply = resp.Encode();
       }
-      result_wanted_.erase(wanted);
+      wanted->applied = true;
     }
     pending_txns_.erase(it);
-    committed_not_applied_.erase(committed_not_applied_.begin());
+    committed_not_applied_.pop_front();
   }
   CompleteApplyWaiters();
 }
@@ -915,7 +846,7 @@ void ZkServer::ApplyCommitted() {
 sim::Task<bool> ZkServer::WaitApplied(Zxid zxid) {
   if (db_->last_applied() >= zxid) co_return true;
   auto [future, promise] = sim::MakeFuture<bool>(endpoint_.sim());
-  apply_waiters_[zxid].push_back(promise);
+  apply_waiters_.insert_multi({zxid, promise});
   // Give-up timer: a leader change can abandon the proposal; never strand
   // the waiter (the client will see kUnavailable and retry).
   endpoint_.sim().ScheduleFn(sim::Sec(3), [promise]() mutable {
@@ -926,9 +857,9 @@ sim::Task<bool> ZkServer::WaitApplied(Zxid zxid) {
 
 void ZkServer::CompleteApplyWaiters() {
   const Zxid applied = db_->last_applied();
-  while (!apply_waiters_.empty() && apply_waiters_.begin()->first <= applied) {
-    for (auto& promise : apply_waiters_.begin()->second) promise.Set(true);
-    apply_waiters_.erase(apply_waiters_.begin());
+  while (!apply_waiters_.empty() && apply_waiters_.front().zxid <= applied) {
+    apply_waiters_.front().done.Set(true);
+    apply_waiters_.pop_front();
   }
 }
 
@@ -936,11 +867,21 @@ void ZkServer::CompleteApplyWaiters() {
 
 sim::Task<void> ZkServer::JournalAppend(Zxid zxid, std::size_t bytes,
                                         obs::TraceId trace) {
-  auto [future, promise] = sim::MakeFuture<bool>(endpoint_.sim());
   ++journal_pending_;
   g_journal_pending_.Set(static_cast<std::int64_t>(journal_pending_));
-  journal_mb_->Send(JournalEntry{zxid, bytes, trace, promise});
-  co_await std::move(future);
+  // The entry carries this coroutine itself: JournalLoop resumes it after
+  // the fsync, so no completion state is allocated per entry.
+  struct Enqueue {
+    ZkServer* self;
+    JournalEntry entry;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      entry.waiter = sim::CaptureSuspended(h);
+      self->journal_mb_->Send(std::move(entry));
+    }
+    void await_resume() const noexcept {}
+  };
+  co_await Enqueue{this, JournalEntry(zxid, bytes, trace, {})};
 }
 
 sim::Task<void> ZkServer::JournalLoop() {
@@ -949,7 +890,7 @@ sim::Task<void> ZkServer::JournalLoop() {
     if (!first.has_value()) co_return;
     prof::ProfScope node_scope(obs_.prof_name, prof::FrameKind::kNode);
     prof::ProfScope fsync_scope("fsync-batch", prof::FrameKind::kComponent);
-    std::vector<JournalEntry> batch;
+    std::vector<JournalEntry>& batch = journal_batch_;
     batch.push_back(std::move(*first));
     while (journal_mb_->size() > 0 &&
            batch.size() < config_.perf.max_journal_batch) {
@@ -985,8 +926,10 @@ sim::Task<void> ZkServer::JournalLoop() {
     }
     for (auto& e : batch) {
       if (journal_pending_ > 0) --journal_pending_;
-      e.done.Set(true);
+      endpoint_.sim().ScheduleHandle(
+          0, std::exchange(e.waiter, sim::SuspendedHandle{}));
     }
+    batch.clear();
     g_journal_pending_.Set(static_cast<std::int64_t>(journal_pending_));
   }
 }
@@ -1073,7 +1016,7 @@ sim::Task<void> ZkServer::SessionExpiryLoop() {
       txn.session = session;
       txn.op.type = OpType::kCloseSession;
       DUFS_LOG(Info) << "expiring session " << session;
-      (void)co_await SubmitWrite(std::move(txn));
+      (void)co_await SubmitWrite(txn.Encode());
     }
   }
 }
@@ -1203,9 +1146,9 @@ void ZkServer::AdoptEpoch(std::int64_t epoch) {
   epoch_ = epoch;
   proposals_.clear();
   propose_queue_.clear();
-  std::erase_if(pending_txns_, [this](const auto& entry) {
-    return (entry.first >> 40) < epoch_ &&
-           committed_not_applied_.count(entry.first) == 0;
+  pending_txns_.erase_if([this](const PendingTxn& entry) {
+    return (entry.zxid >> 40) < epoch_ &&
+           !committed_not_applied_.contains(entry.zxid);
   });
 }
 
@@ -1246,11 +1189,11 @@ sim::Task<void> ZkServer::SyncWithLeader(std::size_t leader_idx) {
   for (std::uint64_t i = 0; i < *count; ++i) {
     auto zxid = r.ReadI64();
     if (!zxid.ok()) co_return;
-    auto txn = Txn::Decode(r);
+    auto txn = TxnView::Read(r);
     if (!txn.ok()) co_return;
     if (*zxid <= db_->last_applied()) continue;
     ApplyTxn(*txn, *zxid, /*reply=*/false);  // no client waits on a replay
-    committed_log_.Append(*zxid, *txn);
+    committed_log_.Append(*zxid, txn->bytes);
   }
   AdoptEpoch(*epoch);
   if (db_->last_applied() > last_committed_) {

@@ -16,13 +16,15 @@
 // committed-log history. Majority loss makes writes time out (tested).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/rpc.h"
@@ -32,6 +34,7 @@
 #include "zk/database.h"
 #include "zk/proto.h"
 #include "zk/watch_table.h"
+#include "zk/zxid_queue.h"
 
 namespace dufs::zk {
 
@@ -68,8 +71,7 @@ struct ZkEnsembleConfig {
 };
 
 // The committed-txn tail one replica keeps for syncing lagging followers
-// (DESIGN.md §16): every txn's Txn::Encode bytes back to back in one
-// buffer, indexed by (zxid, end offset), so an entry costs its encoding plus
+// (DESIGN.md §16): every txn's encoded bytes back to back in one buffer, indexed by (zxid, end offset), so an entry costs its encoding plus
 // 16 index bytes and no heap object of its own. At most `max_entries` are
 // kept; dropping the oldest raises truncated_upto(), and a follower that has
 // not applied that zxid is sent a snapshot instead of a diff.
@@ -77,8 +79,10 @@ class CommittedLog {
  public:
   explicit CommittedLog(std::size_t max_entries) : max_entries_(max_entries) {}
 
-  // `zxid` must exceed every zxid already in the log.
-  void Append(Zxid zxid, const Txn& txn);
+  // Copies the encoded txn in. `zxid` must exceed every zxid already in
+  // the log.
+  void Append(Zxid zxid, std::span<const std::uint8_t> txn);
+  void Append(Zxid zxid, const Txn& txn) { Append(zxid, txn.Encode()); }
   // Empties the log after the replica's state was replaced wholesale (a
   // restore or a snapshot install) and now ends at `upto`.
   void Reset(Zxid upto);
@@ -102,7 +106,6 @@ class CommittedLog {
   std::deque<Entry> index_;
   std::uint64_t dropped_bytes_ = 0;  // popped off the front of bytes_
   Zxid truncated_upto_ = 0;          // highest zxid dropped from the tail
-  wire::BufferWriter encoder_;       // reused by every Append
 };
 
 class ZkServer {
@@ -152,10 +155,36 @@ class ZkServer {
  private:
   // The txn itself stays in pending_txns_ (retransmits encode it from there).
   struct Proposal {
+    Zxid zxid = 0;
     obs::TraceId trace = 0;
-    std::set<net::NodeId> acks;  // deduplicated (retransmits re-ack)
-    bool committed = false;
+    std::uint64_t acks = 0;  // bit i: server i has it durable (retransmits
+                             // re-ack the same bit)
     sim::SimTime proposed_at = 0;  // quorum-round span start
+
+    std::size_t ack_count() const { return std::popcount(acks); }
+  };
+  // A proposed txn this replica holds until it applies it: its bytes as they
+  // arrived, either a PROPOSE payload of its own or a BATCH PROPOSE payload
+  // shared with the other txns of the batch, read through `txn`. Moving a
+  // vector keeps its buffer, so `txn` stays valid as the entry moves.
+  struct PendingTxn {
+    Zxid zxid = 0;
+    net::Payload bytes;
+    std::shared_ptr<const net::Payload> batch;
+    TxnView txn;
+  };
+  struct CommittedZxid {
+    Zxid zxid = 0;
+  };
+  // A write a client waits for at this server: its reply, once applied.
+  struct LocalResult {
+    Zxid zxid = 0;
+    bool applied = false;
+    net::Payload reply;
+  };
+  struct ApplyWaiter {
+    Zxid zxid = 0;
+    sim::Promise<bool> done;
   };
 
   std::size_t quorum() const { return config_.servers.size() / 2 + 1; }
@@ -163,6 +192,8 @@ class ZkServer {
     return config_.servers[idx];
   }
   Zxid MakeZxid() { return (epoch_ << 40) | static_cast<Zxid>(++zxid_counter_); }
+  // The bit of the server at `node` in Proposal::acks (0 for a non-member).
+  std::uint64_t AckBit(net::NodeId node) const;
 
   // RPC handlers.
   sim::Task<net::RpcResult> HandleRequest(net::NodeId from, net::Payload req);
@@ -182,13 +213,14 @@ class ZkServer {
   sim::Task<net::RpcResult> HandleElectionVote(net::NodeId from,
                                                net::Payload req);
 
-  // Write-path helpers.
-  // Both return the encoded ClientResponse the client receives.
-  sim::Task<Result<net::Payload>> SubmitWrite(Txn txn);
-  // `zxid` is an out-param owned by the awaiting HandleRequest frame.
-  // dufs-lint: allow(coro-ref-param)
-  sim::Task<Result<net::Payload>> SubmitWriteTracked(Txn txn, Zxid& zxid);
-  Zxid ProposeAsLeader(Txn txn);  // returns the assigned zxid
+  // Write-path helpers. Each takes the txn as its encoded bytes (TxnView
+  // reads them) and returns the encoded ClientResponse the client receives.
+  sim::Task<Result<net::Payload>> SubmitWrite(net::Payload txn);
+  // `zxid` is an out-param owned by the awaiting HandleForward frame.
+  sim::Task<Result<net::Payload>> SubmitWriteTracked(
+      net::Payload txn, Zxid& zxid);  // dufs-lint: allow(coro-ref-param)
+  // Stamps the time into `txn` and proposes it; returns the assigned zxid.
+  Zxid ProposeAsLeader(net::Payload txn);
   // Group-commit path: drains propose_queue_ in max_journal_batch-sized
   // waves, paying the per-follower replication cost once per wave.
   void ScheduleProposalFlush();
@@ -200,12 +232,24 @@ class ZkServer {
   sim::Task<bool> WaitApplied(Zxid zxid);  // false on give-up timeout
   void CompleteApplyWaiters();
 
-  // Journal (group commit) pipeline.
+  // Journal (group commit) pipeline. An entry holds its submitter, suspended
+  // until the fsync that covers it, and resumes it from JournalLoop.
   struct JournalEntry {
-    Zxid zxid;
-    std::size_t bytes;
+    Zxid zxid = 0;
+    std::size_t bytes = 0;
     obs::TraceId trace = 0;
-    sim::Promise<bool> done;
+    sim::SuspendedHandle waiter;  // owned until scheduled
+
+    JournalEntry(Zxid z, std::size_t b, obs::TraceId t,
+                 sim::SuspendedHandle w)
+        : zxid(z), bytes(b), trace(t), waiter(w) {}
+    JournalEntry(JournalEntry&& o) noexcept
+        : zxid(o.zxid),
+          bytes(o.bytes),
+          trace(o.trace),
+          waiter(std::exchange(o.waiter, sim::SuspendedHandle{})) {}
+    // An entry dropped unscheduled (shutdown) frees its waiter's context.
+    ~JournalEntry() { prof::FreeSnapshot(waiter.ctx); }
   };
   sim::Task<void> JournalLoop();
   sim::Task<void> JournalAppend(Zxid zxid, std::size_t bytes,
@@ -219,7 +263,7 @@ class ZkServer {
   }
 
   // Watches.
-  void RegisterWatch(const Op& op, SessionId session, net::NodeId client);
+  void RegisterWatch(const OpView& op, SessionId session, net::NodeId client);
   // Compound ops: one data watch per resolved component (plus the first
   // missing one on a partial miss), and for ReadDirPlus a child watch on
   // the directory + data watches on every listed entry — the server-side
@@ -237,7 +281,7 @@ class ZkServer {
   // Applies one committed txn to this replica: the database, then the watch
   // tables (a closed session's watches go, then the triggers fire). `reply`:
   // a client waits on this replica for the result (Database::Apply).
-  AppliedTxn ApplyTxn(const Txn& txn, Zxid zxid, bool reply);
+  AppliedTxn& ApplyTxn(const TxnView& txn, Zxid zxid, bool reply);
 
   // Failure detection & election.
   sim::Task<void> LeaderPingLoop(std::int64_t epoch_at_start);
@@ -259,10 +303,10 @@ class ZkServer {
   std::uint64_t zxid_counter_ = 0;
 
   // Leader state.
-  std::map<Zxid, Proposal> proposals_;
+  ZxidQueue<Proposal> proposals_;
   // Sequenced-but-not-yet-broadcast writes awaiting the next group-commit
   // wave (group_commit mode only; zxids are contiguous in queue order).
-  std::vector<std::pair<Zxid, Txn>> propose_queue_;
+  std::vector<BatchEntry> propose_queue_;
   bool flush_scheduled_ = false;
   Zxid last_committed_ = 0;
   // Tail of the committed history (the on-disk log model) for syncing
@@ -270,17 +314,17 @@ class ZkServer {
   CommittedLog committed_log_;
 
   // Replica state.
-  std::map<Zxid, Txn> pending_txns_;   // proposed, not yet committed
-  std::set<Zxid> committed_not_applied_;
-  std::map<Zxid, std::vector<sim::Promise<bool>>> apply_waiters_;
-  // Encoded replies cached for requests that originated at this server.
-  std::set<Zxid> result_wanted_;
-  std::map<Zxid, net::Payload> local_results_;
+  ZxidQueue<PendingTxn> pending_txns_;  // proposed, not yet applied
+  ZxidQueue<CommittedZxid> committed_not_applied_;
+  ZxidQueue<ApplyWaiter> apply_waiters_;  // zxid order, then arrival order
+  // Requests that originated at this server, with their encoded replies.
+  ZxidQueue<LocalResult> local_results_;
 
   // Pipelines.
   std::unique_ptr<sim::Resource> read_pipeline_;
   std::unique_ptr<sim::Resource> write_pipeline_;
   std::unique_ptr<sim::Mailbox<JournalEntry>> journal_mb_;
+  std::vector<JournalEntry> journal_batch_;  // reused by every fsync
   // Journal entries submitted but not yet fsynced. The group-commit flush
   // paces itself on this: while a disk sync is in flight, submitters keep
   // sequencing and the next quorum round picks them all up at once.

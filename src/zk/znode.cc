@@ -67,10 +67,13 @@ Status ValidatePath(std::string_view path) {
 }
 
 std::string ParentPath(std::string_view path) {
+  return std::string(ParentView(path));
+}
+
+std::string_view ParentView(std::string_view path) {
   DUFS_CHECK(path.size() > 1 && path[0] == '/');
   const auto pos = path.rfind('/');
-  if (pos == 0) return "/";
-  return std::string(path.substr(0, pos));
+  return path.substr(0, pos == 0 ? 1 : pos);
 }
 
 std::string_view BaseName(std::string_view path) {
@@ -125,14 +128,6 @@ DataTree::Znode* DataTree::FindMutable(std::string_view path) {
   auto found = static_cast<const DataTree*>(this)->Find(path);
   return found.ok() ? const_cast<Znode*>(*found) : nullptr;
 }
-
-namespace {
-// "/a/b" -> "/a", "/a" -> "/". Precondition: valid, != "/".
-std::string_view ParentView(std::string_view path) {
-  const auto pos = path.rfind('/');
-  return path.substr(0, pos == 0 ? 1 : pos);
-}
-}  // namespace
 
 Result<std::string> DataTree::Create(std::string_view path,
                                      std::vector<std::uint8_t> data,

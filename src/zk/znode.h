@@ -65,6 +65,8 @@ inline constexpr std::int32_t kAnyVersion = -1;
 Status ValidatePath(std::string_view path);
 // Parent of "/a/b" is "/a"; parent of "/a" is "/". Precondition: valid, != "/".
 std::string ParentPath(std::string_view path);
+// The same as a view into `path`.
+std::string_view ParentView(std::string_view path);
 // Basename of "/a/b" is "b".
 std::string_view BaseName(std::string_view path);
 // Components of "/a/b/c" are ["a", "b", "c"]; "/" has none. The views alias

@@ -95,6 +95,41 @@ TEST(DufsCompoundTest, ResolveSeedsPrefixAndTerminal) {
   }(tb));
 }
 
+void ExpectSameAttr(const vfs::FileAttr& a, const vfs::FileAttr& b) {
+  EXPECT_EQ(a.type, b.type);
+  EXPECT_EQ(a.mode, b.mode);
+  EXPECT_EQ(a.size, b.size);
+  EXPECT_EQ(a.inode, b.inode);
+  EXPECT_EQ(a.nlink, b.nlink);
+  EXPECT_EQ(a.ctime, b.ctime);
+  EXPECT_EQ(a.mtime, b.mtime);
+  EXPECT_EQ(a.atime, b.atime);
+}
+
+// A miss answers from the record the seeder decoded, a hit from the cache
+// entry seeded with it: both give the same record and stat.
+TEST(DufsCompoundTest, LookupMissAndFollowingHitAgree) {
+  Testbed tb(Config(/*compound_ops=*/true));
+  tb.MountAll();
+  sim::RunTask(tb.sim(), [](Testbed& t) -> sim::Task<void> {
+    co_await BuildDeepDirs(*t.client(0).dufs, 2);
+    const std::string file = DeepPath(2) + "/f";
+    CO_ASSERT_TRUE((co_await t.client(0).dufs->Create(file, 0644)).ok());
+    auto& fs = *t.client(1).dufs;
+    auto& zk = *t.client(1).zk;
+    for (const std::string& path : {DeepPath(2), file}) {
+      const auto before = zk.requests_sent();
+      auto miss = co_await fs.GetAttr(path);
+      CO_ASSERT_TRUE(miss.ok());
+      EXPECT_EQ(zk.requests_sent() - before, 1u) << path;
+      auto hit = co_await fs.GetAttr(path);
+      CO_ASSERT_TRUE(hit.ok());
+      EXPECT_EQ(zk.requests_sent() - before, 1u) << path;
+      ExpectSameAttr(*miss, *hit);
+    }
+  }(tb));
+}
+
 // A partial miss seeds a negative entry for the first missing component
 // (plus positives for the resolved prefix) — the satellite fix: re-probing
 // the missing component or its existing ancestors costs nothing.
