@@ -19,7 +19,9 @@ namespace dufs::bench {
 
 // --flag=value / --flag value / --flag (bool). Positional (non --) arguments
 // abort with the usage string; unrecognized --flags are parsed but simply
-// never read back, so benches can share command lines.
+// never read back. Flags remembers which were read: bench::Harness fails a
+// bench given a flag it never read (Unread()), while a caller that shares
+// one command line between tools can ignore the rest.
 class Flags {
  public:
   Flags(int argc, char** argv, std::string usage)
@@ -36,7 +38,7 @@ class Flags {
       } else if (i + 1 < args_.size() && args_[i + 1].rfind("--", 0) != 0) {
         value = args_[++i];
       }
-      values_.emplace_back(std::move(key), std::move(value));
+      values_.push_back({std::move(key), std::move(value)});
     }
   }
 
@@ -80,12 +82,30 @@ class Flags {
     return out;
   }
 
- private:
-  const std::string* Find(const std::string& key) const {
-    for (const auto& [k, v] : values_) {
-      if (k == key) return &v;
+  // The given flags nothing has read back, in command-line order.
+  std::vector<std::string> Unread() const {
+    std::vector<std::string> out;
+    for (const Value& v : values_) {
+      if (!v.read) out.push_back(v.key);
     }
-    return nullptr;
+    return out;
+  }
+
+ private:
+  struct Value {
+    std::string key;
+    std::string value;
+    mutable bool read = false;
+  };
+
+  const std::string* Find(const std::string& key) const {
+    const std::string* found = nullptr;
+    for (const Value& v : values_) {
+      if (v.key != key) continue;
+      v.read = true;
+      if (found == nullptr) found = &v.value;
+    }
+    return found;
   }
   [[noreturn]] void Fail(const std::string& message) const {
     std::fprintf(stderr, "%s\nusage: %s\n", message.c_str(), usage_.c_str());
@@ -94,7 +114,7 @@ class Flags {
 
   std::string usage_;
   std::vector<std::string> args_;
-  std::vector<std::pair<std::string, std::string>> values_;
+  std::vector<Value> values_;
 };
 
 // Hot-path telemetry for one measured configuration: throughput plus the

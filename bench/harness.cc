@@ -99,15 +99,17 @@ Harness::Harness(std::string name, int argc, char** argv,
       failed_ = true;
     }
   }
+  // Read before the early return: a shared flag never counts as unknown.
+  const long every = flags_.Int("profile-every", 0);
+  const long hz = flags_.Int("profile-hz", 97);
   if (profile_path_.empty()) return;
   prof::Options po;
-  const long every = flags_.Int("profile-every", 0);
   if (every > 0) {
     po.mode = prof::Options::Mode::kCount;
     po.every = static_cast<std::uint64_t>(every);
   } else {
     po.mode = prof::Options::Mode::kSignal;
-    po.hz = static_cast<int>(flags_.Int("profile-hz", 97));
+    po.hz = static_cast<int>(hz);
   }
   std::string error;
   if (!prof::Start(po, &error)) {
@@ -203,6 +205,11 @@ void Harness::StopProfiler() {
 
 int Harness::Finish() {
   StopProfiler();
+  // A flag the bench never read is a typo or one it does not take; either
+  // way the run was not the one asked for.
+  for (const std::string& flag : flags_.Unread()) {
+    Fail("unknown flag --" + flag);
+  }
   if (!captured_ && (tracing() || timeline_ || incidents())) {
     std::fprintf(stderr,
                  "%s: no simulated run to observe; --trace, --timeline, "

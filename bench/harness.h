@@ -43,9 +43,10 @@
 //   --profile-digest=PATH also write the profiler's JSON digest
 //
 // Exit status: Finish() returns 1 when any export could not be written
-// (metrics, trace, baseline, profile, or the dump directory) or the bench
+// (metrics, trace, baseline, profile, or the dump directory), the bench
 // reported a failure (Fail(), or a phase with failed ops through
-// PhaseErrors()); 0 otherwise. A malformed --slo exits 2 at construction,
+// PhaseErrors()), or a flag was given that neither the harness nor the
+// bench ever read (each is named); 0 otherwise. A malformed --slo exits 2 at construction,
 // like any other usage error.
 #pragma once
 
@@ -98,8 +99,8 @@ class Harness {
   // Fail()s when a measured phase `what` saw `errors` failed ops.
   void PhaseErrors(const std::string& what, std::uint64_t errors);
 
-  // Stops the profiler and writes its export, --metrics-json and
-  // --baseline. Returns main()'s exit code.
+  // Fails the run for every flag never read, stops the profiler and writes
+  // its export, --metrics-json and --baseline. Returns main()'s exit code.
   int Finish();
 
  private:

@@ -171,6 +171,7 @@ int SelfBenchMain(int argc, char** argv) {
                    "[--churn-timers=N] [--coro-procs=N] [--coro-rounds=N] "
                    "[--spawns=N] [--audit-check]");
   const bench::Flags& flags = h.flags();
+  DUFS_CHECK(flags.Bool("selfbench"));  // main() dispatched on it
   const auto seed = static_cast<std::uint64_t>(flags.Int("seed", 1));
   const long reps = flags.Int("reps", 3);
   const auto churn_events =

@@ -283,32 +283,6 @@ Result<TxnView> TxnView::Decode(std::span<const std::uint8_t> bytes) {
   return txn;
 }
 
-std::vector<std::uint8_t> EncodePropose(Zxid zxid, std::int64_t epoch,
-                                        std::span<const std::uint8_t> txn) {
-  wire::BufferWriter w;
-  w.Reserve(8 + 8 + txn.size());
-  w.WriteI64(zxid);
-  w.WriteI64(epoch);
-  w.WriteRaw(txn.begin(), txn.end());
-  return w.Take();
-}
-
-Result<ProposeView> ProposeView::Decode(std::span<const std::uint8_t> bytes) {
-  wire::BufferReader r(bytes.data(), bytes.size());
-  ProposeView m;
-  auto zxid = r.ReadI64();
-  DUFS_RETURN_IF_ERROR(zxid);
-  m.zxid = *zxid;
-  auto epoch = r.ReadI64();
-  DUFS_RETURN_IF_ERROR(epoch);
-  m.epoch = *epoch;
-  auto txn = TxnView::Read(r);
-  DUFS_RETURN_IF_ERROR(txn);
-  m.txn = *txn;
-  DUFS_RETURN_IF_ERROR(ExpectEnd(r));
-  return m;
-}
-
 std::vector<std::uint8_t> EncodeBatchPropose(
     std::int64_t epoch, std::span<const BatchEntry> entries) {
   std::size_t size = 8 + Writer::VarintSize(entries.size());
@@ -333,7 +307,7 @@ Result<BatchProposeView> BatchProposeView::Decode(
   m.epoch_ = *epoch;
   auto count = r.ReadVarint();
   DUFS_RETURN_IF_ERROR(count);
-  const std::uint8_t* first = r.cursor();
+  const std::uint8_t* rest = r.cursor();
   for (std::uint64_t i = 0; i < *count; ++i) {
     auto zxid = r.ReadI64();
     DUFS_RETURN_IF_ERROR(zxid);
@@ -341,14 +315,15 @@ Result<BatchProposeView> BatchProposeView::Decode(
     DUFS_RETURN_IF_ERROR(txn);
     if (i == 0) {
       m.lo_ = *zxid;
-      m.front_trace_ = txn->trace;
+      m.front_ = *txn;
+      rest = r.cursor();
     }
     m.hi_ = *zxid;
   }
   DUFS_RETURN_IF_ERROR(ExpectEnd(r));
   m.count_ = static_cast<std::size_t>(*count);
-  m.entries_ = std::span<const std::uint8_t>(
-      first, static_cast<std::size_t>(r.cursor() - first));
+  m.rest_ = std::span<const std::uint8_t>(
+      rest, static_cast<std::size_t>(r.cursor() - rest));
   return m;
 }
 
@@ -368,6 +343,7 @@ Result<Zxid> DecodeZxid(std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> EncodeZxidRange(Zxid lo, Zxid hi) {
   wire::BufferWriter w;
+  w.Reserve(16);
   w.WriteI64(lo);
   w.WriteI64(hi);
   return w.Take();

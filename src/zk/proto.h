@@ -3,8 +3,9 @@
 //
 // Reads (GetData/Exists/GetChildren/Sync) are served by any server from its
 // local replica. Writes (Create/Delete/SetData/Multi/session lifecycle) are
-// turned into Txn records, sequenced by the leader, and applied by every
-// replica in zxid order (see zab.h).
+// turned into Txn records, sequenced by the leader, replicated by its BATCH
+// PROPOSE / range ACK / COMMIT watermark exchange, and applied by every
+// replica in zxid order (see server.h, DESIGN.md §16).
 #pragma once
 
 #include <cstdint>
@@ -25,10 +26,8 @@ namespace method {
 inline constexpr std::uint16_t kConnect = 100;      // client -> server
 inline constexpr std::uint16_t kRequest = 101;      // client -> server
 inline constexpr std::uint16_t kForward = 110;      // follower -> leader
-inline constexpr std::uint16_t kPropose = 111;      // leader -> follower
-inline constexpr std::uint16_t kAckProposal = 112;  // follower -> leader
-// Group-commit fast path: one PROPOSE carrying a contiguous zxid run, one
-// cumulative ACK per batch (see ZkEnsembleConfig::group_commit).
+// Replication: every proposal is a contiguous zxid run (one txn unless group
+// commit coalesced more), ACKed as one [lo, hi] range.
 inline constexpr std::uint16_t kBatchPropose = 104; // leader -> follower
 inline constexpr std::uint16_t kBatchAck = 105;     // follower -> leader
 inline constexpr std::uint16_t kCommit = 113;       // leader -> all (one-way)
@@ -224,22 +223,11 @@ struct TxnView {
   static Result<TxnView> Decode(std::span<const std::uint8_t> bytes);
 };
 
-// Leader -> follower PROPOSE (method::kPropose): I64 zxid, I64 epoch, then
-// the txn bytes as the leader sequenced them.
-std::vector<std::uint8_t> EncodePropose(Zxid zxid, std::int64_t epoch,
-                                        std::span<const std::uint8_t> txn);
-struct ProposeView {
-  Zxid zxid = 0;
-  std::int64_t epoch = 0;
-  TxnView txn;
-
-  static Result<ProposeView> Decode(std::span<const std::uint8_t> bytes);
-};
-
-// Leader -> follower BATCH PROPOSE (method::kBatchPropose, group commit): a
-// contiguous run of sequenced txns, I64 epoch, varint n, then n times
-// (I64 zxid, txn bytes). The follower journals the run with one fsync and
-// ACKs the whole [lo, hi] zxid range back.
+// Leader -> follower BATCH PROPOSE (method::kBatchPropose): a contiguous
+// run of sequenced txns, I64 epoch, varint n, then n times (I64 zxid, txn
+// bytes as the leader sequenced them). Without group commit every run is a
+// batch of one. The follower journals the run with one fsync and ACKs the
+// whole [lo, hi] zxid range back.
 struct BatchEntry {
   Zxid zxid = 0;
   std::vector<std::uint8_t> txn;
@@ -252,13 +240,16 @@ class BatchProposeView {
   std::size_t size() const { return count_; }
   Zxid lo() const { return lo_; }
   Zxid hi() const { return hi_; }
-  std::uint64_t front_trace() const { return front_trace_; }
+  std::uint64_t front_trace() const { return front_.trace; }
 
-  // Calls fn(zxid, txn) for each entry in order.
+  // Calls fn(zxid, txn) for each entry in order. Decode kept the first
+  // entry's view, so a batch of one is read only once.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    wire::BufferReader r(entries_.data(), entries_.size());
-    for (std::size_t i = 0; i < count_; ++i) {
+    if (count_ == 0) return;
+    fn(lo_, front_);
+    wire::BufferReader r(rest_.data(), rest_.size());
+    for (std::size_t i = 1; i < count_; ++i) {
       const Zxid zxid = *r.ReadI64();
       fn(zxid, *TxnView::Read(r));
     }
@@ -271,11 +262,12 @@ class BatchProposeView {
   std::size_t count_ = 0;
   Zxid lo_ = 0;
   Zxid hi_ = 0;
-  std::uint64_t front_trace_ = 0;
-  std::span<const std::uint8_t> entries_;
+  TxnView front_;
+  std::span<const std::uint8_t> rest_;  // the entries after the first
 };
 
-// ACK and COMMIT carry one zxid; the batch ACK carries a [lo, hi] range.
+// COMMIT (a cumulative watermark) and FOLLOWERINFO carry one zxid; the ACK
+// carries the [lo, hi] range of the batch it answers.
 std::vector<std::uint8_t> EncodeZxid(Zxid zxid);
 Result<Zxid> DecodeZxid(std::span<const std::uint8_t> bytes);
 std::vector<std::uint8_t> EncodeZxidRange(Zxid lo, Zxid hi);

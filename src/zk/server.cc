@@ -132,8 +132,6 @@ void ZkServer::Start() {
   };
   endpoint_.RegisterHandler(method::kRequest, bind(&ZkServer::HandleRequest));
   endpoint_.RegisterHandler(method::kForward, bind(&ZkServer::HandleForward));
-  endpoint_.RegisterHandler(method::kPropose, bind(&ZkServer::HandlePropose));
-  endpoint_.RegisterHandler(method::kAckProposal, bind(&ZkServer::HandleAck));
   endpoint_.RegisterHandler(method::kBatchPropose,
                             bind(&ZkServer::HandleBatchPropose));
   endpoint_.RegisterHandler(method::kBatchAck,
@@ -411,26 +409,28 @@ sim::Task<Result<net::Payload>> ZkServer::SubmitWriteTracked(
       // limiter and the reason Fig. 7's write curves fall as servers are
       // added.
       auto guard = co_await write_pipeline_->Acquire();
-      if (config_.group_commit) {
-        // Group commit: the per-op stage pays only the serialization cost
-        // and assigns the zxid under the guard (preserving order); the
-        // per-follower replication work is paid once per batch by the
-        // flush task, which queues behind the submitters on this pipeline.
-        co_await endpoint_.sim().Delay(config_.perf.write_cpu);
-        zxid = MakeZxid();
-        StampTxnTime(txn, endpoint_.sim().now());
-        propose_queue_.push_back({zxid, std::move(txn)});
-      } else {
-        const auto peers =
-            static_cast<sim::Duration>(config_.servers.size() - 1);
-        co_await endpoint_.sim().Delay(config_.perf.write_cpu +
-                                       peers * config_.perf.per_peer_cpu);
-      }
+      // Group commit pays the per-follower replication work once per wave
+      // in the flush task, which queues behind the submitters on this
+      // pipeline; otherwise every write pays it here.
+      const auto peers = static_cast<sim::Duration>(config_.servers.size() - 1);
+      co_await endpoint_.sim().Delay(
+          config_.perf.write_cpu +
+          (config_.group_commit ? 0 : peers * config_.perf.per_peer_cpu));
+      // The zxid is assigned under the guard, so it follows arrival order;
+      // the leader's clock stamps replica-identical ctime/mtime.
+      zxid = MakeZxid();
+      StampTxnTime(txn, endpoint_.sim().now());
+      propose_queue_.push_back({zxid, std::move(txn)});
     }
     if (config_.group_commit) {
       ScheduleProposalFlush();
     } else {
-      zxid = ProposeAsLeader(std::move(txn));
+      // A batch of one. A leader deposed while it paid for the write drops
+      // it; the client times out and retries against the new leader.
+      if (role_ == Role::kLeading) {
+        ProposeBatch(propose_queue_, endpoint_.sim().now());
+      }
+      propose_queue_.clear();
     }
     local_results_.insert({zxid, false, {}});
     const bool applied = co_await WaitApplied(zxid);
@@ -476,42 +476,33 @@ sim::Task<net::RpcResult> ZkServer::HandleForward(net::NodeId /*from*/,
   co_return ForwardReply::Encode(zxid, *resp);
 }
 
-Zxid ZkServer::ProposeAsLeader(net::Payload txn) {
-  DUFS_CHECK(role_ == Role::kLeading);
-  const Zxid zxid = MakeZxid();
-  // Replica-identical ctime/mtime stamps.
-  StampTxnTime(txn, endpoint_.sim().now());
-  auto view = TxnView::Decode(txn);
-  DUFS_CHECK(view.ok());  // the session server or HandleForward read it
-  const std::size_t txn_bytes = txn.size();
-  const obs::TraceId trace = view->trace;
+void ZkServer::ProposeBatch(std::span<BatchEntry> batch,
+                            sim::SimTime proposed_at) {
+  DUFS_CHECK(role_ == Role::kLeading && !batch.empty());
+  Broadcast(method::kBatchPropose, EncodeBatchPropose(epoch_, batch));
 
-  // One payload: every follower but the last gets a copy of it, the last
-  // the payload itself.
-  auto payload = EncodePropose(zxid, epoch_, txn);
-  std::size_t followers_left = config_.servers.size() - 1;
-  for (std::size_t i = 0; i < config_.servers.size(); ++i) {
-    if (i == my_index_) continue;
-    endpoint_.Notify(server_node(i), method::kPropose,
-                     --followers_left == 0 ? std::move(payload) : payload);
+  const Zxid lo = batch.front().zxid;
+  const Zxid hi = batch.back().zxid;
+  std::size_t bytes = 0;
+  obs::TraceId trace = 0;  // the run's journal entry carries the first's
+  for (BatchEntry& entry : batch) {
+    auto view = TxnView::Decode(entry.txn);
+    DUFS_CHECK(view.ok());  // the session server or HandleForward read it
+    if (entry.zxid == lo) trace = view->trace;
+    bytes += entry.txn.size();
+    proposals_.insert(Proposal{entry.zxid, view->trace, 0, proposed_at});
+    pending_txns_.insert({entry.zxid, std::move(entry.txn), nullptr, *view});
   }
-
-  pending_txns_.insert({zxid, std::move(txn), nullptr, *view});
-  proposals_.insert(Proposal{zxid, trace, 0, endpoint_.sim().now()});
   MaybeScheduleRetransmit();
 
-  // Self-ack after the local journal write.
+  // Self-ack the whole run after one local journal write.
   sim::CurrentSimulationScope scope(&endpoint_.sim());
   endpoint_.sim().Spawn(
-      [](ZkServer& self, Zxid z, std::size_t bytes,
+      [](ZkServer& self, Zxid lo_z, Zxid hi_z, std::size_t size,
          obs::TraceId tr) -> sim::Task<void> {
-        co_await self.JournalAppend(z, bytes, tr);
-        auto it = self.proposals_.find(z);
-        if (it == self.proposals_.end()) co_return;
-        it->acks |= std::uint64_t{1} << self.my_index_;
-        self.TryCommitInOrder();
-      }(*this, zxid, txn_bytes, trace));
-  return zxid;
+        co_await self.JournalAppend(hi_z, size, tr);
+        self.AckRange(lo_z, hi_z, std::uint64_t{1} << self.my_index_);
+      }(*this, lo, hi, bytes, trace));
 }
 
 void ZkServer::ScheduleProposalFlush() {
@@ -548,75 +539,40 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
     auto guard = co_await write_pipeline_->Acquire();
     if (endpoint_.node().incarnation() != incarnation) co_return;
     if (propose_queue_.empty()) break;
-    const std::size_t n =
-        std::min(propose_queue_.size(), config_.perf.max_journal_batch);
-    std::vector<BatchEntry> batch(
-        std::make_move_iterator(propose_queue_.begin()),
-        std::make_move_iterator(propose_queue_.begin() +
-                                static_cast<std::ptrdiff_t>(n)));
-    propose_queue_.erase(propose_queue_.begin(),
-                         propose_queue_.begin() +
-                             static_cast<std::ptrdiff_t>(n));
-    ++batch_rounds_;
-    proposals_batched_ += n;
     const sim::SimTime wave_start = endpoint_.sim().now();
-    std::vector<TxnView> views;
-    views.reserve(n);
-    for (const BatchEntry& entry : batch) {
-      auto view = TxnView::Decode(entry.txn);
-      DUFS_CHECK(view.ok());  // the session server or HandleForward read it
-      views.push_back(*view);
-    }
-    const obs::TraceId wave_trace = views.front().trace;
-    // Per-follower replication bookkeeping, amortized over the batch.
+    // Per-follower replication bookkeeping, amortized over the wave. The
+    // flush holds the write pipeline, so no submitter queues meanwhile.
     const auto peers = static_cast<sim::Duration>(config_.servers.size() - 1);
     co_await endpoint_.sim().Delay(peers * config_.perf.per_peer_cpu);
-
-    std::size_t total_bytes = 0;
-    for (const BatchEntry& entry : batch) total_bytes += entry.txn.size();
-    const auto payload = EncodeBatchPropose(epoch_, batch);
-    for (std::size_t i = 0; i < config_.servers.size(); ++i) {
-      if (i == my_index_) continue;
-      endpoint_.Notify(server_node(i), method::kBatchPropose, payload);
-    }
-
-    const Zxid lo = batch.front().zxid;
-    const Zxid hi = batch.back().zxid;
-    for (std::size_t i = 0; i < n; ++i) {
-      proposals_.insert(
-          Proposal{batch[i].zxid, views[i].trace, 0, wave_start});
-      pending_txns_.insert(
-          {batch[i].zxid, std::move(batch[i].txn), nullptr, views[i]});
-    }
-    MaybeScheduleRetransmit();
-
+    if (endpoint_.node().incarnation() != incarnation) co_return;
+    if (role_ != Role::kLeading || propose_queue_.empty()) continue;
+    const std::size_t n =
+        std::min(propose_queue_.size(), config_.perf.max_journal_batch);
+    ++batch_rounds_;
+    proposals_batched_ += n;
+    const std::span<BatchEntry> wave(propose_queue_.data(), n);
     if (recording()) {
       // One span per quorum wave, attributed to the first txn's trace.
       // Args only when the full event log wants them (flight records are
       // POD; no arg vector on the flight-only path).
+      auto front = TxnView::Decode(wave.front().txn);
+      DUFS_CHECK(front.ok());
       std::vector<obs::Tracer::Arg> args;
       if (tracing()) {
         args = {{"batch", {}, static_cast<std::int64_t>(n), false},
-                {"zxid_lo", {}, static_cast<std::int64_t>(lo), false},
-                {"zxid_hi", {}, static_cast<std::int64_t>(hi), false}};
+                {"zxid_lo", {}, static_cast<std::int64_t>(wave.front().zxid),
+                 false},
+                {"zxid_hi", {}, static_cast<std::int64_t>(wave.back().zxid),
+                 false}};
       }
       obs_.tracer->Complete(obs_.track, "group-commit-flush", "zab",
                             wave_start, endpoint_.sim().now() - wave_start,
-                            wave_trace, std::move(args));
+                            front->trace, std::move(args));
     }
-
-    // Self-ack the whole run after one local group-commit fsync.
-    sim::CurrentSimulationScope scope(&endpoint_.sim());
-    endpoint_.sim().Spawn(
-        [](ZkServer& self, Zxid lo_z, Zxid hi_z, std::size_t bytes,
-           obs::TraceId tr) -> sim::Task<void> {
-          co_await self.JournalAppend(hi_z, bytes, tr);
-          for (auto it = self.proposals_.lower_bound(lo_z);
-               it != self.proposals_.end() && it->zxid <= hi_z; ++it) {
-            it->acks |= std::uint64_t{1} << self.my_index_;
-          }
-          self.TryCommitInOrder();
-        }(*this, lo, hi, total_bytes, wave_trace));
+    ProposeBatch(wave, wave_start);
+    propose_queue_.erase(propose_queue_.begin(),
+                         propose_queue_.begin() +
+                             static_cast<std::ptrdiff_t>(n));
   }
   flush_scheduled_ = false;
   // A submitter may have enqueued between the last drain and the flag
@@ -625,68 +581,35 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
 }
 
 // Lost PROPOSE/ACK messages (partitions, crashes) must not wedge the commit
-// pipeline: while any proposal is outstanding, periodically re-broadcast
-// the head of the queue. The timer chain self-terminates when the queue
-// empties, so idle ensembles still drain the event loop.
+// pipeline: while any proposal is outstanding, periodically re-send the head
+// of the queue as one BATCH PROPOSE to every follower that has not ACKed all
+// of it. The timer chain self-terminates when the queue empties, so idle
+// ensembles still drain the event loop.
 void ZkServer::MaybeScheduleRetransmit() {
   if (retransmit_scheduled_ || proposals_.empty()) return;
   retransmit_scheduled_ = true;
   endpoint_.sim().ScheduleFn(sim::Ms(400), [this] {
     retransmit_scheduled_ = false;
     if (role_ != Role::kLeading || !endpoint_.node().up()) return;
-    std::size_t sent = 0;
+    if (proposals_.empty()) return;
+    // The head commits first anyway. Proposals are zxid-ordered, so the
+    // head is every proposal in [lo, hi] and the range ACK stays exact.
+    std::vector<BatchEntry> head;
+    std::uint64_t acked_all = ~std::uint64_t{0};
     for (const Proposal& proposal : proposals_) {
       // A proposal's txn stays in pending_txns_ until it is applied, which
       // is after the proposal itself is gone.
       const auto txn = pending_txns_.find(proposal.zxid);
       DUFS_CHECK(txn != pending_txns_.end());
-      const auto payload =
-          EncodePropose(proposal.zxid, epoch_, txn->txn.bytes);
-      for (std::size_t i = 0; i < config_.servers.size(); ++i) {
-        if (i == my_index_) continue;
-        if ((proposal.acks & (std::uint64_t{1} << i)) != 0) continue;
-        endpoint_.Notify(server_node(i), method::kPropose, payload);
-      }
-      if (++sent >= 16) break;  // head of the queue commits first anyway
+      head.push_back({proposal.zxid, {txn->txn.bytes.begin(),
+                                      txn->txn.bytes.end()}});
+      acked_all &= proposal.acks;
+      if (head.size() >= 16) break;
     }
+    Broadcast(method::kBatchPropose, EncodeBatchPropose(epoch_, head),
+              acked_all);
     MaybeScheduleRetransmit();
   });
-}
-
-sim::Task<net::RpcResult> ZkServer::HandlePropose(net::NodeId from,
-                                                  net::Payload req) {
-  auto msg = ProposeView::Decode(req);
-  if (!msg.ok()) co_return msg.status();
-  if (msg->epoch < epoch_) co_return Status(StatusCode::kConflict, "stale");
-  AdoptEpoch(msg->epoch);
-
-  // Retransmit handling: if we already journaled this zxid (or applied
-  // it), just re-ack — the original ACK may have been lost.
-  if (msg->zxid <= db_->last_applied() ||
-      pending_txns_.contains(msg->zxid)) {
-    endpoint_.Notify(from, method::kAckProposal, EncodeZxid(msg->zxid));
-    co_return net::Payload{};
-  }
-  const std::size_t bytes = req.size();
-  const obs::TraceId trace = msg->txn.trace;
-  // The payload itself becomes the pending txn.
-  pending_txns_.insert({msg->zxid, std::move(req), nullptr, msg->txn});
-  co_await endpoint_.node().Compute(config_.perf.follower_txn_cpu);
-  co_await JournalAppend(msg->zxid, bytes, trace);
-  endpoint_.Notify(from, method::kAckProposal, EncodeZxid(msg->zxid));
-  co_return net::Payload{};
-}
-
-sim::Task<net::RpcResult> ZkServer::HandleAck(net::NodeId from,
-                                              net::Payload req) {
-  auto zxid = DecodeZxid(req);
-  if (!zxid.ok()) co_return zxid.status();
-  auto it = proposals_.find(*zxid);
-  if (it != proposals_.end()) {
-    it->acks |= AckBit(from);
-    TryCommitInOrder();
-  }
-  co_return net::Payload{};
 }
 
 sim::Task<net::RpcResult> ZkServer::HandleBatchPropose(net::NodeId from,
@@ -703,15 +626,20 @@ sim::Task<net::RpcResult> ZkServer::HandleBatchPropose(net::NodeId from,
   const Zxid hi = msg->hi();
   const obs::TraceId trace = msg->front_trace();
   const std::size_t bytes = req.size();
-  // The txns share the payload; moving it into the shared buffer keeps the
-  // views valid.
-  auto batch = std::make_shared<const net::Payload>(std::move(req));
+  // A batch of one's payload becomes its pending txn; a larger batch's txns
+  // share theirs. Moving the payload keeps its buffer, so the views stay
+  // valid.
+  std::shared_ptr<const net::Payload> shared;
+  if (msg->size() > 1) {
+    shared = std::make_shared<const net::Payload>(std::move(req));
+  }
   std::size_t fresh = 0;
   msg->ForEach([&](Zxid zxid, const TxnView& txn) {
     // Retransmit handling: anything already journaled or applied is just
     // re-acked by the range ACK below.
     if (zxid <= db_->last_applied() || pending_txns_.contains(zxid)) return;
-    pending_txns_.insert({zxid, net::Payload{}, batch, txn});
+    pending_txns_.insert(
+        {zxid, shared ? net::Payload{} : std::move(req), shared, txn});
     ++fresh;
   });
   if (fresh > 0) {
@@ -732,8 +660,11 @@ sim::Task<net::RpcResult> ZkServer::HandleBatchAck(net::NodeId from,
                                                    net::Payload req) {
   auto range = DecodeZxidRange(req);
   if (!range.ok()) co_return range.status();
-  const auto [lo, hi] = *range;
-  const std::uint64_t bit = AckBit(from);
+  AckRange(range->first, range->second, AckBit(from));
+  co_return net::Payload{};
+}
+
+void ZkServer::AckRange(Zxid lo, Zxid hi, std::uint64_t bit) {
   bool any = false;
   for (auto it = proposals_.lower_bound(lo);
        it != proposals_.end() && it->zxid <= hi; ++it) {
@@ -741,7 +672,6 @@ sim::Task<net::RpcResult> ZkServer::HandleBatchAck(net::NodeId from,
     any = true;
   }
   if (any) TryCommitInOrder();
-  co_return net::Payload{};
 }
 
 void ZkServer::TryCommitInOrder() {
@@ -771,22 +701,26 @@ void ZkServer::TryCommitInOrder() {
     last_committed_ = zxid;
     ++writes_committed_;
     committed_any = true;
-    if (!config_.group_commit) BroadcastCommit(zxid);
     committed_not_applied_.insert({zxid});
     ApplyCommitted();
   }
-  // Group commit: one COMMIT watermark for the whole quorumed run (the
-  // receiver treats it cumulatively).
-  if (config_.group_commit && committed_any) BroadcastCommit(last_committed_);
+  if (!committed_any) return;
+  // One COMMIT watermark for everything that reached quorum (the receiver
+  // treats it cumulatively).
+  Broadcast(method::kCommit, EncodeZxid(last_committed_));
 }
 
-void ZkServer::BroadcastCommit(Zxid zxid) {
-  auto payload = EncodeZxid(zxid);
-  std::size_t followers_left = config_.servers.size() - 1;
-  for (std::size_t i = 0; i < config_.servers.size(); ++i) {
-    if (i == my_index_) continue;
-    endpoint_.Notify(server_node(i), method::kCommit,
-                     --followers_left == 0 ? std::move(payload) : payload);
+void ZkServer::Broadcast(std::uint16_t method, net::Payload payload,
+                         std::uint64_t skip) {
+  skip |= std::uint64_t{1} << my_index_;
+  // One past the last recipient, who gets the payload itself; the others
+  // get a copy each.
+  std::size_t end = config_.servers.size();
+  while (end > 0 && ((skip >> (end - 1)) & 1) != 0) --end;
+  for (std::size_t i = 0; i < end; ++i) {
+    if (((skip >> i) & 1) != 0) continue;
+    endpoint_.Notify(server_node(i), method,
+                     i + 1 == end ? std::move(payload) : payload);
   }
 }
 
@@ -797,7 +731,7 @@ sim::Task<net::RpcResult> ZkServer::HandleCommit(net::NodeId /*from*/,
   if (*zxid > last_committed_) last_committed_ = *zxid;
   // Cumulative: the leader commits in zxid order, so a COMMIT for z means
   // every pending proposal <= z is committed too (this is what lets the
-  // group-commit leader send one watermark per batch).
+  // leader send one watermark for every proposal that reached quorum).
   for (auto it = pending_txns_.begin();
        it != pending_txns_.end() && it->zxid <= *zxid; ++it) {
     committed_not_applied_.insert({it->zxid});
@@ -940,10 +874,7 @@ sim::Task<void> ZkServer::LeaderPingLoop(std::int64_t epoch_at_start) {
   while (role_ == Role::kLeading && epoch_ == epoch_at_start) {
     VoteMsg ping{election_round_, epoch_, last_committed_, my_index_,
                  my_index_};
-    for (std::size_t i = 0; i < config_.servers.size(); ++i) {
-      if (i == my_index_) continue;
-      endpoint_.Notify(server_node(i), method::kPing, ping.Encode());
-    }
+    Broadcast(method::kPing, ping.Encode());
     co_await endpoint_.sim().Delay(config_.ping_interval);
   }
 }
@@ -1034,18 +965,7 @@ sim::Task<void> ZkServer::FollowerWatchdog() {
     }
     if (role_ == Role::kFollowing) StartElection();
     // kLooking: keep re-broadcasting votes until the ensemble converges.
-    if (role_ == Role::kLooking) {
-      ++election_round_;
-      votes_received_.clear();
-      my_vote_ = Vote{db_->last_applied(), my_index_};
-      VoteMsg msg{election_round_, epoch_, my_vote_.zxid, my_vote_.candidate,
-                  my_index_};
-      for (std::size_t i = 0; i < config_.servers.size(); ++i) {
-        if (i == my_index_) continue;
-        endpoint_.Notify(server_node(i), method::kElectionVote, msg.Encode());
-      }
-      MaybeDecideElection();
-    }
+    if (role_ == Role::kLooking) StartElection();
   }
 }
 
@@ -1056,10 +976,7 @@ void ZkServer::StartElection() {
   my_vote_ = Vote{db_->last_applied(), my_index_};
   VoteMsg msg{election_round_, epoch_, my_vote_.zxid, my_vote_.candidate,
               my_index_};
-  for (std::size_t i = 0; i < config_.servers.size(); ++i) {
-    if (i == my_index_) continue;
-    endpoint_.Notify(server_node(i), method::kElectionVote, msg.Encode());
-  }
+  Broadcast(method::kElectionVote, msg.Encode());
   MaybeDecideElection();
 }
 
@@ -1083,11 +1000,7 @@ sim::Task<net::RpcResult> ZkServer::HandleElectionVote(net::NodeId from,
     my_vote_ = vote;
     VoteMsg rebroadcast{election_round_, epoch_, my_vote_.zxid,
                         my_vote_.candidate, my_index_};
-    for (std::size_t i = 0; i < config_.servers.size(); ++i) {
-      if (i == my_index_) continue;
-      endpoint_.Notify(server_node(i), method::kElectionVote,
-                       rebroadcast.Encode());
-    }
+    Broadcast(method::kElectionVote, rebroadcast.Encode());
   }
   MaybeDecideElection();
   co_return net::Payload{};

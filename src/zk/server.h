@@ -2,10 +2,11 @@
 // over the simulated cluster.
 //
 // Write path (paper §II-C): client -> session server -> (forward to) leader
-// -> PROPOSE to all peers -> each peer journals (group commit) and ACKs ->
-// leader commits on quorum, in zxid order -> COMMIT broadcast -> every
-// replica applies to its Database in zxid order -> the origin server replies
-// once *it* has applied the txn (read-your-writes per session server).
+// -> BATCH PROPOSE to all peers -> each peer journals (group commit) and
+// ACKs the batch's zxid range -> leader commits on quorum, in zxid order ->
+// COMMIT watermark broadcast -> every replica applies to its Database in
+// zxid order -> the origin server replies once *it* has applied the txn
+// (read-your-writes per session server).
 //
 // Read path: served from the local replica through a serialized read
 // pipeline — this is why read throughput scales with the ensemble size
@@ -51,12 +52,12 @@ struct ZkPerfModel {
 struct ZkEnsembleConfig {
   std::vector<net::NodeId> servers;
   ZkPerfModel perf;
-  // Leader group commit: coalesce concurrent write proposals into one
-  // quorum round (one batched PROPOSE, one cumulative ACK per follower,
-  // one COMMIT watermark), bounded by perf.max_journal_batch. The per-op
-  // write_cpu stays serialized; the per-follower replication work is paid
-  // once per batch. Off by default so the calibrated single-proposal
-  // pipeline stays bit-identical.
+  // Leader sequencing policy. Off (the calibrated default): each write pays
+  // write_cpu plus the per-follower work under the write pipeline and is
+  // proposed at once as a batch of one. On (group commit): writes pay only
+  // write_cpu and queue; fsync-paced waves of up to perf.max_journal_batch
+  // pay the per-follower work once and share one BATCH PROPOSE, one range
+  // ACK per follower and one quorum round. Both use the same protocol.
   bool group_commit = false;
   bool enable_failure_detection = false;
   sim::Duration ping_interval = sim::Ms(40);
@@ -163,10 +164,10 @@ class ZkServer {
 
     std::size_t ack_count() const { return std::popcount(acks); }
   };
-  // A proposed txn this replica holds until it applies it: its bytes as they
-  // arrived, either a PROPOSE payload of its own or a BATCH PROPOSE payload
-  // shared with the other txns of the batch, read through `txn`. Moving a
-  // vector keeps its buffer, so `txn` stays valid as the entry moves.
+  // A proposed txn this replica holds until it applies it, read through
+  // `txn`: the leader's sequenced bytes, or the BATCH PROPOSE payload it
+  // arrived in (shared by a batch of more than one). Moving a vector keeps
+  // its buffer, so `txn` stays valid as the entry moves.
   struct PendingTxn {
     Zxid zxid = 0;
     net::Payload bytes;
@@ -198,8 +199,6 @@ class ZkServer {
   // RPC handlers.
   sim::Task<net::RpcResult> HandleRequest(net::NodeId from, net::Payload req);
   sim::Task<net::RpcResult> HandleForward(net::NodeId from, net::Payload req);
-  sim::Task<net::RpcResult> HandlePropose(net::NodeId from, net::Payload req);
-  sim::Task<net::RpcResult> HandleAck(net::NodeId from, net::Payload req);
   sim::Task<net::RpcResult> HandleBatchPropose(net::NodeId from,
                                                net::Payload req);
   sim::Task<net::RpcResult> HandleBatchAck(net::NodeId from, net::Payload req);
@@ -219,15 +218,22 @@ class ZkServer {
   // `zxid` is an out-param owned by the awaiting HandleForward frame.
   sim::Task<Result<net::Payload>> SubmitWriteTracked(
       net::Payload txn, Zxid& zxid);  // dufs-lint: allow(coro-ref-param)
-  // Stamps the time into `txn` and proposes it; returns the assigned zxid.
-  Zxid ProposeAsLeader(net::Payload txn);
-  // Group-commit path: drains propose_queue_ in max_journal_batch-sized
-  // waves, paying the per-follower replication cost once per wave.
+  // Proposes a run of sequenced txns moved out of `batch` (one BATCH PROPOSE,
+  // the self-ACK after one journal write); `proposed_at` starts each
+  // proposal's quorum-round span.
+  void ProposeBatch(std::span<BatchEntry> batch, sim::SimTime proposed_at);
+  // Group commit: drains propose_queue_ in max_journal_batch-sized waves,
+  // paying the per-follower replication cost once per wave.
   void ScheduleProposalFlush();
   sim::Task<void> FlushProposalQueue();
+  // Marks [lo, hi] durable on the server with ACK bit `bit`, then commits.
+  void AckRange(Zxid lo, Zxid hi, std::uint64_t bit);
   void TryCommitInOrder();
   void MaybeScheduleRetransmit();
-  void BroadcastCommit(Zxid zxid);
+  // Sends `payload` to every other server whose bit (AckBit) is not in
+  // `skip`.
+  void Broadcast(std::uint16_t method, net::Payload payload,
+                 std::uint64_t skip = 0);
   void ApplyCommitted();
   sim::Task<bool> WaitApplied(Zxid zxid);  // false on give-up timeout
   void CompleteApplyWaiters();
@@ -304,8 +310,9 @@ class ZkServer {
 
   // Leader state.
   ZxidQueue<Proposal> proposals_;
-  // Sequenced-but-not-yet-broadcast writes awaiting the next group-commit
-  // wave (group_commit mode only; zxids are contiguous in queue order).
+  // Writes sequenced under the write pipeline and not yet proposed, in zxid
+  // order: without group commit the one write just sequenced, with it those
+  // awaiting the next wave.
   std::vector<BatchEntry> propose_queue_;
   bool flush_scheduled_ = false;
   Zxid last_committed_ = 0;

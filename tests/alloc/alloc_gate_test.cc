@@ -148,7 +148,7 @@ class WritePathAllocTest : public ::testing::Test {
 constexpr std::size_t kMaxResolveCreateAllocs = 3;
 // Delete: nothing; the unlinked znode is freed, not allocated.
 constexpr std::size_t kMaxResolveDeleteAllocs = 0;
-// PROPOSE: the payload, reserved once at its exact size.
+// BATCH PROPOSE: the payload, reserved once at its exact size.
 constexpr std::size_t kMaxProposeEncodeAllocs = 1;
 // A compound reply: its buffer, reserved once at its exact size.
 constexpr std::size_t kCompoundReplyEncodeAllocs = 1;
@@ -245,20 +245,24 @@ TEST_F(WritePathAllocTest, TriggersViewTheTxnBytes) {
   EXPECT_EQ(applied.triggers[1].path.data(), txn.view.op.path.data());
 }
 
+// A write proposed alone: a batch of one.
 TEST_F(WritePathAllocTest, ProposeEncode) {
-  const std::vector<std::uint8_t> txn =
-      MakeTxn(CreateFile("file.000017")).Encode();
+  const BatchEntry one[] = {
+      {0x100000007, MakeTxn(CreateFile("file.000017")).Encode()}};
   std::vector<std::uint8_t> payload;
-  const std::size_t n = CountAllocs(
-      [&] { payload = EncodePropose(0x100000007, 1, txn); });
+  const std::size_t n =
+      CountAllocs([&] { payload = EncodeBatchPropose(1, one); });
   EXPECT_LE(n, kMaxProposeEncodeAllocs);
   EXPECT_EQ(payload.size(), payload.capacity());
-  // A follower reads the PROPOSE in place.
+  // A follower reads the BATCH PROPOSE in place.
   const std::size_t m = CountAllocs([&] {
-    auto decoded = ProposeView::Decode(payload);
+    auto decoded = BatchProposeView::Decode(payload);
     ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded->zxid, 0x100000007);
-    EXPECT_EQ(decoded->txn.op.path, "/mdtest/d0/d1/d2/file.000017");
+    EXPECT_EQ(decoded->lo(), 0x100000007);
+    EXPECT_EQ(decoded->hi(), 0x100000007);
+    decoded->ForEach([](Zxid, const TxnView& txn) {
+      EXPECT_EQ(txn.op.path, "/mdtest/d0/d1/d2/file.000017");
+    });
   });
   EXPECT_EQ(m, 0u);
 }

@@ -1,6 +1,6 @@
 // bench::Harness exit status: every export (metrics, trace, baseline,
-// profile) that cannot be written makes Finish() return 1, and a run whose
-// exports all land returns 0.
+// profile) that cannot be written, and every flag nothing read, makes
+// Finish() return 1, and a run whose exports all land returns 0.
 #include "bench/harness.h"
 
 #include <gtest/gtest.h>
@@ -86,6 +86,17 @@ TEST(HarnessTest, FailExitsOne) {
   Harness h("harness_test", 1, argv, "");
   h.Fail("phase errors");
   EXPECT_EQ(h.Finish(), 1);
+}
+
+// A flag no reader asked for (a typo, or one this bench does not take)
+// fails the run and is named, so a mistyped sweep is never taken for the
+// one asked for.
+TEST(HarnessTest, UnreadFlagExitsOneAndIsNamed) {
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(RunHarness({"--quick", "--profile-hz=97"}), 1);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("unknown flag --quick"), std::string::npos) << err;
+  EXPECT_EQ(err.find("profile-hz"), std::string::npos) << err;
 }
 
 TEST(HarnessDeathTest, MalformedSloIsAUsageError) {

@@ -580,6 +580,39 @@ TEST(EnsembleTest, GroupCommitLeaderCrashElectionRecovers) {
   EXPECT_TRUE(e.Converged());
 }
 
+// ---------------------------------------------------------- retransmit ----
+
+// zk0 proposes a create while cut off from both followers, and the cut
+// heals 100 ms later. With failure detection off no election or resync
+// runs, so only the leader's 400 ms retransmit can deliver the proposal.
+void ExpectRetransmitDeliversLostProposal(bool group_commit) {
+  Ensemble e(3, 1, /*failure_detection=*/false, /*seed=*/1, group_commit);
+  e.Connect();
+  e.Drain(sim::Sec(1));  // the session's own retransmit timer runs out
+  sim::RunTask(e.sim, [](Ensemble& en) -> sim::Task<void> {
+    en.net.Partition(en.config.servers[0], en.config.servers[1]);
+    en.net.Partition(en.config.servers[0], en.config.servers[2]);
+    en.sim.ScheduleFn(sim::Ms(100), [&en] { en.net.HealAll(); });
+    const sim::SimTime start = en.sim.now();
+    auto r = co_await en.client().Create("/late", Bytes("x"));
+    EXPECT_TRUE(r.ok()) << r.status();
+    EXPECT_GE(en.sim.now() - start, sim::Ms(400));
+  }(e));
+  e.Drain();
+  EXPECT_TRUE(e.Converged());
+  for (auto& s : e.servers) {
+    EXPECT_TRUE(s->db().tree().Exists("/late")) << s->node_id();
+  }
+}
+
+TEST(EnsembleTest, RetransmitDeliversLostProposal) {
+  ExpectRetransmitDeliversLostProposal(/*group_commit=*/false);
+}
+
+TEST(EnsembleTest, GroupCommitRetransmitDeliversLostProposal) {
+  ExpectRetransmitDeliversLostProposal(/*group_commit=*/true);
+}
+
 // A replica that caught up by SNAP must not serve a later DIFF from the log
 // it kept from before the snapshot: the log has to restart at the installed
 // state, or the diff skips everything the snapshot carried.

@@ -1,10 +1,10 @@
 // Wire pins for the replicated write path (DESIGN.md §16): the client
-// request, FORWARD and its reply, PROPOSE, BATCH PROPOSE, ACK, range ACK,
-// COMMIT and a DIFF body. The bytes below were captured from an ensemble
-// whose servers decoded every write into a Txn object and encoded it again
-// at each hop; the byte-string path must write exactly these bytes, each
-// view must read back the fields they hold, and each view must reject
-// every strict truncation and any trailing byte.
+// request, FORWARD and its reply, BATCH PROPOSE, range ACK, COMMIT and a
+// DIFF body. The bytes below were captured from an ensemble whose servers
+// decoded every write into a Txn object and encoded it again at each hop;
+// the byte-string path must write exactly these bytes, each view must read
+// back the fields they hold, and each view must reject every strict
+// truncation and any trailing byte.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -25,7 +25,6 @@ namespace {
 // follower zk1 of a three-server ensemble, then resolves /dir/missing.
 constexpr SessionId kSession = 0x0000000300000001;
 constexpr Zxid kZxid = 0x0000010000000002;  // epoch 1, counter 2
-constexpr std::int64_t kTime = 52813030;    // the leader's clock, ns
 
 constexpr char kWriteRequest[] =
     "01000000030000000011042f6469720644697272656300ffffffff014400";
@@ -34,10 +33,6 @@ constexpr char kReadRequest[] =
 constexpr char kForwardRequest[] =
     "010000000300000000000000000000000011042f6469720644697272656300ffffff"
     "ff014400";
-constexpr char kPropose[] =
-    "020000000001000001000000000000000100000003000000e6dc2503000000000011"
-    "042f6469720644697272656300ffffffff014400";
-constexpr char kAck[] = "0200000000010000";
 constexpr char kCommit[] = "0200000000010000";
 // The ClientResponse the leader encoded, and the FORWARD reply carrying it.
 constexpr char kReply[] =
@@ -246,31 +241,8 @@ TEST(WriteWireTest, ForwardRequestIsTheRequestWithATimeSlot) {
   EXPECT_EQ(forwarded->bytes.size(), txn.size());
 }
 
-TEST(WriteWireTest, ProposeIsTheStampedTxnBehindZxidAndEpoch) {
-  std::vector<std::uint8_t> txn = Pin(kForwardRequest);
-  StampTxnTime(txn, kTime);
-  EXPECT_EQ(BytesToHex(EncodePropose(kZxid, 1, txn)), kPropose);
-
-  const auto bytes = Pin(kPropose);
-  auto propose = ProposeView::Decode(bytes);
-  ASSERT_TRUE(propose.ok());
-  EXPECT_EQ(propose->zxid, kZxid);
-  EXPECT_EQ(propose->epoch, 1);
-  EXPECT_EQ(propose->txn.session, kSession);
-  EXPECT_EQ(propose->txn.time, kTime);
-  EXPECT_EQ(propose->txn.op.type, OpType::kResolveCreate);
-  EXPECT_EQ(Str(propose->txn.op.data), "Dirrec");
-  // The pending txn a follower keeps is the payload past the header.
-  EXPECT_EQ(propose->txn.bytes.data(), bytes.data() + 16);
-  EXPECT_EQ(propose->txn.bytes.size(), bytes.size() - 16);
-}
-
 TEST(WriteWireTest, AckCommitAndRangeAckMatchPins) {
-  EXPECT_EQ(BytesToHex(EncodeZxid(kZxid)), kAck);
   EXPECT_EQ(BytesToHex(EncodeZxid(kZxid)), kCommit);
-  auto ack = DecodeZxid(Pin(kAck));
-  ASSERT_TRUE(ack.ok());
-  EXPECT_EQ(*ack, kZxid);
 
   EXPECT_EQ(BytesToHex(EncodeZxidRange(0x10000000006, 0x10000000008)),
             kRangeAck);
@@ -380,10 +352,6 @@ std::vector<Frame> Frames() {
        [](std::vector<std::uint8_t> b) {
          return ForwardReply::TakeReply(b).ok();
        }},
-      {kPropose,
-       [](std::vector<std::uint8_t> b) {
-         return ProposeView::Decode(b).ok();
-       }},
       {kBatchOne,
        [](std::vector<std::uint8_t> b) {
          return BatchProposeView::Decode(b).ok();
@@ -392,7 +360,6 @@ std::vector<Frame> Frames() {
        [](std::vector<std::uint8_t> b) {
          return BatchProposeView::Decode(b).ok();
        }},
-      {kAck, zxid},
       {kCommit, zxid},
       {kRangeAck,
        [](std::vector<std::uint8_t> b) {
