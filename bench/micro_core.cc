@@ -15,7 +15,7 @@
 //    does not break frame-leak detection).
 #include <benchmark/benchmark.h>
 
-#include <chrono>  // dufs-lint: allow(sim-time-source) wall-clock self-bench measures real time by definition
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -38,7 +38,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 double WallSeconds() {
-  using clock = std::chrono::steady_clock;  // dufs-lint: allow(sim-time-source) self-bench wall timer, never feeds sim state
+  using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch())
       .count();
 }

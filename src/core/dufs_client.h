@@ -19,9 +19,8 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "common/hash.h"
 #include "core/mapping.h"
 #include "core/meta_cache.h"
 #include "core/meta_schema.h"
@@ -194,8 +193,8 @@ class DufsClient : public vfs::FileSystem {
   // it seeds. Used only inside that call, which never suspends.
   std::vector<std::string_view> split_;
   std::string seed_path_;
-  std::unordered_set<std::string> known_phys_dirs_;  // "<backend>:<dir>"
-  std::unordered_map<vfs::FileHandle, OpenState> open_files_;
+  HashSet<std::string> known_phys_dirs_;  // "<backend>:<dir>"
+  HashMap<vfs::FileHandle, OpenState> open_files_;
   vfs::FileHandle next_handle_ = 1;
 
   friend class OpScope;  // dufs_client.cc: per-op span + timer RAII

@@ -1,8 +1,6 @@
 #include "net/rpc.h"
 
-#include <algorithm>
 #include <utility>
-#include <vector>
 
 namespace dufs::net {
 
@@ -54,20 +52,6 @@ void RpcEndpoint::Notify(NodeId dst, std::uint16_t method, Payload request) {
   msg.method = method;
   msg.payload = std::move(request);
   net_.Send(std::move(msg));
-}
-
-void RpcEndpoint::FailPending(StatusCode code) {
-  auto pending = std::move(pending_);
-  pending_.clear();
-  // Resolve in rpc_id order: hash order would make the waiters' resumption
-  // sequence (and thus the whole event schedule) stdlib-dependent.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(pending.size());
-  for (const auto& [id, promise] : pending) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (std::uint64_t id : ids) {
-    pending[id].Set(Status(code, "connection reset"));
-  }
 }
 
 void RpcEndpoint::OnMessage(Message msg) {

@@ -8,9 +8,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "net/network.h"
 #include "sim/future.h"
@@ -48,9 +48,6 @@ class RpcEndpoint {
   // Fire-and-forget notification (ZAB COMMIT, heartbeats).
   void Notify(NodeId dst, std::uint16_t method, Payload request);
 
-  // Fails all in-flight outbound calls (invoked from the node crash hook).
-  void FailPending(StatusCode code);
-
   std::uint64_t calls_sent() const { return calls_sent_; }
   std::uint64_t calls_handled() const { return calls_handled_; }
 
@@ -64,8 +61,8 @@ class RpcEndpoint {
   std::uint64_t next_rpc_id_ = 1;
   std::uint64_t calls_sent_ = 0;
   std::uint64_t calls_handled_ = 0;
-  std::unordered_map<std::uint64_t, sim::Promise<RpcResult>> pending_;
-  std::unordered_map<std::uint16_t, Handler> handlers_;
+  HashMap<std::uint64_t, sim::Promise<RpcResult>> pending_;
+  HashMap<std::uint16_t, Handler> handlers_;
 };
 
 }  // namespace dufs::net

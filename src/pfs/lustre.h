@@ -20,8 +20,8 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 
+#include "common/hash.h"
 #include "net/rpc.h"
 #include "obs/obs.h"
 #include "sim/sync.h"
@@ -145,7 +145,7 @@ class LustreOss {
 
   net::RpcEndpoint& endpoint_;
   LustrePerfModel perf_;
-  std::unordered_map<std::uint64_t, vfs::Bytes> objects_;
+  HashMap<std::uint64_t, vfs::Bytes> objects_;
 };
 
 // A whole Lustre filesystem instance: MDS + OSSes, built onto nodes the
@@ -216,7 +216,7 @@ class LustreClient : public vfs::FileSystem {
 
   net::RpcEndpoint& endpoint_;
   LustreInstance& instance_;
-  std::unordered_map<vfs::FileHandle, ObjectRef> handles_;
+  HashMap<vfs::FileHandle, ObjectRef> handles_;
   vfs::FileHandle next_handle_ = 1;
   obs::NodeObs obs_;
   obs::Timer t_mds_;

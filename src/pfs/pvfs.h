@@ -16,8 +16,8 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 
+#include "common/hash.h"
 #include "net/rpc.h"
 #include "obs/obs.h"
 #include "sim/sync.h"
@@ -89,7 +89,7 @@ class PvfsServer {
   net::RpcEndpoint& endpoint_;
   std::uint32_t index_;
   PvfsPerfModel perf_;
-  std::unordered_map<PvfsHandle, Object> objects_;
+  HashMap<PvfsHandle, Object> objects_;
   std::uint64_t next_id_ = 100;
   std::unique_ptr<sim::Resource> pipeline_;
   std::unique_ptr<sim::Resource> trove_disk_;
@@ -168,7 +168,7 @@ class PvfsClient : public vfs::FileSystem {
   net::RpcEndpoint& endpoint_;
   PvfsInstance& instance_;
   std::uint32_t next_server_ = 0;
-  std::unordered_map<vfs::FileHandle, PvfsHandle> open_files_;  // -> datafile
+  HashMap<vfs::FileHandle, PvfsHandle> open_files_;  // -> datafile
   vfs::FileHandle next_handle_ = 1;
   obs::NodeObs obs_;
   obs::Timer t_call_;

@@ -2,9 +2,9 @@
 
 #ifdef DUFS_AUDIT
 
-#include <unordered_map>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/log.h"
 
 namespace dufs::sim::audit {
@@ -24,7 +24,7 @@ struct FrameState {
 // plain global. Frames are keyed by their allocation pointer, which is the
 // coroutine_handle address for every sim::Task promise.
 struct Registry {
-  std::unordered_map<void*, FrameState> live;
+  HashMap<void*, FrameState> live;
   Report report;
   std::uint64_t next_id = 1;
 

@@ -6,8 +6,8 @@
 // client node the FUSE context-switch overhead per operation.
 #pragma once
 
-#include <unordered_map>
 
+#include "common/hash.h"
 #include "net/network.h"
 #include "vfs/filesystem.h"
 #include "vfs/path.h"
@@ -65,7 +65,7 @@ class FuseMount {
   net::Node& node_;
   FileSystem& fs_;
   FuseConfig config_;
-  std::unordered_map<int, FileHandle> fds_;
+  HashMap<int, FileHandle> fds_;
   int next_fd_ = 3;
   std::uint64_t ops_dispatched_ = 0;
 };

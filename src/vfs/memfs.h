@@ -8,8 +8,8 @@
 
 #include <map>
 #include <memory>
-#include <unordered_map>
 
+#include "common/hash.h"
 #include "sim/simulation.h"
 #include "vfs/filesystem.h"
 #include "vfs/path.h"
@@ -77,7 +77,7 @@ class MemFs : public FileSystem {
   std::string name_;
   Config config_;
   std::shared_ptr<Node> root_;
-  std::unordered_map<FileHandle, std::shared_ptr<Node>> handles_;
+  HashMap<FileHandle, std::shared_ptr<Node>> handles_;
   FileHandle next_handle_ = 1;
   std::uint64_t next_inode_ = 2;  // 1 is the root
   std::size_t file_count_ = 0;

@@ -566,8 +566,8 @@ std::vector<std::uint8_t> Database::Snapshot() const {
   wire::BufferWriter w;
   w.WriteI64(last_applied_);
   w.WriteVarint(sessions_.size());
-  // Serialize session ids in sorted order — iterating the unordered set
-  // directly would make snapshot bytes depend on the stdlib's hash order.
+  // Serialize session ids in sorted order — iterating the hash set directly
+  // would make snapshot bytes depend on the process's hash salt.
   std::vector<SessionId> sessions(sessions_.begin(), sessions_.end());
   std::sort(sessions.begin(), sessions.end());
   for (SessionId s : sessions) w.WriteU64(s);

@@ -12,9 +12,9 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
+#include "common/hash.h"
 #include "zk/proto.h"
 #include "zk/znode.h"
 
@@ -122,7 +122,7 @@ class Database {
   // vectors per call. Only the current op's walk lives here.
   mutable std::vector<std::string_view> components_;
   mutable std::vector<const DataTree::Znode*> chain_;
-  std::unordered_set<SessionId> sessions_;
+  HashSet<SessionId> sessions_;
   Zxid last_applied_ = 0;
   // Reused by every Apply: the record it returns, the bytes of a txn given
   // as an object, and the trigger paths no txn byte holds.

@@ -939,7 +939,7 @@ sim::Task<void> ZkServer::SessionExpiryLoop() {
       }
     }
     // `expired` was filled in session_activity_'s hash order; sort so the
-    // CloseSession txn sequence is identical across stdlibs.
+    // CloseSession txn sequence does not depend on the process's hash salt.
     std::sort(expired.begin(), expired.end());
     for (SessionId session : expired) {
       session_activity_.erase(session);

@@ -24,10 +24,10 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "net/rpc.h"
 #include "obs/obs.h"
 #include "sim/future.h"
@@ -365,7 +365,7 @@ class ZkServer {
   bool syncing_ = false;
   bool retransmit_scheduled_ = false;
   // Sessions attached to this server -> last activity time.
-  std::unordered_map<SessionId, sim::SimTime> session_activity_;
+  HashMap<SessionId, sim::SimTime> session_activity_;
 
   std::uint64_t reads_served_ = 0;
   std::uint64_t writes_committed_ = 0;

@@ -11,9 +11,12 @@
 # the byte-compared metrics export. This script adds the file exports:
 # metrics, trace, baseline, flight-recorder dumps and the CPU profile.
 #
-# Any divergence means process entropy leaked into the simulation (exactly
-# what the sim-time-source lint rule and the DUFS_AUDIT layer exist to keep
-# out), so the test fails hard with the first differing file.
+# The two runs are two processes, so every hash container in src/ iterates in
+# a different order in each (common/hash.h salts the hasher per process).
+# Any divergence means process entropy leaked into the simulation: hash
+# order, or a clock or entropy source the symbol gate should have kept out of
+# src/ (tests/compile/symbol_gate.cmake). The test fails hard with the first
+# differing file.
 
 if(NOT DEFINED BENCH OR NOT DEFINED WORKDIR OR NOT DEFINED EXTRA_ARGS)
   message(FATAL_ERROR "usage: cmake -DBENCH=... -DWORKDIR=... "

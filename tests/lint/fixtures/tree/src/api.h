@@ -4,8 +4,8 @@
 // and the dufs_lint_fixtures ctest load them from disk).
 #pragma once
 
+#include <map>
 #include <string>
-#include <unordered_map>
 
 namespace fx {
 
@@ -17,20 +17,12 @@ sim::Task<void> Pump(std::string* sink, int n);
 // Task producer that holder.cc's coroutines await.
 sim::Task<void> Flush(int epoch);
 
-struct Waiter {
-  void Set(int v);
-};
-
 class Registry {
  public:
-  std::string ToJson() const;
-  void FailAll();
-  void Prune();
   sim::Task<int> Lookup(const std::string& key);
 
  private:
-  std::unordered_map<std::string, int> entries_;
-  std::unordered_map<int, Waiter> waiters_;
+  std::map<std::string, int> entries_;
 };
 
 }  // namespace fx

@@ -5,7 +5,7 @@
 // ASan and DUFS_AUDIT in CI).
 #include <gtest/gtest.h>
 
-#include <ctime>  // dufs-lint: allow(sim-time-source) CPU-time budget for the SIGPROF tests, never feeds sim state
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -18,7 +18,7 @@ namespace {
 // CPU seconds consumed so far: ITIMER_PROF fires on CPU time, so the
 // signal tests burn and bound on CPU time, not wall time.
 double CpuSeconds() {
-  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;  // dufs-lint: allow(sim-time-source) bounds the SIGPROF torture loops, never feeds sim state
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
 }
 
 // A client-like actor: one op-class frame held across many suspensions.

@@ -171,54 +171,6 @@ void CoroRefEscape(const SymbolTable& sym, const Resolver& res,
 }
 
 // ---------------------------------------------------------------------------
-// det-export-order
-// ---------------------------------------------------------------------------
-
-// Completing promises / notifying waiters per element makes downstream
-// resumption order follow the container's hash order.
-bool IsCompletionName(const std::string& s) {
-  return s == "Set" || s == "SetValue" || s == "SetResult" ||
-         s == "Resolve" || s == "Complete" || s == "Notify" || s == "Fire" ||
-         s == "Post" || s == "Resume";
-}
-
-void DetExportOrder(const SymbolTable& sym, const CallGraph& graph,
-                    std::vector<Finding>* out) {
-  for (const FileSummary* file : sym.files()) {
-    for (const FunctionSummary& fn : file->functions) {
-      for (const Iteration& it : fn.iterations) {
-        if (!sym.IsUnorderedEntity(it.container)) continue;
-        bool on_export =
-            IsExportSinkName(fn.name) || graph.CalledFromSink(fn.name);
-        for (std::size_t i = 0; !on_export && i < it.body_calls.size(); ++i) {
-          on_export = IsExportSinkName(it.body_calls[i]) ||
-                      graph.ReachesSink(it.body_calls[i]);
-        }
-        if (on_export) {
-          out->push_back(Finding{
-              file->path, it.line, "det-export-order",
-              "iteration over unordered container `" + it.container +
-                  "` on an export path (in/under `" + fn.name +
-                  "`): serialized bytes would depend on hash order — sort "
-                  "keys first or use an ordered container"});
-          continue;
-        }
-        for (const std::string& call : it.body_calls) {
-          if (!IsCompletionName(call)) continue;
-          out->push_back(Finding{
-              file->path, it.line, "det-export-order",
-              "iteration over unordered container `" + it.container +
-                  "` completes/notifies waiters (`" + call +
-                  "`) in hash order, so resumption order is "
-                  "stdlib-dependent — drain in sorted key order"});
-          break;
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // await-holding-ref
 // ---------------------------------------------------------------------------
 
@@ -246,11 +198,9 @@ void AwaitHoldingRef(const SymbolTable& sym, std::vector<Finding>* out) {
 
 }  // namespace
 
-void RunDataflow(const SymbolTable& sym, const CallGraph& graph,
-                 std::vector<Finding>* out) {
+void RunDataflow(const SymbolTable& sym, std::vector<Finding>* out) {
   const Resolver res(sym);
   CoroRefEscape(sym, res, out);
-  DetExportOrder(sym, graph, out);
   AwaitHoldingRef(sym, out);
 }
 

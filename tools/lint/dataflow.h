@@ -1,7 +1,7 @@
-// Interprocedural dataflow rules over the cross-TU symbol table and call
-// graph. This is stage B of the analyzer: stage A (per-file lexing, local
-// rules, FileSummary extraction) is pure per file; everything here runs over
-// the collected summaries.
+// Interprocedural dataflow rules over the cross-TU symbol table. This is
+// stage B of the analyzer: stage A (per-file lexing, local rules,
+// FileSummary extraction) is pure per file; everything here runs over the
+// collected summaries.
 //
 // Rules:
 //   coro-ref-escape         — a reference/pointer argument (`&local`, a
@@ -9,9 +9,6 @@
 //                             non-coroutine wrapper, or a `[&]` lambda)
 //                             escapes into a coroutine frame that outlives
 //                             the caller's suspension point.
-//   det-export-order        — iteration over an unordered container on a
-//                             path that produces a byte-compared export
-//                             (JSON/SARIF/snapshot serialization).
 //   await-holding-ref       — a reference/iterator into a container is used
 //                             again after an intervening co_await (warn).
 //
@@ -21,13 +18,11 @@
 
 #include <vector>
 
-#include "callgraph.h"
 #include "finding.h"
 #include "symtab.h"
 
 namespace dufs::lint {
 
-void RunDataflow(const SymbolTable& sym, const CallGraph& graph,
-                 std::vector<Finding>* out);
+void RunDataflow(const SymbolTable& sym, std::vector<Finding>* out);
 
 }  // namespace dufs::lint

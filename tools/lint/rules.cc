@@ -3,33 +3,14 @@
 #include <algorithm>
 #include <cstddef>
 #include <map>
-#include <set>
 #include <utility>
 
-#include "callgraph.h"
 #include "dataflow.h"
 #include "token_util.h"
 
 namespace dufs::lint {
 
 namespace {
-
-// Wall-clock / entropy identifiers that are banned on sight in sim code.
-bool IsBannedTimeSourceType(const std::string& s) {
-  static const std::set<std::string> kSet = {
-      "random_device",   "system_clock", "steady_clock",
-      "high_resolution_clock", "gettimeofday", "clock_gettime",
-      "timespec_get",    "localtime",    "gmtime",
-      "mktime",          "mt19937",      "mt19937_64",
-      "default_random_engine"};
-  return kSet.count(s) > 0;
-}
-
-// Banned only when called (`rand()`), since the bare names are common as
-// fields and locals (`Txn::time`).
-bool IsBannedTimeSourceCall(const std::string& s) {
-  return s == "rand" || s == "srand" || s == "clock" || s == "time";
-}
 
 // First `&` in the parameter list `tokens[open]=='('` .. its matching `)`
 // that binds a parameter by reference (prev token is a type-ish identifier
@@ -253,17 +234,6 @@ const std::vector<RuleDoc>& RuleDocs() {
        "the Simulation that drives it).",
        "sim::Task<Status> Lookup(const std::string& path);",
        "sim::Task<Status> Lookup(std::string path);"},
-      {"sim-time-source",
-       "no wall-clock or process entropy in sim code",
-       "The simulator must replay bit-for-bit from a seed: metrics and trace "
-       "exports are compared byte-for-byte in CI. std::random_device, "
-       "rand()/srand(), system_clock/steady_clock and friends smuggle "
-       "process-global nondeterminism into the run. Use the owning "
-       "Simulation's Rng (src/common/rng.h) and sim time "
-       "(Simulation::now()) instead; src/common/rng.* is the only file "
-       "allowed to touch platform entropy.",
-       "auto jitter = rand() % 10;",
-       "auto jitter = sim.rng().NextBelow(10);"},
       {"include-hygiene",
        "#pragma once in headers, self-include first, no ../ includes",
        "Headers must open with #pragma once before any code. A src/ .cc "
@@ -312,21 +282,6 @@ const std::vector<RuleDoc>& RuleDocs() {
        "// StartRename -> Task RenameLoop(Client&, std::string& path)",
        "void Kick(Client& c, std::string p) { StartRename(c, std::move(p)); "
        "}"},
-      {"det-export-order",
-       "no unordered-container iteration on byte-compared export paths",
-       "CI byte-compares metrics.json, trace exports, incident dumps, and "
-       "wire snapshots across runs and stdlib implementations. "
-       "std::unordered_map/set iteration order is an implementation detail "
-       "of the hash table: the same data serializes to different bytes on "
-       "libstdc++ vs libc++ (or across versions). Any loop over an "
-       "unordered container that feeds a serialization sink — directly, "
-       "inside a sink, or anywhere a sink can reach through the call graph "
-       "— must sort keys first or use an ordered container.",
-       "for (SessionId s : sessions_) w.WriteU64(s);  "
-       "// sessions_ is unordered_set, inside Snapshot()",
-       "std::vector<SessionId> ids(sessions_.begin(), sessions_.end());\n"
-       "std::sort(ids.begin(), ids.end());\n"
-       "for (SessionId s : ids) w.WriteU64(s);"},
       {"await-holding-ref",
        "no container reference/iterator held across a co_await",
        "While a coroutine is suspended, anything else may run: the "
@@ -370,7 +325,6 @@ class FileLint {
   void Run(std::vector<Finding>* out) {
     Lambdas();
     CoroutineSignatures();
-    TimeSources();
     IncludeHygiene();
     ObsNames();
     ObsKeyLiterals();
@@ -449,33 +403,6 @@ class FileLint {
                 "`: the referent must outlive every suspension of the "
                 "frame; take it by value (or annotate a provably-safe "
                 "out-param)");
-      }
-    }
-  }
-
-  void TimeSources() {
-    if (f_.path.find("common/rng.") != std::string::npos) return;
-    const auto& toks = f_.tokens;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      const Token& t = toks[i];
-      if (t.kind != TokKind::kIdentifier) continue;
-      if (IsBannedTimeSourceType(t.text)) {
-        Add(t.line, "sim-time-source",
-            "`" + t.text +
-                "` is wall-clock/process entropy; sim code must use "
-                "Simulation::now()/rng() (src/common/rng.h)");
-        continue;
-      }
-      if (IsBannedTimeSourceCall(t.text) && i + 1 < toks.size() &&
-          IsPunct(toks[i + 1], "(")) {
-        const bool member_call =
-            i > 0 && (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->"));
-        if (!member_call) {
-          Add(t.line, "sim-time-source",
-              "`" + t.text +
-                  "()` is wall-clock/process entropy; sim code must use "
-                  "Simulation::now()/rng() (src/common/rng.h)");
-        }
       }
     }
   }
@@ -728,10 +655,9 @@ std::vector<Finding> Linter::Run() {
 
   SymbolTable sym;
   for (const auto& a : files_) sym.Add(&a.summary);
-  const CallGraph graph(sym);
 
   std::vector<Finding> flow;
-  RunDataflow(sym, graph, &flow);
+  RunDataflow(sym, &flow);
 
   std::map<std::string, const std::vector<Suppression>*> sups;
   for (const auto& a : files_) sups[a.path] = &a.suppressions;

@@ -1,19 +1,19 @@
 // Repo-specific static-analysis rules for the DUFS tree.
 //
-// The rules encode the two invariants the simulator's credibility rests on:
-// coroutine lifetime safety (nothing captured or referenced across a
-// co_await may die before the frame does) and determinism (no wall-clock or
-// process-global entropy in sim code; no hash-order-dependent bytes in the
-// compared exports). See `dufs_lint --explain` or DESIGN.md §8/§12 for the
+// The rules guard coroutine lifetime safety (nothing captured or referenced
+// across a co_await may die before the frame does), header hygiene and the
+// naming of the byte-compared exports' keys. Determinism itself is checked
+// by what runs: a link-time symbol gate and the salted-hash differential
+// (DESIGN.md §8.1). See `dufs_lint --explain` or DESIGN.md §8/§12 for the
 // rule-by-rule rationale.
 //
 // The analyzer is two-stage. Stage A (AnalyzeFile) is strictly per-file:
 // lexing, the local token rules, and FileSummary extraction for the
 // cross-TU passes — its output (FileArtifacts) depends only on the file's
 // own bytes.
-// Stage B (Linter::Run) builds the symbol table and call graph over every
-// added file's summary and runs the interprocedural dataflow rules
-// (dataflow.h), then merges, suppression-filters, and sorts.
+// Stage B (Linter::Run) builds the symbol table over every added file's
+// summary and runs the interprocedural dataflow rules (dataflow.h), then
+// merges, suppression-filters, and sorts.
 //
 // Suppression: append `// dufs-lint: allow(<rule>[, <rule>...])` to the
 // offending line, or place it alone on the line directly above. The rule
@@ -43,7 +43,7 @@ struct FileArtifacts {
 
 // Stage A: lex + local rules + summary extraction. Pure in (path, content).
 // Paths should be repo-relative ("src/zk/server.cc") so path-scoped rules
-// (sim-time-source's rng exemption, header rules) work.
+// (include-hygiene, obs-key-literal's src/obs/ exemption) work.
 FileArtifacts AnalyzeFile(std::string path, const std::string& content);
 
 // Whole-tree linter: add every file, then Run() applies the per-file

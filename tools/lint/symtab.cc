@@ -1,6 +1,5 @@
 #include "symtab.h"
 
-#include <map>
 #include <utility>
 
 #include "token_util.h"
@@ -9,11 +8,6 @@ namespace dufs::lint {
 
 namespace {
 
-bool IsUnorderedTypeName(const std::string& s) {
-  return s == "unordered_map" || s == "unordered_set" ||
-         s == "unordered_multimap" || s == "unordered_multiset";
-}
-
 bool IsIteratorMethod(const std::string& s) {
   return s == "begin" || s == "cbegin" || s == "rbegin" || s == "find" ||
          s == "lower_bound" || s == "upper_bound" || s == "equal_range";
@@ -21,47 +15,6 @@ bool IsIteratorMethod(const std::string& s) {
 
 bool IsElementAccessMethod(const std::string& s) {
   return s == "at" || s == "front" || s == "back";
-}
-
-// `using NAME = ... unordered_xxx ...;` aliases plus every entity declared
-// with an unordered type (directly or via such an alias).
-void CollectUnorderedNames(const std::vector<Token>& toks,
-                           std::vector<std::string>* out) {
-  std::set<std::string> aliases;
-  for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
-    if (!IsId(toks[i], "using")) continue;
-    if (toks[i + 1].kind != TokKind::kIdentifier) continue;
-    if (!IsPunct(toks[i + 2], "=")) continue;
-    for (std::size_t j = i + 3; j < toks.size(); ++j) {
-      if (IsPunct(toks[j], ";")) break;
-      if (toks[j].kind == TokKind::kIdentifier &&
-          IsUnorderedTypeName(toks[j].text)) {
-        aliases.insert(toks[i + 1].text);
-        break;
-      }
-    }
-  }
-  std::set<std::string> seen;
-  auto record = [out, &seen](const std::string& name) {
-    if (seen.insert(name).second) out->push_back(name);
-  };
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdentifier) continue;
-    if (IsUnorderedTypeName(toks[i].text) && IsPunct(toks[i + 1], "<")) {
-      const std::size_t j = MatchAngle(toks, i + 1);
-      if (j != kNpos && j < toks.size() &&
-          toks[j].kind == TokKind::kIdentifier &&
-          !(j + 1 < toks.size() && IsPunct(toks[j + 1], "("))) {
-        record(toks[j].text);
-      }
-    } else if (aliases.count(toks[i].text) > 0 &&
-               toks[i + 1].kind == TokKind::kIdentifier &&
-               i + 2 < toks.size() &&
-               (IsPunct(toks[i + 2], ";") || IsPunct(toks[i + 2], "=") ||
-                IsPunct(toks[i + 2], "{"))) {
-      record(toks[i + 1].text);
-    }
-  }
 }
 
 // Splits the argument/parameter list `(open..close)` into depth-1 item
@@ -129,83 +82,6 @@ void ParseParams(const std::vector<Token>& toks, std::size_t open,
   }
 }
 
-// Local `auto NAME = other;` / `auto NAME = std::move(other);` bindings:
-// iterating NAME iterates (the moved/copied contents of) `other`, so
-// container identity resolves through them — `auto p = std::move(map_);
-// for (auto& kv : p)` is still a hash-order walk of `map_`'s contents.
-std::map<std::string, std::string> LocalAliases(const std::vector<Token>& toks,
-                                                std::size_t b, std::size_t e) {
-  std::map<std::string, std::string> out;
-  for (std::size_t k = b; k + 3 < e; ++k) {
-    if (!IsId(toks[k], "auto")) continue;
-    std::size_t m = k + 1;
-    if (IsPunct(toks[m], "&")) ++m;
-    if (m + 1 >= e || toks[m].kind != TokKind::kIdentifier ||
-        !IsPunct(toks[m + 1], "=")) {
-      continue;
-    }
-    std::size_t r = m + 2;
-    if (r + 4 < e && IsId(toks[r], "std") && IsPunct(toks[r + 1], "::") &&
-        IsId(toks[r + 2], "move") && IsPunct(toks[r + 3], "(")) {
-      r += 4;
-      if (toks[r].kind == TokKind::kIdentifier && r + 1 < e &&
-          IsPunct(toks[r + 1], ")")) {
-        out[toks[m].text] = toks[r].text;
-      }
-    } else if (r + 1 < e && toks[r].kind == TokKind::kIdentifier &&
-               IsPunct(toks[r + 1], ";")) {
-      out[toks[m].text] = toks[r].text;
-    }
-  }
-  return out;
-}
-
-// The identifier a (range-)for iterates: last identifier in [b, e) that is
-// not a call and not inside a subscript.
-std::string Iterated(const std::vector<Token>& toks, std::size_t b,
-                     std::size_t e) {
-  std::string name;
-  int bracket = 0;
-  for (std::size_t i = b; i < e; ++i) {
-    const Token& t = toks[i];
-    if (t.kind == TokKind::kPunct) {
-      if (t.text == "[") ++bracket;
-      if (t.text == "]") --bracket;
-      continue;
-    }
-    if (bracket != 0 || t.kind != TokKind::kIdentifier) continue;
-    if (IsExprKeyword(t.text) || t.text == "auto" || t.text == "const" ||
-        t.text == "std") {
-      continue;
-    }
-    if (i + 1 < e && IsPunct(toks[i + 1], "(")) continue;  // call result
-    name = t.text;
-  }
-  return name;
-}
-
-// Collects the callee names of every call expression in [b, e).
-void CollectCallNames(const std::vector<Token>& toks, std::size_t b,
-                      std::size_t e, std::vector<std::string>* out) {
-  for (std::size_t k = b; k + 1 < e; ++k) {
-    const Token& t = toks[k];
-    if (t.kind != TokKind::kIdentifier || IsControlKeyword(t.text) ||
-        IsExprKeyword(t.text)) {
-      continue;
-    }
-    if (!IsPunct(toks[k + 1], "(")) continue;
-    if (k > b) {
-      const Token& prev = toks[k - 1];
-      // `Type name(...)` is a declaration, not a call.
-      if ((prev.kind == TokKind::kIdentifier && !IsExprKeyword(prev.text)) ||
-          IsPunct(prev, ">")) {
-        continue;
-      }
-    }
-    out->push_back(t.text);
-  }
-}
-
 class Extractor {
  public:
   explicit Extractor(const LexedFile& f) : f_(f), toks_(f.tokens) {}
@@ -213,7 +89,6 @@ class Extractor {
   FileSummary Run() {
     FileSummary out;
     out.path = f_.path;
-    CollectUnorderedNames(toks_, &out.unordered_names);
     CollectFunctions(&out);
     return out;
   }
@@ -413,7 +288,6 @@ class Extractor {
       }
     }
     CollectCalls(b, e, fn);
-    CollectIterations(b, e, fn);
     if (fn->is_coroutine) CollectHeldRefs(b, e, fn);
   }
 
@@ -466,69 +340,6 @@ class Extractor {
         call.bare_args.push_back(std::move(bare));
       }
       fn->calls.push_back(std::move(call));
-    }
-  }
-
-  void CollectIterations(std::size_t b, std::size_t e, FunctionSummary* fn) {
-    const std::map<std::string, std::string> aliases =
-        LocalAliases(toks_, b, e);
-    for (std::size_t k = b; k + 1 < e; ++k) {
-      if (!IsId(toks_[k], "for") || !IsPunct(toks_[k + 1], "(")) continue;
-      const std::size_t open = k + 1;
-      const std::size_t close = MatchParen(toks_, open);
-      if (close == kNpos || close > e) continue;
-
-      Iteration it;
-      it.line = toks_[k].line;
-      // Range-for: a depth-1 `:`.
-      std::size_t colon = kNpos;
-      int depth = 0;
-      for (std::size_t i = open; i < close - 1; ++i) {
-        const Token& t = toks_[i];
-        if (t.kind != TokKind::kPunct) continue;
-        if (t.text == "(" || t.text == "[" || t.text == "{") ++depth;
-        if (t.text == ")" || t.text == "]" || t.text == "}") --depth;
-        if (depth == 1 && t.text == ":") {
-          colon = i;
-          break;
-        }
-      }
-      if (colon != kNpos) {
-        it.range_for = true;
-        it.container = Iterated(toks_, colon + 1, close - 1);
-      } else {
-        // Iterator loop: `c.begin()` / `c.find()` in the init clause.
-        for (std::size_t i = open + 1; i + 2 < close; ++i) {
-          if ((IsPunct(toks_[i], ".") || IsPunct(toks_[i], "->")) &&
-              toks_[i + 1].kind == TokKind::kIdentifier &&
-              IsIteratorMethod(toks_[i + 1].text) &&
-              IsPunct(toks_[i + 2], "(") &&
-              toks_[i - 1].kind == TokKind::kIdentifier) {
-            it.container = toks_[i - 1].text;
-            break;
-          }
-        }
-      }
-      if (it.container.empty()) continue;
-      for (int hop = 0; hop < 4; ++hop) {
-        const auto a = aliases.find(it.container);
-        if (a == aliases.end() || a->second == it.container) break;
-        it.container = a->second;
-      }
-
-      std::size_t body_b = close, body_e = close;
-      if (close < e && IsPunct(toks_[close], "{")) {
-        const std::size_t bend = MatchBrace(toks_, close);
-        if (bend != kNpos && bend <= e + 1) {
-          body_b = close + 1;
-          body_e = bend - 1;
-        }
-      } else {
-        body_b = close;
-        while (body_e < e && !IsPunct(toks_[body_e], ";")) ++body_e;
-      }
-      CollectCallNames(toks_, body_b, body_e, &it.body_calls);
-      fn->iterations.push_back(std::move(it));
     }
   }
 
@@ -659,7 +470,6 @@ void SymbolTable::Add(const FileSummary* file) {
   for (const FunctionSummary& fn : file->functions) {
     by_name_[fn.name].push_back(&fn);
   }
-  for (const std::string& n : file->unordered_names) unordered_.insert(n);
 }
 
 const std::vector<const FunctionSummary*>& SymbolTable::Lookup(

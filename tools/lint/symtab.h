@@ -4,19 +4,17 @@
 // and produces a FileSummary: every function declaration/definition it can
 // recognize (name, qualifier, return-type class, parameters, coroutine-ness)
 // together with the body facts the dataflow rules consume (call sites with
-// bare-identifier arguments, container iterations, references/iterators held
-// across co_await) and the file-level set of entities of unordered type.
+// bare-identifier arguments, references/iterators held across co_await).
 //
 // The summary is deliberately token-derived and heuristic — no headers are
 // expanded, no templates instantiated — but it is self-contained per file:
 // a file's summary depends only on its own bytes; every cross-file
-// judgement happens later, in SymbolTable/CallGraph/dataflow over the
-// collected summaries.
+// judgement happens later, in SymbolTable/dataflow over the collected
+// summaries.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -45,16 +43,6 @@ struct CallSite {
   std::vector<std::string> bare_args;
 };
 
-// One loop that iterates a named container (`for (x : c)` or
-// `for (auto it = c.begin(); ...)`). `body_calls` lists the callee names
-// invoked inside the loop body, for sink-feeding detection.
-struct Iteration {
-  std::string container;  // last identifier of the iterated entity
-  int line = 0;
-  bool range_for = false;
-  std::vector<std::string> body_calls;
-};
-
 // A reference or iterator into a container, declared in a coroutine body and
 // used again after an intervening co_await. The extraction already resolves
 // the temporal question (is there a use after a suspension point?); the
@@ -76,24 +64,19 @@ struct FunctionSummary {
   bool is_coroutine = false;  // body contains co_await/co_return/co_yield
   bool has_body = false;
   std::vector<Param> params;
-  std::vector<CallSite> calls;        // body only
-  std::vector<Iteration> iterations;  // body only
-  std::vector<HeldRef> held_refs;     // body only, coroutines only
+  std::vector<CallSite> calls;     // body only
+  std::vector<HeldRef> held_refs;  // body only, coroutines only
 };
 
 struct FileSummary {
   std::string path;
   std::vector<FunctionSummary> functions;
-  // Entities (members, locals, globals) declared with an unordered type
-  // (std::unordered_map/set/multimap/multiset, directly or via a `using`
-  // alias declared in the same file).
-  std::vector<std::string> unordered_names;
 };
 
 FileSummary BuildFileSummary(const LexedFile& f);
 
 // Cross-TU symbol table: every FileSummary in the tree, indexed by
-// unqualified function name, plus the union of unordered-entity names.
+// unqualified function name.
 class SymbolTable {
  public:
   void Add(const FileSummary* file);
@@ -102,16 +85,11 @@ class SymbolTable {
   const std::vector<const FunctionSummary*>& Lookup(
       const std::string& name) const;
 
-  bool IsUnorderedEntity(const std::string& name) const {
-    return unordered_.count(name) > 0;
-  }
-
   const std::vector<const FileSummary*>& files() const { return files_; }
 
  private:
   std::vector<const FileSummary*> files_;
   std::map<std::string, std::vector<const FunctionSummary*>> by_name_;
-  std::set<std::string> unordered_;
 };
 
 }  // namespace dufs::lint
