@@ -481,6 +481,16 @@ Status ExpectZero(wire::BufferReader& r, const char* what) {
 }  // namespace
 
 Result<CompoundReply> CompoundReply::Decode(std::vector<std::uint8_t> bytes) {
+  return Read(std::move(bytes), /*nodes=*/true);
+}
+
+Result<CompoundReply> CompoundReply::DecodeHead(
+    std::vector<std::uint8_t> bytes) {
+  return Read(std::move(bytes), /*nodes=*/false);
+}
+
+Result<CompoundReply> CompoundReply::Read(std::vector<std::uint8_t> bytes,
+                                          bool nodes) {
   CompoundReply reply;
   reply.bytes_ = std::move(bytes);
   wire::BufferReader r(reply.bytes_);
@@ -503,6 +513,7 @@ Result<CompoundReply> CompoundReply::Decode(std::vector<std::uint8_t> bytes) {
     return Status(StatusCode::kIoError, "wire: resolved depth overflow");
   }
   reply.resolved_depth_ = static_cast<std::uint32_t>(*depth);
+  if (!nodes) return reply;
   // Every node takes at least kMinNodeSize of the bytes left, so a table
   // of that many holds the prefix and the entries together: one
   // allocation, and no second pass to count them first.

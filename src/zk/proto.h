@@ -385,6 +385,10 @@ class CompoundReply {
   // frame is an error; a well-formed one costs at most one allocation (the
   // node table).
   static Result<CompoundReply> Decode(std::vector<std::uint8_t> bytes);
+  // The same up to the resolved depth, allocating nothing: prefix() and
+  // entries() are empty and the node table is not read or checked. For the
+  // server, which counts a reply it encoded and watches the walked path.
+  static Result<CompoundReply> DecodeHead(std::vector<std::uint8_t> bytes);
 
   CompoundReply(CompoundReply&&) = default;
   CompoundReply& operator=(CompoundReply&&) = default;
@@ -410,6 +414,8 @@ class CompoundReply {
 
  private:
   CompoundReply() = default;
+  static Result<CompoundReply> Read(std::vector<std::uint8_t> bytes,
+                                    bool nodes);
 
   std::vector<std::uint8_t> bytes_;
   StatusCode code_ = StatusCode::kOk;

@@ -297,7 +297,11 @@ net::Payload ZkServer::ServeCompound(OpType type, bool watch,
                                      std::string_view path,
                                      net::Payload reply, SessionId session,
                                      net::NodeId client) {
-  auto view = CompoundReply::Decode(std::move(reply));
+  // Only a watched listing registers a watch per entry; every other reply
+  // is read up to its resolved depth, with no node table.
+  auto view = watch && type == OpType::kReadDirPlus
+                  ? CompoundReply::Decode(std::move(reply))
+                  : CompoundReply::DecodeHead(std::move(reply));
   if (!view.ok()) return UnavailableResponse().Encode();
   c_compound_.Inc();
   h_resolve_depth_.Record(static_cast<std::int64_t>(view->resolved_depth()));

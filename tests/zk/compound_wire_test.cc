@@ -256,13 +256,14 @@ TEST(CompoundReplyDecodeTest, TrailingBytesAreAnError) {
   EXPECT_FALSE(CompoundReply::Decode(pin).ok());
 }
 
+const char* const kPins[] = {
+    kResolveHit,   kResolvePartialMiss, kResolveInteriorEnotdir,
+    kResolveRoot,  kResolveInvalid,     kReaddirEmpty,
+    kReaddirEntries, kReaddirFile,      kCreateOk,
+    kCreateEexist, kDeleteOk,           kDeleteEisdir};
+
 TEST(CompoundReplyDecodeTest, EveryStrictTruncationOfAPinIsAnError) {
-  const char* const pins[] = {
-      kResolveHit,   kResolvePartialMiss, kResolveInteriorEnotdir,
-      kResolveRoot,  kResolveInvalid,     kReaddirEmpty,
-      kReaddirEntries, kReaddirFile,      kCreateOk,
-      kCreateEexist, kDeleteOk,           kDeleteEisdir};
-  for (const char* hex : pins) {
+  for (const char* hex : kPins) {
     const std::vector<std::uint8_t> pin = Pin(hex);
     ASSERT_TRUE(CompoundReply::Decode(pin).ok()) << hex;
     for (std::size_t len = 0; len < pin.size(); ++len) {
@@ -271,6 +272,21 @@ TEST(CompoundReplyDecodeTest, EveryStrictTruncationOfAPinIsAnError) {
       EXPECT_FALSE(CompoundReply::Decode(cut).ok())
           << hex << " cut at " << len;
     }
+  }
+}
+
+// What the session server reads of every reply: the head agrees with the
+// full view, no node is read, and the payload comes back unchanged.
+TEST(CompoundReplyDecodeTest, HeadOfEveryPinAgreesWithTheFullView) {
+  for (const char* hex : kPins) {
+    const std::vector<std::uint8_t> pin = Pin(hex);
+    const auto full = CompoundReply::Decode(pin);
+    auto head = CompoundReply::DecodeHead(pin);
+    ASSERT_TRUE(full.ok() && head.ok()) << hex;
+    EXPECT_EQ(head->code(), full->code()) << hex;
+    EXPECT_EQ(head->resolved_depth(), full->resolved_depth()) << hex;
+    EXPECT_TRUE(head->prefix().empty() && head->entries().empty()) << hex;
+    EXPECT_EQ(std::move(head).value().TakeBytes(), pin) << hex;
   }
 }
 
