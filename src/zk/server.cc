@@ -585,22 +585,27 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
 }
 
 // Lost PROPOSE/ACK messages (partitions, crashes) must not wedge the commit
-// pipeline: while any proposal is outstanding, periodically re-send the head
-// of the queue as one BATCH PROPOSE to every follower that has not ACKed all
-// of it. The timer chain self-terminates when the queue empties, so idle
-// ensembles still drain the event loop.
-void ZkServer::MaybeScheduleRetransmit() {
+// pipeline: once the oldest open proposal is one period old, re-send the
+// open proposals at least that old (at most 16) as one BATCH PROPOSE to every
+// follower that has not ACKed all of them. A proposal younger than that is
+// still in flight and is not re-sent. The timer chain self-terminates when
+// the queue empties, so idle ensembles still drain the event loop.
+void ZkServer::MaybeScheduleRetransmit(sim::Duration min_delay) {
   if (retransmit_scheduled_ || proposals_.empty()) return;
   retransmit_scheduled_ = true;
-  endpoint_.sim().ScheduleFn(sim::Ms(400), [this] {
+  const sim::SimTime now = endpoint_.sim().now();
+  const sim::Duration delay = std::max(
+      proposals_.front().proposed_at + kRetransmitPeriod - now, min_delay);
+  endpoint_.sim().ScheduleFn(delay, [this] {
     retransmit_scheduled_ = false;
     if (role_ != Role::kLeading || !endpoint_.node().up()) return;
-    if (proposals_.empty()) return;
-    // The head commits first anyway. Proposals are zxid-ordered, so the
-    // head is every proposal in [lo, hi] and the range ACK stays exact.
+    const sim::SimTime now = endpoint_.sim().now();
+    // Proposals are zxid-ordered and proposed in that order, so the old
+    // ones are a head [lo, hi] and the range ACK stays exact.
     std::vector<BatchEntry> head;
     std::uint64_t acked_all = ~std::uint64_t{0};
     for (const Proposal& proposal : proposals_) {
+      if (now - proposal.proposed_at < kRetransmitPeriod) break;
       // A proposal's txn stays in pending_txns_ until it is applied, which
       // is after the proposal itself is gone.
       const auto txn = pending_txns_.find(proposal.zxid);
@@ -610,9 +615,13 @@ void ZkServer::MaybeScheduleRetransmit() {
       acked_all &= proposal.acks;
       if (head.size() >= 16) break;
     }
+    if (head.empty()) {
+      MaybeScheduleRetransmit();
+      return;
+    }
     Broadcast(method::kBatchPropose, EncodeBatchPropose(epoch_, head),
               acked_all);
-    MaybeScheduleRetransmit();
+    MaybeScheduleRetransmit(kRetransmitPeriod);
   });
 }
 
@@ -641,7 +650,10 @@ sim::Task<net::RpcResult> ZkServer::HandleBatchPropose(net::NodeId from,
   msg->ForEach([&](Zxid zxid, const TxnView& txn) {
     // Retransmit handling: anything already journaled or applied is just
     // re-acked by the range ACK below.
-    if (zxid <= db_->last_applied() || pending_txns_.contains(zxid)) return;
+    if (zxid <= db_->last_applied() || pending_txns_.contains(zxid)) {
+      ++redelivered_txns_;
+      return;
+    }
     pending_txns_.insert(
         {zxid, shared ? net::Payload{} : std::move(req), shared, txn});
     ++fresh;

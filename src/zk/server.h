@@ -147,6 +147,9 @@ class ZkServer {
   // snapshot vs from a diff of its committed log (an empty diff counts).
   std::uint64_t snapshot_syncs() const { return snapshot_syncs_; }
   std::uint64_t diff_syncs() const { return diff_syncs_; }
+  // Txns a BATCH PROPOSE brought this follower that it already held: what
+  // leader retransmits re-delivered.
+  std::uint64_t redelivered_txns() const { return redelivered_txns_; }
   const CommittedLog& committed_log() const { return committed_log_; }
 
   // Optional: request counters, queue-depth gauges, fsync-batch histogram,
@@ -229,7 +232,10 @@ class ZkServer {
   // Marks [lo, hi] durable on the server with ACK bit `bit`, then commits.
   void AckRange(Zxid lo, Zxid hi, std::uint64_t bit);
   void TryCommitInOrder();
-  void MaybeScheduleRetransmit();
+  // Arms the retransmit timer for when the oldest open proposal is one
+  // period old, and no sooner than `min_delay` from now.
+  static constexpr sim::Duration kRetransmitPeriod = sim::Ms(400);
+  void MaybeScheduleRetransmit(sim::Duration min_delay = 0);
   // Sends `payload` to every other server whose bit (AckBit) is not in
   // `skip`.
   void Broadcast(std::uint16_t method, net::Payload payload,
@@ -373,6 +379,7 @@ class ZkServer {
   std::uint64_t proposals_batched_ = 0;
   std::uint64_t snapshot_syncs_ = 0;
   std::uint64_t diff_syncs_ = 0;
+  std::uint64_t redelivered_txns_ = 0;
 
   // Observability (default handles are no-op dummies; see obs/metrics.h).
   obs::NodeObs obs_;

@@ -613,6 +613,30 @@ TEST(EnsembleTest, GroupCommitRetransmitDeliversLostProposal) {
   ExpectRetransmitDeliversLostProposal(/*group_commit=*/true);
 }
 
+// Sustained writes with nothing lost: every proposal is ACKed long before it
+// is one retransmit period old, so no follower is sent a txn twice.
+void ExpectNoRetransmitWithoutLoss(bool group_commit) {
+  Ensemble e(3, 4, /*failure_detection=*/false, /*seed=*/1, group_commit);
+  e.Connect();
+  const sim::SimTime start = e.sim.now();
+  (void)MeasureRate(e, /*procs_per_client=*/8, /*ops_per_proc=*/400,
+                    /*reads=*/false);
+  EXPECT_GE(e.sim.now() - start, sim::Sec(1));  // several retransmit periods
+  e.Drain(sim::Sec(1));
+  EXPECT_TRUE(e.Converged());
+  for (auto& s : e.servers) {
+    EXPECT_EQ(s->redelivered_txns(), 0u) << s->node_id();
+  }
+}
+
+TEST(EnsembleTest, NoRetransmitWithoutLoss) {
+  ExpectNoRetransmitWithoutLoss(/*group_commit=*/false);
+}
+
+TEST(EnsembleTest, GroupCommitNoRetransmitWithoutLoss) {
+  ExpectNoRetransmitWithoutLoss(/*group_commit=*/true);
+}
+
 // A replica that caught up by SNAP must not serve a later DIFF from the log
 // it kept from before the snapshot: the log has to restart at the installed
 // state, or the diff skips everything the snapshot carried.
