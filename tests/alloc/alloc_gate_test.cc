@@ -273,9 +273,8 @@ TEST_F(WritePathAllocTest, ProposeEncode) {
 // PROPOSE to 7 followers, 8 journal appends, the ACKs and COMMITs, 8
 // applies and 8 committed-log appends. The bounds are the per-write counts
 // the byte-string write path reaches (120 and 86 when every hop decoded the
-// txn into a Txn and encoded it again; 59 and 34 while the session server
-// built the reply's node table only to count it). Of a create's 58, 24 are
-// the tree on 8 replicas and 21 the PROPOSE, COMMIT and ACK payloads.
+// txn into a Txn and encoded it again). Of a create's 58, 24 are the tree
+// on 8 replicas and 21 the PROPOSE, COMMIT and ACK payloads.
 constexpr std::size_t kMaxEnsembleCreateAllocs = 58;
 constexpr std::size_t kMaxEnsembleDeleteAllocs = 33;
 
