@@ -191,6 +191,10 @@ int main(int argc, char** argv) {
                               static_cast<std::size_t>(s),
                               static_cast<std::size_t>(p), items, nodes,
                               observed ? &h : nullptr));
+        h.baseline().AddHigherBetter(std::string(kOpNames[op]) + ".servers_" +
+                                         std::to_string(s) + ".procs_" +
+                                         std::to_string(p) + ".ops_per_s",
+                                     row.back());
       }
       table.AddRow(p, std::move(row));
     }

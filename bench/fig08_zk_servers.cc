@@ -93,16 +93,26 @@ int main(int argc, char** argv) {
                          Phase::kDirStat, Phase::kFileCreate,
                          Phase::kFileRemove, Phase::kFileStat};
   for (int i = 0; i < 6; ++i) {
+    // Table series, each with the name of its cells in the baseline.
     std::vector<std::string> series = {"Basic Lustre"};
-    for (long zk : zk_list) series.push_back(std::to_string(zk) + " Zookeeper");
+    std::vector<std::string> keys = {"basic_lustre"};
+    for (long zk : zk_list) {
+      series.push_back(std::to_string(zk) + " Zookeeper");
+      keys.push_back("zk_" + std::to_string(zk));
+    }
     bench::SeriesTable table("procs", series);
+    const std::string phase(mdtest::PhaseName(order[i]));
     for (long procs : procs_list) {
       std::vector<double> row;
-      for (const auto& s : series) row.push_back(results[order[i]][s][procs]);
+      for (std::size_t si = 0; si < series.size(); ++si) {
+        row.push_back(results[order[i]][series[si]][procs]);
+        h.baseline().AddHigherBetter(phase + "." + keys[si] + ".procs_" +
+                                         std::to_string(procs) + ".ops_per_s",
+                                     row.back());
+      }
       table.AddRow(procs, std::move(row));
     }
-    const std::string title = std::string("Fig 8") + sub[i] + ": " +
-                              std::string(mdtest::PhaseName(order[i]));
+    const std::string title = std::string("Fig 8") + sub[i] + ": " + phase;
     table.Print(title);
     h.metrics().AddTable(title, table);
   }

@@ -85,6 +85,126 @@ TEST(NetworkTest, EgressSerializesMessages) {
   EXPECT_GT(arrivals[2] - arrivals[1], sim::Ms(3));
 }
 
+Message Sized(NodeId src, NodeId dst, std::size_t payload_bytes) {
+  Message m;
+  m.src = src;
+  m.dst = dst;
+  m.payload.assign(payload_bytes, 0);
+  return m;
+}
+
+// Each NIC is a capacity-1 FIFO server: a message leaves the source NIC
+// TxTime after the source NIC frees up, reaches the destination base_latency
+// later, and is delivered TxTime after the destination NIC frees up.
+TEST(NetworkTest, BackToBackSendsDeliverAtExactTimes) {
+  TwoNodeFixture f;
+  std::vector<sim::SimTime> arrivals;
+  f.net.node(f.b).SetSink([&](Message) { arrivals.push_back(f.sim.now()); });
+  // The big middle message keeps the destination NIC busy past the third
+  // message's arrival, so the third one also waits at ingress.
+  const std::size_t sizes[] = {1'000, 200'000, 500};
+  for (std::size_t s : sizes) f.net.Send(Sized(f.a, f.b, s));
+  f.sim.Run();
+
+  const NicModel nic;
+  sim::SimTime egress_free = 0;
+  sim::SimTime ingress_free = 0;
+  std::vector<sim::SimTime> expected;
+  int queued_at_ingress = 0;
+  for (std::size_t s : sizes) {
+    const sim::Duration tx = nic.TxTime(s + Message::kHeaderBytes);
+    egress_free += tx;
+    const sim::SimTime arrive = egress_free + nic.base_latency;
+    if (arrive < ingress_free) ++queued_at_ingress;
+    ingress_free = std::max(arrive, ingress_free) + tx;
+    expected.push_back(ingress_free);
+  }
+  EXPECT_EQ(arrivals, expected);
+  EXPECT_EQ(queued_at_ingress, 1);
+  EXPECT_EQ(f.net.node(f.a).messages_sent, 3u);
+  EXPECT_EQ(f.net.node(f.b).messages_received, 3u);
+  EXPECT_EQ(f.net.messages_delivered(), 3u);
+}
+
+TEST(NetworkTest, FanInSerializesAtIngress) {
+  obs::Observability obs;
+  sim::Simulation sim;
+  Network net{sim};
+  net.AttachObs(&obs);
+  const NodeId a = net.AddNode("a");
+  const NodeId c = net.AddNode("c");
+  const NodeId b = net.AddNode("b");
+  std::vector<std::pair<NodeId, sim::SimTime>> arrivals;
+  net.node(b).SetSink(
+      [&](Message m) { arrivals.emplace_back(m.src, sim.now()); });
+  net.Send(Sized(a, b, 10'000));
+  net.Send(Sized(c, b, 10'000));
+  sim.Run();
+
+  const NicModel nic;
+  const sim::Duration tx = nic.TxTime(10'000 + Message::kHeaderBytes);
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0], std::make_pair(a, tx + nic.base_latency + tx));
+  EXPECT_EQ(arrivals[1], std::make_pair(c, arrivals[0].second + tx));
+  const LatencyHistogram& rx_wait =
+      obs.Node("b").histogram("nic.rx_wait_ns").hist();
+  EXPECT_EQ(rx_wait.count(), 2u);
+  EXPECT_EQ(rx_wait.sum(), tx);
+  EXPECT_EQ(rx_wait.MaxSample(), tx);
+  // Neither sender queued at its own NIC.
+  EXPECT_EQ(obs.Node("a").histogram("nic.tx_wait_ns").hist().sum(), 0);
+  EXPECT_EQ(obs.Node("c").histogram("nic.tx_wait_ns").hist().sum(), 0);
+  EXPECT_EQ(obs.Node("c").histogram("nic.tx_ns").hist().sum(), tx);
+}
+
+TEST(NetworkTest, DestinationCrashDuringIngressDrops) {
+  TwoNodeFixture f;
+  int deliveries = 0;
+  f.net.node(f.b).SetSink([&](Message) { ++deliveries; });
+  const NicModel nic;
+  const sim::Duration tx = nic.TxTime(1'000'000 + Message::kHeaderBytes);
+  f.net.Send(Sized(f.a, f.b, 1'000'000));
+  // Arrives at tx + base_latency; its ingress ends tx later.
+  f.sim.ScheduleFn(tx + nic.base_latency + tx / 2,
+                   [&f] { f.net.node(f.b).Crash(); });
+  f.sim.Run();
+  EXPECT_EQ(deliveries, 0);
+  EXPECT_EQ(f.net.messages_dropped(), 1u);
+  EXPECT_EQ(f.net.messages_delivered(), 0u);
+  EXPECT_EQ(f.net.node(f.a).messages_sent, 1u);
+}
+
+TEST(NetworkTest, PartitionRaisedInFlightDrops) {
+  TwoNodeFixture f;
+  int deliveries = 0;
+  f.net.node(f.b).SetSink([&](Message) { ++deliveries; });
+  const NicModel nic;
+  const sim::Duration tx = nic.TxTime(1'000'000 + Message::kHeaderBytes);
+  // Cut while the message is still in the source NIC: dropped on arrival.
+  f.net.Send(Sized(f.a, f.b, 1'000'000));
+  f.sim.ScheduleFn(tx / 2, [&f] { f.net.Partition(f.a, f.b); });
+  f.sim.Run();
+  EXPECT_EQ(deliveries, 0);
+  EXPECT_EQ(f.net.messages_dropped(), 1u);
+
+  // Cut while the message is in the destination NIC: dropped on delivery.
+  f.net.Heal(f.a, f.b);
+  const sim::SimTime sent = f.sim.now();
+  f.net.Send(Sized(f.a, f.b, 1'000'000));
+  f.sim.ScheduleFn(tx + nic.base_latency + tx / 2,
+                   [&f] { f.net.Partition(f.b, f.a); });
+  f.sim.Run();
+  EXPECT_EQ(deliveries, 0);
+  EXPECT_EQ(f.net.messages_dropped(), 2u);
+  EXPECT_GE(f.sim.now(), sent + tx + nic.base_latency + tx / 2);
+
+  f.net.HealAll();
+  f.net.Send(Sized(f.a, f.b, 100));
+  f.sim.Run();
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(f.net.messages_delivered(), 1u);
+}
+
 TEST(NetworkTest, CrashedDestinationDrops) {
   TwoNodeFixture f;
   int deliveries = 0;

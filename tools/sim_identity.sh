@@ -9,6 +9,10 @@
 # --metrics-json output byte for byte. The simulation is deterministic, so
 # any difference is a change in simulated behaviour.
 #
+# Every bench below writes a --baseline that is checked in under
+# bench/baselines/; fig07 and fig08 put every table cell in theirs, so any
+# figure number that moves also moves a baseline metric.
+#
 # Exit status: 1 when an output differs and bench/baselines/ is the same as
 # at BASE_REF (a change that means to move simulated results regenerates
 # the checked-in baselines with it); 0 otherwise. Every differing file is
