@@ -11,8 +11,6 @@ Node::Node(sim::Simulation& sim, NodeId id, std::string name, NodeModel model)
       name_(std::move(name)),
       model_(model),
       cpu_(sim, model.cores),
-      egress_(sim, 1),
-      ingress_(sim, 1),
       disk_(sim, 1) {}
 
 sim::Task<void> Node::Compute(sim::Duration cpu_time) {
@@ -28,7 +26,6 @@ sim::Task<void> Node::DiskWrite(std::size_t bytes) {
 void Node::Deliver(Message msg) {
   if (!up_) return;
   ++messages_received;
-  bytes_received += msg.WireSize();
   if (sink_) sink_(std::move(msg));
 }
 
@@ -86,63 +83,57 @@ sim::Task<void> Network::Transfer(Message msg) {
   const bool recording = obs_ != nullptr && obs_->tracer().recording();
   const bool traced = recording && obs_->tracer().enabled();
   const obs::TraceId trace = recording ? obs_->tracer().current() : 0;
-  Node::NicObs& src_obs = src.nic_obs();
 
+  // A NIC is a capacity-1 FIFO server whose service time is fixed when a
+  // message joins its queue, so its departure is known at once:
+  // max(now, NIC free) + TxTime. Next event: arrival at the destination NIC.
   const std::size_t wire = msg.WireSize();
-  {
-    // Source NIC serialization.
-    const sim::SimTime t0 = sim_.now();
-    auto guard = co_await src.egress().Acquire();
-    const sim::SimTime sent_at = sim_.now();
-    co_await sim_.Delay(src.model().nic.TxTime(wire));
-    src_obs.tx_wait.Record(sent_at - t0);
-    src_obs.tx_time.Record(sim_.now() - sent_at);
-    if (recording) {
-      // wait_ns also rides the Complete tail so flight records keep the
-      // nic-wait/wire split without an arg vector.
-      std::vector<obs::Tracer::Arg> args;
-      if (traced) {
-        args = {{"wait_ns", {}, sent_at - t0, false},
-                {"tx_ns", {}, sim_.now() - sent_at, false},
-                {"bytes", {}, static_cast<std::int64_t>(wire), false}};
-      }
-      obs_->tracer().Complete(src_obs.node.track, "nic-tx", "net", t0,
-                              sim_.now() - t0, trace, std::move(args),
-                              /*wait_ns=*/sent_at - t0);
-    }
-  }
+  const sim::SimTime sent = sim_.now();
+  const sim::SimTime tx_start = std::max(sent, src.egress_free_at);
+  const sim::Duration tx = src.model().nic.TxTime(wire);
+  src.egress_free_at = tx_start + tx;
+  Node::NicObs& src_obs = src.nic_obs();
+  src_obs.tx_wait.Record(tx_start - sent);
+  src_obs.tx_time.Record(tx);
   ++src.messages_sent;
-  src.bytes_sent += wire;
+  co_await sim_.Delay(tx_start + tx + src.model().nic.base_latency - sent);
 
-  co_await sim_.Delay(src.model().nic.base_latency);
-
-  if (Partitioned(msg.src, msg.dst)) {
-    ++messages_dropped_;
-    co_return;
+  if (recording) {
+    // wait_ns also rides the Complete tail so flight records keep the
+    // nic-wait/wire split without an arg vector.
+    std::vector<obs::Tracer::Arg> args;
+    if (traced) {
+      args = {{"wait_ns", {}, tx_start - sent, false},
+              {"tx_ns", {}, tx, false},
+              {"bytes", {}, static_cast<std::int64_t>(wire), false}};
+    }
+    obs_->tracer().Complete(src_obs.node.track, "nic-tx", "net", sent,
+                            tx_start + tx - sent, trace, std::move(args),
+                            /*wait_ns=*/tx_start - sent);
   }
   Node& dst = node(msg.dst);
-  if (!dst.up()) {
+  if (Partitioned(msg.src, msg.dst) || !dst.up()) {
     ++messages_dropped_;
     co_return;
   }
+  // Destination NIC serialization (receive-side bottleneck for fan-in),
+  // computed the same way. Next event: delivery.
+  const sim::SimTime arrived = sim_.now();
+  const sim::SimTime rx_start = std::max(arrived, dst.ingress_free_at);
+  dst.ingress_free_at = rx_start + dst.model().nic.TxTime(wire);
+  co_await sim_.Delay(dst.ingress_free_at - arrived);
+
   Node::NicObs& dst_obs = dst.nic_obs();
-  {
-    // Destination NIC serialization (receive-side bottleneck for fan-in).
-    const sim::SimTime t0 = sim_.now();
-    auto guard = co_await dst.ingress().Acquire();
-    const sim::SimTime rx_at = sim_.now();
-    co_await sim_.Delay(dst.model().nic.TxTime(wire));
-    dst_obs.rx_wait.Record(rx_at - t0);
-    if (recording) {
-      std::vector<obs::Tracer::Arg> args;
-      if (traced) {
-        args = {{"wait_ns", {}, rx_at - t0, false},
-                {"bytes", {}, static_cast<std::int64_t>(wire), false}};
-      }
-      obs_->tracer().Complete(dst_obs.node.track, "nic-rx", "net", t0,
-                              sim_.now() - t0, trace, std::move(args),
-                              /*wait_ns=*/rx_at - t0);
+  dst_obs.rx_wait.Record(rx_start - arrived);
+  if (recording) {
+    std::vector<obs::Tracer::Arg> args;
+    if (traced) {
+      args = {{"wait_ns", {}, rx_start - arrived, false},
+              {"bytes", {}, static_cast<std::int64_t>(wire), false}};
     }
+    obs_->tracer().Complete(dst_obs.node.track, "nic-rx", "net", arrived,
+                            sim_.now() - arrived, trace, std::move(args),
+                            /*wait_ns=*/rx_start - arrived);
   }
   if (!dst.up() || Partitioned(msg.src, msg.dst)) {
     ++messages_dropped_;
@@ -163,6 +154,8 @@ void Network::Heal(NodeId a, NodeId b) {
 void Network::HealAll() { partitions_.clear(); }
 
 bool Network::Partitioned(NodeId a, NodeId b) const {
+  // Only fault tests ever partition; skip the lookup on the hot path.
+  if (partitions_.empty()) return false;
   return partitions_.count({std::min(a, b), std::max(a, b)}) > 0;
 }
 

@@ -52,9 +52,12 @@ class Node {
   void Crash();
   void Restart();
 
-  sim::Resource& egress() { return egress_; }
-  sim::Resource& ingress() { return ingress_; }
   sim::Resource& cpu() { return cpu_; }
+
+  // When each NIC finishes serializing the last message queued on it;
+  // Network::Transfer computes every NIC departure from these.
+  sim::SimTime egress_free_at = 0;
+  sim::SimTime ingress_free_at = 0;
 
   // NIC instrumentation handles (serialization wait vs. wire time). Stored
   // on the Node — stable storage, already hot in Transfer's cache — so the
@@ -70,8 +73,6 @@ class Node {
   NicObs& nic_obs() { return nic_obs_; }
 
   // Traffic accounting for experiments.
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_received = 0;
 
@@ -83,8 +84,6 @@ class Node {
   bool up_ = true;
   std::uint64_t incarnation_ = 1;
   sim::Resource cpu_;
-  sim::Resource egress_;
-  sim::Resource ingress_;
   sim::Resource disk_;
   std::function<void(Message)> sink_;
   NicObs nic_obs_;
