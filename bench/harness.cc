@@ -14,9 +14,8 @@ namespace dufs::bench {
 namespace {
 
 constexpr char kSharedUsage[] =
-    "[--metrics-json=PATH] [--trace=PATH] [--timeline] [--timeline-us=200] "
-    "[--baseline=PATH] [--slo=op:target:budget[,...]] [--flight-dump-dir=DIR] "
-    "[--slo-window-us=N] [--flight-capacity=N] [--profile=PATH] "
+    "[--metrics-json=PATH] [--trace=PATH] [--timeline] [--baseline=PATH] "
+    "[--slo=op:target:budget[,...]] [--flight-dump-dir=DIR] [--profile=PATH] "
     "[--profile-hz=97] [--profile-every=N] [--profile-digest=PATH]";
 
 // "500us" / "2ms" / "1s" / "250" (bare = ns) -> nanoseconds; -1 on parse
@@ -72,11 +71,8 @@ Harness::Harness(std::string name, int argc, char** argv,
       trace_path_(flags_.Str("trace", "")),
       baseline_path_(flags_.Str("baseline", "")),
       timeline_(flags_.Bool("timeline")),
-      timeline_us_(flags_.Int("timeline-us", 200)),
       slos_(ParseSlos(flags_.Str("slo", ""))),
       dump_dir_(flags_.Str("flight-dump-dir", "")),
-      slo_window_us_(flags_.Int("slo-window-us", 10000)),
-      flight_capacity_(flags_.Int("flight-capacity", 0)),
       profile_path_(flags_.Str("profile", "")),
       profile_digest_path_(flags_.Str("profile-digest", "")),
       baseline_(name_) {
@@ -128,11 +124,7 @@ Harness::~Harness() {
 
 void Harness::Arm(obs::Observability& obs) {
   if (!incidents()) return;
-  if (flight_capacity_ > 0) {
-    obs.flight().SetCapacity(static_cast<std::uint32_t>(flight_capacity_));
-  }
   obs::AnomalyConfig cfg;
-  cfg.window_ns = slo_window_us_ * 1000;
   cfg.dump_dir = dump_dir_;
   obs.incidents().Configure(cfg);
   for (const obs::SloSpec& slo : slos_) obs.incidents().AddSlo(slo);
@@ -140,7 +132,6 @@ void Harness::Arm(obs::Observability& obs) {
 
 void Harness::StartTimeline(obs::Observability& obs, sim::Simulation& sim) {
   if (!timeline_) return;
-  timeline_sampler_.set_interval(timeline_us_ * 1000);
   timeline_sampler_.WatchAllGauges(obs.metrics());
   timeline_sampler_.Start(sim);
 }

@@ -26,15 +26,12 @@
 //   --metrics-json=PATH   write h.metrics() plus the observed run's registry
 //   --trace=PATH          record the observed run's spans as Chrome JSON
 //   --timeline            sample its gauges into a "timeline" metrics section
-//   --timeline-us=N       sim-time sampling period (default 200us)
 //   --baseline=PATH       write h.baseline(), the BENCH_<name>.json
 //                         regression baseline
 //   --slo=SPEC[,SPEC...]  arm the SLO evaluator; SPEC = op:target:budget,
 //                         e.g. create:2ms:0.01 (1% of creates may miss 2ms)
 //   --flight-dump-dir=DIR arm the anomaly detectors; dumps the flight
 //                         recorder to DIR/dump_<seq>_<type>.json on firing
-//   --slo-window-us=N     detector/SLO window on sim time (default 10ms)
-//   --flight-capacity=N   flight-recorder spans kept per node (default 512)
 //   --profile=PATH        sample the CPU profiler over the whole run, write
 //                         folded stacks
 //   --profile-hz=N        signal-mode sample rate (default 97)
@@ -116,11 +113,8 @@ class Harness {
   std::string trace_path_;
   std::string baseline_path_;
   bool timeline_ = false;
-  long timeline_us_ = 200;
   std::vector<obs::SloSpec> slos_;
   std::string dump_dir_;
-  long slo_window_us_ = 10000;
-  long flight_capacity_ = 0;
   std::string profile_path_;
   std::string profile_digest_path_;
   bool profiling_ = false;

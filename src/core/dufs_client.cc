@@ -57,7 +57,7 @@ Result<MetaRecord> DecodeRecord(std::span<const std::uint8_t> data) {
 // enjoyed. Costs two dummy-cell reads when observability is not attached.
 class OpScope {
  public:
-  OpScope(DufsClient& client, obs::Timer timer, const char* name,
+  OpScope(DufsClient& client, obs::Timer timer, obs::Name name,
           const std::string& path)
       : client_(client),
         timer_(timer),
@@ -85,7 +85,8 @@ class OpScope {
     if (client_.obs_.incidents != nullptr) {
       // `name_` is the op-class literal ("stat", "create", ...) — exactly
       // the canonical class names the incident engine registers.
-      client_.obs_.incidents->RecordOp(name_, client_.obs_.track, latency);
+      client_.obs_.incidents->RecordOp(name_.c_str(), client_.obs_.track,
+                                       latency);
     }
     if (span_.active()) {
       span_.ArgInt("cache_hits",
@@ -98,7 +99,7 @@ class OpScope {
  private:
   DufsClient& client_;
   obs::Timer timer_;
-  const char* name_;
+  obs::Name name_;
   sim::SimTime start_;
   std::uint64_t hits_before_;
   // Node frame below the op-class frame (the root span): `client0;create`.

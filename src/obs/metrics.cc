@@ -85,16 +85,16 @@ void AppendSection(std::string& out, const Counters& counters,
 
 }  // namespace
 
-Counter Scope::counter(const std::string& key) {
-  return Counter(GetOrCreate(counters_, key));
+Counter Scope::counter(Name key) {
+  return Counter(GetOrCreate(counters_, key.c_str()));
 }
 
-Gauge Scope::gauge(const std::string& key) {
-  return Gauge(GetOrCreate(gauges_, key));
+Gauge Scope::gauge(Name key) {
+  return Gauge(GetOrCreate(gauges_, key.c_str()));
 }
 
-Histogram Scope::histogram(const std::string& key) {
-  return Histogram(GetOrCreate(histograms_, key));
+Histogram Scope::histogram(Name key) {
+  return Histogram(GetOrCreate(histograms_, key.c_str()));
 }
 
 Scope& MetricsRegistry::scope(const std::string& node) {

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "common/stats.h"
+#include "obs/name.h"
 
 namespace dufs::obs {
 
@@ -115,10 +116,10 @@ class Scope {
 
   const std::string& name() const { return name_; }
 
-  Counter counter(const std::string& key);
-  Gauge gauge(const std::string& key);
-  Histogram histogram(const std::string& key);
-  Timer timer(const std::string& key) { return histogram(key); }
+  Counter counter(Name key);
+  Gauge gauge(Name key);
+  Histogram histogram(Name key);
+  Timer timer(Name key) { return histogram(key); }
 
   const std::map<std::string, std::unique_ptr<internal::CounterCell>>&
   counters() const {

@@ -27,18 +27,18 @@ struct NodeObs {
   Incidents* incidents = nullptr;
   // Interned node name for profiler frames (stable storage — safe inside
   // samples); "" for a default-constructed bundle.
-  const char* prof_name = "";
+  Name prof_name;
 
-  Counter counter(const std::string& key) const {
+  Counter counter(Name key) const {
     return metrics != nullptr ? metrics->counter(key) : Counter();
   }
-  Gauge gauge(const std::string& key) const {
+  Gauge gauge(Name key) const {
     return metrics != nullptr ? metrics->gauge(key) : Gauge();
   }
-  Histogram histogram(const std::string& key) const {
+  Histogram histogram(Name key) const {
     return metrics != nullptr ? metrics->histogram(key) : Histogram();
   }
-  Timer timer(const std::string& key) const { return histogram(key); }
+  Timer timer(Name key) const { return histogram(key); }
 };
 
 class Observability {

@@ -506,9 +506,9 @@ std::string ExportDigestJson() {
   return out;
 }
 
-const char* InternName(const std::string& name) {
+obs::Name InternName(const std::string& name) {
   static auto* names = new std::set<std::string>();
-  return names->insert(name).first->c_str();
+  return obs::Name(obs::Name::Interned{}, names->insert(name).first->c_str());
 }
 
 }  // namespace dufs::prof

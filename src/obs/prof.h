@@ -27,9 +27,9 @@
 //   * Publication order: mutators write the frame slot, then
 //     `atomic_signal_fence(release)`, then bump `depth`; the handler reads
 //     `depth` first, so it only ever sees fully-written frames.
-//   * Frame names must be string literals or prof::InternName results —
-//     storage that outlives every sample holding the pointer (the
-//     obs-key-literal lint rule enforces literal names at ProfScope sites).
+//   * Frame names are obs::Name values — checked string literals or
+//     prof::InternName results, storage that outlives every sample holding
+//     the pointer (the type rejects any other name at compile time).
 //   * Ring overflow drops the sample and counts it; it never blocks.
 //
 // Two sampling modes:
@@ -43,14 +43,16 @@
 //
 // Disabled cost is one predictable branch per hook; nothing else is touched.
 //
-// This header is standalone (std headers only): src/sim depends on it, so it
-// must not depend on src/sim or the rest of src/obs.
+// This header is standalone (std headers and obs/name.h only): src/sim
+// depends on it, so it must not depend on src/sim or the rest of src/obs.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <string>
+
+#include "obs/name.h"
 
 namespace dufs::prof {
 
@@ -141,21 +143,20 @@ struct FrameToken {
   bool pushed = false;
 };
 
-// `name` must be a string literal or an InternName pointer.
-inline FrameToken PushFrame(const char* name, FrameKind kind) {
+inline FrameToken PushFrame(obs::Name name, FrameKind kind) {
   FrameToken t;
   if (!internal::Active()) return t;
-  if (name == nullptr || name[0] == '\0') return t;  // unattached NodeObs
+  if (name.empty()) return t;  // unattached NodeObs
   internal::ContextStack& c = internal::g_ctx;
   const std::uint32_t d = c.depth.load(std::memory_order_relaxed);
   if (d >= internal::kMaxDepth) {
     ++c.truncated;
     return t;
   }
-  c.frames[d] = Frame{name, kind};
+  c.frames[d] = Frame{name.c_str(), kind};
   std::atomic_signal_fence(std::memory_order_release);
   c.depth.store(d + 1, std::memory_order_relaxed);
-  t.name = name;
+  t.name = name.c_str();
   t.gen = c.generation;
   t.idx = d;
   t.kind = kind;
@@ -189,11 +190,10 @@ inline void PopFrame(FrameToken& t) {
   }
 }
 
-// RAII frame. Construction cost is one branch while profiling is off. The
-// name must be a string literal or InternName pointer (obs-key-literal).
+// RAII frame. Construction cost is one branch while profiling is off.
 class ProfScope {
  public:
-  ProfScope(const char* name, FrameKind kind)
+  ProfScope(obs::Name name, FrameKind kind)
       : token_(PushFrame(name, kind)) {}
   ~ProfScope() { PopFrame(token_); }
 
@@ -283,7 +283,7 @@ std::string ExportDigestJson();
 // Stable storage for dynamic frame names (node names built at testbed
 // construction). Interned pointers live for the process lifetime, so they
 // satisfy the signal-safety rule; repeated calls return the same pointer.
-const char* InternName(const std::string& name);
+obs::Name InternName(const std::string& name);
 
 namespace internal {
 // Per-dispatch sampling tick (count-mode fold / ring drain watermark).

@@ -105,10 +105,10 @@ bool Tracer::WriteChromeJson(const std::string& path) const {
   return std::fclose(f) == 0 && ok;
 }
 
-Span::Span(const NodeObs& obs, const char* name, const char* cat)
+Span::Span(const NodeObs& obs, Name name, Name cat)
     : Span(obs.tracer, obs.track, name, cat) {}
 
-Span Span::Root(const NodeObs& obs, const char* name, const char* cat) {
+Span Span::Root(const NodeObs& obs, Name name, Name cat) {
   // Not recording: the span still contributes its profiler frame (the ctor
   // pushes it before the recording check), but must not burn a trace id.
   const bool recording =

@@ -98,9 +98,10 @@ class Tracer {
   TraceId current() const { return current_; }
   void SetCurrent(TraceId id) { current_ = id; }
 
-  // Names, categories, and arg keys are string literals (the obs-key-literal
-  // lint rule enforces that at every call site), so events store the pointer
-  // instead of copying — an enabled span costs no string work until export.
+  // Spans hand in names, categories and arg keys as obs::Name (checked
+  // string literals: the type enforces that at every call site), so events
+  // store the pointer instead of copying — an enabled span costs no string
+  // work until export.
   struct Arg {
     const char* key = "";
     std::string str;       // when is_string
@@ -164,33 +165,32 @@ class Span {
 
   // Attached span: inherits the tracer's current trace id. Inline so the
   // disabled path costs one branch at the call site.
-  Span(Tracer* tracer, TrackId track, const char* name, const char* cat)
+  Span(Tracer* tracer, TrackId track, Name name, Name cat)
       : Span(tracer, track, name, cat,
              tracer != nullptr ? tracer->current() : 0) {}
   // Explicit-trace span (server side: the id arrived over the wire).
-  Span(Tracer* tracer, TrackId track, const char* name, const char* cat,
-       TraceId trace) {
+  Span(Tracer* tracer, TrackId track, Name name, Name cat, TraceId trace) {
     // Every span doubles as a profiler frame (op-class for client ops,
     // component otherwise) — so the existing instrumentation points feed the
     // CPU profile even when the tracer itself is not recording. One branch
     // each when profiling / tracing is off.
-    prof_ = prof::PushFrame(name, std::strcmp(cat, "op") == 0
+    prof_ = prof::PushFrame(name, std::strcmp(cat.c_str(), "op") == 0
                                       ? prof::FrameKind::kOpClass
                                       : prof::FrameKind::kComponent);
     if (tracer == nullptr || !tracer->recording()) return;
     tracer_ = tracer;
     track_ = track;
-    name_ = name;
-    cat_ = cat;
+    name_ = name.c_str();
+    cat_ = cat.c_str();
     start_ = tracer->now();
     trace_ = trace;
   }
 
   // Root span: allocates a fresh trace id and makes it current (the start
   // of a client operation).
-  static Span Root(const NodeObs& obs, const char* name, const char* cat);
+  static Span Root(const NodeObs& obs, Name name, Name cat);
   // Attached span from a NodeObs bundle.
-  Span(const NodeObs& obs, const char* name, const char* cat);
+  Span(const NodeObs& obs, Name name, Name cat);
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -227,13 +227,13 @@ class Span {
 
   // Args attach to the full event log only — flight records are POD, so a
   // flight-only span never allocates an arg vector.
-  void ArgInt(const char* key, std::int64_t value) {
+  void ArgInt(Name key, std::int64_t value) {
     if (tracer_ == nullptr || !tracer_->enabled()) return;
-    args_.push_back(Tracer::Arg{key, {}, value, false});
+    args_.push_back(Tracer::Arg{key.c_str(), {}, value, false});
   }
-  void ArgStr(const char* key, std::string value) {
+  void ArgStr(Name key, std::string value) {
     if (tracer_ == nullptr || !tracer_->enabled()) return;
-    args_.push_back(Tracer::Arg{key, std::move(value), 0, true});
+    args_.push_back(Tracer::Arg{key.c_str(), std::move(value), 0, true});
   }
 
   // Queueing share of this span in ns; lands in the flight record so the

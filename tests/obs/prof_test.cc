@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <ctime>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "obs/obs.h"
 #include "obs/prof.h"
 #include "sim/task.h"
 
@@ -40,6 +42,13 @@ sim::Task<void> Parent(sim::Simulation* sim) {
   prof::ProfScope scope("parent", prof::FrameKind::kComponent);
   sim->Spawn(Child(sim));
   co_await sim->Delay(200);
+}
+
+// A node-frame actor, as a component under OpScope: the node frame below
+// an op-class frame.
+sim::Task<void> NodeLoop(sim::Simulation* sim, obs::Name node) {
+  prof::ProfScope scope(node, prof::FrameKind::kNode);
+  co_await WorkerLoop(sim, 5);
 }
 
 // One deterministic mixed workload: timer churn (callback events) plus
@@ -175,6 +184,64 @@ TEST(ProfControlTest, StartRejectsBadOptionsAndDoubleStart) {
   prof::Stop();
   EXPECT_FALSE(prof::Running());
   prof::Stop();  // idempotent
+  prof::Reset();
+}
+
+// --- name sources ---------------------------------------------------------
+// Besides checked literals, an obs::Name comes from prof::InternName (node
+// names built at runtime) or is the default "" of an unattached NodeObs.
+
+TEST(ProfNameTest, InternNameIsStableAndOutlivesItsSource) {
+  auto source = std::make_unique<std::string>("intern-test-node-long-name-0");
+  const obs::Name a = prof::InternName(*source);
+  EXPECT_NE(a.c_str(), source->c_str());  // a copy, not the caller's buffer
+  source.reset();
+  const obs::Name b = prof::InternName(std::string("intern-test-node-") +
+                                       "long-name-0");
+  EXPECT_EQ(a.c_str(), b.c_str());
+  EXPECT_STREQ(a.c_str(), "intern-test-node-long-name-0");
+}
+
+TEST(ProfNameTest, InternedNodeFrameFoldsAsNode) {
+  const obs::Name node = prof::InternName("intern" + std::to_string(3));
+  prof::Options o;
+  o.mode = prof::Options::Mode::kCount;
+  o.every = 1;
+  std::string error;
+  ASSERT_TRUE(prof::Start(o, &error)) << error;
+  {
+    sim::Simulation s(3);
+    sim::CurrentSimulationScope scope(&s);
+    s.Spawn(NodeLoop(&s, node));
+    s.Run();
+  }
+  prof::Stop();
+  const std::string folded = prof::ExportFolded();
+  const std::string digest = prof::ExportDigestJson();
+  prof::Reset();
+  EXPECT_NE(folded.find("intern3;op.work "), std::string::npos) << folded;
+  EXPECT_NE(digest.find("{\"name\":\"intern3\",\"kind\":\"node\""),
+            std::string::npos)
+      << digest;
+}
+
+TEST(ProfNameTest, UnattachedNodeObsPushesNoFrame) {
+  const obs::NodeObs unattached;
+  EXPECT_TRUE(unattached.prof_name.empty());
+  prof::Options o;
+  o.mode = prof::Options::Mode::kCount;
+  o.every = 1 << 30;  // never folds; only the context stack is exercised
+  std::string error;
+  ASSERT_TRUE(prof::Start(o, &error)) << error;
+  {
+    prof::ProfScope scope(unattached.prof_name, prof::FrameKind::kNode);
+    EXPECT_EQ(prof::internal::g_ctx.depth.load(std::memory_order_relaxed),
+              0u);
+  }
+  prof::FrameToken t =
+      prof::PushFrame(unattached.prof_name, prof::FrameKind::kNode);
+  EXPECT_FALSE(t.pushed);
+  prof::Stop();
   prof::Reset();
 }
 

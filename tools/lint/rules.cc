@@ -49,34 +49,6 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 
 bool IsHeaderPath(const std::string& p) { return EndsWith(p, ".h"); }
 
-// Strips quotes/prefix from a lexed string token ("x", u8"x", R"(x)").
-std::string StringValue(const std::string& raw) {
-  std::size_t b = raw.find('"');
-  if (b == std::string::npos) return raw;
-  if (b > 0 && raw[b - 1] == 'R') {
-    const auto open = raw.find('(', b);
-    const auto close = raw.rfind(')');
-    if (open != std::string::npos && close != std::string::npos &&
-        close > open) {
-      return raw.substr(open + 1, close - open - 1);
-    }
-  }
-  std::size_t e = raw.rfind('"');
-  if (e <= b) return raw;
-  return raw.substr(b + 1, e - b - 1);
-}
-
-bool IsValidObsName(const std::string& name) {
-  if (name.empty()) return false;
-  if (name[0] < 'a' || name[0] > 'z') return false;
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-                    c == '.' || c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Lambda structure
 // ---------------------------------------------------------------------------
@@ -243,31 +215,6 @@ const std::vector<RuleDoc>& RuleDocs() {
        "`using namespace`.",
        "#include \"../common/log.h\"",
        "#include \"common/log.h\""},
-      {"trace-span-name",
-       "span/metric names are lower-case dotted literals",
-       "Span and metric names are compared byte-for-byte across runs and "
-       "land in exported JSON keys; they follow [a-z][a-z0-9._-]* "
-       "(\"zk-rpc\", \"op.stat_ns\"). Upper case, spaces, or empty names "
-       "break the convention and the export diffing tools.",
-       "obs::Span span(obs_, \"ZK RPC\", \"zk\");",
-       "obs::Span span(obs_, \"zk-rpc\", \"zk\");"},
-      {"obs-key-literal",
-       "metric/span keys are string literals at the call site",
-       "Registry keys and span names land in byte-compared JSON exports and "
-       "are grepped by offline tooling (tracestats classifies spans by "
-       "name). A key assembled at runtime — concatenation, to_string(), "
-       "c_str() — makes the key set data-dependent, so neither the linter "
-       "nor a reader of the call site can enumerate it, and one stray value "
-       "explodes export cardinality. Pass a fixed literal to counter()/"
-       "gauge()/histogram()/timer(), to span constructors, and to "
-       "prof::ProfScope frames (whose names additionally feed the "
-       "async-signal-safe profiler, which stores the pointer — a temporary "
-       "from c_str() would dangle inside a sample); put the variable part "
-       "in a span arg, a per-node Scope, or prof::InternName(). "
-       "(src/obs/ itself is exempt: its forwarding shims take the key as a "
-       "parameter by design.)",
-       "obs_.counter(\"op.\" + phase + \"_count\").Inc();",
-       "obs_.counter(\"op.stat_count\").Inc();  // one literal per phase"},
       {"coro-ref-escape",
        "no reference escapes into a coroutine frame across a wrapper",
        "A coroutine frame can outlive the caller's scope the moment it "
@@ -326,8 +273,6 @@ class FileLint {
     Lambdas();
     CoroutineSignatures();
     IncludeHygiene();
-    ObsNames();
-    ObsKeyLiterals();
     Filter(out);
   }
 
@@ -443,145 +388,6 @@ class FileLint {
               "self header \"" + self +
                   "\" must be the first include (proves it is "
                   "self-contained)");
-        }
-      }
-    }
-  }
-
-  void ObsNames() {
-    const auto& toks = f_.tokens;
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-      const Token& t = toks[i];
-      if (t.kind != TokKind::kIdentifier) continue;
-      std::size_t open = kNpos;
-      if (t.text == "counter" || t.text == "timer" || t.text == "gauge" ||
-          t.text == "histogram") {
-        if (IsPunct(toks[i + 1], "(")) open = i + 1;
-      } else if (t.text == "Span" || t.text == "Root" ||
-                 t.text == "ProfScope") {
-        if (t.text == "Root" &&
-            !(i >= 2 && IsPunct(toks[i - 1], "::") && IsId(toks[i - 2], "Span"))) {
-          continue;
-        }
-        if (IsPunct(toks[i + 1], "(")) {
-          open = i + 1;  // direct construction / Span::Root call
-        } else if (i + 2 < toks.size() &&
-                   toks[i + 1].kind == TokKind::kIdentifier &&
-                   IsPunct(toks[i + 2], "(")) {
-          open = i + 2;  // `Span span(...)` variable declaration
-        }
-      }
-      if (open == kNpos) continue;
-      const std::size_t close = MatchParen(toks, open);
-      if (close == kNpos) continue;
-      int depth = 0;
-      for (std::size_t k = open; k < close; ++k) {
-        const Token& a = toks[k];
-        if (a.kind == TokKind::kPunct) {
-          if (a.text == "(") ++depth;
-          if (a.text == ")") --depth;
-        }
-        if (depth != 1 || a.kind != TokKind::kString) continue;
-        if (a.text.empty() || a.text[0] == '\'') continue;  // char literal
-        const std::string value = StringValue(a.text);
-        if (!IsValidObsName(value)) {
-          Add(a.line, "trace-span-name",
-              "span/metric name \"" + value +
-                  "\" must match [a-z][a-z0-9._-]* (lower-case dotted)");
-        }
-      }
-    }
-  }
-
-  // Metric/span keys must be literals at the call site. Two shapes:
-  //  - registry lookups `x.counter("k")` / `->timer("k")` etc.: the first
-  //    argument must be exactly one string literal;
-  //  - span construction: no runtime-name indicators (`+`, c_str(),
-  //    to_string(), append(), format()) at depth 1 of the argument list.
-  //    A bare identifier is tolerated there because the blessed OpScope
-  //    helper forwards a `const char* name` parameter that is itself
-  //    always a literal at ITS call sites.
-  // src/obs/ is exempt: its shims forward `key` parameters by design.
-  void ObsKeyLiterals() {
-    if (f_.path.find("src/obs/") != std::string::npos) return;
-    const auto& toks = f_.tokens;
-    for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-      const Token& t = toks[i];
-      if (t.kind != TokKind::kIdentifier) continue;
-      if (t.text == "counter" || t.text == "gauge" || t.text == "timer" ||
-          t.text == "histogram") {
-        // Member calls only: `Counter counter(...)` declarations and free
-        // functions that happen to share the name are not registry lookups.
-        if (!IsPunct(toks[i - 1], ".") && !IsPunct(toks[i - 1], "->")) {
-          continue;
-        }
-        if (!IsPunct(toks[i + 1], "(")) continue;
-        const std::size_t open = i + 1;
-        const std::size_t close = MatchParen(toks, open);
-        if (close == kNpos) continue;
-        // First depth-1 argument: tokens in (open, first depth-1 comma).
-        std::size_t first_end = close - 1;
-        int depth = 0;
-        for (std::size_t k = open; k < close - 1; ++k) {
-          const Token& a = toks[k];
-          if (a.kind != TokKind::kPunct) continue;
-          if (a.text == "(" || a.text == "[" || a.text == "{") ++depth;
-          if (a.text == ")" || a.text == "]" || a.text == "}") --depth;
-          if (depth == 1 && a.text == "," && k > open) {
-            first_end = k;
-            break;
-          }
-        }
-        if (first_end == open + 1) continue;  // no-arg call: not a lookup
-        const bool single_literal =
-            first_end == open + 2 && toks[open + 1].kind == TokKind::kString &&
-            !toks[open + 1].text.empty() && toks[open + 1].text[0] != '\'';
-        if (!single_literal) {
-          Add(t.line, "obs-key-literal",
-              "key passed to `" + t.text +
-                  "()` must be a single string literal: runtime-built keys "
-                  "make the export key set data-dependent");
-        }
-      } else if (t.text == "Span" || t.text == "Root" ||
-                 t.text == "ProfScope") {
-        // ProfScope frame names are held by pointer inside profiler samples,
-        // so a runtime-assembled name is not just unenumerable — it dangles.
-        if (t.text == "Root" &&
-            !(i >= 2 && IsPunct(toks[i - 1], "::") &&
-              IsId(toks[i - 2], "Span"))) {
-          continue;
-        }
-        std::size_t open = kNpos;
-        if (IsPunct(toks[i + 1], "(")) {
-          open = i + 1;
-        } else if (i + 2 < toks.size() &&
-                   toks[i + 1].kind == TokKind::kIdentifier &&
-                   IsPunct(toks[i + 2], "(")) {
-          open = i + 2;
-        }
-        if (open == kNpos) continue;
-        const std::size_t close = MatchParen(toks, open);
-        if (close == kNpos) continue;
-        int depth = 0;
-        for (std::size_t k = open; k < close; ++k) {
-          const Token& a = toks[k];
-          if (a.kind == TokKind::kPunct) {
-            if (a.text == "(") ++depth;
-            if (a.text == ")") --depth;
-          }
-          if (depth != 1) continue;
-          const bool builder =
-              IsPunct(a, "+") ||
-              (a.kind == TokKind::kIdentifier &&
-               (a.text == "c_str" || a.text == "to_string" ||
-                a.text == "append" || a.text == "format"));
-          if (builder) {
-            Add(a.line, "obs-key-literal",
-                "span name assembled at runtime (`" + a.text +
-                    "`): span names must be fixed literals; put the "
-                    "variable part in a span arg");
-            break;
-          }
         }
       }
     }

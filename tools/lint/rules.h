@@ -1,11 +1,12 @@
 // Repo-specific static-analysis rules for the DUFS tree.
 //
 // The rules guard coroutine lifetime safety (nothing captured or referenced
-// across a co_await may die before the frame does), header hygiene and the
-// naming of the byte-compared exports' keys. Determinism itself is checked
-// by what runs: a link-time symbol gate and the salted-hash differential
-// (DESIGN.md §8.1). See `dufs_lint --explain` or DESIGN.md §8/§12 for the
-// rule-by-rule rationale.
+// across a co_await may die before the frame does) and header hygiene.
+// Determinism itself is checked by what runs: a link-time symbol gate and the
+// salted-hash differential (DESIGN.md §8.1). The keys of the byte-compared
+// exports are checked by the type system: obs::Name (src/obs/name.h) takes
+// only lower-case dotted literals. See `dufs_lint --explain` or DESIGN.md
+// §8/§12 for the rule-by-rule rationale.
 //
 // The analyzer is two-stage. Stage A (AnalyzeFile) is strictly per-file:
 // lexing, the local token rules, and FileSummary extraction for the
@@ -42,8 +43,8 @@ struct FileArtifacts {
 };
 
 // Stage A: lex + local rules + summary extraction. Pure in (path, content).
-// Paths should be repo-relative ("src/zk/server.cc") so path-scoped rules
-// (include-hygiene, obs-key-literal's src/obs/ exemption) work.
+// Paths should be repo-relative ("src/zk/server.cc") so the path-scoped
+// include-hygiene rule works.
 FileArtifacts AnalyzeFile(std::string path, const std::string& content);
 
 // Whole-tree linter: add every file, then Run() applies the per-file
