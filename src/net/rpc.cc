@@ -4,7 +4,11 @@
 
 namespace dufs::net {
 
-RpcEndpoint::RpcEndpoint(Network& net, NodeId self) : net_(net), self_(self) {
+RpcEndpoint::RpcEndpoint(Network& net, NodeId self)
+    : net_(net),
+      self_(self),
+      pending_(net.sim(),
+               Status(StatusCode::kTimeout, "rpc deadline exceeded")) {
   net_.node(self_).SetSink([this](Message msg) { OnMessage(std::move(msg)); });
 }
 
@@ -18,29 +22,17 @@ sim::Task<RpcResult> RpcEndpoint::Call(NodeId dst, std::uint16_t method,
   if (!node().up()) {
     co_return Status(StatusCode::kNotConnected, "local node is down");
   }
-  const std::uint64_t id = next_rpc_id_++;
   ++calls_sent_;
-  auto [future, promise] = sim::MakeFuture<RpcResult>(sim());
-  pending_.emplace(id, promise);
+  auto reply = pending_.Add(timeout);
 
   Message msg;
   msg.src = self_;
   msg.dst = dst;
-  msg.rpc_id = id;
+  msg.rpc_id = reply.id();
   msg.method = method;
   msg.payload = std::move(request);
   net_.Send(std::move(msg));
-
-  // The timeout races the response; FutureState's first-writer-wins makes
-  // this safe without cancellation plumbing.
-  sim().ScheduleFn(timeout, [this, id, promise]() mutable {
-    if (promise.Set(Status(StatusCode::kTimeout, "rpc deadline exceeded"))) {
-      pending_.erase(id);
-    }
-  });
-
-  RpcResult result = co_await std::move(future);
-  co_return result;
+  co_return co_await reply;
 }
 
 void RpcEndpoint::Notify(NodeId dst, std::uint16_t method, Payload request) {
@@ -56,11 +48,8 @@ void RpcEndpoint::Notify(NodeId dst, std::uint16_t method, Payload request) {
 
 void RpcEndpoint::OnMessage(Message msg) {
   if (msg.is_response) {
-    auto it = pending_.find(msg.rpc_id);
-    if (it == pending_.end()) return;  // raced with the timeout
-    auto promise = it->second;
-    pending_.erase(it);
-    promise.Set(std::move(msg.payload));
+    // False when the call already timed out: the reply is dropped.
+    (void)pending_.Complete(msg.rpc_id, std::move(msg.payload));
     return;
   }
 

@@ -4,17 +4,22 @@
 // 16-bit method id; clients issue Call() and receive Result<Payload> — a
 // kTimeout/kUnavailable Status when the peer is down or partitioned.
 // rpc_id 0 marks one-way notifications (no response is generated).
+//
+// A call waits in its own frame (sim::TimedWaiters): it allocates nothing
+// and schedules no timer of its own. Its deadline joins the endpoint's FIFO
+// for that timeout value, whose one timer fires for the oldest live call, so
+// an answered call leaves no event behind and a late reply is dropped.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/status.h"
 #include "net/network.h"
-#include "sim/future.h"
 #include "sim/task.h"
+#include "sim/timed_waiters.h"
 
 namespace dufs::net {
 
@@ -58,11 +63,10 @@ class RpcEndpoint {
 
   Network& net_;
   NodeId self_;
-  std::uint64_t next_rpc_id_ = 1;
   std::uint64_t calls_sent_ = 0;
   std::uint64_t calls_handled_ = 0;
-  HashMap<std::uint64_t, sim::Promise<RpcResult>> pending_;
-  HashMap<std::uint16_t, Handler> handlers_;
+  sim::TimedWaiters<RpcResult> pending_;  // keyed by rpc_id
+  std::map<std::uint16_t, Handler> handlers_;
 };
 
 }  // namespace dufs::net

@@ -24,6 +24,7 @@
 #include "common/hash.h"
 #include "net/rpc.h"
 #include "obs/obs.h"
+#include "sim/future.h"
 #include "sim/sync.h"
 #include "vfs/filesystem.h"
 #include "vfs/path.h"

@@ -1,6 +1,8 @@
-// One-shot Future/Promise pair for cross-actor completion (RPC responses,
-// commit notifications). Single waiter; first Set() wins (later Sets are
-// ignored, which is how RPC timeouts race responses safely).
+// One-shot Future/Promise pair for cross-actor completion (gathers, the
+// Lustre journal's commit hand-off). Single waiter; the first Set() wins
+// and later Sets return false. The state is shared and heap-allocated; a
+// wait with a deadline that one actor answers (an RPC reply, a ZooKeeper
+// apply) uses timed_waiters.h instead, which keeps it in the waiting frame.
 #pragma once
 
 #include <coroutine>

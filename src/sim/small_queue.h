@@ -46,6 +46,12 @@ class SmallQueue {
     return data_[head_];
   }
 
+  // The i-th element from the front.
+  T& operator[](std::size_t i) {
+    DUFS_CHECK(i < size_);
+    return data_[(head_ + i) & (cap_ - 1)];
+  }
+
   void pop_front() {
     DUFS_CHECK(size_ > 0);
     data_[head_].~T();

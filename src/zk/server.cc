@@ -105,7 +105,8 @@ ZkServer::ZkServer(net::RpcEndpoint& endpoint, ZkEnsembleConfig config,
       config_(std::move(config)),
       my_index_(my_index),
       db_(std::make_unique<Database>()),
-      committed_log_(config_.max_log_entries) {
+      committed_log_(config_.max_log_entries),
+      apply_waits_(endpoint.sim(), /*expired=*/false) {
   DUFS_CHECK(my_index_ < config_.servers.size());
   DUFS_CHECK(config_.servers[my_index_] == endpoint_.self());
   DUFS_CHECK(config_.servers.size() <= 64);  // Proposal::acks is a bitmask
@@ -795,20 +796,16 @@ void ZkServer::ApplyCommitted() {
 
 sim::Task<bool> ZkServer::WaitApplied(Zxid zxid) {
   if (db_->last_applied() >= zxid) co_return true;
-  auto [future, promise] = sim::MakeFuture<bool>(endpoint_.sim());
-  apply_waiters_.insert_multi({zxid, promise});
-  // Give-up timer: a leader change can abandon the proposal; never strand
-  // the waiter (the client will see kUnavailable and retry).
-  endpoint_.sim().ScheduleFn(sim::Sec(3), [promise]() mutable {
-    promise.Set(false);
-  });
-  co_return co_await std::move(future);
+  auto applied = apply_waits_.Add(kApplyGiveUp);
+  apply_waiters_.insert_multi({zxid, applied.id()});
+  co_return co_await applied;
 }
 
 void ZkServer::CompleteApplyWaiters() {
   const Zxid applied = db_->last_applied();
   while (!apply_waiters_.empty() && apply_waiters_.front().zxid <= applied) {
-    apply_waiters_.front().done.Set(true);
+    // False for a waiter that already gave up.
+    (void)apply_waits_.Complete(apply_waiters_.front().wait, true);
     apply_waiters_.pop_front();
   }
 }

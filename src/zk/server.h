@@ -30,8 +30,8 @@
 #include "common/hash.h"
 #include "net/rpc.h"
 #include "obs/obs.h"
-#include "sim/future.h"
 #include "sim/sync.h"
+#include "sim/timed_waiters.h"
 #include "zk/database.h"
 #include "zk/proto.h"
 #include "zk/watch_table.h"
@@ -186,9 +186,11 @@ class ZkServer {
     bool applied = false;
     net::Payload reply;
   };
+  // A write waiting at this server for its local apply: `wait` is its id
+  // in apply_waits_.
   struct ApplyWaiter {
     Zxid zxid = 0;
-    sim::Promise<bool> done;
+    std::uint64_t wait = 0;
   };
 
   std::size_t quorum() const { return config_.servers.size() / 2 + 1; }
@@ -241,7 +243,10 @@ class ZkServer {
   void Broadcast(std::uint16_t method, net::Payload payload,
                  std::uint64_t skip = 0);
   void ApplyCommitted();
-  sim::Task<bool> WaitApplied(Zxid zxid);  // false on give-up timeout
+  // False on giving up: a leader change can abandon the proposal, and the
+  // waiter must not be stranded (the client sees kUnavailable and retries).
+  static constexpr sim::Duration kApplyGiveUp = sim::Sec(3);
+  sim::Task<bool> WaitApplied(Zxid zxid);
   void CompleteApplyWaiters();
 
   // Journal (group commit) pipeline. An entry holds its submitter, suspended
@@ -330,6 +335,9 @@ class ZkServer {
   ZxidQueue<PendingTxn> pending_txns_;  // proposed, not yet applied
   ZxidQueue<CommittedZxid> committed_not_applied_;
   ZxidQueue<ApplyWaiter> apply_waiters_;  // zxid order, then arrival order
+  // The waits themselves, each in its WaitApplied frame; a restart clears
+  // apply_waiters_, and its waits still give up on time.
+  sim::TimedWaiters<bool> apply_waits_;
   // Requests that originated at this server, with their encoded replies.
   ZxidQueue<LocalResult> local_results_;
 

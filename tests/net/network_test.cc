@@ -372,6 +372,105 @@ TEST(RpcTest, ConcurrentCallsAllComplete) {
   EXPECT_EQ(results, 20);
 }
 
+// An answered call leaves no event behind: its deadline waits in the
+// endpoint's 4 s FIFO, whose one timer is armed for the first call and,
+// finding every call answered when it fires, is not re-armed.
+TEST(RpcTest, AnsweredCallsLeaveNoTimerBehind) {
+  RpcFixture f;
+  const sim::SimTime start = f.sim.now();
+  const int ok = sim::RunTask(
+      f.sim, [](RpcFixture& fx) -> sim::Task<int> {
+        int answered = 0;
+        for (int i = 0; i < 20; ++i) {
+          auto r = co_await fx.ep_a->Call(fx.b, kEcho, Payload(1, 1));
+          if (r.ok()) ++answered;
+        }
+        co_return answered;
+      }(f));
+  EXPECT_EQ(ok, 20);
+  EXPECT_EQ(f.sim.pending_events(), 1u);
+  f.sim.Run(start + sim::Sec(4));
+  EXPECT_EQ(f.sim.now(), start + sim::Sec(4));
+  EXPECT_EQ(f.sim.pending_events(), 0u);
+}
+
+// Each timeout value has its own FIFO: a 100 ms call issued after a 1 s one
+// still times out first, and a second 1 s call, 50 ms later, times out when
+// the FIFO's timer re-arms for it. All three at their exact deadlines.
+TEST(RpcTest, DeadlinesFireExactlyPerTimeout) {
+  RpcFixture f;
+  const sim::SimTime start = f.sim.now();
+  struct Outcome {
+    StatusCode code = StatusCode::kOk;
+    sim::SimTime at = -1;
+  };
+  Outcome slow, fast, later;
+  {
+    sim::CurrentSimulationScope scope(&f.sim);
+    auto call = [](RpcFixture& fx, sim::Duration after, sim::Duration timeout,
+                   Outcome& out) -> sim::Task<void> {
+      co_await fx.sim.Delay(after);
+      auto r = co_await fx.ep_a->Call(fx.b, kSlow, Payload{}, timeout);
+      out.code = r.code();
+      out.at = fx.sim.now();
+    };
+    f.sim.Spawn(call(f, 0, sim::Sec(1), slow));
+    f.sim.Spawn(call(f, 0, sim::Ms(100), fast));
+    f.sim.Spawn(call(f, sim::Ms(50), sim::Sec(1), later));
+  }
+  f.sim.Run(start + sim::Sec(2));
+  EXPECT_EQ(fast.code, StatusCode::kTimeout);
+  EXPECT_EQ(fast.at, start + sim::Ms(100));
+  EXPECT_EQ(slow.code, StatusCode::kTimeout);
+  EXPECT_EQ(slow.at, start + sim::Sec(1));
+  EXPECT_EQ(later.code, StatusCode::kTimeout);
+  EXPECT_EQ(later.at, start + sim::Ms(1050));
+}
+
+// A reply that arrives after its call timed out is dropped, even while a
+// later call on the same endpoint waits; that call gets its own reply.
+TEST(RpcTest, LateReplyIsDroppedAndNextCallSucceeds) {
+  RpcFixture f;
+  auto second = sim::RunTask(
+      f.sim, [](RpcFixture& fx) -> sim::Task<RpcResult> {
+        auto first = co_await fx.ep_a->Call(fx.b, kSlow, Payload(1, 7),
+                                            /*timeout=*/sim::Sec(1));
+        EXPECT_EQ(first.code(), StatusCode::kTimeout);
+        // The first reply lands about 9 s into this call.
+        co_return co_await fx.ep_a->Call(fx.b, kSlow, Payload(1, 8),
+                                         /*timeout=*/sim::Sec(20));
+      }(f));
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(*second, (Payload{8}));
+  EXPECT_GT(f.sim.now(), sim::Sec(11));
+  EXPECT_LT(f.sim.now(), sim::Sec(12));
+}
+
+// Shutdown tears down a waiting call's frame and drops its FIFO's timer; a
+// call made on the reused simulation still times out at its exact deadline.
+TEST(RpcTest, CallAfterShutdownWithCallPendingTimesOutOnTime) {
+  RpcFixture f;
+  {
+    sim::CurrentSimulationScope scope(&f.sim);
+    f.sim.Spawn([](RpcFixture& fx) -> sim::Task<void> {
+      (void)co_await fx.ep_a->Call(fx.b, kSlow, Payload{},
+                                   /*timeout=*/sim::Sec(1));
+      ADD_FAILURE() << "the call outlived Shutdown";
+    }(f));
+  }
+  f.sim.Run(sim::Ms(100));
+  f.sim.Shutdown();
+  EXPECT_EQ(f.sim.pending_events(), 0u);
+  const sim::SimTime restart = f.sim.now();
+  auto result = sim::RunTask(
+      f.sim, [](RpcFixture& fx) -> sim::Task<RpcResult> {
+        co_return co_await fx.ep_a->Call(fx.b, kSlow, Payload{},
+                                         /*timeout=*/sim::Sec(1));
+      }(f));
+  EXPECT_EQ(result.code(), StatusCode::kTimeout);
+  EXPECT_EQ(f.sim.now(), restart + sim::Sec(1));
+}
+
 TEST(RpcTest, NotifyDeliversWithoutResponse) {
   RpcFixture f;
   int notified = 0;

@@ -363,6 +363,58 @@ TEST(EnsembleTest, MajorityLossBlocksWrites) {
   }(e));
 }
 
+// A message's time from send to delivery between idle NICs.
+sim::Duration Transit(net::Network& net, const net::Message& m) {
+  const std::size_t wire = m.WireSize();
+  const net::NicModel& src = net.node(m.src).model().nic;
+  const net::NicModel& dst = net.node(m.dst).model().nic;
+  return src.TxTime(wire) + src.base_latency + dst.TxTime(wire);
+}
+
+// A write its session server sequences and proposes but can never commit,
+// because both followers are down. The server's wait for the local apply
+// gives up exactly 3 s after it began, and the session server answers
+// kUnavailable. A bare client node sends the request, so no client retry or
+// RPC deadline is involved; without the give-up no answer ever comes.
+TEST(EnsembleTest, UncommittableWriteIsAnsweredUnavailableAtTheGiveUp) {
+  Ensemble e(3, /*n_clients=*/0);
+  const net::NodeId client = e.net.AddNode("bare-client");
+  sim::SimTime answered_at = -1;
+  net::Message reply;
+  e.net.node(client).SetSink([&](net::Message m) {
+    answered_at = e.sim.now();
+    reply = std::move(m);
+  });
+  e.node(1).Crash();
+  e.node(2).Crash();
+
+  ClientRequest req;
+  req.op = Op::Create("/never", Bytes("x"));
+  net::Message msg;
+  msg.src = client;
+  msg.dst = e.config.servers[0];
+  msg.rpc_id = 1;
+  msg.method = method::kRequest;
+  msg.payload = req.Encode();
+  const sim::Duration request_transit = Transit(e.net, msg);
+  const sim::SimTime sent = e.sim.now();
+  e.net.Send(std::move(msg));
+  e.sim.Run(sent + sim::Sec(10));
+
+  ASSERT_GE(answered_at, 0) << "the session server never answered";
+  EXPECT_TRUE(reply.is_response);
+  auto resp = ClientResponse::Decode(reply.payload);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_EQ(resp->code(), StatusCode::kUnavailable);
+  // The leader starts waiting once it has paid for the write (two peers),
+  // and answers the moment it gives up.
+  const ZkPerfModel& perf = e.config.perf;
+  const sim::SimTime wait_began =
+      sent + request_transit + perf.write_cpu + 2 * perf.per_peer_cpu;
+  EXPECT_EQ(answered_at, wait_began + sim::Sec(3) + Transit(e.net, reply));
+  EXPECT_FALSE(e.servers[0]->db().tree().Exists("/never"));
+}
+
 TEST(EnsembleTest, LeaderCrashElectionRecovers) {
   Ensemble e(3, 1, /*failure_detection=*/true);
   e.Connect();
