@@ -7,10 +7,9 @@
 namespace dufs::pfs {
 
 using vfs::BaseName;
-using vfs::DirName;
+using vfs::DirView;
 using vfs::FileAttr;
 using vfs::FileType;
-using vfs::SplitPath;
 
 namespace {
 
@@ -78,12 +77,22 @@ void LustreMds::Start() {
 }
 
 LustreMds::Inode* LustreMds::Lookup(std::string_view path) {
+  // Walks the components as views of `path`, skipping empty ones (repeated
+  // slashes) as vfs::SplitPath does.
   Inode* cur = root_.get();
-  for (const auto& part : SplitPath(path)) {
+  std::size_t start = 0;
+  while (start < path.size()) {
+    if (path[start] == '/') {
+      ++start;
+      continue;
+    }
+    std::size_t end = path.find('/', start);
+    if (end == std::string_view::npos) end = path.size();
     if (cur->attr.type != FileType::kDirectory) return nullptr;
-    auto it = cur->children.find(part);
+    auto it = cur->children.find(path.substr(start, end - start));
     if (it == cur->children.end()) return nullptr;
     cur = it->second.get();
+    start = end;
   }
   return cur;
 }
@@ -92,7 +101,7 @@ Result<LustreMds::Inode*> LustreMds::ParentOf(std::string_view path) {
   if (path == "/" || path.empty()) {
     return Status(StatusCode::kInvalidArgument);
   }
-  Inode* parent = Lookup(DirName(path));
+  Inode* parent = Lookup(DirView(path));
   if (parent == nullptr) return Status(StatusCode::kNotFound);
   if (parent->attr.type != FileType::kDirectory) {
     return Status(StatusCode::kNotADirectory);
@@ -124,17 +133,24 @@ sim::Task<void> LustreMds::MutationWork(sim::Duration base) {
     auto guard = co_await mutation_pipeline_->Acquire();
     co_await endpoint_.sim().Delay(base + dlm);
   }
-  // Journal commit (group commit batches concurrent mutations).
-  auto [future, promise] = sim::MakeFuture<bool>(endpoint_.sim());
-  journal_mb_->Send(JournalEntry{256, promise});
-  co_await std::move(future);
+  // Journal commit (group commit batches concurrent mutations). The entry
+  // carries this coroutine itself, so no completion state is allocated.
+  struct Enqueue {
+    LustreMds* self;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      self->journal_mb_->Send(JournalEntry(256, sim::CaptureSuspended(h)));
+    }
+    void await_resume() const noexcept {}
+  };
+  co_await Enqueue{this};
 }
 
 sim::Task<void> LustreMds::JournalLoop() {
   for (;;) {
     auto first = co_await journal_mb_->Recv();
     if (!first.has_value()) co_return;
-    std::vector<JournalEntry> batch;
+    std::vector<JournalEntry>& batch = journal_batch_;
     batch.push_back(std::move(*first));
     while (journal_mb_->size() > 0 && batch.size() < perf_.max_journal_batch) {
       auto more = co_await journal_mb_->Recv();
@@ -144,7 +160,11 @@ sim::Task<void> LustreMds::JournalLoop() {
     std::size_t total = 0;
     for (const auto& e : batch) total += e.bytes;
     co_await endpoint_.node().DiskWrite(total);
-    for (auto& e : batch) e.done.Set(true);
+    for (auto& e : batch) {
+      endpoint_.sim().ScheduleHandle(
+          0, std::exchange(e.waiter, sim::SuspendedHandle{}));
+    }
+    batch.clear();
   }
 }
 
@@ -175,13 +195,13 @@ sim::Task<net::RpcResult> LustreMds::Handle(std::uint16_t method,
       co_await MutationWork(perf_.mkdir_cpu);
       auto parent = ParentOf(*path);
       if (!parent.ok()) co_return ErrorReply(parent.code());
-      const std::string child(BaseName(*path));
-      if ((*parent)->children.count(child) > 0) {
+      const std::string_view child = BaseName(*path);
+      if ((*parent)->children.contains(child)) {
         co_return ErrorReply(StatusCode::kAlreadyExists);
       }
       auto node = std::make_unique<Inode>();
       node->attr = NewAttr(FileType::kDirectory, *mode);
-      (*parent)->children.emplace(child, std::move(node));
+      (*parent)->children.emplace(std::string(child), std::move(node));
       ++(*parent)->attr.nlink;
       (*parent)->attr.mtime = endpoint_.sim().now();
       ++node_count_;
@@ -201,7 +221,8 @@ sim::Task<net::RpcResult> LustreMds::Handle(std::uint16_t method,
       }
       auto parent = ParentOf(*path);
       if (!parent.ok()) co_return ErrorReply(parent.code());
-      (*parent)->children.erase(std::string(BaseName(*path)));
+      auto& siblings = (*parent)->children;
+      siblings.erase(siblings.find(BaseName(*path)));
       --(*parent)->attr.nlink;
       --node_count_;
       co_return ErrorReply(StatusCode::kOk);
@@ -214,8 +235,8 @@ sim::Task<net::RpcResult> LustreMds::Handle(std::uint16_t method,
       co_await MutationWork(perf_.create_cpu);
       auto parent = ParentOf(*path);
       if (!parent.ok()) co_return ErrorReply(parent.code());
-      const std::string child(BaseName(*path));
-      if ((*parent)->children.count(child) > 0) {
+      const std::string_view child = BaseName(*path);
+      if ((*parent)->children.contains(child)) {
         co_return ErrorReply(StatusCode::kAlreadyExists);
       }
       auto node = std::make_unique<Inode>();
@@ -228,7 +249,7 @@ sim::Task<net::RpcResult> LustreMds::Handle(std::uint16_t method,
       node->object.object_id = next_object_++;
       const FileAttr attr = node->attr;
       const ObjectRef ref = node->object;
-      (*parent)->children.emplace(child, std::move(node));
+      (*parent)->children.emplace(std::string(child), std::move(node));
       (*parent)->attr.mtime = endpoint_.sim().now();
       ++node_count_;
       EncodeCode(w, StatusCode::kOk);
@@ -248,7 +269,8 @@ sim::Task<net::RpcResult> LustreMds::Handle(std::uint16_t method,
       const ObjectRef ref = node->object;
       auto parent = ParentOf(*path);
       if (!parent.ok()) co_return ErrorReply(parent.code());
-      (*parent)->children.erase(std::string(BaseName(*path)));
+      auto& siblings = (*parent)->children;
+      siblings.erase(siblings.find(BaseName(*path)));
       --node_count_;
       EncodeCode(w, StatusCode::kOk);
       EncodeObjectRef(w, ref);
@@ -312,14 +334,14 @@ sim::Task<net::RpcResult> LustreMds::Handle(std::uint16_t method,
       co_await MutationWork(perf_.create_cpu);
       auto parent = ParentOf(*link);
       if (!parent.ok()) co_return ErrorReply(parent.code());
-      const std::string child(BaseName(*link));
-      if ((*parent)->children.count(child) > 0) {
+      const std::string_view child = BaseName(*link);
+      if ((*parent)->children.contains(child)) {
         co_return ErrorReply(StatusCode::kAlreadyExists);
       }
       auto node = std::make_unique<Inode>();
       node->attr = NewAttr(FileType::kSymlink, 0777);
       node->symlink_target = std::move(*target);
-      (*parent)->children.emplace(child, std::move(node));
+      (*parent)->children.emplace(std::string(child), std::move(node));
       ++node_count_;
       co_return ErrorReply(StatusCode::kOk);
     }
@@ -358,7 +380,10 @@ sim::Task<net::RpcResult> LustreMds::HandleRename(net::Payload req) {
   co_await MutationWork(perf_.rename_cpu);
   Inode* node = Lookup(*from_path);
   if (node == nullptr) co_return ErrorReply(StatusCode::kNotFound);
-  if (vfs::IsWithin(*from_path, *to_path) && *from_path != *to_path) {
+  // Onto itself: nothing moves (the target lookup below would find the
+  // source and unlink it).
+  if (*from_path == *to_path) co_return ErrorReply(StatusCode::kOk);
+  if (vfs::IsWithin(*from_path, *to_path)) {
     co_return ErrorReply(StatusCode::kInvalidArgument);
   }
   auto to_parent = ParentOf(*to_path);
@@ -372,15 +397,17 @@ sim::Task<net::RpcResult> LustreMds::HandleRename(net::Payload req) {
       co_return ErrorReply(dir ? StatusCode::kIsADirectory
                                : StatusCode::kNotADirectory);
     }
-    (*to_parent)->children.erase(std::string(BaseName(*to_path)));
+    auto& targets = (*to_parent)->children;
+    targets.erase(targets.find(BaseName(*to_path)));
     --node_count_;
   }
   auto from_parent = ParentOf(*from_path);
   if (!from_parent.ok()) co_return ErrorReply(from_parent.code());
-  auto moved =
-      std::move((*from_parent)->children.at(std::string(
-          BaseName(*from_path))));
-  (*from_parent)->children.erase(std::string(BaseName(*from_path)));
+  auto& sources = (*from_parent)->children;
+  const auto source = sources.find(BaseName(*from_path));
+  if (source == sources.end()) co_return ErrorReply(StatusCode::kNotFound);
+  auto moved = std::move(source->second);
+  sources.erase(source);
   (*to_parent)->children.emplace(std::string(BaseName(*to_path)),
                                  std::move(moved));
   co_return ErrorReply(StatusCode::kOk);

@@ -18,13 +18,17 @@
 // Lustre.
 #pragma once
 
+#include <coroutine>
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/hash.h"
 #include "net/rpc.h"
 #include "obs/obs.h"
-#include "sim/future.h"
+#include "obs/prof.h"
+#include "sim/simulation.h"
 #include "sim/sync.h"
 #include "vfs/filesystem.h"
 #include "vfs/path.h"
@@ -92,7 +96,8 @@ class LustreMds {
  private:
   struct Inode {
     vfs::FileAttr attr;
-    std::map<std::string, std::unique_ptr<Inode>> children;
+    // std::less<> finds and erases by a path's string_view components.
+    std::map<std::string, std::unique_ptr<Inode>, std::less<>> children;
     std::string symlink_target;
     ObjectRef object;  // regular files
   };
@@ -112,9 +117,18 @@ class LustreMds {
   sim::Task<void> ReadWork(sim::Duration base);
   sim::Task<void> MutationWork(sim::Duration base);
 
+  // One mutation's journal write. It carries the suspended MutationWork
+  // frame, which JournalLoop resumes after the fsync.
   struct JournalEntry {
-    std::size_t bytes;
-    sim::Promise<bool> done;
+    std::size_t bytes = 0;
+    sim::SuspendedHandle waiter;  // owned until scheduled
+
+    JournalEntry(std::size_t b, sim::SuspendedHandle w) : bytes(b), waiter(w) {}
+    JournalEntry(JournalEntry&& o) noexcept
+        : bytes(o.bytes),
+          waiter(std::exchange(o.waiter, sim::SuspendedHandle{})) {}
+    // An entry dropped unscheduled (shutdown) frees its waiter's context.
+    ~JournalEntry() { prof::FreeSnapshot(waiter.ctx); }
   };
   sim::Task<void> JournalLoop();
 
@@ -131,6 +145,7 @@ class LustreMds {
   std::unique_ptr<sim::Resource> read_pool_;
   std::unique_ptr<sim::Resource> mutation_pipeline_;
   std::unique_ptr<sim::Mailbox<JournalEntry>> journal_mb_;
+  std::vector<JournalEntry> journal_batch_;  // JournalLoop's, reused
 };
 
 // An OSS server: object store keyed by object id.

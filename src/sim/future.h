@@ -1,8 +1,9 @@
-// One-shot Future/Promise pair for cross-actor completion (gathers, the
-// Lustre journal's commit hand-off). Single waiter; the first Set() wins
-// and later Sets return false. The state is shared and heap-allocated; a
-// wait with a deadline that one actor answers (an RPC reply, a ZooKeeper
-// apply) uses timed_waiters.h instead, which keeps it in the waiting frame.
+// One-shot Future/Promise pair for cross-actor completion (gathers).
+// Single waiter; the first Set() wins and later Sets return false. The
+// state is shared and heap-allocated; a wait with a deadline that one actor
+// answers (an RPC reply, a ZooKeeper apply) uses timed_waiters.h instead,
+// which keeps it in the waiting frame, and a journal hand-off (ZooKeeper's
+// and the Lustre MDS's) passes the suspended coroutine itself.
 #pragma once
 
 #include <coroutine>

@@ -21,9 +21,11 @@ std::string JoinPath(std::string_view parent, std::string_view child);
 std::string NormalizePath(std::string_view path);
 
 // Accepts absolute, normalized paths ("/", "/a/b"); rejects anything else.
+// One pass over `path`, no allocation.
 Status ValidateVirtualPath(std::string_view path);
 
 std::string DirName(std::string_view path);   // "/a/b" -> "/a"; "/a" -> "/"
+std::string_view DirView(std::string_view path);  // the same, as a view
 std::string_view BaseName(std::string_view path);  // "/a/b" -> "b"
 
 // True if `path` == `ancestor` or lies beneath it.

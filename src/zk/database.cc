@@ -27,9 +27,8 @@ StatusCode ResolveChain(const DataTree& tree,
   chain.clear();
   const DataTree::Znode* cur = &tree.root();
   for (std::size_t i = 0; i < components.size(); ++i) {
-    auto it = cur->children.find(components[i]);
-    if (it == cur->children.end()) return StatusCode::kNotFound;
-    cur = it->second.get();
+    cur = cur->children.Find(components[i]);
+    if (cur == nullptr) return StatusCode::kNotFound;
     chain.push_back(cur);
     if (i + 1 < components.size() && dir_tag != 0 &&
         (cur->data.empty() || cur->data[0] != dir_tag)) {
@@ -330,8 +329,11 @@ std::vector<std::uint8_t> Database::EncodeReply(
     created_name = o.terminal->name;
   }
   const std::size_t created_len = created_dir.size() + created_name.size();
-  const std::size_t n_entries =
-      o.listed != nullptr ? o.listed->children.size() : 0;
+  // ReadDirPlus entries go out in name order, whatever the table's slots.
+  std::vector<const DataTree::Znode*>& entries = listing_;
+  entries.clear();
+  if (o.listed != nullptr) o.listed->children.SortedInto(entries);
+  const std::size_t n_entries = entries.size();
 
   // code, created path, stat, data, children (0), depth, the prefix, the
   // entries and the multi results (0).
@@ -343,10 +345,8 @@ std::vector<std::uint8_t> Database::EncodeReply(
   for (std::size_t i = 0; i < o.prefix; ++i) {
     size += NodeSize(chain_[i]->name, *chain_[i]);
   }
-  if (o.listed != nullptr) {
-    for (const auto& [name, child] : o.listed->children) {
-      size += NodeSize(name, *child);
-    }
+  for (const DataTree::Znode* child : entries) {
+    size += NodeSize(child->name, *child);
   }
 
   wire::BufferWriter w;
@@ -365,10 +365,8 @@ std::vector<std::uint8_t> Database::EncodeReply(
     WriteNode(w, chain_[i]->name, *chain_[i]);
   }
   w.WriteVarint(n_entries);
-  if (o.listed != nullptr) {
-    for (const auto& [name, child] : o.listed->children) {
-      WriteNode(w, name, *child);
-    }
+  for (const DataTree::Znode* child : entries) {
+    WriteNode(w, child->name, *child);
   }
   w.WriteVarint(0);  // multi results
   DUFS_CHECK(w.size() == size);

@@ -119,9 +119,11 @@ class Database {
 
   std::unique_ptr<DataTree> tree_;
   // Scratch for Resolve, reused by every compound op instead of fresh
-  // vectors per call. Only the current op's walk lives here.
+  // vectors per call. Only the current op's walk lives here, and listing_
+  // holds a ReadDirPlus reply's entries while EncodeReply sorts them.
   mutable std::vector<std::string_view> components_;
   mutable std::vector<const DataTree::Znode*> chain_;
+  mutable std::vector<const DataTree::Znode*> listing_;
   HashSet<SessionId> sessions_;
   Zxid last_applied_ = 0;
   // Reused by every Apply: the record it returns, the bytes of a txn given

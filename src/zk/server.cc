@@ -1,7 +1,6 @@
 #include "zk/server.h"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 namespace dufs::zk {
@@ -58,42 +57,47 @@ ClientResponse UnavailableResponse() {
 // ------------------------------------------------------- committed log ----
 
 void CommittedLog::Append(Zxid zxid, std::span<const std::uint8_t> txn) {
-  bytes_.insert(bytes_.end(), txn.begin(), txn.end());
-  index_.push_back({zxid, dropped_bytes_ + bytes_.size()});
-  if (index_.size() > max_entries_) {
+  bytes_.Append(txn.data(), txn.size());
+  const Entry entry{zxid, begin_ + bytes_.size()};
+  entries_.Append(&entry, 1);
+  if (entries_.size() > max_entries_) {
     // Older followers resync via snapshot.
-    const std::uint64_t front_bytes = index_.front().end - dropped_bytes_;
-    truncated_upto_ = index_.front().zxid;
-    bytes_.erase(bytes_.begin(),
-                 bytes_.begin() + static_cast<std::ptrdiff_t>(front_bytes));
-    dropped_bytes_ += front_bytes;
-    index_.pop_front();
+    const Entry& oldest = entries_[0];
+    truncated_upto_ = oldest.zxid;
+    bytes_.PopFront(oldest.end - begin_);
+    begin_ = oldest.end;
+    entries_.PopFront(1);
   }
 }
 
 void CommittedLog::Reset(Zxid upto) {
-  bytes_.clear();
-  index_.clear();
-  dropped_bytes_ = 0;
+  begin_ += bytes_.size();
+  bytes_.PopFront(bytes_.size());
+  entries_.PopFront(entries_.size());
   truncated_upto_ = upto;
 }
 
 void CommittedLog::WriteDiff(Zxid since, wire::BufferWriter& w) const {
   // Zxids only grow along the log, so the entries after `since` are a suffix.
-  const auto first =
-      std::partition_point(index_.begin(), index_.end(),
-                           [since](const Entry& e) { return e.zxid <= since; });
-  w.WriteVarint(static_cast<std::uint64_t>(index_.end() - first));
-  auto at = [this](std::uint64_t offset) {
-    return bytes_.begin() +
-           static_cast<std::ptrdiff_t>(offset - dropped_bytes_);
-  };
-  std::uint64_t begin =
-      first == index_.begin() ? dropped_bytes_ : std::prev(first)->end;
-  for (auto it = first; it != index_.end(); ++it) {
-    w.WriteI64(it->zxid);
-    w.WriteRaw(at(begin), at(it->end));
-    begin = it->end;
+  std::size_t first = 0;
+  for (std::size_t n = entries_.size(); n > 0;) {
+    const std::size_t half = n / 2;
+    if (entries_[first + half].zxid <= since) {
+      first += half + 1;
+      n -= half + 1;
+    } else {
+      n = half;
+    }
+  }
+  w.WriteVarint(static_cast<std::uint64_t>(entries_.size() - first));
+  std::uint64_t begin = first == 0 ? begin_ : entries_[first - 1].end;
+  for (std::size_t i = first; i < entries_.size(); ++i) {
+    w.WriteI64(entries_[i].zxid);
+    bytes_.ForEachRun(begin - begin_, entries_[i].end - begin_,
+                      [&w](const std::uint8_t* run, std::size_t n) {
+                        w.WriteRaw(run, run + n);
+                      });
+    begin = entries_[i].end;
   }
 }
 
@@ -762,9 +766,28 @@ sim::Task<net::RpcResult> ZkServer::HandleCommit(net::NodeId /*from*/,
 void ZkServer::ApplyCommitted() {
   while (!committed_not_applied_.empty()) {
     const Zxid zxid = committed_not_applied_.front().zxid;
-    if (zxid <= db_->last_applied()) {
+    const Zxid last = db_->last_applied();
+    if (zxid <= last) {
+      // Already covered by a sync.
+      if (auto stale = pending_txns_.find(zxid); stale != pending_txns_.end()) {
+        pending_txns_.erase(stale);
+      }
       committed_not_applied_.pop_front();
-      continue;  // already covered by a snapshot sync
+      continue;
+    }
+    if (role_ == Role::kFollowing && (zxid >> 40) == (last >> 40) &&
+        zxid != last + 1) {
+      // A leader numbers an epoch's writes without gaps, so a committed
+      // zxid past last + 1 means this replica missed a committed write it
+      // will never be re-sent (a PROPOSE and COMMIT lost while the others
+      // ACKed). Applying over the hole would skip it for good: catch up from
+      // the leader's log instead, which ends by applying what is queued.
+      if (!syncing_) {
+        syncing_ = true;
+        sim::CurrentSimulationScope scope(&endpoint_.sim());
+        endpoint_.sim().Spawn(SyncWithLeader(leader_index_));
+      }
+      break;
     }
     auto it = pending_txns_.find(zxid);
     if (it == pending_txns_.end()) break;  // proposal not yet received
@@ -1106,7 +1129,7 @@ sim::Task<void> ZkServer::SyncWithLeader(std::size_t leader_idx) {
     AdoptEpoch(*epoch);
     last_committed_ = std::max(last_committed_, db_->last_applied());
     ++snapshot_syncs_;
-    CompleteApplyWaiters();
+    ApplyCommitted();
     co_return;
   }
   auto count = r.ReadVarint();
@@ -1126,7 +1149,7 @@ sim::Task<void> ZkServer::SyncWithLeader(std::size_t leader_idx) {
     last_committed_ = db_->last_applied();
   }
   ++diff_syncs_;
-  CompleteApplyWaiters();
+  ApplyCommitted();
 }
 
 sim::Task<net::RpcResult> ZkServer::HandleFollowerInfo(net::NodeId /*from*/,

@@ -17,9 +17,9 @@
 // committed-log history. Majority loss makes writes time out (tested).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <span>
@@ -72,10 +72,15 @@ struct ZkEnsembleConfig {
 };
 
 // The committed-txn tail one replica keeps for syncing lagging followers
-// (DESIGN.md §16): every txn's encoded bytes back to back in one buffer, indexed by (zxid, end offset), so an entry costs its encoding plus
-// 16 index bytes and no heap object of its own. At most `max_entries` are
-// kept; dropping the oldest raises truncated_upto(), and a follower that has
-// not applied that zxid is sent a snapshot instead of a diff.
+// (DESIGN.md §16): every txn's encoded bytes back to back in a byte FIFO,
+// indexed by an entry FIFO of (zxid, end offset), so an entry costs its
+// encoding plus 16 index bytes and no heap object of its own. Both are
+// rings of fixed 16 KiB blocks: a block the oldest end frees is reused for
+// the next one the newest end needs, so once the log is full an Append
+// allocates nothing, and a growing log holds at most one part-empty block
+// of each. At most `max_entries` are kept; dropping the oldest raises
+// truncated_upto(), and a follower that has not applied that zxid is sent
+// a snapshot instead of a diff.
 class CommittedLog {
  public:
   explicit CommittedLog(std::size_t max_entries) : max_entries_(max_entries) {}
@@ -93,20 +98,76 @@ class CommittedLog {
   // newer entries, then each as WriteI64(zxid) + its stored txn bytes.
   void WriteDiff(Zxid since, wire::BufferWriter& w) const;
 
-  std::size_t size() const { return index_.size(); }
+  std::size_t size() const { return entries_.size(); }
   Zxid truncated_upto() const { return truncated_upto_; }
 
  private:
+  // A FIFO of T in blocks of kBlock items, oldest first. The blocks in use
+  // come first in blocks_ and the spares after them; a block the front
+  // frees becomes a spare, and the back takes a spare before it allocates.
+  template <typename T, std::size_t kBlock>
+  class BlockRing {
+   public:
+    std::size_t size() const { return size_; }
+    const T& operator[](std::size_t i) const {
+      const std::size_t j = head_ + i;
+      return blocks_[j / kBlock][j % kBlock];
+    }
+    void Append(const T* items, std::size_t n) {
+      while (n > 0) {
+        const std::size_t end = head_ + size_;
+        if (end == used_ * kBlock) {
+          if (used_ == blocks_.size()) {
+            // Uninitialized: a page is touched only when written.
+            blocks_.push_back(std::make_unique_for_overwrite<T[]>(kBlock));
+          }
+          ++used_;
+        }
+        const std::size_t run = std::min(n, kBlock - end % kBlock);
+        std::copy_n(items, run, blocks_[end / kBlock].get() + end % kBlock);
+        items += run;
+        n -= run;
+        size_ += run;
+      }
+    }
+    void PopFront(std::size_t n) {
+      head_ += n;
+      size_ -= n;
+      for (; head_ >= kBlock; head_ -= kBlock) {
+        std::rotate(blocks_.begin(), blocks_.begin() + 1,
+                    blocks_.begin() + static_cast<std::ptrdiff_t>(used_));
+        --used_;
+      }
+    }
+    // Calls `run(const T*, count)` on the items [from, to) in order, one
+    // call per block they touch.
+    template <typename Run>
+    void ForEachRun(std::size_t from, std::size_t to, Run&& run) const {
+      while (from < to) {
+        const std::size_t j = head_ + from;
+        const std::size_t n = std::min(to - from, kBlock - j % kBlock);
+        run(blocks_[j / kBlock].get() + j % kBlock, n);
+        from += n;
+      }
+    }
+
+   private:
+    std::vector<std::unique_ptr<T[]>> blocks_;
+    std::size_t used_ = 0;  // leading blocks that hold items
+    std::size_t head_ = 0;  // the oldest item's index in blocks_[0]
+    std::size_t size_ = 0;
+  };
+
   struct Entry {
     Zxid zxid;
-    std::uint64_t end;  // one past its last byte, counting dropped bytes
+    std::uint64_t end;  // logical offset one past its last byte
   };
 
   std::size_t max_entries_;
-  std::deque<std::uint8_t> bytes_;
-  std::deque<Entry> index_;
-  std::uint64_t dropped_bytes_ = 0;  // popped off the front of bytes_
-  Zxid truncated_upto_ = 0;          // highest zxid dropped from the tail
+  BlockRing<std::uint8_t, 16384> bytes_;
+  BlockRing<Entry, 1024> entries_;
+  std::uint64_t begin_ = 0;  // logical offset of bytes_[0]
+  Zxid truncated_upto_ = 0;  // highest zxid dropped from the tail
 };
 
 class ZkServer {

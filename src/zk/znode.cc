@@ -1,5 +1,6 @@
 #include "zk/znode.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/log.h"
@@ -100,6 +101,70 @@ void PathComponents(std::string_view path,
   }
 }
 
+DataTree::ChildTable::~ChildTable() {
+  for (std::uint32_t i = 0; i < capacity_; ++i) delete slots_[i];
+  delete[] slots_;
+}
+
+void DataTree::ChildTable::Place(Znode* child) {
+  const std::size_t mask = capacity_ - 1;
+  std::size_t i = std::hash<std::string_view>{}(child->name) & mask;
+  while (slots_[i] != nullptr) i = (i + 1) & mask;
+  slots_[i] = child;
+}
+
+void DataTree::ChildTable::Grow() {
+  Znode** const old = slots_;
+  const std::uint32_t old_capacity = capacity_;
+  capacity_ = old_capacity == 0 ? 2 : old_capacity * 2;
+  slots_ = new Znode*[capacity_]();
+  for (std::uint32_t i = 0; i < old_capacity; ++i) {
+    if (old[i] != nullptr) Place(old[i]);
+  }
+  delete[] old;
+}
+
+DataTree::Znode* DataTree::ChildTable::Insert(std::unique_ptr<Znode> child) {
+  if ((size_ + 1) * 2 > capacity_) Grow();
+  Znode* placed = child.release();
+  Place(placed);
+  ++size_;
+  return placed;
+}
+
+std::unique_ptr<DataTree::Znode> DataTree::ChildTable::Erase(
+    std::string_view name) {
+  std::size_t hole = SlotOf(name);
+  if (hole == kNone) return nullptr;
+  std::unique_ptr<Znode> removed(slots_[hole]);
+  const std::size_t mask = capacity_ - 1;
+  for (std::size_t j = (hole + 1) & mask; slots_[j] != nullptr;
+       j = (j + 1) & mask) {
+    // The entry at j may move back into the hole only if the hole lies on
+    // its probe path, i.e. cyclically within [home(j), j).
+    const std::size_t home =
+        std::hash<std::string_view>{}(slots_[j]->name) & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = nullptr;
+  --size_;
+  return removed;
+}
+
+void DataTree::ChildTable::SortedInto(std::vector<const Znode*>& out) const {
+  out.clear();
+  out.reserve(size_);
+  for (std::uint32_t i = 0; i < capacity_; ++i) {
+    if (slots_[i] != nullptr) out.push_back(slots_[i]);
+  }
+  std::sort(out.begin(), out.end(), [](const Znode* a, const Znode* b) {
+    return a->name < b->name;
+  });
+}
+
 DataTree::DataTree() : root_(std::make_unique<Znode>()) {}
 
 const DataTree::Znode* DataTree::Walk(std::string_view path) const {
@@ -109,9 +174,8 @@ const DataTree::Znode* DataTree::Walk(std::string_view path) const {
   while (start <= path.size()) {
     std::size_t end = path.find('/', start);
     if (end == std::string_view::npos) end = path.size();
-    auto it = cur->children.find(path.substr(start, end - start));
-    if (it == cur->children.end()) return nullptr;
-    cur = it->second.get();
+    cur = cur->children.Find(path.substr(start, end - start));
+    if (cur == nullptr) return nullptr;
     start = end + 1;
   }
   return cur;
@@ -167,13 +231,12 @@ Result<const DataTree::Znode*> DataTree::CreateChild(
                   static_cast<unsigned long long>(parent.next_sequence++));
     name += suffix;
   }
-  const auto hint = parent.children.lower_bound(name);
-  if (hint != parent.children.end() && hint->first == name) {
+  if (parent.children.Find(name) != nullptr) {
     return Status(StatusCode::kAlreadyExists, name);
   }
 
   auto node = std::make_unique<Znode>();
-  node->name = name;
+  node->name = std::move(name);
   node->data = std::move(data);
   node->stat.czxid = zxid;
   node->stat.mzxid = zxid;
@@ -186,9 +249,7 @@ Result<const DataTree::Znode*> DataTree::CreateChild(
     node->stat.ephemeral_owner = session;
     ++ephemeral_count_;
   }
-  const Znode* created =
-      parent.children.emplace_hint(hint, std::move(name), std::move(node))
-          ->second.get();
+  const Znode* created = parent.children.Insert(std::move(node));
   parent.stat.pzxid = zxid;
   ++parent.stat.cversion;
   ++parent.stat.num_children;
@@ -214,11 +275,11 @@ Result<std::unique_ptr<DataTree::Znode>> DataTree::DeleteChild(
     const Znode& parent_node, std::string_view name,
     std::int32_t expected_version, Zxid zxid) {
   Znode& parent = const_cast<Znode&>(parent_node);
-  const auto it = parent.children.find(name);
-  if (it == parent.children.end()) {
+  const Znode* found = parent.children.Find(name);
+  if (found == nullptr) {
     return Status(StatusCode::kNotFound, std::string(name));
   }
-  const Znode& node = *it->second;
+  const Znode& node = *found;
   if (!node.children.empty()) {
     return Status(StatusCode::kNotEmpty, std::string(name));
   }
@@ -228,8 +289,7 @@ Result<std::unique_ptr<DataTree::Znode>> DataTree::DeleteChild(
   }
   if (node.stat.ephemeral_owner != 0) --ephemeral_count_;
 
-  std::unique_ptr<Znode> removed = std::move(it->second);
-  parent.children.erase(it);
+  std::unique_ptr<Znode> removed = parent.children.Erase(name);
   parent.stat.pzxid = zxid;
   ++parent.stat.cversion;
   --parent.stat.num_children;
@@ -267,19 +327,20 @@ Result<std::vector<std::string>> DataTree::GetChildren(
   if (!node.ok()) return node.status();
   std::vector<std::string> names;
   names.reserve((*node)->children.size());
-  for (const auto& [name, child] : (*node)->children) names.push_back(name);
+  (*node)->children.ForEachInNameOrder(
+      [&](const Znode& child) { names.push_back(child.name); });
   return names;
 }
 
 namespace {
 void CollectEphemerals(const DataTree::Znode& node, const std::string& prefix,
                        SessionId session, std::vector<std::string>& out) {
-  for (const auto& [name, child] : node.children) {
+  node.children.ForEachInNameOrder([&](const DataTree::Znode& child) {
     const std::string child_path =
-        prefix == "/" ? "/" + name : prefix + "/" + name;
-    if (child->stat.ephemeral_owner == session) out.push_back(child_path);
-    CollectEphemerals(*child, child_path, session, out);
-  }
+        prefix == "/" ? "/" + child.name : prefix + "/" + child.name;
+    if (child.stat.ephemeral_owner == session) out.push_back(child_path);
+    CollectEphemerals(child, child_path, session, out);
+  });
 }
 
 // Constants calibrated against the paper's Fig. 11: one million znodes
@@ -303,9 +364,9 @@ std::size_t NodeMemory(const DataTree::Znode& node, std::size_t depth) {
                       // full path stored in the index: approximate by depth
                       // * average segment length via the name itself
                       2 * depth * 8 + node.data.size() + 16;
-  for (const auto& [name, child] : node.children) {
-    bytes += NodeMemory(*child, depth + 1);
-  }
+  node.children.ForEachInNameOrder([&](const DataTree::Znode& child) {
+    bytes += NodeMemory(child, depth + 1);
+  });
   return bytes;
 }
 }  // namespace
@@ -326,7 +387,8 @@ void DataTree::SerializeNode(const Znode& n, wire::BufferWriter& w) {
   n.stat.Encode(w);
   w.WriteU64(n.next_sequence);
   w.WriteVarint(n.children.size());
-  for (const auto& [name, child] : n.children) SerializeNode(*child, w);
+  n.children.ForEachInNameOrder(
+      [&](const Znode& child) { SerializeNode(child, w); });
 }
 
 void DataTree::Serialize(wire::BufferWriter& w) const {
@@ -353,8 +415,11 @@ Result<std::unique_ptr<DataTree::Znode>> DataTree::DeserializeNode(
   for (std::uint64_t i = 0; i < *n_children; ++i) {
     auto child = DeserializeNode(r);
     DUFS_RETURN_IF_ERROR(child);
-    std::string key = (*child)->name;
-    node->children.emplace(std::move(key), std::move(*child));
+    if (node->children.Find((*child)->name) != nullptr) {
+      return Status(StatusCode::kInvalidArgument,
+                    "snapshot: duplicate child " + (*child)->name);
+    }
+    node->children.Insert(std::move(*child));
   }
   return node;
 }
@@ -372,9 +437,8 @@ Result<std::unique_ptr<DataTree>> DataTree::Deserialize(
                      std::size_t& ephemerals) {
       ++nodes;
       if (n.stat.ephemeral_owner != 0) ++ephemerals;
-      for (const auto& [name, child] : n.children) {
-        Walk(*child, nodes, ephemerals);
-      }
+      n.children.ForEachInNameOrder(
+          [&](const Znode& child) { Walk(child, nodes, ephemerals); });
     }
   };
   Counter::Walk(*tree->root_, nodes, ephemerals);

@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -77,12 +77,75 @@ void PathComponents(std::string_view path, std::vector<std::string_view>& out);
 
 class DataTree {
  public:
+  struct Znode;
+
+  // A znode's children, owned: a flat open-addressing table whose slots
+  // hold only the child pointer. A child's key is its own Znode::name, so a
+  // name is stored once and a child costs one 8-byte slot, not a map node.
+  //
+  //   * A leaf has no slot array. The first child allocates 2 slots, and
+  //     the array doubles before the load passes 1/2, so a probe run always
+  //     ends at an empty slot. It never shrinks: a directory that empties
+  //     and fills again allocates nothing.
+  //   * A name's home slot is its hash masked to the array; collisions
+  //     probe linearly. Erase shifts later entries of the run back into the
+  //     hole (backward-shift deletion, as in PathTable), so there are no
+  //     tombstones.
+  //   * Slot order is hash order, and no output may depend on it: the only
+  //     way to visit the children is in name order (byte-wise, as
+  //     std::string compares), which sorts a snapshot of the pointers.
+  //
+  // PathTable is not used here: its 32-byte slots and 16-slot minimum would
+  // cost ~512 bytes per non-empty directory on every replica (DESIGN.md
+  // §16.2).
+  class ChildTable {
+   public:
+    ChildTable() = default;
+    ChildTable(const ChildTable&) = delete;
+    ChildTable& operator=(const ChildTable&) = delete;
+    ~ChildTable();
+
+    // The child named `name`, or null.
+    Znode* Find(std::string_view name) const;
+    // Adds `child`, whose name must be absent, and returns it.
+    Znode* Insert(std::unique_ptr<Znode> child);
+    // Unlinks the child named `name` and hands it back; null when absent.
+    std::unique_ptr<Znode> Erase(std::string_view name);
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    // Slot count: 0 for a leaf, else a power of two at least 2 * size().
+    std::size_t capacity() const { return capacity_; }
+
+    // The children in name order, into `out` (cleared first), so a caller
+    // can reuse one buffer.
+    void SortedInto(std::vector<const Znode*>& out) const;
+    // Calls `visit(const Znode&)` on each child in name order.
+    template <typename Visit>
+    void ForEachInNameOrder(Visit&& visit) const {
+      std::vector<const Znode*> order;
+      SortedInto(order);
+      for (const Znode* child : order) visit(*child);
+    }
+
+   private:
+    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    std::size_t SlotOf(std::string_view name) const;
+    // Puts `child` in the first empty slot of its probe run.
+    void Place(Znode* child);
+    void Grow();
+
+    Znode** slots_ = nullptr;  // null = empty slot
+    std::uint32_t size_ = 0;
+    std::uint32_t capacity_ = 0;
+  };
+
   struct Znode {
     std::string name;  // path component (empty for the root)
     std::vector<std::uint8_t> data;
     ZnodeStat stat;
     std::uint64_t next_sequence = 0;  // counter for sequential children
-    std::map<std::string, std::unique_ptr<Znode>, std::less<>> children;
+    ChildTable children;
   };
 
   DataTree();
@@ -151,5 +214,24 @@ class DataTree {
   std::size_t node_count_ = 1;  // includes the root
   std::size_t ephemeral_count_ = 0;
 };
+
+// The path walk's step, inline: one hash, then a probe that reads each
+// candidate's own name.
+inline DataTree::Znode* DataTree::ChildTable::Find(
+    std::string_view name) const {
+  const std::size_t i = SlotOf(name);
+  return i == kNone ? nullptr : slots_[i];
+}
+
+inline std::size_t DataTree::ChildTable::SlotOf(std::string_view name) const {
+  if (size_ == 0) return kNone;
+  const std::size_t mask = capacity_ - 1;
+  for (std::size_t i = std::hash<std::string_view>{}(name) & mask;;
+       i = (i + 1) & mask) {
+    const Znode* child = slots_[i];
+    if (child == nullptr) return kNone;
+    if (child->name == name) return i;
+  }
+}
 
 }  // namespace dufs::zk

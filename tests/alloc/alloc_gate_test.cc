@@ -10,7 +10,11 @@
 //    replicated write on an 8-server ensemble;
 //  - a compound reply: encoded into one buffer whatever its size, and read
 //    back in place with one allocation;
+//  - an append to a full committed log: nothing;
 //  - an answered RPC call: its request and reply payloads, nothing else.
+//
+// It also counts the bytes each allocation requests, and pins the heap bytes
+// a replica's tree costs per znode.
 //
 // Every count is exact and printed. A change that puts a std::function, a
 // node container, a std::string or vector growth on one of these paths
@@ -39,6 +43,7 @@
 namespace {
 
 std::size_t g_allocs = 0;
+std::size_t g_bytes = 0;  // requested by those allocations
 
 // Heap allocations made while `fn` runs.
 template <typename Fn>
@@ -46,6 +51,14 @@ std::size_t CountAllocs(Fn&& fn) {
   const std::size_t before = g_allocs;
   fn();
   return g_allocs - before;
+}
+
+// Bytes requested from the heap while `fn` runs (frees not subtracted).
+template <typename Fn>
+std::size_t CountBytes(Fn&& fn) {
+  const std::size_t before = g_bytes;
+  fn();
+  return g_bytes - before;
 }
 
 // Prints a measured count and records it in the XML report.
@@ -58,12 +71,14 @@ void Report(const char* what, std::size_t n) {
 
 void* operator new(std::size_t bytes) {
   ++g_allocs;
+  g_bytes += bytes;
   if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t bytes) { return operator new(bytes); }
 void* operator new(std::size_t bytes, const std::nothrow_t&) noexcept {
   ++g_allocs;
+  g_bytes += bytes;
   return std::malloc(bytes == 0 ? 1 : bytes);
 }
 void* operator new[](std::size_t bytes, const std::nothrow_t& tag) noexcept {
@@ -152,8 +167,9 @@ class WritePathAllocTest : public ::testing::Test {
 // into the database's reused AppliedTxn, and every trigger path views those
 // bytes, so it allocates only what the tree keeps.
 //
-// Create: the znode, its data and its child-map entry.
-constexpr std::size_t kResolveCreateAllocs = 3;
+// Create: the znode and its data. Its name fits the string's inline
+// buffer, and the parent's child table already has a free slot.
+constexpr std::size_t kResolveCreateAllocs = 2;
 // Delete: nothing; the unlinked znode is freed, not allocated.
 constexpr std::size_t kResolveDeleteAllocs = 0;
 // BATCH PROPOSE: the payload, reserved once at its exact size.
@@ -203,7 +219,8 @@ TEST_F(WritePathAllocTest, AnsweringResolveCreateAddsOnlyTheReply) {
 }
 
 // Listing a directory costs the same whatever its size: the reply is
-// written from the tree into one buffer.
+// written from the tree into one buffer, its entries sorted by name in a
+// buffer the database reuses.
 TEST_F(WritePathAllocTest, ReadDirPlusEncodeIsOneBufferWhateverTheSize) {
   for (const char* dir : {"/mdtest/small", "/mdtest/large"}) {
     ASSERT_TRUE(Apply(Op::Create(dir, Record(kDirTag)), false).result.ok());
@@ -220,6 +237,9 @@ TEST_F(WritePathAllocTest, ReadDirPlusEncodeIsOneBufferWhateverTheSize) {
   }
   const Op small = Op::ReadDirPlus("/mdtest/small", false, kDirTag);
   const Op large = Op::ReadDirPlus("/mdtest/large", false, kDirTag);
+  // Warm the reused sort buffer, as any replica past its first listing of
+  // a directory this large has.
+  ASSERT_FALSE(db_.EncodeCompoundRead(large).empty());
   std::vector<std::uint8_t> small_reply;
   std::vector<std::uint8_t> large_reply;
   const std::size_t n_small =
@@ -277,30 +297,92 @@ TEST_F(WritePathAllocTest, ProposeEncode) {
   EXPECT_EQ(m, 0u);
 }
 
+// The heap a replica's tree costs per znode, as requested bytes, for a
+// stat-zipf-shaped namespace: 6 levels of directories d0..d3 (fan-out 4),
+// each znode holding a 40-byte DUFS record. Counted over the creates, so it
+// covers the znode, its record and the child slot arrays of its parent,
+// including the ones the parent outgrew. A layout change that adds a heap
+// object or a second copy of the name per znode moves it.
+constexpr std::size_t kStatZipfTreeZnodes = 5'460;  // 4 + 16 + ... + 4096
+constexpr std::size_t kStatZipfTreeBytes = 1'157'520;
+
+TEST(DataTreeBytesTest, StatZipfShapedTreeBytesPerZnode) {
+  constexpr int kFanOut = 4;
+  constexpr int kDepth = 6;
+  DataTree tree;
+  std::vector<const DataTree::Znode*> level{&tree.root()};
+  std::size_t bytes = 0;
+  Zxid zxid = 0;
+  for (int depth = 1; depth <= kDepth; ++depth) {
+    std::vector<const DataTree::Znode*> next;
+    for (const DataTree::Znode* parent : level) {
+      for (int j = 0; j < kFanOut; ++j) {
+        const std::string name = "d" + std::to_string(j);
+        const std::uint8_t tag = depth < kDepth ? kDirTag : 'F';
+        const DataTree::Znode* child = nullptr;
+        bytes += CountBytes([&] {
+          auto created =
+              tree.CreateChild(*parent, name, Record(tag),
+                               CreateMode::kPersistent, 0, ++zxid, 0);
+          if (created.ok()) child = *created;
+        });
+        ASSERT_NE(child, nullptr);
+        next.push_back(child);
+      }
+    }
+    level = std::move(next);
+  }
+  ASSERT_EQ(tree.node_count(), kStatZipfTreeZnodes + 1);  // and the root
+  Report("bytes", bytes);
+  Report("bytes_per_znode", bytes / kStatZipfTreeZnodes);
+  EXPECT_EQ(bytes, kStatZipfTreeBytes);
+}
+
+// A full committed log reuses the blocks of its byte and entry rings: once
+// both have moved past a block boundary with the log full, appending txns
+// of the same size allocates nothing.
+TEST(CommittedLogAllocTest, AppendToAFullLogAllocatesNothing) {
+  constexpr std::size_t kMaxEntries = 64;
+  constexpr int kAppends = 4096;  // 4 entry blocks, 22 byte blocks
+  CommittedLog log(kMaxEntries);
+  const std::vector<std::uint8_t> txn(90, 0x5a);
+  Zxid zxid = 0;
+  for (int i = 0; i < kAppends; ++i) log.Append(++zxid, txn);
+  const std::size_t n = CountAllocs([&] {
+    for (int i = 0; i < kAppends; ++i) log.Append(++zxid, txn);
+  });
+  Report("allocs", n);
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(log.size(), kMaxEntries);
+  EXPECT_EQ(log.truncated_upto(), zxid - static_cast<Zxid>(kMaxEntries));
+}
+
 // A whole replicated write: a client attached to follower zk1 of an
 // 8-server ensemble, counted from the call until the simulation is quiet.
 // That covers the client's request and reply, FORWARD and its reply, the
 // PROPOSE to 7 followers, 8 journal appends, the ACKs and COMMITs, 8
 // applies and 8 committed-log appends. The counts are for a round of 200
-// writes: 53.56 per create and 27.96 per delete (DESIGN.md §16.1 has their
-// history). Of a create's 53.56, 24 are the tree on 8 replicas and 21 the
+// writes: 44 per create and 27 per delete (DESIGN.md §16.1 has their
+// history). Of a create's 44, 16 are the tree on 8 replicas and 21 the
 // PROPOSE, COMMIT and ACK payloads; waiting for replies and for the apply
-// allocates nothing. A round is not a whole number per write: each
-// server's committed log (CommittedLog, two std::deques) takes a new block
-// every few writes, 8 allocations at once.
-constexpr std::size_t kEnsembleCreateRoundAllocs = 10'712;
-constexpr std::size_t kEnsembleDeleteRoundAllocs = 5'592;
+// allocates nothing, and so does an append to a full committed log.
+constexpr std::size_t kEnsembleCreateRoundAllocs = 8'800;
+constexpr std::size_t kEnsembleDeleteRoundAllocs = 5'400;
 
 class EnsembleWriteAllocTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kServers = 8;
   static constexpr int kWrites = 200;
+  static constexpr std::size_t kLogEntries = 128;
 
   void SetUp() override {
 #if defined(DUFS_ARENA_PASSTHROUGH) || defined(DUFS_AUDIT)
     GTEST_SKIP() << "arena passthrough or audit build allocates per event";
 #endif
     ZkEnsembleConfig config;
+    // Shorter than a round, so the warm-up rounds fill every replica's
+    // committed log and the measured ones append to a full log.
+    config.max_log_entries = kLogEntries;
     for (std::size_t i = 0; i < kServers; ++i) {
       config.servers.push_back(net_.AddNode("zk" + std::to_string(i)));
     }

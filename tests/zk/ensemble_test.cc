@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/rpc.h"
 #include "sim/task.h"
 #include "zk/client.h"
@@ -413,6 +414,30 @@ TEST(EnsembleTest, UncommittableWriteIsAnsweredUnavailableAtTheGiveUp) {
       sent + request_transit + perf.write_cpu + 2 * perf.per_peer_cpu;
   EXPECT_EQ(answered_at, wait_began + sim::Sec(3) + Transit(e.net, reply));
   EXPECT_FALSE(e.servers[0]->db().tree().Exists("/never"));
+}
+
+// A follower cut off from the leader for one write, which the other
+// follower's ACK commits, never receives that write's PROPOSE or COMMIT,
+// and the leader does not re-send a committed proposal. The next COMMIT it
+// gets is the write after, a zxid of the same epoch one past the gap: it
+// must catch up from the leader's log, not apply over the hole and skip
+// the missed write for good.
+TEST(EnsembleTest, FollowerThatMissedACommittedWriteCatchesUp) {
+  Ensemble e(3);
+  e.Connect();
+  sim::RunTask(e.sim, [](Ensemble& en) -> sim::Task<void> {
+    CO_ASSERT_TRUE((co_await en.client().Create("/a", {})).ok());
+    en.net.Partition(en.config.servers[0], en.config.servers[1]);
+    CO_ASSERT_TRUE((co_await en.client().Create("/b", {})).ok());
+    en.net.HealAll();
+    CO_ASSERT_TRUE((co_await en.client().Create("/c", {})).ok());
+  }(e));
+  e.Drain(sim::Sec(1));
+  EXPECT_TRUE(e.Converged());
+  EXPECT_TRUE(e.servers[1]->db().tree().Exists("/b"));
+  EXPECT_TRUE(e.servers[1]->db().tree().Exists("/c"));
+  EXPECT_EQ(e.servers[1]->db().last_applied(),
+            e.servers[0]->db().last_applied());
 }
 
 TEST(EnsembleTest, LeaderCrashElectionRecovers) {
@@ -955,6 +980,50 @@ TEST(CommittedLogTest, RetentionTruncatesOldestAndKeepsTailBytes) {
   wire::BufferWriter empty;
   log.WriteDiff(42, empty);
   EXPECT_EQ(empty.data(), std::vector<std::uint8_t>{0});
+}
+
+// Txns of up to 40 KB cross the log's 16 KiB byte blocks, and retention
+// frees blocks the next appends reuse; after every append each DIFF still
+// carries exactly the retained txns' bytes.
+TEST(CommittedLogTest, TxnsAcrossBlockBoundariesKeepTheirBytes) {
+  constexpr std::size_t kMaxEntries = 3;
+  CommittedLog log(kMaxEntries);
+  std::vector<std::pair<Zxid, std::vector<std::uint8_t>>> kept;
+  Rng rng(5);
+  for (Zxid zxid = 1; zxid <= 60; ++zxid) {
+    std::vector<std::uint8_t> txn(1 + rng.NextBelow(40'000));
+    for (auto& b : txn) b = static_cast<std::uint8_t>(rng.NextU64());
+    log.Append(zxid, txn);
+    kept.emplace_back(zxid, std::move(txn));
+    if (kept.size() > kMaxEntries) kept.erase(kept.begin());
+    ASSERT_EQ(log.size(), kept.size());
+    EXPECT_EQ(log.truncated_upto(), zxid > 3 ? zxid - 3 : 0);
+    for (Zxid since = kept.front().first - 1; since <= zxid; ++since) {
+      wire::BufferWriter expected;
+      std::uint64_t newer = 0;
+      for (const auto& [z, bytes] : kept) newer += z > since ? 1 : 0;
+      expected.WriteVarint(newer);
+      for (const auto& [z, bytes] : kept) {
+        if (z <= since) continue;
+        expected.WriteI64(z);
+        expected.WriteRaw(bytes.begin(), bytes.end());
+      }
+      wire::BufferWriter got;
+      log.WriteDiff(since, got);
+      ASSERT_EQ(got.data(), expected.data())
+          << "zxid=" << zxid << " since=" << since;
+    }
+  }
+  log.Reset(99);
+  EXPECT_EQ(log.size(), 0u);
+  log.Append(100, kept.back().second);
+  wire::BufferWriter got;
+  log.WriteDiff(99, got);
+  wire::BufferWriter expected;
+  expected.WriteVarint(1);
+  expected.WriteI64(100);
+  expected.WriteRaw(kept.back().second.begin(), kept.back().second.end());
+  EXPECT_EQ(got.data(), expected.data());
 }
 
 }  // namespace

@@ -9,6 +9,12 @@
 # --metrics-json output byte for byte. The simulation is deterministic, so
 # any difference is a change in simulated behaviour.
 #
+# It also builds dufsbench (dufsbench/, its own CMake project) from both
+# trees and runs its three workloads once each at seed 1. Their simulated
+# metrics (sim_ops_per_s, read/write p50/p99 and ok_frac; not the host-time
+# ones) are written one per line and compared the same way. The fig benches
+# never list a directory; these workloads do.
+#
 # Every bench below writes a --baseline that is checked in under
 # bench/baselines/; fig07 and fig08 put every table cell in theirs, so any
 # figure number that moves also moves a baseline metric.
@@ -47,6 +53,9 @@ benches=(
 )
 targets=()
 for spec in "${benches[@]}"; do targets+=("${spec%% *}"); done
+workloads=(create-storm stat-zipf mixed-pvfs-open)
+sim_metrics=(sim_ops_per_s read_p50_us read_p99_us write_p50_us write_p99_us
+  ok_frac)
 
 build() {  # source dir, build dir
   if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release &&
@@ -56,6 +65,30 @@ build() {  # source dir, build dir
     echo "sim identity: building $1 failed" >&2
     exit 2
   fi
+}
+
+build_dufsbench() {  # source dir, build dir
+  if ! { cmake -S "$1/dufsbench" -B "$2" -DCMAKE_BUILD_TYPE=Release &&
+    cmake --build "$2" -j"$jobs" --target dufsbench; } >"$2.log" 2>&1; then
+    cat "$2.log" >&2
+    echo "sim identity: building $1/dufsbench failed" >&2
+    exit 2
+  fi
+}
+
+run_dufsbench() {  # build dir, output dir
+  mkdir -p "$2"
+  for workload in "${workloads[@]}"; do
+    # The last stdout line is the result JSON; keep its simulated metrics.
+    "$1/dufsbench" --workload="$workload" --seed=1 --seconds=1 --trace=0 |
+      tail -n 1 |
+      python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)["metrics"]
+for name in sys.argv[1:]:
+    print(name, repr(metrics[name]["value"]))
+' "${sim_metrics[@]}" >"$2/dufsbench.$workload.sim.txt"
+  done
 }
 
 run_benches() {  # build dir, output dir
@@ -75,23 +108,33 @@ git -C "$root" worktree add --detach "$work/base-src" "$base_ref" >/dev/null
 echo "building $base_ref and the working tree"
 build "$work/base-src" "$work/base-build"
 build "$root" "$work/head-build"
-echo "running ${targets[*]}"
+build_dufsbench "$work/base-src" "$work/base-dufsbench"
+build_dufsbench "$root" "$work/head-dufsbench"
+echo "running ${targets[*]} and dufsbench ${workloads[*]}"
 run_benches "$work/base-build" "$work/base-out"
 run_benches "$work/head-build" "$work/head-out"
+run_dufsbench "$work/base-dufsbench" "$work/base-out"
+run_dufsbench "$work/head-dufsbench" "$work/head-out"
 
-differ=0
+outputs=()
 for spec in "${benches[@]}"; do
   name=${spec%% *}
-  for file in "$name.stdout" "$name.baseline.json" "$name.metrics.json"; do
-    if [[ ! -e $work/base-out/$file && ! -e $work/head-out/$file ]]; then
-      echo "not written by either: $file"
-    elif cmp -s "$work/base-out/$file" "$work/head-out/$file"; then
-      echo "identical: $file"
-    else
-      echo "DIFFERS:   $file"
-      differ=1
-    fi
-  done
+  outputs+=("$name.stdout" "$name.baseline.json" "$name.metrics.json")
+done
+for workload in "${workloads[@]}"; do
+  outputs+=("dufsbench.$workload.sim.txt")
+done
+
+differ=0
+for file in "${outputs[@]}"; do
+  if [[ ! -e $work/base-out/$file && ! -e $work/head-out/$file ]]; then
+    echo "not written by either: $file"
+  elif cmp -s "$work/base-out/$file" "$work/head-out/$file"; then
+    echo "identical: $file"
+  else
+    echo "DIFFERS:   $file"
+    differ=1
+  fi
 done
 
 if [[ $differ -eq 0 ]]; then
