@@ -7,7 +7,7 @@
 // would mask it), so the fault surfaces directly in create latency.
 //
 // This is the incident-observability gate's workload: the fsync-stall
-// detector must fire, dump the flight recorder, and
+// detector must fire, dump each node's recent spans, and
 // `tracestats --explain-dump` must attribute the latency growth to fsync —
 // byte-identically across runs (tests/determinism/slo_gate.cmake).
 #include <cstdio>

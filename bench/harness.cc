@@ -142,7 +142,7 @@ void Harness::Capture(obs::Observability& obs) {
   if (tracing() &&
       Write("trace", trace_path_, obs.tracer().ToChromeJson())) {
     std::printf("trace written: %s (%zu spans)\n", trace_path_.c_str(),
-                obs.tracer().events().size());
+                obs.tracer().traced());
   }
   if (timeline_sampler_.running()) {
     timeline_sampler_.Stop();

@@ -66,7 +66,7 @@ class OpScope {
         hits_before_(client.c_cache_hits_.value()),
         prof_node_(client.obs_.prof_name, prof::FrameKind::kNode),
         span_(obs::Span::Root(client.obs_, name, "op")) {
-    if (span_.active()) span_.ArgStr("path", path);
+    span_.ArgStr("path", path);
   }
 
   OpScope(const OpScope&) = delete;
@@ -88,11 +88,9 @@ class OpScope {
       client_.obs_.incidents->RecordOp(name_.c_str(), client_.obs_.track,
                                        latency);
     }
-    if (span_.active()) {
-      span_.ArgInt("cache_hits",
-                   static_cast<std::int64_t>(client_.c_cache_hits_.value() -
-                                             hits_before_));
-    }
+    span_.ArgInt("cache_hits",
+                 static_cast<std::int64_t>(client_.c_cache_hits_.value() -
+                                           hits_before_));
     span_.End();
   }
 

@@ -7,9 +7,9 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
   net_ = std::make_unique<net::Network>(*sim_);
 
   // --- observability -------------------------------------------------------
-  // Metrics and the flight recorder are always on (handle updates and ring
-  // admissions are cheap); the full span log only when asked — it allocates
-  // one Event per span.
+  // Metrics and the span store are always on (handle updates and bounded
+  // per-track ring admissions are cheap); the store keeps every span, args
+  // included, only when tracing is asked for.
   obs_.tracer().Bind(sim_.get());
   obs_.tracer().SetEnabled(config_.enable_trace);
   obs_.BindIncidents(sim_.get());

@@ -62,7 +62,7 @@ class Testbed {
 
   // Cluster-wide metrics registry + tracer. Every node (ZK servers, clients,
   // NICs) registers its scope here; snapshot with obs().metrics().ToJson()
-  // or export spans with obs().tracer().WriteChromeJson(path).
+  // or export the traced spans with obs().tracer().ToChromeJson().
   obs::Observability& obs() { return obs_; }
 
   struct ClientNode {

@@ -80,9 +80,7 @@ sim::Task<void> Network::Transfer(Message msg) {
   // Spawned synchronously from Send, so the sender's armed trace id is
   // still current here. The Node (and its NicObs handles) is stable
   // storage, safe to reference across suspensions.
-  const bool recording = obs_ != nullptr && obs_->tracer().recording();
-  const bool traced = recording && obs_->tracer().enabled();
-  const obs::TraceId trace = recording ? obs_->tracer().current() : 0;
+  const obs::TraceId trace = obs_ != nullptr ? obs_->tracer().current() : 0;
 
   // A NIC is a capacity-1 FIFO server whose service time is fixed when a
   // message joins its queue, so its departure is known at once:
@@ -98,18 +96,12 @@ sim::Task<void> Network::Transfer(Message msg) {
   ++src.messages_sent;
   co_await sim_.Delay(tx_start + tx + src.model().nic.base_latency - sent);
 
-  if (recording) {
-    // wait_ns also rides the Complete tail so flight records keep the
-    // nic-wait/wire split without an arg vector.
-    std::vector<obs::Tracer::Arg> args;
-    if (traced) {
-      args = {{"wait_ns", {}, tx_start - sent, false},
-              {"tx_ns", {}, tx, false},
-              {"bytes", {}, static_cast<std::int64_t>(wire), false}};
-    }
+  if (obs_ != nullptr) {
     obs_->tracer().Complete(src_obs.node.track, "nic-tx", "net", sent,
-                            tx_start + tx - sent, trace, std::move(args),
-                            /*wait_ns=*/tx_start - sent);
+                            tx_start + tx - sent, trace,
+                            {{"wait_ns", tx_start - sent},
+                             {"tx_ns", tx},
+                             {"bytes", static_cast<std::int64_t>(wire)}});
   }
   Node& dst = node(msg.dst);
   if (Partitioned(msg.src, msg.dst) || !dst.up()) {
@@ -125,15 +117,11 @@ sim::Task<void> Network::Transfer(Message msg) {
 
   Node::NicObs& dst_obs = dst.nic_obs();
   dst_obs.rx_wait.Record(rx_start - arrived);
-  if (recording) {
-    std::vector<obs::Tracer::Arg> args;
-    if (traced) {
-      args = {{"wait_ns", {}, rx_start - arrived, false},
-              {"bytes", {}, static_cast<std::int64_t>(wire), false}};
-    }
+  if (obs_ != nullptr) {
     obs_->tracer().Complete(dst_obs.node.track, "nic-rx", "net", arrived,
-                            sim_.now() - arrived, trace, std::move(args),
-                            /*wait_ns=*/rx_start - arrived);
+                            sim_.now() - arrived, trace,
+                            {{"wait_ns", rx_start - arrived},
+                             {"bytes", static_cast<std::int64_t>(wire)}});
   }
   if (!dst.up() || Partitioned(msg.src, msg.dst)) {
     ++messages_dropped_;

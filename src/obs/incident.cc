@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/json_text.h"
-#include "obs/flight.h"
 #include "obs/trace.h"
 
 namespace dufs::obs {
@@ -272,12 +271,12 @@ void Incidents::Fire(const char* type, TrackId track, bool cluster,
   a.threshold = threshold;
   a.detail = std::move(detail);
   if (!config_.dump_dir.empty() && dumps_written_ < config_.max_dumps &&
-      flight_ != nullptr && tracer_ != nullptr) {
+      tracer_ != nullptr) {
     char name[80];
     std::snprintf(name, sizeof(name), "/dump_%03" PRIu64 "_%s.json", a.seq,
                   type);
     const std::string path = config_.dump_dir + name;
-    const std::string json = flight_->DumpJson(*tracer_, AnomalyJson(a));
+    const std::string json = tracer_->DumpJson(AnomalyJson(a));
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f != nullptr) {
       const bool ok =

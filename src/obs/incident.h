@@ -1,10 +1,11 @@
 // Incident engine: anomaly detectors + SLO evaluator + dump trigger.
 //
 // Sits between the hot-path hooks (client op completion, ZK queue depth,
-// fsync batches, leader changes, MetaCache probes) and the flight recorder:
-// when a detector fires it appends a deterministic structured Anomaly record
-// and serializes the flight-recorder rings to `<dump_dir>/dump_<seq>_<type>
-// .json` for offline root-causing with `tracestats --explain-dump`.
+// fsync batches, leader changes, MetaCache probes) and the tracer's span
+// store: when a detector fires it appends a deterministic structured Anomaly
+// record and serializes each track's newest spans (Tracer::DumpJson) to
+// `<dump_dir>/dump_<seq>_<type>.json` for offline root-causing with
+// `tracestats --explain-dump`.
 //
 // Detectors (all on sim time, all integer/fixed-arithmetic where it matters
 // for determinism):
@@ -40,7 +41,6 @@
 
 namespace dufs::obs {
 
-class FlightRecorder;
 class Tracer;
 using TrackId = std::uint32_t;
 
@@ -81,12 +81,12 @@ struct Anomaly {
 
 class Incidents {
  public:
-  // Wire up clock, node names, and the rings to dump. Must be called before
-  // Arm(); the tracer also resolves TrackId -> node name for anomalies.
-  void Bind(sim::Simulation* sim, Tracer* tracer, FlightRecorder* flight) {
+  // Wire up the clock and the tracer whose spans a dump lists. Must be
+  // called before Arm(); the tracer also resolves TrackId -> node name for
+  // anomalies.
+  void Bind(sim::Simulation* sim, Tracer* tracer) {
     sim_ = sim;
     tracer_ = tracer;
-    flight_ = flight;
   }
 
   void Configure(const AnomalyConfig& config);
@@ -172,7 +172,6 @@ class Incidents {
 
   sim::Simulation* sim_ = nullptr;
   Tracer* tracer_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
 
   AnomalyConfig config_;
   bool armed_ = false;

@@ -8,7 +8,6 @@
 
 #include <string>
 
-#include "obs/flight.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -43,20 +42,14 @@ struct NodeObs {
 
 class Observability {
  public:
-  // The flight recorder is attached from birth: span recording is on (rings
-  // only — the full event log still needs SetEnabled) in every run, which is
-  // exactly the "always-on" property the incident subsystem needs.
-  Observability() { tracer_.AttachFlight(&flight_); }
-
   MetricsRegistry& metrics() { return metrics_; }
   Tracer& tracer() { return tracer_; }
-  FlightRecorder& flight() { return flight_; }
   Incidents& incidents() { return incidents_; }
 
   // Wire the incident engine's clock + dump sources; idempotent. Call after
   // tracer().Bind(sim) (the testbed constructor does).
   void BindIncidents(sim::Simulation* sim) {
-    incidents_.Bind(sim, &tracer_, &flight_);
+    incidents_.Bind(sim, &tracer_);
   }
 
   // Get-or-create the bundle for a named sim node; idempotent, so callers
@@ -69,7 +62,6 @@ class Observability {
  private:
   MetricsRegistry metrics_;
   Tracer tracer_;
-  FlightRecorder flight_;
   Incidents incidents_;
 };
 

@@ -22,20 +22,24 @@
 // asserted in tests/obs/trace_determinism_test.cc). Keep process-global
 // values — session ids, pointers, host time — out of span names and args.
 //
-// Everything no-ops when disabled: Span construction checks recording() once
-// and stores nullptr, so the hot-path cost of a compiled-in span is one
+// One span store: every completed span becomes one POD Record in its
+// track's storage, traced or not. While nothing is traced each track keeps
+// its newest kTrackCapacity records, oldest evicted first — always on, so an
+// anomaly dump (incident.h) can show what led up to it. SetEnabled(true)
+// (--trace) makes the store unbounded and keeps span args for the records
+// admitted from then on; those records are the --trace export. Span args
+// are collected only while enabled, so an untraced span allocates nothing.
+// A tracer with no bound simulation records nothing: a span then costs one
 // branch.
-//
-// Flight recording: attaching a FlightRecorder (flight.h) keeps spans live
-// even while the full event log is disabled — completed spans go into the
-// recorder's bounded per-track rings instead of events_. Span args are only
-// collected when the full log is enabled (flight records are POD); the one
-// arg the decomposition needs, wait_ns, travels via Span::WaitNs.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/prof.h"
@@ -47,47 +51,24 @@ namespace dufs::obs {
 using TraceId = std::uint64_t;  // 0 = untraced
 using TrackId = std::uint32_t;  // one per sim node ("thread" in the export)
 
-class FlightRecorder;  // flight.h
-
-namespace detail {
-// The fixed three-decimal microsecond formatting that keeps the tracer
-// export and the flight-recorder dump byte-stable (defined in trace.cc).
-void AppendJsonMicros(std::string& out, std::int64_t ns);
-}  // namespace detail
-
 class Tracer {
  public:
+  // Records each track keeps while nothing is traced, and the most an
+  // anomaly dump lists per track (~32 KiB of records per track).
+  static constexpr std::uint32_t kTrackCapacity = 512;
+
   Tracer() = default;
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // The tracer reads timestamps from this simulation. Must be called before
-  // Enable().
-  void Bind(sim::Simulation* sim) {
-    sim_ = sim;
-    UpdateRecording();
-  }
+  // The tracer reads timestamps from this simulation; spans record from
+  // then on. Must be called before SetEnabled().
+  void Bind(sim::Simulation* sim) { sim_ = sim; }
+  bool bound() const { return sim_ != nullptr; }
 
-  void SetEnabled(bool on) {
-    enabled_ = on && sim_ != nullptr;
-    UpdateRecording();
-  }
+  void SetEnabled(bool on) { enabled_ = on && sim_ != nullptr; }
   bool enabled() const { return enabled_; }
-
-  // Flight recorder attachment: completed spans are additionally (or, when
-  // the full log is disabled, only) admitted into `flight`'s rings. Pass
-  // nullptr to detach.
-  void AttachFlight(FlightRecorder* flight) {
-    flight_ = flight;
-    UpdateRecording();
-  }
-  FlightRecorder* flight() const { return flight_; }
-
-  // True when spans should stay live: the full event log is enabled or a
-  // flight recorder is attached (and a sim provides timestamps). This is the
-  // guard every span construction and instrumentation site uses.
-  bool recording() const { return recording_; }
 
   // Get-or-create a track by node name. Track ids are assigned in
   // registration order (construction order of the testbed — deterministic).
@@ -99,16 +80,36 @@ class Tracer {
   void SetCurrent(TraceId id) { current_ = id; }
 
   // Spans hand in names, categories and arg keys as obs::Name (checked
-  // string literals: the type enforces that at every call site), so events
-  // store the pointer instead of copying — an enabled span costs no string
-  // work until export.
+  // string literals: the type enforces that at every call site), so records
+  // store the pointer instead of copying.
   struct Arg {
+    Arg(const char* k, std::int64_t n) : key(k), num(n) {}
+    Arg(const char* k, std::string_view s) : key(k), str(s), is_string(true) {}
+
     const char* key = "";
+    std::int64_t num = 0;  // unless is_string
     std::string str;       // when is_string
-    std::int64_t num = 0;  // otherwise
     bool is_string = false;
   };
 
+  static constexpr std::uint32_t kUntraced = ~std::uint32_t{0};
+
+  // One completed span. `wait_ns` is the span's "wait_ns" arg, kept even
+  // when its args are not (anomaly dumps split nic-wait from wire with it).
+  struct Record {
+    const char* name = "";
+    const char* cat = "";
+    sim::SimTime start = 0;
+    sim::Duration dur = 0;
+    TraceId trace = 0;
+    std::uint64_t seq = 0;  // global admission order
+    std::int64_t wait_ns = -1;  // -1 = not applicable
+    std::uint32_t args = kUntraced;  // first arg in args_, or kUntraced
+    std::uint32_t nargs = 0;
+  };
+  static_assert(sizeof(Record) <= 64, "a record fits one cache line");
+
+  // The export view of one traced record.
   struct Event {
     TrackId track = 0;
     const char* name = "";
@@ -119,52 +120,87 @@ class Tracer {
     std::vector<Arg> args;
   };
 
-  // Record a complete ("X") event. No-op while not recording. `name` and
-  // `cat` must outlive the tracer (use literals). `wait_ns` is the queueing
-  // share of the span for the flight record (-1 = not applicable); the full
-  // event log carries it as a span arg instead.
+  // Record a complete ("X") span; a no-op before Bind(). `name`, `cat` and
+  // arg keys must outlive the tracer (use literals). Allocates nothing once
+  // the track's ring is reserved, unless the tracer is enabled.
   void Complete(TrackId track, const char* name, const char* cat,
                 sim::SimTime start, sim::Duration dur, TraceId trace,
-                std::vector<Arg> args = {}, std::int64_t wait_ns = -1);
+                std::span<const Arg> args = {});
+  void Complete(TrackId track, const char* name, const char* cat,
+                sim::SimTime start, sim::Duration dur, TraceId trace,
+                std::initializer_list<Arg> args) {
+    Complete(track, name, cat, start, dur, trace,
+             std::span<const Arg>(args.begin(), args.size()));
+  }
 
-  const std::vector<Event>& events() const { return events_; }
-  void Clear() { events_.clear(); }
+  // The records admitted while enabled, in admission order, args included.
+  std::vector<Event> events() const;
+  std::size_t traced() const { return traced_; }
+  std::uint64_t admitted() const { return seq_; }
+  // Drop every record and restart the admission count.
+  void Clear();
 
-  // Chrome trace_event JSON ("traceEvents" array of metadata + "X" events,
-  // ts/dur in microseconds with fixed 3-decimal formatting). Byte-stable
-  // for identical event sequences.
-  std::string ToChromeJson() const;
-  // Returns false when the file cannot be written.
-  bool WriteChromeJson(const std::string& path) const;
+  // Visit every record a track holds, oldest to newest.
+  template <typename Fn>
+  void ForEach(TrackId track, Fn&& fn) const {
+    if (track >= rings_.size()) return;
+    const Ring& r = rings_[track];
+    for (std::size_t i = r.oldest; i < r.recs.size(); ++i) fn(r.recs[i]);
+    for (std::size_t i = 0; i < r.oldest; ++i) fn(r.recs[i]);
+  }
+  std::size_t size(TrackId track) const {
+    return track < rings_.size() ? rings_[track].recs.size() : 0;
+  }
+
+  // Chrome trace_event JSON ("traceEvents" array of track metadata + "X"
+  // events, ts/dur in microseconds with fixed 3-decimal formatting) of the
+  // records admitted while enabled, in admission order. Byte-stable for
+  // identical span sequences.
+  std::string ToChromeJson() const { return Json("", false); }
+  // The anomaly dump: `anomaly_json` (pre-rendered; empty = omitted), then
+  // the newest kTrackCapacity records of every track, track by track, each
+  // with its seq and wait_ns in place of its args. Traced or not.
+  std::string DumpJson(const std::string& anomaly_json) const {
+    return Json(anomaly_json, true);
+  }
 
   sim::SimTime now() const { return sim_ != nullptr ? sim_->now() : 0; }
 
  private:
-  void UpdateRecording() {
-    recording_ = sim_ != nullptr && (enabled_ || flight_ != nullptr);
-  }
+  struct Ring {
+    std::vector<Record> recs;
+    std::uint32_t oldest = 0;  // slot of the oldest record once wrapped
+  };
+
+  // The traced records of every track, in admission order.
+  std::vector<std::pair<TrackId, const Record*>> Traced() const;
+  // The one writer behind ToChromeJson and DumpJson.
+  std::string Json(const std::string& anomaly_json, bool dump) const;
 
   sim::Simulation* sim_ = nullptr;
   bool enabled_ = false;
-  bool recording_ = false;
-  FlightRecorder* flight_ = nullptr;
   TraceId last_trace_ = 0;
   TraceId current_ = 0;
   std::vector<std::string> tracks_;
-  std::vector<Event> events_;
+  std::uint64_t seq_ = 0;
+  // Records admitted while enabled. Once there is one, no ring evicts:
+  // traced records stay until Clear(), also after SetEnabled(false).
+  std::size_t traced_ = 0;
+  std::vector<Ring> rings_;  // per track
+  std::vector<Arg> args_;    // args of traced records, in admission order
 };
 
 struct NodeObs;  // obs.h
 
 // RAII span: opens at construction, emits one complete event at End() /
-// destruction. Move-only; inactive (null tracer, disabled tracer, or
+// destruction. Move-only; inactive (null tracer, unbound tracer, or
 // default-constructed) spans are free.
 class Span {
  public:
   Span() = default;
 
   // Attached span: inherits the tracer's current trace id. Inline so the
-  // disabled path costs one branch at the call site.
+  // inactive path costs one branch at the call site.
   Span(Tracer* tracer, TrackId track, Name name, Name cat)
       : Span(tracer, track, name, cat,
              tracer != nullptr ? tracer->current() : 0) {}
@@ -177,7 +213,7 @@ class Span {
     prof_ = prof::PushFrame(name, std::strcmp(cat.c_str(), "op") == 0
                                       ? prof::FrameKind::kOpClass
                                       : prof::FrameKind::kComponent);
-    if (tracer == nullptr || !tracer->recording()) return;
+    if (tracer == nullptr || !tracer->bound()) return;
     tracer_ = tracer;
     track_ = track;
     name_ = name.c_str();
@@ -206,7 +242,6 @@ class Span {
       start_ = other.start_;
       trace_ = other.trace_;
       root_ = other.root_;
-      wait_ns_ = other.wait_ns_;
       args_ = std::move(other.args_);
       prof_ = other.prof_;
       other.prof_ = prof::FrameToken{};
@@ -225,23 +260,15 @@ class Span {
     if (tracer_ != nullptr) tracer_->SetCurrent(trace_);
   }
 
-  // Args attach to the full event log only — flight records are POD, so a
-  // flight-only span never allocates an arg vector.
+  // Args are kept only while the tracer is enabled; otherwise these return
+  // at once and the string is not copied.
   void ArgInt(Name key, std::int64_t value) {
     if (tracer_ == nullptr || !tracer_->enabled()) return;
-    args_.push_back(Tracer::Arg{key.c_str(), {}, value, false});
+    args_.emplace_back(key.c_str(), value);
   }
-  void ArgStr(Name key, std::string value) {
+  void ArgStr(Name key, std::string_view value) {
     if (tracer_ == nullptr || !tracer_->enabled()) return;
-    args_.push_back(Tracer::Arg{key.c_str(), std::move(value), 0, true});
-  }
-
-  // Queueing share of this span in ns; lands in the flight record so the
-  // tracestats nic-wait/wire split works on anomaly dumps. Call sites that
-  // also want it in the full trace export still ArgInt("wait_ns", ...).
-  void WaitNs(std::int64_t value) {
-    if (tracer_ == nullptr) return;
-    wait_ns_ = value;
+    args_.emplace_back(key.c_str(), value);
   }
 
   // Emit the event; idempotent. A root span also clears the current trace
@@ -263,7 +290,6 @@ class Span {
   sim::SimTime start_ = 0;
   TraceId trace_ = 0;
   bool root_ = false;
-  std::int64_t wait_ns_ = -1;
   std::vector<Tracer::Arg> args_;
   prof::FrameToken prof_;
 };

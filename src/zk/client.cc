@@ -68,7 +68,7 @@ sim::Task<Result<Reply>> ZkClient::Execute(Op op, std::vector<Op> multi_ops) {
   req.multi_ops = std::move(multi_ops);
   // Span before Encode: the trace id travels inside the request frame.
   obs::Span span(obs_, "zk-rpc", "zk");
-  if (span.active()) span.ArgStr("op", OpTypeName(req.op.type));
+  span.ArgStr("op", OpTypeName(req.op.type));
   req.trace = span.trace();
   const auto payload = req.Encode();
   const sim::SimTime started = endpoint_.sim().now();

@@ -560,23 +560,16 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
     ++batch_rounds_;
     proposals_batched_ += n;
     const std::span<BatchEntry> wave(propose_queue_.data(), n);
-    if (recording()) {
+    if (obs_.tracer != nullptr) {
       // One span per quorum wave, attributed to the first txn's trace.
-      // Args only when the full event log wants them (flight records are
-      // POD; no arg vector on the flight-only path).
       auto front = TxnView::Decode(wave.front().txn);
       DUFS_CHECK(front.ok());
-      std::vector<obs::Tracer::Arg> args;
-      if (tracing()) {
-        args = {{"batch", {}, static_cast<std::int64_t>(n), false},
-                {"zxid_lo", {}, static_cast<std::int64_t>(wave.front().zxid),
-                 false},
-                {"zxid_hi", {}, static_cast<std::int64_t>(wave.back().zxid),
-                 false}};
-      }
-      obs_.tracer->Complete(obs_.track, "group-commit-flush", "zab",
-                            wave_start, endpoint_.sim().now() - wave_start,
-                            front->trace, std::move(args));
+      obs_.tracer->Complete(
+          obs_.track, "group-commit-flush", "zab", wave_start,
+          endpoint_.sim().now() - wave_start, front->trace,
+          {{"batch", static_cast<std::int64_t>(n)},
+           {"zxid_lo", static_cast<std::int64_t>(wave.front().zxid)},
+           {"zxid_hi", static_cast<std::int64_t>(wave.back().zxid)}});
     }
     ProposeBatch(wave, wave_start);
     propose_queue_.erase(propose_queue_.begin(),
@@ -705,18 +698,13 @@ void ZkServer::TryCommitInOrder() {
     // quorum() includes it naturally.
     if (head.ack_count() < quorum()) break;
     const Zxid zxid = head.zxid;
-    if (recording() && head.proposed_at > 0) {
+    if (obs_.tracer != nullptr && head.proposed_at > 0) {
       // PROPOSE -> quorum of ACKs, on the leader's track.
-      std::vector<obs::Tracer::Arg> args;
-      if (tracing()) {
-        args = {{"zxid", {}, static_cast<std::int64_t>(zxid), false},
-                {"acks", {}, static_cast<std::int64_t>(head.ack_count()),
-                 false}};
-      }
-      obs_.tracer->Complete(obs_.track, "quorum-round", "zab",
-                            head.proposed_at,
-                            endpoint_.sim().now() - head.proposed_at,
-                            head.trace, std::move(args));
+      obs_.tracer->Complete(
+          obs_.track, "quorum-round", "zab", head.proposed_at,
+          endpoint_.sim().now() - head.proposed_at, head.trace,
+          {{"zxid", static_cast<std::int64_t>(zxid)},
+           {"acks", static_cast<std::int64_t>(head.ack_count())}});
     }
     proposals_.pop_front();
     last_committed_ = zxid;
@@ -874,20 +862,16 @@ sim::Task<void> ZkServer::JournalLoop() {
     const sim::SimTime fsync_start = endpoint_.sim().now();
     co_await endpoint_.node().DiskWrite(total);  // one group-commit fsync
     const sim::SimTime fsync_end = endpoint_.sim().now();
-    if (recording()) {
+    if (obs_.tracer != nullptr) {
       // One span per batched entry — same interval, each entry's own trace
       // id — so the decomposition charges the shared fsync to every op it
       // made durable, not just the first in the batch.
       for (const auto& e : batch) {
-        std::vector<obs::Tracer::Arg> args;
-        if (tracing()) {
-          args = {{"batch", {}, static_cast<std::int64_t>(batch.size()),
-                   false},
-                  {"bytes", {}, static_cast<std::int64_t>(total), false}};
-        }
-        obs_.tracer->Complete(obs_.track, "fsync-batch", "journal",
-                              fsync_start, fsync_end - fsync_start, e.trace,
-                              std::move(args));
+        obs_.tracer->Complete(
+            obs_.track, "fsync-batch", "journal", fsync_start,
+            fsync_end - fsync_start, e.trace,
+            {{"batch", static_cast<std::int64_t>(batch.size())},
+             {"bytes", static_cast<std::int64_t>(total)}});
       }
     }
     if (obs_.incidents != nullptr) {

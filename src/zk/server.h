@@ -333,13 +333,6 @@ class ZkServer {
   sim::Task<void> JournalAppend(Zxid zxid, std::size_t bytes,
                                 obs::TraceId trace = 0);
 
-  // Full event log on (args are worth building) vs any span recording at
-  // all (full log or flight recorder).
-  bool tracing() const { return obs_.tracer != nullptr && obs_.tracer->enabled(); }
-  bool recording() const {
-    return obs_.tracer != nullptr && obs_.tracer->recording();
-  }
-
   // Watches.
   void RegisterWatch(const OpView& op, SessionId session, net::NodeId client);
   // Compound ops: one data watch per resolved component (plus the first

@@ -4,8 +4,10 @@
 //  - the engine once warm: coroutine delay loops, ScheduleFn timer churn and
 //    spawn/teardown of tasks that finish at once. Event nodes and frames
 //    come from the slab arena (sim/arena.h), so each of these is 0;
-//  - the always-on observability path: FlightRecorder::Admit once its rings
-//    are reserved and Incidents::RecordOp within one window. Both are 0;
+//  - the always-on observability path on an untraced tracer: a span's
+//    construct/ArgInt/ArgStr/End, a three-arg Tracer::Complete once its
+//    track's ring is reserved, and Incidents::RecordOp within one window.
+//    All are 0;
 //  - the steps every ZooKeeper replica runs per write, and a whole
 //    replicated write on an 8-server ensemble;
 //  - a compound reply: encoded into one buffer whatever its size, and read
@@ -31,7 +33,7 @@
 #include <vector>
 
 #include "net/rpc.h"
-#include "obs/flight.h"
+#include "obs/trace.h"
 #include "obs/incident.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
@@ -557,31 +559,60 @@ TEST_F(EngineAllocTest, SpawnOfFinishedTasksAllocatesNothing) {
 namespace dufs::obs {
 namespace {
 
-TEST(ObsAllocTest, FlightRecorderAdmitAllocatesNothingOnceReserved) {
+// A span as the emit sites complete one (nic-tx's three int args) on a
+// bound tracer that is not enabled, wrapping every track's ring many times.
+TEST(ObsAllocTest, UntracedCompleteAllocatesNothingOnceReserved) {
   constexpr TrackId kTracks = 8;
-  FlightRecorder flight;
-  flight.SetCapacity(64);
+  sim::Simulation sim(1);
+  Tracer tracer;
+  tracer.Bind(&sim);
   // The first record per track reserves that track's ring.
   for (TrackId t = 0; t < kTracks; ++t) {
-    flight.Admit(t, "zk-write", "zk", 0, 1, 1, -1);
+    tracer.Complete(t, "nic-tx", "net", 0, 1, 1);
   }
-  const std::size_t n = CountAllocs([&flight] {
+  const std::size_t n = CountAllocs([&tracer] {
     for (int i = 0; i < 100'000; ++i) {
-      flight.Admit(static_cast<TrackId>(i) % kTracks, "zk-write", "zk", i, 7,
-                   static_cast<TraceId>(i), i % 3 == 0 ? 5 : -1);
+      tracer.Complete(static_cast<TrackId>(i) % kTracks, "nic-tx", "net", i, 7,
+                      static_cast<TraceId>(i),
+                      {{"wait_ns", i % 3}, {"tx_ns", 7}, {"bytes", 120}});
     }
   });
   Report("allocs", n);
   EXPECT_EQ(n, 0u);
-  EXPECT_EQ(flight.size(kTracks - 1), 64u);
-  EXPECT_GT(flight.evicted(0), 0u);
+  EXPECT_EQ(tracer.size(kTracks - 1), Tracer::kTrackCapacity);
+  EXPECT_EQ(tracer.admitted(), 100'000u + kTracks);
+  EXPECT_EQ(tracer.traced(), 0u);
+}
+
+// A warm span on the same kind of tracer: construct, ArgInt, ArgStr (its
+// value is not copied) and End.
+TEST(ObsAllocTest, UntracedSpanAllocatesNothing) {
+  sim::Simulation sim(1);
+  Tracer tracer;
+  tracer.Bind(&sim);
+  const TrackId track = tracer.Track("client0");
+  const std::string path = "/a/path/longer/than/the/small/string/buffer";
+  auto span_once = [&tracer, track, &path](int i) {
+    Span span(&tracer, track, "zk-rpc", "zk");
+    span.ArgInt("cache_hits", i);
+    span.ArgStr("path", path);
+    span.End();
+  };
+  span_once(0);  // reserves the track's ring
+  const std::size_t n = CountAllocs([&span_once] {
+    for (int i = 0; i < 100'000; ++i) span_once(i);
+  });
+  Report("allocs", n);
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(tracer.size(track), Tracer::kTrackCapacity);
+  EXPECT_EQ(tracer.traced(), 0u);
 }
 
 TEST(ObsAllocTest, IncidentsRecordOpAllocatesNothingWithinAWindow) {
   constexpr TrackId kTracks = 4;
   sim::Simulation sim(1);
   Incidents incidents;
-  incidents.Bind(&sim, nullptr, nullptr);
+  incidents.Bind(&sim, nullptr);
   incidents.AddSlo(SloSpec{"create", sim::Us(500), 0.01});
   // The first sample registers the class; the first per track sizes its
   // per-node histogram.

@@ -9,7 +9,7 @@
 # bench's own flags plus --timeline and an --slo, so the sim-time-series
 # sampler and the incident engine (sliding windows, burn rates) fold into
 # the byte-compared metrics export. This script adds the file exports:
-# metrics, trace, baseline, flight-recorder dumps and the CPU profile.
+# metrics, trace, baseline, anomaly dumps and the CPU profile.
 #
 # The two runs are two processes, so every hash container in src/ iterates in
 # a different order in each (common/hash.h salts the hasher per process).

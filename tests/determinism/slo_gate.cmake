@@ -2,7 +2,7 @@
 # (bench/anomaly_slowfsync.cc) and require
 #   1. the fsync-stall detector fires (the bench itself exits 1 otherwise,
 #      via --expect-anomaly),
-#   2. the flight-recorder dumps and the metrics export (which embeds the
+#   2. the anomaly dumps and the metrics export (which embeds the
 #      incident report) are byte-identical across two runs, and
 #   3. tracestats --explain-dump attributes at least half of the anomaly
 #      window's mean-latency growth to the fsync category.
@@ -53,7 +53,7 @@ endforeach()
 file(GLOB dumps RELATIVE "${WORKDIR}/run1" "${WORKDIR}/run1/dump_*.json")
 list(LENGTH dumps n_dumps)
 if(n_dumps EQUAL 0)
-  message(FATAL_ERROR "no flight-recorder dumps were written")
+  message(FATAL_ERROR "no anomaly dumps were written")
 endif()
 foreach(f ${dumps} metrics.json)
   execute_process(

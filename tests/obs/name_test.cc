@@ -48,9 +48,7 @@ struct Recorded {
     node = obs.Node("node0");
   }
 
-  const obs::Tracer::Event& last() {
-    return obs.tracer().events().back();
-  }
+  obs::Tracer::Event last() { return obs.tracer().events().back(); }
 };
 
 // The OpScope shape: a Name parameter forwarded into a root span.

@@ -5,7 +5,6 @@
 #include <string>
 #include <string_view>
 
-#include "obs/flight.h"
 #include "obs/incident.h"
 #include "obs/trace.h"
 #include "sim/simulation.h"
@@ -94,9 +93,8 @@ TEST(SloStateTest, BurnRateMath) {
 TEST(IncidentsTest, DisarmedHooksAreNoOps) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
-  obs::FlightRecorder flight;
   obs::Incidents inc;
-  inc.Bind(&sim, &tracer, &flight);
+  inc.Bind(&sim, &tracer);
   EXPECT_FALSE(inc.armed());
   inc.RecordFsync(0, sim::Ms(100), 1);
   inc.RecordQueueDepth(0, 10'000);
@@ -113,9 +111,8 @@ TEST(IncidentsTest, CanonicalOpNameResolvesKnownClasses) {
 TEST(IncidentsTest, FsyncStallFiresAndCooldownSuppresses) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
-  obs::FlightRecorder flight;
   obs::Incidents inc;
-  inc.Bind(&sim, &tracer, &flight);
+  inc.Bind(&sim, &tracer);
   inc.Configure(obs::AnomalyConfig{});
   EXPECT_TRUE(inc.armed());
   inc.RecordFsync(0, sim::Ms(25), 3);
@@ -132,9 +129,8 @@ TEST(IncidentsTest, FsyncStallFiresAndCooldownSuppresses) {
 TEST(IncidentsTest, QueueDepthAndLeaderChangeFire) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
-  obs::FlightRecorder flight;
   obs::Incidents inc;
-  inc.Bind(&sim, &tracer, &flight);
+  inc.Bind(&sim, &tracer);
   inc.Configure(obs::AnomalyConfig{});
   inc.RecordQueueDepth(0, 95);  // below watermark
   inc.RecordQueueDepth(0, 96);  // at watermark
@@ -147,9 +143,8 @@ TEST(IncidentsTest, QueueDepthAndLeaderChangeFire) {
 TEST(IncidentsTest, P999SpikeNeedsTrailingWindowsThenFires) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
-  obs::FlightRecorder flight;
   obs::Incidents inc;
-  inc.Bind(&sim, &tracer, &flight);
+  inc.Bind(&sim, &tracer);
   obs::AnomalyConfig cfg;
   cfg.window_ns = sim::Ms(1);
   inc.Configure(cfg);
@@ -179,9 +174,8 @@ TEST(IncidentsTest, P999SpikeNeedsTrailingWindowsThenFires) {
 TEST(IncidentsTest, BurnRateAlertOnWindowClose) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
-  obs::FlightRecorder flight;
   obs::Incidents inc;
-  inc.Bind(&sim, &tracer, &flight);
+  inc.Bind(&sim, &tracer);
   obs::AnomalyConfig cfg;
   cfg.window_ns = sim::Ms(1);
   inc.Configure(cfg);
@@ -197,9 +191,8 @@ TEST(IncidentsTest, BurnRateAlertOnWindowClose) {
 TEST(IncidentsTest, CacheCollapseAfterHealthyTrailingRate) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
-  obs::FlightRecorder flight;
   obs::Incidents inc;
-  inc.Bind(&sim, &tracer, &flight);
+  inc.Bind(&sim, &tracer);
   obs::AnomalyConfig cfg;
   cfg.window_ns = sim::Ms(1);
   inc.Configure(cfg);
@@ -223,9 +216,8 @@ TEST(IncidentsTest, ReportJsonListsClassQuantiles) {
   obs::Tracer tracer;
   tracer.Bind(&sim);
   const auto track = tracer.Track("client0");
-  obs::FlightRecorder flight;
   obs::Incidents inc;
-  inc.Bind(&sim, &tracer, &flight);
+  inc.Bind(&sim, &tracer);
   inc.Configure(obs::AnomalyConfig{});
   for (int i = 0; i < 10; ++i) inc.RecordOp("stat", track, 1'000);
   inc.Flush();

@@ -423,7 +423,7 @@ bool ExplainDump(const JsonValue& dump, std::int64_t window_override_ns,
                  ExplainResult* out, std::string* error) {
   const JsonValue* anomaly = dump.Find("anomaly");
   if (anomaly == nullptr || !anomaly->is_object()) {
-    *error = "dump has no \"anomaly\" object (is this a flight-recorder "
+    *error = "dump has no \"anomaly\" object (is this an anomaly "
              "dump?)";
     return false;
   }
@@ -459,13 +459,12 @@ bool ExplainDump(const JsonValue& dump, std::int64_t window_override_ns,
     }
   }
   if (out->window_ops == 0) {
-    *error = "no ops start inside the anomaly window — widen --window or "
-             "grow the flight-recorder capacity";
+    *error = "no ops start inside the anomaly window — widen --window";
     return false;
   }
   if (out->baseline_ops == 0) {
     *error = "no healthy-baseline ops precede the anomaly window in this "
-             "dump — grow the flight-recorder capacity";
+             "dump — narrow --window";
     return false;
   }
 

@@ -82,9 +82,8 @@ bool Analyze(const JsonValue& trace, const JsonValue* metrics, int top_k,
 std::string ResultToJson(const AnalyzeResult& r);
 std::string ResultToText(const AnalyzeResult& r);
 
-// --explain-dump: root-cause an anomaly dump written by the flight recorder
-// (obs::FlightRecorder::DumpJson via the incident engine). The dump's rings
-// hold spans both before and during the incident; ops whose root starts in
+// --explain-dump: root-cause an anomaly dump (obs::Tracer::DumpJson via the
+// incident engine). The dump's newest spans per track hold spans both before and during the incident; ops whose root starts in
 // the anomaly window [t_anomaly - window, t_anomaly] are compared against
 // the older "healthy baseline" ops in the same dump, and the growth in mean
 // latency is attributed per category ("the spike is 86% fsync").

@@ -18,9 +18,9 @@
 // Explain-dump mode (anomaly root-causing):
 //   tracestats --explain-dump=dump.json [--window=NS] [--expect=CAT:SHARE]
 //              [--json] [--out=PATH]
-// reads a flight-recorder anomaly dump, splits its ops into the anomaly
-// window vs the healthy baseline before it, and attributes the mean-latency
-// growth per category. --window overrides the dump's recorded window size
+// reads an anomaly dump (each track's newest spans), splits its ops into the
+// anomaly window vs the healthy baseline before it, and attributes the
+// mean-latency growth per category. --window overrides the dump's recorded window size
 // (ns). --expect=fsync:0.5 exits 1 unless that category explains at least
 // that share of the growth (the slow-fsync injection gate uses this).
 //
