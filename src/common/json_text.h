@@ -1,5 +1,5 @@
 // JSON text helpers shared by every export in the tree (obs exports, bench
-// metrics and baselines, the lint/tracestats/profstats reports): string
+// metrics and baselines, the lint and tracestats reports): string
 // escaping and round-trip number formatting. Header-only, so the tools
 // under tools/ pick it up through the include path without a link
 // dependency on dufs_common.

@@ -1,7 +1,9 @@
 # CPU-profile gate: run the engine self-bench under the deterministic
 # count-mode profiler (fold every Nth dispatch — no signals, no wall clock)
 # and hold its CPU distribution against the checked-in baseline
-# (bench/baselines/PROF_micro_core.folded) with profstats --compare.
+# (bench/baselines/PROF_micro_core.folded) with tracestats --compare, then
+# show that the gate fails on a copy of the run with one frame's share
+# raised past the tolerance.
 #
 # Count-mode sample counts follow the simulation's event order, so the
 # folded export is byte-stable across runs AND machines: a drift here means
@@ -9,13 +11,13 @@
 # commit (or the baseline needs a deliberate regen — see EXPERIMENTS.md).
 #
 # Invoked by ctest (and the CI cpu-profile job) as:
-#   cmake -DBENCH=<micro_core> -DPROFSTATS=<profstats> -DBASELINE=<folded>
+#   cmake -DBENCH=<micro_core> -DTRACESTATS=<tracestats> -DBASELINE=<folded>
 #         -DWORKDIR=<dir> -P cpu_profile_gate.cmake
 
-if(NOT DEFINED BENCH OR NOT DEFINED PROFSTATS OR NOT DEFINED BASELINE
+if(NOT DEFINED BENCH OR NOT DEFINED TRACESTATS OR NOT DEFINED BASELINE
    OR NOT DEFINED WORKDIR)
   message(FATAL_ERROR
-    "usage: cmake -DBENCH=... -DPROFSTATS=... -DBASELINE=... -DWORKDIR=... "
+    "usage: cmake -DBENCH=... -DTRACESTATS=... -DBASELINE=... -DWORKDIR=... "
     "-P cpu_profile_gate.cmake")
 endif()
 
@@ -52,14 +54,41 @@ endif()
 
 # 5 share-points of drift on any frame holding >= 1% fails the gate.
 execute_process(
-  COMMAND "${PROFSTATS}" --compare "${BASELINE}" "${WORKDIR}/prof_1.folded"
-    --tolerance=0.05 --min-share=0.01
+  COMMAND "${TRACESTATS}" --compare "${BASELINE}" "${WORKDIR}/prof_1.folded"
+    --tolerance=0.05
   OUTPUT_VARIABLE report
   RESULT_VARIABLE rc)
-message(STATUS "profstats --compare vs baseline:\n${report}")
+message(STATUS "tracestats --compare vs baseline:\n${report}")
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
     "CPU distribution drifted from bench/baselines/PROF_micro_core.folded "
     "(exit ${rc}); if intentional, regenerate the baseline as described in "
     "EXPERIMENTS.md")
+endif()
+
+# The gate can fail: multiply one workload frame's sample count by ten
+# (4.9% -> 34% self-share, far past 5 points) in a copy of the run; the
+# compare must exit 1 and name that frame on a REGRESSION line.
+file(READ "${WORKDIR}/prof_1.folded" fold)
+string(REGEX REPLACE "(selfbench\\.coro [0-9]+)" "\\10" raised "${fold}")
+if(raised STREQUAL fold)
+  message(FATAL_ERROR
+    "perturbation did not apply: no selfbench.coro stack in the fold?\n"
+    "${fold}")
+endif()
+file(WRITE "${WORKDIR}/raised.folded" "${raised}")
+execute_process(
+  COMMAND "${TRACESTATS}" --compare "${WORKDIR}/prof_1.folded"
+    "${WORKDIR}/raised.folded" --tolerance=0.05
+  OUTPUT_VARIABLE raised_report
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR
+    "--compare against a fold with a raised frame exited ${rc}, expected "
+    "1:\n${raised_report}")
+endif()
+if(NOT raised_report MATCHES "REGRESSION +selfbench\\.coro ")
+  message(FATAL_ERROR
+    "profile regression report does not name the raised frame:\n"
+    "${raised_report}")
 endif()

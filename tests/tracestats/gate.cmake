@@ -9,7 +9,10 @@
 #   4. --compare of the run's baseline against itself must pass with zero
 #      regressions, and
 #   5. --compare against a >5%-perturbed baseline must exit 1 and name the
-#      perturbed metric.
+#      perturbed metric, and
+#   6. the paths may come before --compare, while a numeric flag that is
+#      not wholly a number in range, or a baseline compared with a folded
+#      profile, is an error (exit 2), never a verdict.
 #
 # Invoked by ctest as:
 #   cmake -DBENCH=<ablation_fastpath> -DTRACESTATS=<tracestats>
@@ -98,4 +101,37 @@ endif()
 if(NOT pert_out MATCHES "REGRESSION.*create\\.gc_on\\.ops_per_s")
   message(FATAL_ERROR
     "regression report does not name the perturbed metric:\n${pert_out}")
+endif()
+
+# 6. Flag order and input errors. "--tolerance=5%" once read as 500%, and
+# the perturbed baseline above then compared OK.
+execute_process(
+  COMMAND "${TRACESTATS}"
+    ${WORKDIR}/baseline.json ${WORKDIR}/baseline.json --compare
+  OUTPUT_QUIET
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "tracestats OLD NEW --compare exited ${rc}, expected 0")
+endif()
+foreach(bad --tolerance=5% --tolerance=1 --tolerance=-0.1 --tolerance=
+    --top=3x --window=10ms)
+  execute_process(
+    COMMAND "${TRACESTATS}" --compare
+      ${WORKDIR}/baseline.json ${WORKDIR}/perturbed.json ${bad}
+    OUTPUT_QUIET ERROR_QUIET
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "--compare with ${bad} exited ${rc}, expected 2")
+  endif()
+endforeach()
+file(WRITE "${WORKDIR}/profile.folded" "client0;create 3\n")
+execute_process(
+  COMMAND "${TRACESTATS}" --compare
+    ${WORKDIR}/baseline.json ${WORKDIR}/profile.folded
+  OUTPUT_QUIET ERROR_VARIABLE mixed_err
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR
+    "--compare of a baseline with a folded profile exited ${rc}, expected "
+    "2:\n${mixed_err}")
 endif()

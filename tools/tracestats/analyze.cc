@@ -113,28 +113,6 @@ std::string Percent(std::int64_t part, std::int64_t whole) {
   return buf;
 }
 
-struct BaselineMetric {
-  double value = 0;
-  bool higher = true;
-};
-
-bool LoadBaseline(const JsonValue& doc,
-                  std::map<std::string, BaselineMetric>* out,
-                  std::string* error) {
-  const JsonValue* metrics = doc.Find("metrics");
-  if (metrics == nullptr || !metrics->is_object()) {
-    *error = "baseline has no \"metrics\" object";
-    return false;
-  }
-  for (const auto& [key, v] : metrics->members) {
-    BaselineMetric m;
-    m.value = v.GetNumber("value", 0.0);
-    m.higher = v.GetString("better", "higher") != "lower";
-    (*out)[key] = m;
-  }
-  return true;
-}
-
 // Shared pass for Analyze and ExplainDump: pull "X" events out of a trace
 // (or dump) document, group by trace id, and decompose every op that has a
 // root. Ops come out in trace-id order (deterministic).
@@ -562,105 +540,6 @@ std::string ExplainToJson(const ExplainResult& r) {
   out += "},\"dominant\":\"";
   out += CategoryName(r.dominant);
   out += "\"}";
-  return out;
-}
-
-bool Compare(const JsonValue& old_base, const JsonValue& new_base, double tol,
-             CompareResult* out, std::string* error) {
-  std::map<std::string, BaselineMetric> old_metrics, new_metrics;
-  if (!LoadBaseline(old_base, &old_metrics, error)) {
-    *error = "old baseline: " + *error;
-    return false;
-  }
-  if (!LoadBaseline(new_base, &new_metrics, error)) {
-    *error = "new baseline: " + *error;
-    return false;
-  }
-  char buf[320];
-  for (const auto& [key, old_m] : old_metrics) {
-    const auto it = new_metrics.find(key);
-    if (it == new_metrics.end()) {
-      ++out->regressions;
-      out->ok = false;
-      std::snprintf(buf, sizeof(buf), "REGRESSION %-44s missing from new",
-                    key.c_str());
-      out->lines.push_back(buf);
-      continue;
-    }
-    const BaselineMetric& new_m = it->second;
-    const double delta_pct =
-        old_m.value != 0.0
-            ? 100.0 * (new_m.value - old_m.value) / std::fabs(old_m.value)
-            : (new_m.value == 0.0 ? 0.0 : 100.0);
-    const bool regressed =
-        old_m.higher ? new_m.value < old_m.value * (1.0 - tol)
-                     : new_m.value > old_m.value * (1.0 + tol);
-    if (regressed) {
-      ++out->regressions;
-      out->ok = false;
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "%-10s %-44s %14.6g -> %14.6g  %+7.2f%% (%s better)",
-                  regressed ? "REGRESSION" : "ok", key.c_str(), old_m.value,
-                  new_m.value, delta_pct, old_m.higher ? "higher" : "lower");
-    out->lines.push_back(buf);
-  }
-  for (const auto& [key, new_m] : new_metrics) {
-    if (old_metrics.find(key) != old_metrics.end()) continue;
-    std::snprintf(buf, sizeof(buf), "%-10s %-44s (new metric, %14.6g)", "new",
-                  key.c_str(), new_m.value);
-    out->lines.push_back(buf);
-  }
-  return true;
-}
-
-std::string CompareToText(const CompareResult& r, double tol) {
-  std::string out;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "Baseline comparison (tolerance %.1f%%): %s (%d regressions, "
-                "%zu metrics)\n",
-                100.0 * tol, r.ok ? "OK" : "FAILED", r.regressions,
-                r.lines.size());
-  out += buf;
-  for (const std::string& line : r.lines) {
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
-
-std::string CompareToMarkdown(const CompareResult& r, double tol) {
-  std::string out;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "### perf-compare gate: %s (%d regressions, tolerance "
-                "%.1f%%)\n\n",
-                r.ok ? "PASS" : "FAIL", r.regressions, 100.0 * tol);
-  out += buf;
-  // The lines are pre-formatted fixed-width text; a fenced block keeps the
-  // columns aligned in the rendered summary.
-  out += "```text\n";
-  for (const std::string& line : r.lines) {
-    out += line;
-    out += '\n';
-  }
-  out += "```\n";
-  return out;
-}
-
-std::string CompareToJson(const CompareResult& r, double tol) {
-  std::string out = "{\"ok\":";
-  out += r.ok ? "true" : "false";
-  out += ",\"regressions\":" + std::to_string(r.regressions);
-  out += ",\"tolerance\":";
-  AppendJsonNumber(&out, tol);
-  out += ",\"lines\":[";
-  for (std::size_t i = 0; i < r.lines.size(); ++i) {
-    if (i > 0) out += ',';
-    out += '"' + JsonEscape(r.lines[i]) + '"';
-  }
-  out += "]}";
   return out;
 }
 

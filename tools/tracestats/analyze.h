@@ -1,7 +1,7 @@
 // Trace analytics over the repo's own exports: latency decomposition and
 // critical-path extraction from the Chrome trace_event JSON (obs::Tracer),
-// cross-checked against the metrics registry JSON, plus the BENCH_*.json
-// baseline comparison used by the perf-regression gate.
+// cross-checked against the metrics registry JSON, and the root-causing of
+// anomaly dumps.
 //
 // Everything here is deterministic: integer nanoseconds throughout, sorted
 // aggregation maps, fixed output ordering — identical inputs produce
@@ -124,22 +124,5 @@ std::string ExplainToJson(const ExplainResult& r);
 
 // Category lookup by report name ("fsync"); false when unknown.
 bool CategoryFromName(const std::string& name, Category* out);
-
-// --compare: diff two BENCH_*.json baselines.
-struct CompareResult {
-  bool ok = true;  // no regressions
-  int regressions = 0;
-  std::vector<std::string> lines;  // one per metric, sorted by key
-};
-
-bool Compare(const JsonValue& old_base, const JsonValue& new_base, double tol,
-             CompareResult* out, std::string* error);
-
-std::string CompareToText(const CompareResult& r, double tol);
-std::string CompareToJson(const CompareResult& r, double tol);
-// GitHub-flavored markdown (PASS/FAIL header + the per-metric lines in a
-// fenced block); tracestats appends it to $GITHUB_STEP_SUMMARY in compare
-// mode so the perf gate's verdict shows on the workflow run page.
-std::string CompareToMarkdown(const CompareResult& r, double tol);
 
 }  // namespace dufs::tracestats

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace dufs::tracestats {
 
@@ -38,79 +39,74 @@ class Parser {
   bool ParseValue(JsonValue* out) {
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return ParseObject(out);
-      case '[': return ParseArray(out);
+      case '{':
+        out->kind = JsonValue::Kind::kObject;
+        return ParseList('}', "object",
+                         [this, out] { return ParseMember(out); });
+      case '[':
+        out->kind = JsonValue::Kind::kArray;
+        return ParseList(']', "array",
+                         [this, out] { return ParseElement(out); });
       case '"':
         out->kind = JsonValue::Kind::kString;
         return ParseString(&out->str);
       case 't':
-      case 'f': return ParseBool(out);
-      case 'n': return ParseNull(out);
+      case 'f':
+      case 'n': return ParseLiteral(out);
       default: return ParseNumber(out);
     }
   }
 
-  bool ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
+  // Comma-separated items from the opening bracket up to `close`; `item`
+  // parses one (an object member or an array element).
+  template <typename Item>
+  bool ParseList(char close, const char* what, Item item) {
+    ++pos_;  // '{' or '['
     SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
+    if (pos_ < text_.size() && text_[pos_] == close) {
       ++pos_;
       return true;
     }
     while (true) {
       SkipWs();
-      std::string key;
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Fail("expected object key");
+      if (!item()) return false;
+      SkipWs();
+      if (pos_ >= text_.size()) {
+        return Fail(std::string("unterminated ") + what);
       }
-      if (!ParseString(&key)) return false;
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return Fail("expected ':'");
-      ++pos_;
-      SkipWs();
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->members.emplace_back(std::move(key), std::move(value));
-      SkipWs();
-      if (pos_ >= text_.size()) return Fail("unterminated object");
       if (text_[pos_] == ',') {
         ++pos_;
         continue;
       }
-      if (text_[pos_] == '}') {
+      if (text_[pos_] == close) {
         ++pos_;
         return true;
       }
-      return Fail("expected ',' or '}'");
+      return Fail(std::string("expected ',' or '") + close + "'");
     }
   }
 
-  bool ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
+  bool ParseMember(JsonValue* out) {
+    std::string key;
+    if (pos_ >= text_.size() || text_[pos_] != '"') {
+      return Fail("expected object key");
+    }
+    if (!ParseString(&key)) return false;
     SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->items.push_back(std::move(value));
-      SkipWs();
-      if (pos_ >= text_.size()) return Fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return Fail("expected ',' or ']'");
-    }
+    if (pos_ >= text_.size() || text_[pos_] != ':') return Fail("expected ':'");
+    ++pos_;
+    SkipWs();
+    JsonValue value;
+    if (!ParseValue(&value)) return false;
+    out->members.emplace_back(std::move(key), std::move(value));
+    return true;
+  }
+
+  bool ParseElement(JsonValue* out) {
+    JsonValue value;
+    if (!ParseValue(&value)) return false;
+    out->items.push_back(std::move(value));
+    return true;
   }
 
   bool ParseString(std::string* out) {
@@ -165,26 +161,14 @@ class Parser {
     return Fail("unterminated string");
   }
 
-  bool ParseBool(JsonValue* out) {
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = false;
-      pos_ += 5;
-      return true;
-    }
-    return Fail("bad literal");
-  }
-
-  bool ParseNull(JsonValue* out) {
-    if (text_.compare(pos_, 4, "null") == 0) {
-      out->kind = JsonValue::Kind::kNull;
-      pos_ += 4;
+  bool ParseLiteral(JsonValue* out) {
+    for (const char* word : {"true", "false", "null"}) {
+      const std::size_t n = std::strlen(word);
+      if (text_.compare(pos_, n, word) != 0) continue;
+      out->kind =
+          word[0] == 'n' ? JsonValue::Kind::kNull : JsonValue::Kind::kBool;
+      out->boolean = word[0] == 't';
+      pos_ += n;
       return true;
     }
     return Fail("bad literal");
@@ -259,8 +243,10 @@ bool ReadFile(const std::string& path, std::string* out, std::string* error) {
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
     out->append(buf, n);
   }
+  const bool ok = std::ferror(f) == 0;
   std::fclose(f);
-  return true;
+  if (!ok) *error = "read error on " + path;
+  return ok;
 }
 
 std::int64_t MicrosRawToNanos(const JsonValue& v) {

@@ -1,31 +1,20 @@
-// tracestats — offline analyzer for the repo's observability exports.
-//
-// Analyze mode (default):
-//   tracestats --trace=trace.json [--metrics=metrics.json] [--top=10]
-//              [--check] [--json] [--out=PATH]
-// reads the Chrome trace_event JSON written by --trace and (optionally) the
-// metrics JSON written by --metrics-json, prints the per-op-class latency
-// decomposition, the histogram cross-check, and the slowest-ops critical
-// paths. --check exits 1 when a class's decomposition total drifts more
-// than 1% from its op.<class>_ns histogram sum.
-//
-// Compare mode (the perf-regression gate):
-//   tracestats --compare BENCH_old.json BENCH_new.json [--tolerance=0.05]
-//              [--json]
-// diffs two bench baselines; exits 1 when any metric regressed beyond the
-// tolerance in its "better" direction (or disappeared), 0 when clean.
-//
-// Explain-dump mode (anomaly root-causing):
-//   tracestats --explain-dump=dump.json [--window=NS] [--expect=CAT:SHARE]
-//              [--json] [--out=PATH]
-// reads an anomaly dump (each track's newest spans), splits its ops into the
-// anomaly window vs the healthy baseline before it, and attributes the
-// mean-latency growth per category. --window overrides the dump's recorded window size
-// (ns). --expect=fsync:0.5 exits 1 unless that category explains at least
-// that share of the growth (the slow-fsync injection gate uses this).
-//
-// Exit codes: 0 ok, 1 check/regression/expectation failure, 2 usage or
-// input error.
+// tracestats — offline analyzer for the repo's observability exports and
+// its one regression gate (kUsage lists the flags; DESIGN.md §9, §14.5):
+//   --trace: per-op-class latency decomposition of a --trace export, its 1%
+//     cross-check against a --metrics-json export's op histograms (--check
+//     exits 1 past it) and the slowest ops' critical paths;
+//   --folded: a --profile export's top frames by self and total samples;
+//   --compare OLD NEW: two BENCH_*.json baselines or two folded profiles,
+//     told apart by their contents (compare.h); exits 1 on a regression and
+//     appends a markdown verdict to $GITHUB_STEP_SUMMARY when that is set;
+//   --explain-dump: attributes an anomaly dump's mean-latency growth per
+//     category; --expect=fsync:0.5 exits 1 unless fsync explains half.
+// Numeric flags must be wholly numbers ("--tolerance=5%" is an error) and
+// the tolerance lies in [0, 1). Exit codes: 0 ok, 1 check, regression or
+// expectation failure, 2 usage or input error.
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,15 +22,20 @@
 #include <vector>
 
 #include "analyze.h"
+#include "compare.h"
 #include "json.h"
+#include "profile.h"
 
 namespace {
+
+namespace ts = dufs::tracestats;
 
 constexpr char kUsage[] =
     "usage: tracestats --trace=PATH [--metrics=PATH] [--top=N] [--check]\n"
     "                  [--json] [--out=PATH]\n"
-    "       tracestats --compare OLD.json NEW.json [--tolerance=0.05]\n"
-    "                  [--json]\n"
+    "       tracestats --folded=PATH [--top=N] [--json] [--out=PATH]\n"
+    "       tracestats --compare OLD NEW [--tolerance=0.05] [--json]\n"
+    "                  [--out=PATH]\n"
     "       tracestats --explain-dump=DUMP.json [--window=NS]\n"
     "                  [--expect=CATEGORY:SHARE] [--json] [--out=PATH]\n";
 
@@ -50,17 +44,45 @@ constexpr char kUsage[] =
   std::exit(2);
 }
 
-bool LoadJson(const std::string& path, dufs::tracestats::JsonValue* out) {
+int InputError(const std::string& message) {
+  std::fprintf(stderr, "tracestats: %s\n", message.c_str());
+  return 2;
+}
+
+// The whole of `v` must be a number in [lo, hi), and a whole number when
+// `integer`: "5%" is not 5.
+double NumberFlag(const std::string& arg, const char* v, double lo,
+                  double hi, bool integer = false) {
+  char* end = nullptr;
+  errno = 0;
+  const double d = std::strtod(v, &end);
+  if (end == v || *end != '\0' || errno != 0 || !(d >= lo && d < hi) ||
+      (integer && d != std::trunc(d))) {
+    UsageError("bad value: " + arg);
+  }
+  return d;
+}
+
+bool LoadText(const std::string& path, std::string* text) {
+  std::string error;
+  if (ts::ReadFile(path, text, &error)) return true;
+  InputError(error);
+  return false;
+}
+
+bool LoadJson(const std::string& path, ts::JsonValue* out) {
   std::string text, error;
-  if (!dufs::tracestats::ReadFile(path, &text, &error)) {
-    std::fprintf(stderr, "tracestats: %s\n", error.c_str());
-    return false;
-  }
-  if (!dufs::tracestats::ParseJson(text, out, &error)) {
-    std::fprintf(stderr, "tracestats: %s: %s\n", path.c_str(), error.c_str());
-    return false;
-  }
-  return true;
+  if (!LoadText(path, &text)) return false;
+  if (ts::ParseJson(text, out, &error)) return true;
+  InputError(path + ": " + error);
+  return false;
+}
+
+bool WriteFile(const char* path, const char* mode, const std::string& text) {
+  std::FILE* f = std::fopen(path, mode);
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
 }
 
 bool WriteOutput(const std::string& path, const std::string& content) {
@@ -68,37 +90,30 @@ bool WriteOutput(const std::string& path, const std::string& content) {
     std::fwrite(content.data(), 1, content.size(), stdout);
     return true;
   }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "tracestats: cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return true;
+  if (WriteFile(path.c_str(), "w", content)) return true;
+  std::fprintf(stderr, "tracestats: cannot write %s\n", path.c_str());
+  return false;
 }
 
 // CI visibility: surface the gate verdict on the workflow run page.
 void AppendStepSummary(const std::string& markdown) {
   const char* path = std::getenv("GITHUB_STEP_SUMMARY");
-  if (path == nullptr || path[0] == '\0') return;
-  std::FILE* f = std::fopen(path, "a");
-  if (f == nullptr) return;
-  std::fwrite(markdown.data(), 1, markdown.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
+  if (path != nullptr && path[0] != '\0') {
+    WriteFile(path, "a", markdown + "\n");
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string trace_path, metrics_path, out_path, dump_path, expect;
-  std::vector<std::string> compare_paths;
+  std::string trace_path, metrics_path, out_path, dump_path, folded_path;
+  std::string expect;
+  std::vector<std::string> paths;
   bool compare_mode = false;
   bool json_out = false;
   bool check = false;
   int top_k = 10;
-  double tolerance = 0.05;
+  double tolerance = ts::kDefaultTolerance;
   long long window_ns = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -114,15 +129,18 @@ int main(int argc, char** argv) {
     } else if (const char* v3 = value("--out=")) {
       out_path = v3;
     } else if (const char* v4 = value("--top=")) {
-      top_k = std::atoi(v4);
+      top_k = static_cast<int>(NumberFlag(arg, v4, INT_MIN, INT_MAX, true));
     } else if (const char* v5 = value("--tolerance=")) {
-      tolerance = std::atof(v5);
+      tolerance = NumberFlag(arg, v5, 0.0, 1.0);
     } else if (const char* v6 = value("--explain-dump=")) {
       dump_path = v6;
     } else if (const char* v7 = value("--window=")) {
-      window_ns = std::atoll(v7);
+      window_ns =
+          static_cast<long long>(NumberFlag(arg, v7, 0.0, 1e18, true));
     } else if (const char* v8 = value("--expect=")) {
       expect = v8;
+    } else if (const char* v9 = value("--folded=")) {
+      folded_path = v9;
     } else if (arg == "--compare") {
       compare_mode = true;
     } else if (arg == "--json") {
@@ -131,63 +149,71 @@ int main(int argc, char** argv) {
       check = true;
     } else if (arg.rfind("--", 0) == 0) {
       UsageError("unknown flag: " + arg);
-    } else if (compare_mode && compare_paths.size() < 2) {
-      compare_paths.push_back(arg);
     } else {
-      UsageError("unexpected argument: " + arg);
+      paths.push_back(arg);
     }
+  }
+  if (!compare_mode && !paths.empty()) {
+    UsageError("unexpected argument: " + paths[0]);
   }
 
   if (compare_mode) {
-    if (compare_paths.size() != 2) {
-      UsageError("--compare needs exactly two baseline paths");
+    if (paths.size() != 2) {
+      UsageError("--compare needs exactly two paths (old, new)");
     }
-    dufs::tracestats::JsonValue old_base, new_base;
-    if (!LoadJson(compare_paths[0], &old_base) ||
-        !LoadJson(compare_paths[1], &new_base)) {
+    std::string old_text, new_text, error;
+    if (!LoadText(paths[0], &old_text) || !LoadText(paths[1], &new_text)) {
       return 2;
     }
-    dufs::tracestats::CompareResult result;
-    std::string error;
-    if (!dufs::tracestats::Compare(old_base, new_base, tolerance, &result,
-                                   &error)) {
-      std::fprintf(stderr, "tracestats: %s\n", error.c_str());
-      return 2;
+    ts::CompareResult result;
+    if (!ts::Compare(old_text, new_text, tolerance, &result, &error)) {
+      return InputError(error);
     }
     const std::string report =
-        json_out ? dufs::tracestats::CompareToJson(result, tolerance)
-                 : dufs::tracestats::CompareToText(result, tolerance);
+        json_out ? ts::CompareToJson(result) : ts::CompareToText(result);
     if (!WriteOutput(out_path, report)) return 2;
-    AppendStepSummary(dufs::tracestats::CompareToMarkdown(result, tolerance));
-    return result.ok ? 0 : 1;
+    AppendStepSummary(ts::CompareToMarkdown(result));
+    return result.ok() ? 0 : 1;
+  }
+
+  if (!folded_path.empty()) {
+    std::string text, error;
+    ts::Profile profile;
+    if (!LoadText(folded_path, &text)) return 2;
+    if (!ts::ParseFolded(text, &profile, &error)) {
+      return InputError(folded_path + ": " + error);
+    }
+    ts::Aggregate agg;
+    ts::AggregateProfile(profile, &agg);
+    const std::string report = json_out ? ts::ProfileToJson(agg, top_k)
+                                        : ts::ProfileToText(agg, top_k);
+    return WriteOutput(out_path, report) ? 0 : 2;
   }
 
   if (!dump_path.empty()) {
-    dufs::tracestats::JsonValue dump;
+    ts::JsonValue dump;
     if (!LoadJson(dump_path, &dump)) return 2;
-    dufs::tracestats::ExplainResult result;
+    ts::ExplainResult result;
     std::string error;
-    if (!dufs::tracestats::ExplainDump(dump, window_ns, &result, &error)) {
-      std::fprintf(stderr, "tracestats: %s\n", error.c_str());
-      return 2;
+    if (!ts::ExplainDump(dump, window_ns, &result, &error)) {
+      return InputError(error);
     }
     const std::string report =
-        json_out ? dufs::tracestats::ExplainToJson(result)
-                 : dufs::tracestats::ExplainToText(result);
+        json_out ? ts::ExplainToJson(result) : ts::ExplainToText(result);
     if (!WriteOutput(out_path, report)) return 2;
     if (!expect.empty()) {
       const std::size_t colon = expect.find(':');
       if (colon == std::string::npos) {
         UsageError("--expect wants CATEGORY:SHARE, e.g. fsync:0.5");
       }
-      dufs::tracestats::Category cat;
-      if (!dufs::tracestats::CategoryFromName(expect.substr(0, colon),
-                                              &cat)) {
+      ts::Category cat;
+      if (!ts::CategoryFromName(expect.substr(0, colon), &cat)) {
         UsageError("--expect: unknown category " + expect.substr(0, colon));
       }
-      const double want = std::atof(expect.c_str() + colon + 1);
-      const double got =
-          result.growth_share[static_cast<std::size_t>(cat)];
+      const double want = NumberFlag("--expect=" + expect,
+                                     expect.c_str() + colon + 1, -HUGE_VAL,
+                                     HUGE_VAL);
+      const double got = result.growth_share[static_cast<std::size_t>(cat)];
       if (!result.have_growth || got < want) {
         std::fprintf(stderr,
                      "tracestats: --expect failed: %s explains %.1f%% of "
@@ -200,26 +226,23 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (trace_path.empty()) UsageError("--trace is required (or --compare)");
-  dufs::tracestats::JsonValue trace;
+  if (trace_path.empty()) {
+    UsageError("--trace, --folded, --compare or --explain-dump is required");
+  }
+  ts::JsonValue trace;
   if (!LoadJson(trace_path, &trace)) return 2;
-  dufs::tracestats::JsonValue metrics;
-  bool have_metrics = false;
-  if (!metrics_path.empty()) {
-    if (!LoadJson(metrics_path, &metrics)) return 2;
-    have_metrics = true;
-  }
+  ts::JsonValue metrics;
+  const bool have_metrics = !metrics_path.empty();
+  if (have_metrics && !LoadJson(metrics_path, &metrics)) return 2;
 
-  dufs::tracestats::AnalyzeResult result;
+  ts::AnalyzeResult result;
   std::string error;
-  if (!dufs::tracestats::Analyze(trace, have_metrics ? &metrics : nullptr,
-                                 top_k, 0.01, &result, &error)) {
-    std::fprintf(stderr, "tracestats: %s\n", error.c_str());
-    return 2;
+  if (!ts::Analyze(trace, have_metrics ? &metrics : nullptr, top_k, 0.01,
+                   &result, &error)) {
+    return InputError(error);
   }
-  const std::string report = json_out
-                                 ? dufs::tracestats::ResultToJson(result)
-                                 : dufs::tracestats::ResultToText(result);
+  const std::string report =
+      json_out ? ts::ResultToJson(result) : ts::ResultToText(result);
   if (!WriteOutput(out_path, report)) return 2;
   if (check && !result.check_ok) {
     std::fprintf(stderr, "tracestats: --check failed (%zu classes out of "
