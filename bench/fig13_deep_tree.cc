@@ -93,7 +93,7 @@ bench::HotPathCounters RunPhase(Testbed& tb, DeepOp op, char tag,
     const auto req0 = t.client(1).zk->requests_sent();
     const auto fo0 = t.client(1).zk->failovers();
     const auto start = t.sim().now();
-    auto proc_body = [](Testbed& tb2, DeepOp w, char tg2, std::size_t proc,  // dufs-lint: allow(coro-capture-ref)
+    auto proc_body = [](Testbed& tb2, DeepOp w, char tg2, std::size_t proc,
                         std::size_t n, std::size_t dd) -> sim::Task<void> {
       auto& fs = *tb2.client(1).dufs;
       for (std::size_t j = 0; j < n; ++j) {

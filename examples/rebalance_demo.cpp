@@ -26,7 +26,7 @@ void Demo(const std::string& policy_name) {
   config.client_nodes = 2;
   config.backend = mdtest::BackendKind::kMemFs;
   config.backend_instances = 4;
-  config.placement = policy_name;
+  config.dufs.placement = policy_name;
   Testbed tb(config);
   tb.MountAll();
 

@@ -77,7 +77,6 @@ void MetaCache::PutPositive(std::string_view path, MetaRecord record,
 }
 
 void MetaCache::PutNegative(std::string_view path) {
-  if (!config_.negative_entries) return;
   Entry entry;
   entry.negative = true;
   Put(path, std::move(entry));

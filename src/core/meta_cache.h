@@ -42,7 +42,6 @@ namespace dufs::core {
 struct MetaCacheConfig {
   std::size_t capacity = 4096;           // entries (positive + negative)
   sim::Duration ttl = sim::Ms(500);      // staleness bound if a watch is lost
-  bool negative_entries = true;
 };
 
 class MetaCache {

@@ -166,10 +166,8 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
       backends.push_back(mount.get());
     }
 
-    core::DufsConfig dufs_config = config_.dufs;
-    dufs_config.placement = config_.placement;
     client->dufs = std::make_unique<core::DufsClient>(
-        *client->zk, std::move(backends), dufs_config);
+        *client->zk, std::move(backends), config_.dufs);
     client->dufs->AttachObs(node_obs);
     client->fuse = std::make_unique<vfs::FuseMount>(
         net_->node(client->node), *client->dufs, config_.fuse);

@@ -32,9 +32,7 @@ struct TestbedConfig {
   std::size_t backend_instances = 2;  // physical mounts DUFS merges
   std::size_t oss_per_lustre = 2;
   std::size_t servers_per_pvfs = 2;
-  std::string placement = "md5-mod-n";
-  // Per-client DUFS knobs (metadata cache, fan-out); `placement` above
-  // overrides `dufs.placement` for backward compatibility.
+  // Per-client DUFS knobs (placement, metadata cache, fan-out).
   core::DufsConfig dufs{};
   bool zk_failure_detection = false;
   bool zk_group_commit = false;  // leader group commit (metadata fast path)

@@ -65,7 +65,7 @@ void LustreMds::Start() {
     // Handler closures are stored in the endpoint's handler map, which this
     // MDS owns for its whole lifetime — `this` outlives every invocation.
     endpoint_.RegisterHandler(
-        m, [this, m](net::NodeId from,  // dufs-lint: allow(coro-capture-ref)
+        m, [this, m](net::NodeId from,
                      net::Payload req) -> sim::Task<net::RpcResult> {
           ++inflight_;
           ++ops_served_;
@@ -449,7 +449,7 @@ void LustreOss::Start() {
        m <= lustre_method::kObjDestroy; ++m) {
     // Stored in the endpoint's handler map; `this` outlives every call.
     endpoint_.RegisterHandler(
-        m, [this, m](net::NodeId,  // dufs-lint: allow(coro-capture-ref)
+        m, [this, m](net::NodeId,
                      net::Payload req) -> sim::Task<net::RpcResult> {
           co_return co_await Handle(m, std::move(req));
         });

@@ -46,7 +46,7 @@ void PvfsServer::Start() {
        ++m) {
     // Stored in the endpoint's handler map; `this` outlives every call.
     endpoint_.RegisterHandler(
-        m, [this, m](net::NodeId,  // dufs-lint: allow(coro-capture-ref)
+        m, [this, m](net::NodeId,
                      net::Payload req) -> sim::Task<net::RpcResult> {
           co_return co_await Handle(m, std::move(req));
         });

@@ -3,8 +3,9 @@
 namespace dufs::vfs {
 
 // Each mutation hands Fanout a value-capturing lambda coroutine (the frame
-// must not reference this function's locals — see the coro-capture-ref lint
-// rule). The closure is always bound to a named local first: GCC 12
+// must not reference this function's locals; under ASan with
+// detect_stack_use_after_return such a reference is a reported
+// stack-use-after-return, see tests/compile/lifetime_probe.cc). The closure is always bound to a named local first: GCC 12
 // miscompiles a *temporary* closure with non-trivially-destructible
 // captures passed straight into a coroutine parameter (the capture is
 // destroyed twice; glibc aborts with "munmap_chunk(): invalid pointer").

@@ -35,7 +35,7 @@ void ZkClient::SetWatchHandler(WatchCallback cb) {
     // Stored in the endpoint's handler map; `this` outlives every call.
     endpoint_.RegisterHandler(
         method::kWatchEvent,
-        [this](net::NodeId, net::Payload bytes) -> sim::Task<net::RpcResult> {  // dufs-lint: allow(coro-capture-ref)
+        [this](net::NodeId, net::Payload bytes) -> sim::Task<net::RpcResult> {
           auto ev = WatchEvent::Decode(bytes);
           if (ev.ok() && watch_cb_) watch_cb_(*ev);
           co_return net::Payload{};

@@ -130,7 +130,7 @@ void ZkServer::Start() {
   // them, and the inner lambda is not itself a coroutine (it forwards to a
   // member coroutine whose frame holds `this` via the implicit parameter).
   auto bind = [this](auto method_fn) {
-    return [this, method_fn](net::NodeId from,  // dufs-lint: allow(coro-capture-ref)
+    return [this, method_fn](net::NodeId from,
                              net::Payload req) -> sim::Task<net::RpcResult> {
       return (this->*method_fn)(from, std::move(req));
     };

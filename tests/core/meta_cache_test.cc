@@ -65,14 +65,6 @@ TEST(MetaCacheTest, NegativeEntries) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(MetaCacheTest, NegativeEntriesCanBeDisabled) {
-  sim::Simulation sim;
-  MetaCache cache(sim, {.negative_entries = false});
-  cache.PutNegative("/gone");
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Lookup("/gone"), nullptr);
-}
-
 TEST(MetaCacheTest, LruBoundEvictsOldest) {
   sim::Simulation sim;
   MetaCache cache(sim, {.capacity = 4});

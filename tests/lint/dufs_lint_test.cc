@@ -1,109 +1,27 @@
-// In-process fixture tests for the dufs_lint rule engine: every rule gets at
+// In-process tests for the per-file dufs_lint rules: every rule gets at
 // least one source that must fire (positive) and one conforming rewrite that
-// must not (negative), plus the suppression machinery.
+// must not (negative), plus the suppression machinery and the per-function
+// facts await-holding-ref reads (symtab.h).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "lexer.h"
 #include "rules.h"
+#include "symtab.h"
 
 namespace dufs::lint {
 namespace {
 
 std::vector<Finding> Lint(const std::string& path, const std::string& src) {
-  Linter linter;
-  linter.AddFile(path, src);
-  return linter.Run();
+  return LintFile(path, src);
 }
 
 std::vector<std::string> Rules(const std::vector<Finding>& findings) {
   std::vector<std::string> out;
   for (const auto& f : findings) out.push_back(f.rule);
   return out;
-}
-
-// --- coro-capture-default -------------------------------------------------
-
-TEST(LintCaptureTest, RefDefaultCaptureInCoroutineFires) {
-  const auto f = Lint("src/x.cc",
-                      "void F(Simulation& sim, int d) {\n"
-                      "  sim.Spawn([&]() -> sim::Task<void> {\n"
-                      "    co_await sim.Delay(d);\n"
-                      "  }());\n"
-                      "}\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "coro-capture-default");
-  EXPECT_EQ(f[0].line, 2);
-}
-
-TEST(LintCaptureTest, CopyDefaultCaptureInCoroutineFires) {
-  const auto f = Lint("src/x.cc",
-                      "auto T(int d) {\n"
-                      "  return [=]() -> sim::Task<int> { co_return d; }();\n"
-                      "}\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "coro-capture-default");
-}
-
-TEST(LintCaptureTest, CapturelessCoroutineLambdaIsClean) {
-  const auto f = Lint("src/x.cc",
-                      "void F(Simulation& sim, int d) {\n"
-                      "  sim.Spawn([](Simulation& s, int v) -> sim::Task<void> {\n"
-                      "    co_await s.Delay(v);\n"
-                      "  }(sim, d));\n"
-                      "}\n");
-  EXPECT_TRUE(f.empty());
-}
-
-TEST(LintCaptureTest, RefDefaultCaptureInPlainLambdaIsClean) {
-  const auto f = Lint("src/x.cc",
-                      "int F(int d) {\n"
-                      "  auto add = [&](int x) { return x + d; };\n"
-                      "  return add(1);\n"
-                      "}\n");
-  EXPECT_TRUE(f.empty());
-}
-
-// --- coro-capture-ref -----------------------------------------------------
-
-TEST(LintCaptureTest, ExplicitRefCaptureInCoroutineFires) {
-  const auto f = Lint("src/x.cc",
-                      "auto T(Config& cfg) {\n"
-                      "  return [&cfg]() -> sim::Task<int> { co_return cfg.n; }();\n"
-                      "}\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "coro-capture-ref");
-}
-
-TEST(LintCaptureTest, ThisCaptureInCoroutineFires) {
-  const auto f = Lint("src/x.cc",
-                      "sim::Task<int> C::T() {\n"
-                      "  auto t = [this]() -> sim::Task<int> { co_return n_; }();\n"
-                      "  co_return co_await std::move(t);\n"
-                      "}\n");
-  EXPECT_EQ(Rules(f), std::vector<std::string>{"coro-capture-ref"});
-}
-
-TEST(LintCaptureTest, ValueCaptureInCoroutineIsClean) {
-  const auto f = Lint("src/x.cc",
-                      "auto T(Config cfg) {\n"
-                      "  return [cfg]() -> sim::Task<int> { co_return cfg.n; }();\n"
-                      "}\n");
-  EXPECT_TRUE(f.empty());
-}
-
-// A lambda returning sim::Task is a coroutine factory even without co_* in
-// its (non-coroutine) body; its captures obey the same rules.
-TEST(LintCaptureTest, TaskReturningLambdaWithoutCoAwaitStillChecked) {
-  const auto f = Lint("src/x.cc",
-                      "void F(C& c) {\n"
-                      "  auto make = [&c]() -> sim::Task<int> {\n"
-                      "    co_return c.n;\n"
-                      "  };\n"
-                      "}\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "coro-capture-ref");
 }
 
 // --- coro-ref-param -------------------------------------------------------
@@ -150,63 +68,30 @@ TEST(LintRefParamTest, NonCoroutineRefParamIsClean) {
   EXPECT_TRUE(f.empty());
 }
 
-// --- include-hygiene ------------------------------------------------------
+// --- await-holding-ref ----------------------------------------------------
 
-TEST(LintIncludeTest, MissingPragmaOnceFires) {
-  const auto f = Lint("src/x.h", "struct S {};\n");
+TEST(LintHeldRefTest, IteratorUsedAfterAwaitIsAWarning) {
+  const auto f = Lint("src/x.cc",
+                      "sim::Task<int> Registry::Lookup(std::string key) {\n"
+                      "  auto it = entries_.find(key);\n"
+                      "  co_await Flush(0);\n"
+                      "  co_return it->second;\n"
+                      "}\n");
   ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "include-hygiene");
+  EXPECT_EQ(f[0].rule, "await-holding-ref");
+  EXPECT_EQ(f[0].line, 4);
+  EXPECT_EQ(RuleSeverity(f[0].rule), Severity::kWarn);
+  EXPECT_EQ(RuleSeverity("coro-ref-param"), Severity::kError);
 }
 
-TEST(LintIncludeTest, PragmaOnceAfterCodeFires) {
-  const auto f = Lint("src/x.h",
-                      "struct S {};\n"
-                      "#pragma once\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "include-hygiene");
-  EXPECT_EQ(f[0].line, 2);
-}
-
-TEST(LintIncludeTest, UsingNamespaceInHeaderFires) {
-  const auto f = Lint("src/x.h",
-                      "#pragma once\n"
-                      "using namespace std;\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "include-hygiene");
-}
-
-TEST(LintIncludeTest, ParentEscapingIncludeFires) {
-  const auto f = Lint("src/zk/x.cc",
-                      "#include \"zk/x.h\"\n"
-                      "#include \"../common/log.h\"\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "include-hygiene");
-  EXPECT_EQ(f[0].line, 2);
-}
-
-TEST(LintIncludeTest, SelfIncludeNotFirstFires) {
-  const auto f = Lint("src/zk/x.cc",
-                      "#include <vector>\n"
-                      "#include \"zk/x.h\"\n");
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f[0].rule, "include-hygiene");
-}
-
-TEST(LintIncludeTest, WellFormedPairIsClean) {
-  Linter linter;
-  linter.AddFile("src/zk/x.h",
-                 "#pragma once\n"
-                 "#include <string>\n"
-                 "struct S {};\n");
-  linter.AddFile("src/zk/x.cc",
-                 "#include \"zk/x.h\"\n"
-                 "#include <vector>\n");
-  EXPECT_TRUE(linter.Run().empty());
-}
-
-TEST(LintIncludeTest, TestFileWithoutSelfHeaderIsClean) {
-  const auto f = Lint("tests/zk/x_test.cc", "#include <vector>\n");
-  EXPECT_TRUE(f.empty());
+TEST(LintHeldRefTest, ElementReferenceUsedAfterAwaitFires) {
+  const auto f = Lint("src/x.cc",
+                      "sim::Task<int> Bump(std::string key) {\n"
+                      "  auto& slot = table_[key];\n"
+                      "  co_await Flush(0);\n"
+                      "  co_return ++slot;\n"
+                      "}\n");
+  EXPECT_EQ(Rules(f), std::vector<std::string>{"await-holding-ref"});
 }
 
 // --- suppressions ---------------------------------------------------------
@@ -237,7 +122,7 @@ TEST(LintSuppressionTest, AllWildcardSuppresses) {
 TEST(LintSuppressionTest, WrongRuleDoesNotSuppress) {
   const auto f = Lint(
       "src/x.cc",
-      "sim::Task<int> L(int& n);  // dufs-lint: allow(include-hygiene)\n");
+      "sim::Task<int> L(int& n);  // dufs-lint: allow(await-holding-ref)\n");
   ASSERT_EQ(f.size(), 1u);
   EXPECT_EQ(f[0].rule, "coro-ref-param");
 }
@@ -253,22 +138,27 @@ TEST(LintSuppressionTest, AllowOnDistantLineDoesNotSuppress) {
 
 // --- engine plumbing ------------------------------------------------------
 
-TEST(LintEngineTest, FindingsSortedByFileLineRule) {
-  Linter linter;
-  linter.AddFile("src/b.cc",
-                 "sim::Task<int> L(int& n);\nsim::Task<int> M(int& n);\n");
-  linter.AddFile("src/a.cc", "sim::Task<int> K(int& n);\n");
-  const auto f = linter.Run();
+// The two rules run as separate passes; their findings interleave by line.
+TEST(LintEngineTest, FindingsSortedByLineThenRule) {
+  const auto f = Lint("src/x.cc",
+                      "sim::Task<int> K(int& n) {\n"
+                      "  auto it = map_.find(n);\n"
+                      "  co_await Flush();\n"
+                      "  co_return it->second;\n"
+                      "}\n"
+                      "sim::Task<int> L(int& n);\n");
   ASSERT_EQ(f.size(), 3u);
-  EXPECT_EQ(f[0].file, "src/a.cc");
-  EXPECT_EQ(f[1].file, "src/b.cc");
-  EXPECT_EQ(f[1].line, 1);
-  EXPECT_EQ(f[2].line, 2);
+  EXPECT_EQ(f[0].line, 1);
+  EXPECT_EQ(f[0].rule, "coro-ref-param");
+  EXPECT_EQ(f[1].line, 4);
+  EXPECT_EQ(f[1].rule, "await-holding-ref");
+  EXPECT_EQ(f[2].line, 6);
+  for (const auto& finding : f) EXPECT_EQ(finding.file, "src/x.cc");
 }
 
 TEST(LintEngineTest, EveryRuleHasDocumentation) {
   const auto& docs = RuleDocs();
-  ASSERT_EQ(docs.size(), 6u);
+  ASSERT_EQ(docs.size(), 2u);
   for (const auto& doc : docs) {
     EXPECT_NE(doc.id, nullptr);
     EXPECT_GT(std::string(doc.summary).size(), 0u);
@@ -284,6 +174,88 @@ TEST(LintEngineTest, CommentsAndStringsAreNotCode) {
                       "const char* s = \"sim::Task<int> L(int& n);\";\n"
                       "/* sim::Task<int> M(int& n); in a block comment */\n");
   EXPECT_TRUE(f.empty());
+}
+
+
+// --- per-function facts (symtab.h) ---------------------------------------
+
+FileSummary Summarize(const std::string& src) {
+  return BuildFileSummary(Lex("src/x.cc", src));
+}
+
+const FunctionSummary* FindFn(const FileSummary& s, const std::string& name) {
+  for (const auto& fn : s.functions) {
+    if (fn.name == name) return &fn;
+  }
+  return nullptr;
+}
+
+TEST(SymtabTest, ExtractsSignatureAndBodyFacts) {
+  const auto s = Summarize(
+      "sim::Task<int> Server::Handle(std::string& req, Simulation& sim,\n"
+      "                              int* out) {\n"
+      "  co_await sim.Delay(1);\n"
+      "  co_return Reply(req);\n"
+      "}\n"
+      "sim::Task<int> Declared(int n);\n");
+  ASSERT_EQ(s.functions.size(), 1u);
+  const auto* fn = FindFn(s, "Handle");
+  ASSERT_NE(fn, nullptr);
+  EXPECT_EQ(fn->line, 1);
+  EXPECT_TRUE(fn->is_coroutine);
+  EXPECT_TRUE(fn->held_refs.empty());
+  // A declaration has no body to check.
+  EXPECT_EQ(FindFn(s, "Declared"), nullptr);
+}
+
+TEST(SymtabTest, LambdaBodyDoesNotMakeTheEnclosingFunctionACoroutine) {
+  const auto s = Summarize(
+      "double Measure(Engine& e) {\n"
+      "  e.Spawn([&]() -> sim::Task<void> { co_await e.Step(); }());\n"
+      "  return e.Run();\n"
+      "}\n");
+  const auto* fn = FindFn(s, "Measure");
+  ASSERT_NE(fn, nullptr);
+  EXPECT_FALSE(fn->is_coroutine);
+}
+
+TEST(SymtabTest, HeldRefNeedsAStatementBoundaryAfterTheAwait) {
+  // The iterator is consumed inside the awaiting statement itself: its
+  // arguments are evaluated before the frame suspends, so nothing is held.
+  const auto same_stmt = Summarize(
+      "sim::Task<int> Get(std::string k) {\n"
+      "  auto it = map_.find(k);\n"
+      "  co_return co_await Read(it->second);\n"
+      "}\n");
+  ASSERT_NE(FindFn(same_stmt, "Get"), nullptr);
+  EXPECT_TRUE(FindFn(same_stmt, "Get")->held_refs.empty());
+
+  const auto later_stmt = Summarize(
+      "sim::Task<int> Get(std::string k) {\n"
+      "  auto it = map_.find(k);\n"
+      "  co_await Flush();\n"
+      "  co_return it->second;\n"
+      "}\n");
+  const auto* fn = FindFn(later_stmt, "Get");
+  ASSERT_NE(fn, nullptr);
+  ASSERT_EQ(fn->held_refs.size(), 1u);
+  EXPECT_EQ(fn->held_refs[0].name, "it");
+  EXPECT_EQ(fn->held_refs[0].container, "map_");
+  EXPECT_EQ(fn->held_refs[0].await_line, 3);
+  EXPECT_EQ(fn->held_refs[0].use_line, 4);
+}
+
+TEST(SymtabTest, HeldRefTrackingStopsWhenTheNameIsRebound) {
+  const auto s = Summarize(
+      "sim::Task<int> Get(std::string k) {\n"
+      "  auto it = map_.find(k);\n"
+      "  co_await Flush();\n"
+      "  it = map_.find(k);\n"
+      "  co_return it->second;\n"
+      "}\n");
+  const auto* fn = FindFn(s, "Get");
+  ASSERT_NE(fn, nullptr);
+  EXPECT_TRUE(fn->held_refs.empty());
 }
 
 }  // namespace

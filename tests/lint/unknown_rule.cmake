@@ -7,8 +7,8 @@ execute_process(COMMAND ${LINT} --rule=coro-ref-param --explain
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "--rule=coro-ref-param: exit ${rc}, stderr:\n${err}")
 endif()
-execute_process(COMMAND ${LINT} --rule=coro-ref-param,sim-hot-alloc --explain
+execute_process(COMMAND ${LINT} --rule=coro-ref-param,include-hygiene --explain
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown rule `sim-hot-alloc`")
-  message(FATAL_ERROR "--rule=sim-hot-alloc: exit ${rc}, stderr:\n${err}")
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown rule `include-hygiene`")
+  message(FATAL_ERROR "--rule=include-hygiene: exit ${rc}, stderr:\n${err}")
 endif()

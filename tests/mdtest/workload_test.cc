@@ -14,6 +14,17 @@ TestbedConfig SmallConfig(BackendKind backend) {
   return config;
 }
 
+TEST(TestbedTest, ClientPlacementFollowsDufsConfig) {
+  for (const char* policy : {"md5-mod-n", "consistent-hash"}) {
+    TestbedConfig config = SmallConfig(BackendKind::kMemFs);
+    config.dufs.placement = policy;
+    Testbed tb(config);
+    for (std::size_t i = 0; i < config.client_nodes; ++i) {
+      EXPECT_EQ(tb.client(i).dufs->placement().name(), policy) << i;
+    }
+  }
+}
+
 TEST(MdtestTest, AllPhasesRunCleanlyOnDufs) {
   Testbed tb(SmallConfig(BackendKind::kLustre));
   tb.MountAll();

@@ -297,12 +297,12 @@ struct RpcFixture {
     // The fixture owns ep_b (and so the handler closures) and outlives
     // every sim.Run() that can invoke them.
     ep_b->RegisterHandler(kEcho,
-                          [this](NodeId, Payload req) -> sim::Task<RpcResult> {  // dufs-lint: allow(coro-capture-ref)
+                          [this](NodeId, Payload req) -> sim::Task<RpcResult> {
                             co_await net.node(b).Compute(sim::Us(10));
                             co_return req;  // echo
                           });
     ep_b->RegisterHandler(kSlow,
-                          [this](NodeId, Payload req) -> sim::Task<RpcResult> {  // dufs-lint: allow(coro-capture-ref)
+                          [this](NodeId, Payload req) -> sim::Task<RpcResult> {
                             co_await sim.Delay(sim::Sec(10));
                             co_return req;
                           });
@@ -475,7 +475,7 @@ TEST(RpcTest, NotifyDeliversWithoutResponse) {
   RpcFixture f;
   int notified = 0;
   // `notified` and the handler closure both outlive the sim.Run() below.
-  f.ep_b->RegisterHandler(7, [&](NodeId, Payload) -> sim::Task<RpcResult> {  // dufs-lint: allow(coro-capture-default)
+  f.ep_b->RegisterHandler(7, [&](NodeId, Payload) -> sim::Task<RpcResult> {
     ++notified;
     co_return Payload{};
   });

@@ -12,7 +12,9 @@
 #      perturbed metric, and
 #   6. the paths may come before --compare, while a numeric flag that is
 #      not wholly a number in range, or a baseline compared with a folded
-#      profile, is an error (exit 2), never a verdict.
+#      profile, is an error (exit 2), never a verdict, and
+#   7. --top=N prints at most N rows in both the --trace and the --folded
+#      report (N=0 prints none), and a negative N is an error (exit 2).
 #
 # Invoked by ctest as:
 #   cmake -DBENCH=<ablation_fastpath> -DTRACESTATS=<tracestats>
@@ -135,3 +137,39 @@ if(NOT rc EQUAL 2)
     "--compare of a baseline with a folded profile exited ${rc}, expected "
     "2:\n${mixed_err}")
 endif()
+
+# 7. --top has one meaning in both modes.
+file(WRITE "${WORKDIR}/top.folded" "client0;create 3\nclient0;stat 2\n")
+foreach(mode trace folded)
+  if(mode STREQUAL "trace")
+    set(input --trace=${WORKDIR}/trace.json)
+    set(row_key "{\"op\":")
+  else()
+    set(input --folded=${WORKDIR}/top.folded)
+    set(row_key "{\"name\":")
+  endif()
+  foreach(top 0 1)
+    execute_process(
+      COMMAND "${TRACESTATS}" ${input} --top=${top} --json
+      OUTPUT_VARIABLE top_out
+      RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "--${mode} --top=${top} exited ${rc}")
+    endif()
+    # Each row is one object that opens with its key.
+    string(REGEX MATCHALL "${row_key}" rows "${top_out}")
+    list(LENGTH rows count)
+    if(NOT count EQUAL top)
+      message(FATAL_ERROR
+        "--${mode} --top=${top} printed ${count} rows, expected ${top}:\n"
+        "${top_out}")
+    endif()
+  endforeach()
+  execute_process(
+    COMMAND "${TRACESTATS}" ${input} --top=-1
+    OUTPUT_QUIET ERROR_QUIET
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "--${mode} --top=-1 exited ${rc}, expected 2")
+  endif()
+endforeach()

@@ -1,22 +1,18 @@
 // dufs_lint — repo-specific static analysis for the DUFS tree.
 //
 //   dufs_lint [--root=DIR] [--format=text|json] [--rule=a,b] [--explain]
-//             [--sarif=FILE] [--baseline=FILE] [--write-baseline=FILE]
-//             [--werror] [paths...]
+//             [--sarif=FILE] [--werror] [paths...]
 //
 // With no explicit paths, walks src/, bench/, and tests/ under --root
-// (default: current directory) over *.h/*.cc, applies the per-file rules
-// plus the cross-TU dataflow rules (see DESIGN.md §12), and prints
-// findings. Exit status: 0 clean (warn-severity findings do not fail unless
-// --werror), 1 error findings, 2 usage or I/O error (an unknown --rule id
-// is a usage error, so a filter naming a deleted rule cannot pass vacuously).
+// (default: current directory) over *.h/*.cc, lints each file on its own
+// (rules.h) and prints findings. Exit status: 0 clean (warn-severity
+// findings do not fail unless --werror), 1 error findings, 2 usage or I/O
+// error (an unknown --rule id is a usage error, so a filter naming a
+// deleted rule cannot pass vacuously).
 //
-// `--baseline=FILE` suppresses findings whose `file:line:rule`
-// fingerprint is listed (intentional debt); `--write-baseline=FILE`
-// snapshots the current findings into that format. `--sarif=FILE` writes a
-// SARIF 2.1.0 log alongside the normal output. `--format=json` emits a
-// machine-readable findings array; `--explain` documents each rule with a
-// bad/good example and exits.
+// `--sarif=FILE` writes a SARIF 2.1.0 log alongside the normal output.
+// `--format=json` emits a machine-readable findings array; `--explain`
+// documents each rule with a bad/good example and exits.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -28,14 +24,13 @@
 #include <vector>
 
 #include "common/json_text.h"
-#include "finding.h"
 #include "rules.h"
 
 namespace {
 
 namespace fs = std::filesystem;
 using dufs::lint::Finding;
-using dufs::lint::Linter;
+using dufs::lint::LintFile;
 using dufs::lint::RuleDocs;
 using dufs::lint::RuleSeverity;
 using dufs::lint::Severity;
@@ -48,8 +43,6 @@ struct Options {
   bool explain = false;
   bool werror = false;
   std::string sarif_path;
-  std::string baseline_path;
-  std::string write_baseline_path;
   std::vector<std::string> paths;
 };
 
@@ -58,9 +51,7 @@ int Usage() {
       stderr,
       "usage: dufs_lint [--root=DIR] [--format=text|json] [--rule=a,b] "
       "[--explain]\n"
-      "                 [--sarif=FILE] [--baseline=FILE] "
-      "[--write-baseline=FILE]\n"
-      "                 [--werror] [paths...]\n");
+      "                 [--sarif=FILE] [--werror] [paths...]\n");
   return 2;
 }
 
@@ -92,10 +83,6 @@ bool ParseArgs(int argc, char** argv, Options* opt) {
       }
     } else if (const char* v = value("--sarif")) {
       opt->sarif_path = v;
-    } else if (const char* v = value("--baseline")) {
-      opt->baseline_path = v;
-    } else if (const char* v = value("--write-baseline")) {
-      opt->write_baseline_path = v;
     } else if (arg == "--werror") {
       opt->werror = true;
     } else if (arg == "--explain") {
@@ -131,10 +118,7 @@ void Explain() {
   }
   std::printf(
       "\nSuppress a finding with `// dufs-lint: allow(<rule>)` on the "
-      "offending line or alone on the line above (give a reason). "
-      "Intentional debt lives in the baseline file "
-      "(tools/lint/baseline.txt); refresh it with "
-      "tools/lint/update_baseline.sh.\n");
+      "offending line or alone on the line above (give a reason).\n");
 }
 
 bool IsSourceFile(const fs::path& p) {
@@ -155,18 +139,12 @@ std::string RelativePath(const fs::path& p, const fs::path& root) {
 std::vector<std::string> CollectFiles(const Options& opt) {
   const fs::path root(opt.root);
   std::vector<std::string> files;
-  auto add_tree = [&files, &root](const fs::path& dir) {
+  auto add_tree = [&files](const fs::path& dir) {
     if (!fs::exists(dir)) return;
     for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-      if (!entry.is_regular_file() || !IsSourceFile(entry.path())) continue;
-      // The lint fixture mini-tree is intentionally-violating *input* for
-      // the analyzer (tests/lint/lint_v2_test.cc, dufs_lint_fixtures); it
-      // is linted through --root=.../fixtures/tree, never as tree code.
-      std::error_code ec;
-      const std::string rel =
-          fs::relative(entry.path(), root, ec).generic_string();
-      if (!ec && rel.rfind("tests/lint/fixtures/", 0) == 0) continue;
-      files.push_back(entry.path().string());
+      if (entry.is_regular_file() && IsSourceFile(entry.path())) {
+        files.push_back(entry.path().string());
+      }
     }
   };
   if (opt.paths.empty()) {
@@ -188,39 +166,6 @@ std::vector<std::string> CollectFiles(const Options& opt) {
 
 using dufs::JsonEscape;
 
-std::string Fingerprint(const Finding& f) {
-  return f.file + ":" + std::to_string(f.line) + ":" + f.rule;
-}
-
-// Baseline format: one `file:line:rule` fingerprint per line; blank lines
-// and `#` comments ignored.
-bool LoadBaseline(const std::string& path, std::set<std::string>* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-      line.pop_back();
-    }
-    if (line.empty() || line[0] == '#') continue;
-    out->insert(line);
-  }
-  return true;
-}
-
-bool WriteBaseline(const std::string& path,
-                   const std::vector<Finding>& findings) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << "# dufs_lint findings baseline — intentional debt only.\n"
-      << "# One `file:line:rule` fingerprint per line; regenerate with\n"
-      << "# tools/lint/update_baseline.sh after deliberate changes.\n";
-  std::set<std::string> prints;
-  for (const auto& f : findings) prints.insert(Fingerprint(f));
-  for (const auto& p : prints) out << p << '\n';
-  return static_cast<bool>(out);
-}
-
 // Minimal valid SARIF 2.1.0: one run, rule metadata from RuleDocs(), one
 // result per finding with a physical location.
 bool WriteSarif(const std::string& path,
@@ -230,7 +175,7 @@ bool WriteSarif(const std::string& path,
       "{\"$schema\":"
       "\"https://json.schemastore.org/sarif-2.1.0.json\","
       "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{"
-      "\"name\":\"dufs_lint\",\"version\":\"2.0.0\","
+      "\"name\":\"dufs_lint\",\"version\":\"3.0.0\","
       "\"informationUri\":\"https://github.com/\",\"rules\":[";
   const auto& docs = RuleDocs();
   for (std::size_t i = 0; i < docs.size(); ++i) {
@@ -275,8 +220,8 @@ int main(int argc, char** argv) {
   }
 
   const fs::path root(opt.root);
-  Linter linter;
   const std::vector<std::string> files = CollectFiles(opt);
+  std::vector<Finding> findings;
   if (files.empty()) {
     std::fprintf(stderr, "dufs_lint: no source files under %s\n",
                  opt.root.c_str());
@@ -290,39 +235,16 @@ int main(int argc, char** argv) {
     }
     std::ostringstream content;
     content << in.rdbuf();
-    linter.AddFile(RelativePath(file, root), content.str());
+    // Files are sorted and each file's findings by (line, rule), so the
+    // whole list comes out sorted by (file, line, rule).
+    for (Finding& f : LintFile(RelativePath(file, root), content.str())) {
+      findings.push_back(std::move(f));
+    }
   }
 
-  std::vector<Finding> findings = linter.Run();
   if (!opt.rule_filter.empty()) {
     std::erase_if(findings, [&opt](const Finding& f) {
       return opt.rule_filter.count(f.rule) == 0;
-    });
-  }
-
-  if (!opt.write_baseline_path.empty()) {
-    if (!WriteBaseline(opt.write_baseline_path, findings)) {
-      std::fprintf(stderr, "dufs_lint: cannot write baseline %s\n",
-                   opt.write_baseline_path.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "dufs_lint: wrote %zu fingerprint(s) to %s\n",
-                 findings.size(), opt.write_baseline_path.c_str());
-    return 0;
-  }
-
-  std::size_t baselined = 0;
-  if (!opt.baseline_path.empty()) {
-    std::set<std::string> baseline;
-    if (!LoadBaseline(opt.baseline_path, &baseline)) {
-      std::fprintf(stderr, "dufs_lint: cannot read baseline %s\n",
-                   opt.baseline_path.c_str());
-      return 2;
-    }
-    std::erase_if(findings, [&baseline, &baselined](const Finding& f) {
-      const bool hit = baseline.count(Fingerprint(f)) > 0;
-      baselined += hit ? 1 : 0;
-      return hit;
     });
   }
 
@@ -361,10 +283,8 @@ int main(int argc, char** argv) {
                   SeverityName(RuleSeverity(f.rule)), f.rule.c_str(),
                   f.message.c_str());
     }
-    std::fprintf(stderr, "dufs_lint: %zu finding(s) in %zu file(s)",
+    std::fprintf(stderr, "dufs_lint: %zu finding(s) in %zu file(s)\n",
                  findings.size(), files.size());
-    if (baselined > 0) std::fprintf(stderr, ", %zu baselined", baselined);
-    std::fprintf(stderr, "\n");
   }
   if (errors > 0) return 1;
   if (opt.werror && warns > 0) return 1;

@@ -42,23 +42,17 @@ class Lexer {
       } else if (c == '#' && LineIsBlankBefore()) {
         Preprocessor();
       } else if (c == '"') {
-        NoteCode();
         String();
       } else if (c == '\'') {
-        NoteCode();
         CharLiteral();
       } else if (c == 'R' && Peek(1) == '"') {
-        NoteCode();
         RawString();
       } else if (IsIdentStart(c)) {
-        NoteCode();
         Identifier();
       } else if (std::isdigit(static_cast<unsigned char>(c)) ||
                  (c == '.' && std::isdigit(static_cast<unsigned char>(Peek(1))))) {
-        NoteCode();
         Number();
       } else {
-        NoteCode();
         Punct();
       }
     }
@@ -72,10 +66,6 @@ class Lexer {
   }
   bool StartsWith(const char* s) const {
     return src_.compare(pos_, std::char_traits<char>::length(s), s) == 0;
-  }
-
-  void NoteCode() {
-    if (out_.first_code_line == 0) out_.first_code_line = line_;
   }
 
   // True if only whitespace precedes pos_ on the current line (so `#` starts
@@ -147,9 +137,6 @@ class Lexer {
   }
 
   void Preprocessor() {
-    NoteCode();
-    const int at = line_;
-    std::size_t start = pos_;
     // Consume the whole logical line, honoring backslash continuations and
     // skipping comments (a // in a directive ends it; /* may span).
     while (!AtEnd()) {
@@ -166,34 +153,6 @@ class Lexer {
       } else {
         ++pos_;
       }
-    }
-    ParseDirective(src_.substr(start, pos_ - start), at);
-  }
-
-  void ParseDirective(const std::string& text, int at_line) {
-    std::size_t i = 1;  // past '#'
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])))
-      ++i;
-    std::size_t kw_start = i;
-    while (i < text.size() && IsIdentChar(text[i])) ++i;
-    const std::string kw = text.substr(kw_start, i - kw_start);
-    if (kw == "pragma") {
-      if (text.find("once", i) != std::string::npos && !out_.has_pragma_once) {
-        out_.has_pragma_once = true;
-        out_.pragma_once_line = at_line;
-      }
-    } else if (kw == "include") {
-      while (i < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[i])))
-        ++i;
-      if (i >= text.size()) return;
-      const char open = text[i];
-      const char close = open == '<' ? '>' : (open == '"' ? '"' : '\0');
-      if (close == '\0') return;
-      const auto end = text.find(close, i + 1);
-      if (end == std::string::npos) return;
-      out_.includes.push_back(
-          Include{text.substr(i + 1, end - i - 1), open == '<', at_line});
     }
   }
 

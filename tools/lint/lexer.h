@@ -23,13 +23,6 @@ struct Token {
   int line = 0;
 };
 
-// One `#include` directive, as written (quotes/brackets stripped).
-struct Include {
-  std::string path;
-  bool angled = false;  // <...> vs "..."
-  int line = 0;
-};
-
 // One `// dufs-lint: allow(rule-a, rule-b)` suppression comment.
 struct Suppression {
   std::vector<std::string> rules;
@@ -40,17 +33,12 @@ struct Suppression {
 struct LexedFile {
   std::string path;
   std::vector<Token> tokens;
-  std::vector<Include> includes;
   std::vector<Suppression> suppressions;
-  // First line carrying anything other than comments/whitespace; 0 if none.
-  int first_code_line = 0;
-  bool has_pragma_once = false;
-  int pragma_once_line = 0;
 };
 
-// Tokenizes `content`. Preprocessor directives are consumed whole (with
-// continuation-line handling) and surfaced only through `includes` /
-// `has_pragma_once`; comments only through `suppressions`.
+// Tokenizes `content`. Preprocessor directives are skipped whole (with
+// continuation-line handling); comments surface only through
+// `suppressions`.
 LexedFile Lex(std::string path, const std::string& content);
 
 }  // namespace dufs::lint

@@ -1,20 +1,14 @@
 // Repo-specific static-analysis rules for the DUFS tree.
 //
-// The rules guard coroutine lifetime safety (nothing captured or referenced
-// across a co_await may die before the frame does) and header hygiene.
-// Determinism itself is checked by what runs: a link-time symbol gate and the
-// salted-hash differential (DESIGN.md §8.1). The keys of the byte-compared
-// exports are checked by the type system: obs::Name (src/obs/name.h) takes
-// only lower-case dotted literals. See `dufs_lint --explain` or DESIGN.md
-// §8/§12 for the rule-by-rule rationale.
+// Two rules guard what no runtime gate catches yet: coro-ref-param (a
+// coroutine's reference parameter outliving its referent) and
+// await-holding-ref (a container handle held across a co_await). Capture,
+// escape and held-iterator bugs that a run reaches are caught by ASan with
+// detect_stack_use_after_return (the lifetime_probe ctest), and header
+// hygiene by compiling every header alone (the header_gate ctest); see
+// DESIGN.md §8.1. `dufs_lint --explain` documents each rule.
 //
-// The analyzer is two-stage. Stage A (AnalyzeFile) is strictly per-file:
-// lexing, the local token rules, and FileSummary extraction for the
-// cross-TU passes — its output (FileArtifacts) depends only on the file's
-// own bytes.
-// Stage B (Linter::Run) builds the symbol table over every added file's
-// summary and runs the interprocedural dataflow rules (dataflow.h), then
-// merges, suppression-filters, and sorts.
+// Every rule is per file: a file's findings depend only on its own bytes.
 //
 // Suppression: append `// dufs-lint: allow(<rule>[, <rule>...])` to the
 // offending line, or place it alone on the line directly above. The rule
@@ -24,39 +18,50 @@
 #include <string>
 #include <vector>
 
-#include "finding.h"
-#include "lexer.h"
-#include "symtab.h"
-
 namespace dufs::lint {
 
-// Everything stage A produces for one file.
-struct FileArtifacts {
-  std::string path;
-  // Per-file rule findings, already suppression-filtered.
-  std::vector<Finding> local;
-  // Declaration/body facts for the cross-TU passes.
-  FileSummary summary;
-  // Kept so stage B can suppression-filter the dataflow findings it
-  // attributes to this file.
-  std::vector<Suppression> suppressions;
+// Severity of a rule. `kError` findings fail the run (exit 1); `kWarn`
+// findings are reported (and land in SARIF as "warning") but only fail under
+// --werror. The tree gate runs with --werror, so the live tree is held at
+// zero findings of either severity.
+enum class Severity {
+  kError,
+  kWarn,
 };
 
-// Stage A: lex + local rules + summary extraction. Pure in (path, content).
-// Paths should be repo-relative ("src/zk/server.cc") so the path-scoped
-// include-hygiene rule works.
-FileArtifacts AnalyzeFile(std::string path, const std::string& content);
+struct Finding {
+  std::string file;
+  int line = 0;
+  std::string rule;
+  std::string message;
 
-// Whole-tree linter: add every file, then Run() applies the per-file
-// results plus the interprocedural rules and returns suppression-filtered
-// findings sorted by (file, line, rule).
-class Linter {
- public:
-  void AddFile(std::string path, const std::string& content);
-  std::vector<Finding> Run();
-
- private:
-  std::vector<FileArtifacts> files_;
+  bool operator<(const Finding& o) const {
+    if (file != o.file) return file < o.file;
+    if (line != o.line) return line < o.line;
+    return rule < o.rule;
+  }
 };
+
+struct RuleDoc {
+  const char* id;
+  const char* summary;
+  const char* rationale;
+  const char* bad;   // minimal example that fires
+  const char* good;  // the conforming rewrite
+  Severity severity = Severity::kError;
+};
+
+// Every rule the linter knows, in stable order (the --explain output).
+const std::vector<RuleDoc>& RuleDocs();
+
+// Severity for `rule`; unknown rules default to kError.
+Severity RuleSeverity(const std::string& rule);
+
+const char* SeverityName(Severity s);  // "error" / "warn"
+
+// Lints one file. `path` should be repo-relative ("src/zk/server.cc"); it
+// only labels the findings. Returns suppression-filtered findings sorted by
+// (line, rule).
+std::vector<Finding> LintFile(std::string path, const std::string& content);
 
 }  // namespace dufs::lint

@@ -17,71 +17,6 @@ bool IsElementAccessMethod(const std::string& s) {
   return s == "at" || s == "front" || s == "back";
 }
 
-// Splits the argument/parameter list `(open..close)` into depth-1 item
-// ranges (begin, end) excluding the enclosing parens and separating commas.
-std::vector<std::pair<std::size_t, std::size_t>> SplitDepthOne(
-    const std::vector<Token>& toks, std::size_t open, std::size_t close) {
-  std::vector<std::pair<std::size_t, std::size_t>> items;
-  int depth = 0;
-  std::size_t begin = open + 1;
-  for (std::size_t i = open; i < close; ++i) {
-    const Token& t = toks[i];
-    if (t.kind == TokKind::kPunct) {
-      if (t.text == "(" || t.text == "[" || t.text == "{" || t.text == "<") {
-        // `<` is unreliable (less-than); only treat it as nesting when it
-        // closes within the list — otherwise ignore it.
-        if (t.text != "<") ++depth;
-      }
-      if (t.text == ")" || t.text == "]" || t.text == "}") --depth;
-      if (depth == 1 && t.text == ",") {
-        items.emplace_back(begin, i);
-        begin = i + 1;
-      }
-    }
-  }
-  if (close > 0 && begin < close - 1) items.emplace_back(begin, close - 1);
-  if (begin == open + 1 && items.empty() && close - 1 > begin) {
-    items.emplace_back(begin, close - 1);
-  }
-  return items;
-}
-
-void ParseParams(const std::vector<Token>& toks, std::size_t open,
-                 std::size_t close, std::vector<Param>* out) {
-  for (const auto& [b, e] : SplitDepthOne(toks, open, close)) {
-    if (b >= e) continue;
-    Param p;
-    p.line = toks[b].line;
-    std::size_t stop = e;  // default values are not part of the type/name
-    for (std::size_t i = b; i < e; ++i) {
-      if (IsPunct(toks[i], "=")) {
-        stop = i;
-        break;
-      }
-    }
-    std::vector<std::size_t> idents;
-    for (std::size_t i = b; i < stop; ++i) {
-      const Token& t = toks[i];
-      if (t.kind == TokKind::kIdentifier) {
-        if (t.text == "Simulation") p.is_simulation = true;
-        if (!IsExprKeyword(t.text)) idents.push_back(i);
-        continue;
-      }
-      if (t.kind != TokKind::kPunct || i == b) continue;
-      const Token& prev = toks[i - 1];
-      const bool after_type =
-          (prev.kind == TokKind::kIdentifier && !IsExprKeyword(prev.text)) ||
-          IsPunct(prev, ">") || IsPunct(prev, ">>") || IsPunct(prev, "*");
-      if (t.text == "&" && after_type) p.is_ref = true;
-      if (t.text == "*" && after_type) p.is_ptr = true;
-    }
-    // With two or more identifiers the last one is the parameter name;
-    // a single identifier is an unnamed `(T)` parameter.
-    if (idents.size() >= 2) p.name = toks[idents.back()].text;
-    out->push_back(std::move(p));
-  }
-}
-
 class Extractor {
  public:
   explicit Extractor(const LexedFile& f) : f_(f), toks_(f.tokens) {}
@@ -94,7 +29,7 @@ class Extractor {
   }
 
  private:
-  // --- function declarations/definitions ---------------------------------
+  // --- function definitions -----------------------------------------------
 
   void CollectFunctions(FileSummary* out) {
     for (std::size_t i = 1; i + 1 < toks_.size(); ++i) {
@@ -106,11 +41,9 @@ class Extractor {
       if (!IsPunct(toks_[i + 1], "(")) continue;
 
       // Walk back over `ns::C::` qualification to the return-type end.
-      std::string qualifier;
       std::size_t ret_end = i;
       while (ret_end >= 2 && IsPunct(toks_[ret_end - 1], "::") &&
              toks_[ret_end - 2].kind == TokKind::kIdentifier) {
-        if (qualifier.empty()) qualifier = toks_[ret_end - 2].text;
         ret_end -= 2;
       }
       if (ret_end == 0) continue;
@@ -125,69 +58,38 @@ class Extractor {
       const std::size_t close = MatchParen(toks_, i + 1);
       if (close == kNpos) continue;
 
+      const std::size_t body_open = FindBody(close);
+      if (body_open == kNpos) continue;
+      const std::size_t body_end = MatchBrace(toks_, body_open);
+      if (body_end == kNpos) continue;
       FunctionSummary fn;
       fn.name = t.text;
-      fn.qualifier = std::move(qualifier);
       fn.line = t.line;
-      ScanReturnType(ret_end, &fn);
-      ParseParams(toks_, i + 1, close, &fn.params);
-
-      std::size_t body_open = kNpos;
-      if (!ScanSpecifiers(close, &fn, &body_open)) continue;
-      if (body_open != kNpos) {
-        const std::size_t body_end = MatchBrace(toks_, body_open);
-        if (body_end == kNpos) continue;
-        fn.has_body = true;
-        AnalyzeBody(body_open + 1, body_end - 1, &fn);
-      }
+      AnalyzeBody(body_open + 1, body_end - 1, &fn);
       out->functions.push_back(std::move(fn));
     }
   }
 
-  void ScanReturnType(std::size_t ret_end, FunctionSummary* fn) {
-    std::size_t lo = ret_end > 50 ? ret_end - 50 : 0;
-    // Stop at the previous statement/definition boundary.
-    for (std::size_t i = ret_end; i-- > lo;) {
-      const Token& t = toks_[i];
-      if (t.kind == TokKind::kPunct &&
-          (t.text == ";" || t.text == "{" || t.text == "}" || t.text == ":" ||
-           t.text == "(" || t.text == ")" || t.text == ",")) {
-        lo = i + 1;
-        break;
-      }
-    }
-    for (std::size_t i = lo; i < ret_end; ++i) {
-      const Token& t = toks_[i];
-      if (t.kind != TokKind::kIdentifier) continue;
-      if ((t.text == "Task" || t.text == "Future") && i + 1 < ret_end &&
-          IsPunct(toks_[i + 1], "<")) {
-        fn->returns_task = true;
-      }
-    }
-  }
-
-  // From the `)` closing the parameter list to the body `{` or the decl
-  // `;`. Returns false when the shape cannot be a function (e.g. a comma
-  // follows — `int x(5), y(6);`). Handles constructor init lists.
-  bool ScanSpecifiers(std::size_t j, FunctionSummary* fn,
-                      std::size_t* body_open) {
+  // From the `)` closing the parameter list to the body `{`. Returns kNpos
+  // for a declaration (`;`, `= default;`) and for a shape that cannot be a
+  // function (e.g. a comma follows — `int x(5), y(6);`). Handles
+  // constructor init lists.
+  std::size_t FindBody(std::size_t j) const {
     bool ctor_init = false;
     int guard = 0;
     while (j < toks_.size() && guard++ < 200) {
       const Token& t = toks_[j];
-      if (IsPunct(t, ";")) return true;  // declaration without body
+      if (IsPunct(t, ";") || IsPunct(t, "=")) return kNpos;
       if (IsPunct(t, "{")) {
         // In an init list, `b_{y}` braces belong to a member initializer;
         // the body brace follows a `)` or `}`.
-        if (ctor_init && j > 0 && !IsPunct(toks_[j - 1], ")") &&
+        if (ctor_init && !IsPunct(toks_[j - 1], ")") &&
             !IsPunct(toks_[j - 1], "}")) {
-          const std::size_t end = MatchBrace(toks_, j);
-          if (end == kNpos) return false;
-          j = end;
+          j = MatchBrace(toks_, j);
+          if (j == kNpos) return kNpos;
           continue;
         }
-        *body_open = j;
-        return true;
+        return j;
       }
       if (IsPunct(t, ":")) {
         ctor_init = true;
@@ -195,37 +97,26 @@ class Extractor {
         continue;
       }
       if (IsPunct(t, "(")) {
-        if (!ctor_init) return false;
-        const std::size_t end = MatchParen(toks_, j);
-        if (end == kNpos) return false;
-        j = end;
+        if (!ctor_init) return kNpos;
+        j = MatchParen(toks_, j);
+        if (j == kNpos) return kNpos;
         continue;
       }
       if (IsPunct(t, ",")) {
-        if (!ctor_init) return false;
+        if (!ctor_init) return kNpos;
         ++j;
         continue;
       }
-      if (IsPunct(t, "=")) {
-        // `= 0;` / `= default;` / `= delete;` — a bodiless declaration.
-        while (j < toks_.size() && !IsPunct(toks_[j], ";")) ++j;
-        return true;
-      }
-      if (IsPunct(t, ")") || IsPunct(t, "]") || IsPunct(t, "}")) return false;
+      if (IsPunct(t, ")") || IsPunct(t, "]") || IsPunct(t, "}")) return kNpos;
       if (IsPunct(t, "<")) {
-        const std::size_t end = MatchAngle(toks_, j);
-        if (end == kNpos) return false;
-        j = end;
+        j = MatchAngle(toks_, j);
+        if (j == kNpos) return kNpos;
         continue;
       }
       // Trailing return type / specifiers: identifiers, `->`, `::`, `&`...
-      if ((t.text == "Task" || t.text == "Future") && j + 1 < toks_.size() &&
-          IsPunct(toks_[j + 1], "<")) {
-        fn->returns_task = true;
-      }
       ++j;
     }
-    return false;
+    return kNpos;
   }
 
   // --- body facts ---------------------------------------------------------
@@ -287,60 +178,7 @@ class Extractor {
         break;
       }
     }
-    CollectCalls(b, e, fn);
     if (fn->is_coroutine) CollectHeldRefs(b, e, fn);
-  }
-
-  void CollectCalls(std::size_t b, std::size_t e, FunctionSummary* fn) {
-    for (std::size_t k = b; k + 1 < e; ++k) {
-      const Token& t = toks_[k];
-      if (t.kind != TokKind::kIdentifier || IsControlKeyword(t.text) ||
-          IsExprKeyword(t.text)) {
-        continue;
-      }
-      if (!IsPunct(toks_[k + 1], "(")) continue;
-      if (k > b) {
-        const Token& prev = toks_[k - 1];
-        if ((prev.kind == TokKind::kIdentifier &&
-             !IsExprKeyword(prev.text)) ||
-            IsPunct(prev, ">")) {
-          continue;  // `Type name(...)` declaration
-        }
-      }
-      const std::size_t close = MatchParen(toks_, k + 1);
-      if (close == kNpos) continue;
-
-      CallSite call;
-      call.callee = t.text;
-      call.line = t.line;
-      // Walk back over the `a.b->c::` chain to see what drives the call.
-      std::size_t start = k;
-      while (start >= b + 2 &&
-             (IsPunct(toks_[start - 1], ".") ||
-              IsPunct(toks_[start - 1], "->") ||
-              IsPunct(toks_[start - 1], "::")) &&
-             toks_[start - 2].kind == TokKind::kIdentifier) {
-        start -= 2;
-      }
-      if (start > b) {
-        call.awaited = IsId(toks_[start - 1], "co_await");
-        call.returned = IsId(toks_[start - 1], "return");
-      }
-      for (const auto& [ab, ae] : SplitDepthOne(toks_, k + 1, close)) {
-        std::string bare;
-        if (ae == ab + 1 && toks_[ab].kind == TokKind::kIdentifier) {
-          bare = toks_[ab].text;
-        } else if (ae == ab + 2 && IsPunct(toks_[ab], "&") &&
-                   toks_[ab + 1].kind == TokKind::kIdentifier) {
-          bare = "&" + toks_[ab + 1].text;
-        } else if (ae > ab + 2 && IsPunct(toks_[ab], "[") &&
-                   IsPunct(toks_[ab + 1], "&") && IsPunct(toks_[ab + 2], "]")) {
-          bare = "[&]";  // by-reference-capturing lambda argument
-        }
-        call.bare_args.push_back(std::move(bare));
-      }
-      fn->calls.push_back(std::move(call));
-    }
   }
 
   void CollectHeldRefs(std::size_t b, std::size_t e, FunctionSummary* fn) {
@@ -460,23 +298,5 @@ class Extractor {
 }  // namespace
 
 FileSummary BuildFileSummary(const LexedFile& f) { return Extractor(f).Run(); }
-
-// ---------------------------------------------------------------------------
-// SymbolTable
-// ---------------------------------------------------------------------------
-
-void SymbolTable::Add(const FileSummary* file) {
-  files_.push_back(file);
-  for (const FunctionSummary& fn : file->functions) {
-    by_name_[fn.name].push_back(&fn);
-  }
-}
-
-const std::vector<const FunctionSummary*>& SymbolTable::Lookup(
-    const std::string& name) const {
-  static const std::vector<const FunctionSummary*> kEmpty;
-  const auto it = by_name_.find(name);
-  return it == by_name_.end() ? kEmpty : it->second;
-}
 
 }  // namespace dufs::lint

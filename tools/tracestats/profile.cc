@@ -27,7 +27,8 @@ bool ParseCount(const std::string& digits, std::uint64_t* out) {
 }
 
 // Top-K rows of `a.frames` by the chosen field (self or total), sample
-// count descending then name. K <= 0 keeps everything.
+// count descending then name. A negative K keeps everything, as in
+// Analyze.
 std::vector<const FrameStats*> TopBy(const Aggregate& a, bool by_self,
                                      int top_k) {
   std::vector<const FrameStats*> rows;
@@ -40,7 +41,7 @@ std::vector<const FrameStats*> TopBy(const Aggregate& a, bool by_self,
               if (xv != yv) return xv > yv;
               return x->name < y->name;
             });
-  if (top_k > 0 && rows.size() > static_cast<std::size_t>(top_k)) {
+  if (top_k >= 0 && rows.size() > static_cast<std::size_t>(top_k)) {
     rows.resize(static_cast<std::size_t>(top_k));
   }
   return rows;

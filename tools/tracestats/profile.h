@@ -42,7 +42,8 @@ struct Aggregate {
 
 void AggregateProfile(const Profile& p, Aggregate* out);
 
-// --folded: top-K tables by self and by total (K <= 0 means all frames).
+// --folded: top-K tables by self and by total (at most K rows each; a
+// negative K means all frames, as in Analyze).
 std::string ProfileToText(const Aggregate& a, int top_k);
 std::string ProfileToJson(const Aggregate& a, int top_k);
 

@@ -9,8 +9,9 @@
 //     appends a markdown verdict to $GITHUB_STEP_SUMMARY when that is set;
 //   --explain-dump: attributes an anomaly dump's mean-latency growth per
 //     category; --expect=fsync:0.5 exits 1 unless fsync explains half.
-// Numeric flags must be wholly numbers ("--tolerance=5%" is an error) and
-// the tolerance lies in [0, 1). Exit codes: 0 ok, 1 check, regression or
+// Numeric flags must be wholly numbers ("--tolerance=5%" is an error), the
+// tolerance lies in [0, 1) and --top=N (N >= 0) prints at most N rows in
+// both the --trace and the --folded reports. Exit codes: 0 ok, 1 check, regression or
 // expectation failure, 2 usage or input error.
 #include <cerrno>
 #include <climits>
@@ -129,7 +130,7 @@ int main(int argc, char** argv) {
     } else if (const char* v3 = value("--out=")) {
       out_path = v3;
     } else if (const char* v4 = value("--top=")) {
-      top_k = static_cast<int>(NumberFlag(arg, v4, INT_MIN, INT_MAX, true));
+      top_k = static_cast<int>(NumberFlag(arg, v4, 0, INT_MAX, true));
     } else if (const char* v5 = value("--tolerance=")) {
       tolerance = NumberFlag(arg, v5, 0.0, 1.0);
     } else if (const char* v6 = value("--explain-dump=")) {
