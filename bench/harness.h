@@ -30,8 +30,9 @@
 //                         regression baseline
 //   --slo=SPEC[,SPEC...]  arm the SLO evaluator; SPEC = op:target:budget,
 //                         e.g. create:2ms:0.01 (1% of creates may miss 2ms)
-//   --flight-dump-dir=DIR arm the anomaly detectors; dumps the flight
-//                         recorder to DIR/dump_<seq>_<type>.json on firing
+//   --flight-dump-dir=DIR arm the anomaly detectors and the span rings;
+//                         dumps each track's newest spans to
+//                         DIR/dump_<seq>_<type>.json on firing
 //   --profile=PATH        sample the CPU profiler over the whole run, write
 //                         folded stacks
 //   --profile-hz=N        signal-mode sample rate (default 97)

@@ -20,10 +20,10 @@ using mdtest::TestbedConfig;
 namespace {
 
 // Performs `n` mkdir ops and reports how many succeeded.
-sim::Task<int> Burst(Testbed& tb, int round, int n) {
+sim::Task<int> Burst(Testbed* tb, int round, int n) {
   int ok = 0;
   for (int i = 0; i < n; ++i) {
-    auto st = co_await tb.client(0).dufs->Mkdir(
+    auto st = co_await tb->client(0).dufs->Mkdir(
         "/r" + std::to_string(round) + "-" + std::to_string(i), 0755);
     if (st.ok()) ++ok;
   }
@@ -47,24 +47,24 @@ int main() {
 
   std::printf("== DUFS failover demo (5-server ensemble) ==\n\n");
 
-  Report("baseline", sim::RunTask(tb.sim(), Burst(tb, 0, 20)), 20);
+  Report("baseline", sim::RunTask(tb.sim(), Burst(&tb, 0, 20)), 20);
 
   tb.net().node(tb.zk_nodes()[4]).Crash();
   Report("follower 4 crashed (4/5 alive)",
-         sim::RunTask(tb.sim(), Burst(tb, 1, 20)), 20);
+         sim::RunTask(tb.sim(), Burst(&tb, 1, 20)), 20);
 
   // Take a snapshot of server 3 before killing it, to restart from later.
   auto snapshot = tb.zk_server(3).TakeSnapshot();
   tb.net().node(tb.zk_nodes()[3]).Crash();
   Report("follower 3 crashed (3/5 alive, bare quorum)",
-         sim::RunTask(tb.sim(), Burst(tb, 2, 20)), 20);
+         sim::RunTask(tb.sim(), Burst(&tb, 2, 20)), 20);
 
   const std::size_t old_leader = tb.zk_server(0).leader_index();
   tb.net().node(tb.zk_nodes()[old_leader]).Crash();
   // Allow failure detection + election to run.
   tb.sim().Run(tb.sim().now() + sim::Sec(2));
   Report("leader crashed -> 2/5 alive: writes blocked",
-         sim::RunTask(tb.sim(), Burst(tb, 3, 5)), 5);
+         sim::RunTask(tb.sim(), Burst(&tb, 3, 5)), 5);
 
   // Reads from a surviving replica still work.
   sim::RunTask(tb.sim(), [](Testbed& t) -> sim::Task<void> {
@@ -81,7 +81,7 @@ int main() {
   tb.zk_server(3).OnRestart();
   tb.sim().Run(tb.sim().now() + sim::Sec(3));
   Report("server 3 restarted from snapshot (3/5 alive)",
-         sim::RunTask(tb.sim(), Burst(tb, 4, 20)), 20);
+         sim::RunTask(tb.sim(), Burst(&tb, 4, 20)), 20);
 
   // Let in-flight commits and the resync finish before comparing replicas.
   tb.sim().Run(tb.sim().now() + sim::Sec(2));

@@ -25,14 +25,14 @@ bool Check(bool ok) {
 
 const char* OkStr(const Status& s) { return Check(s.ok()) ? "ok" : "FAILED"; }
 
-sim::Task<void> Tour(Testbed& tb) {
-  auto& fuse = *tb.client(0).fuse;  // the POSIX-style mount applications use
+sim::Task<void> Tour(Testbed* tb) {
+  auto& fuse = *tb->client(0).fuse;  // the POSIX-style mount applications use
 
   std::printf("== DUFS quickstart ==\n");
   std::printf("cluster: %zu ZooKeeper servers, %zu Lustre instances, "
               "%zu client nodes\n\n",
-              tb.zk_server_count(), tb.config().backend_instances,
-              tb.client_count());
+              tb->zk_server_count(), tb->config().backend_instances,
+              tb->client_count());
 
   // Directories are metadata-only: they live entirely in the coordination
   // service and never touch a back-end.
@@ -81,7 +81,7 @@ sim::Task<void> Tour(Testbed& tb) {
   std::printf("symlink + readlink             -> %s\n", target->c_str());
 
   // A second client node sees everything instantly (one namespace).
-  auto& other = *tb.client(1).fuse;
+  auto& other = *tb->client(1).fuse;
   auto entries = co_await other.ReadDir("/projects/dufs");
   if (!Check(entries.ok())) co_return;
   std::printf("readdir from another client    -> %zu entries:",
@@ -94,7 +94,7 @@ sim::Task<void> Tour(Testbed& tb) {
   std::printf("statfs                         -> %llu physical files across "
               "%zu back-ends\n",
               static_cast<unsigned long long>(stats->files),
-              tb.config().backend_instances);
+              tb->config().backend_instances);
 
   Check((co_await fuse.Unlink("/projects/link")).ok());
   Check((co_await fuse.Unlink("/projects/dufs/README")).ok());
@@ -113,7 +113,7 @@ int main() {
   config.backend_instances = 2;
   Testbed tb(config);
   tb.MountAll();
-  sim::RunTask(tb.sim(), Tour(tb));
+  sim::RunTask(tb.sim(), Tour(&tb));
   std::printf("\nsimulated time: %.3f ms, events: %llu\n",
               static_cast<double>(tb.sim().now()) / sim::kMillisecond,
               static_cast<unsigned long long>(tb.sim().events_processed()));

@@ -7,9 +7,9 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
   net_ = std::make_unique<net::Network>(*sim_);
 
   // --- observability -------------------------------------------------------
-  // Metrics and the span store are always on (handle updates and bounded
-  // per-track ring admissions are cheap); the store keeps every span, args
-  // included, only when tracing is asked for.
+  // Metrics are always on (handle updates are cheap). The span store keeps
+  // every span, args included, only when tracing is asked for, and each
+  // track's newest spans only once anomaly dumps arm it.
   obs_.tracer().Bind(sim_.get());
   obs_.tracer().SetEnabled(config_.enable_trace);
   obs_.BindIncidents(sim_.get());

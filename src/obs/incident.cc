@@ -35,6 +35,8 @@ void Incidents::Configure(const AnomalyConfig& config) {
   if (config_.window_ns <= 0) config_.window_ns = sim::Ms(10);
   if (config_.trailing_windows <= 0) config_.trailing_windows = 1;
   for (ClassState& c : classes_) c.cluster.Init(config_.trailing_windows);
+  // A dump lists the tracer's rings, which record only while armed.
+  if (tracer_ != nullptr) tracer_->SetArmed(!config_.dump_dir.empty());
   Arm();
 }
 

@@ -89,6 +89,8 @@ class Incidents {
     tracer_ = tracer;
   }
 
+  // Arms the tracer's rings when `config.dump_dir` is set (and disarms
+  // them when it is not): they record only while a dump may read them.
   void Configure(const AnomalyConfig& config);
   // Register one SLO; `spec.op` must be a canonical class-name literal (see
   // CanonicalOpName). Implies Arm-on-Configure.

@@ -22,15 +22,18 @@
 // asserted in tests/obs/trace_determinism_test.cc). Keep process-global
 // values — session ids, pointers, host time — out of span names and args.
 //
-// One span store: every completed span becomes one POD Record in its
-// track's storage, traced or not. While nothing is traced each track keeps
-// its newest kTrackCapacity records, oldest evicted first — always on, so an
-// anomaly dump (incident.h) can show what led up to it. SetEnabled(true)
-// (--trace) makes the store unbounded and keeps span args for the records
-// admitted from then on; those records are the --trace export. Span args
-// are collected only while enabled, so an untraced span allocates nothing.
-// A tracer with no bound simulation records nothing: a span then costs one
-// branch.
+// One span store, written only where something reads it. Armed
+// (SetArmed(true): Incidents::Configure with a dump dir) each track keeps
+// its newest kTrackCapacity records, oldest evicted first, so an anomaly
+// dump (incident.h) can show what led up to it. SetEnabled(true) (--trace)
+// makes the store unbounded and keeps span args for the records admitted
+// from then on; those records are the --trace export. Neither armed nor
+// enabled, Complete returns before it builds a record: a simulator rerun
+// with the same seed sees the same history, so nothing needs an always-on
+// recorder. Trace ids are allocated either way (they ride inside modelled
+// payloads). Span args are collected only while enabled, so an untraced
+// span allocates nothing. A tracer with no bound simulation records
+// nothing: a span then costs one branch.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +56,7 @@ using TrackId = std::uint32_t;  // one per sim node ("thread" in the export)
 
 class Tracer {
  public:
-  // Records each track keeps while nothing is traced, and the most an
+  // Records each track keeps while armed and not traced, and the most an
   // anomaly dump lists per track (~32 KiB of records per track).
   static constexpr std::uint32_t kTrackCapacity = 512;
 
@@ -69,6 +72,9 @@ class Tracer {
 
   void SetEnabled(bool on) { enabled_ = on && sim_ != nullptr; }
   bool enabled() const { return enabled_; }
+  // Armed, every track keeps its newest records for an anomaly dump.
+  void SetArmed(bool on) { armed_ = on; }
+  bool armed() const { return armed_; }
 
   // Get-or-create a track by node name. Track ids are assigned in
   // registration order (construction order of the testbed — deterministic).
@@ -120,9 +126,10 @@ class Tracer {
     std::vector<Arg> args;
   };
 
-  // Record a complete ("X") span; a no-op before Bind(). `name`, `cat` and
-  // arg keys must outlive the tracer (use literals). Allocates nothing once
-  // the track's ring is reserved, unless the tracer is enabled.
+  // Record a complete ("X") span; a no-op before Bind() and while neither
+  // armed nor enabled. `name`, `cat` and arg keys must outlive the tracer
+  // (use literals). Allocates nothing once the track's ring is reserved,
+  // unless the tracer is enabled.
   void Complete(TrackId track, const char* name, const char* cat,
                 sim::SimTime start, sim::Duration dur, TraceId trace,
                 std::span<const Arg> args = {});
@@ -159,7 +166,8 @@ class Tracer {
   std::string ToChromeJson() const { return Json("", false); }
   // The anomaly dump: `anomaly_json` (pre-rendered; empty = omitted), then
   // the newest kTrackCapacity records of every track, track by track, each
-  // with its seq and wait_ns in place of its args. Traced or not.
+  // with its seq and wait_ns in place of its args. Traced or not; a tracer
+  // never armed or enabled lists only its tracks.
   std::string DumpJson(const std::string& anomaly_json) const {
     return Json(anomaly_json, true);
   }
@@ -179,6 +187,7 @@ class Tracer {
 
   sim::Simulation* sim_ = nullptr;
   bool enabled_ = false;
+  bool armed_ = false;
   TraceId last_trace_ = 0;
   TraceId current_ = 0;
   std::vector<std::string> tracks_;

@@ -63,8 +63,9 @@ struct ZkEnsembleConfig {
   sim::Duration ping_interval = sim::Ms(40);
   sim::Duration election_timeout = sim::Ms(250);
   // Committed-log entries retained for follower catch-up; older gaps are
-  // healed with a full snapshot transfer.
-  std::size_t max_log_entries = 100'000;
+  // healed with a full snapshot transfer. 500 is ZooKeeper's default
+  // (zookeeper.commitLogCount; DESIGN.md §16).
+  std::size_t max_log_entries = 500;
   // Session expiry: 0 disables. When set, the server a session is attached
   // to expires it (replicated CloseSession -> ephemeral cleanup) after this
   // long without a request or heartbeat.

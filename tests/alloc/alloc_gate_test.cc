@@ -560,12 +560,14 @@ namespace dufs::obs {
 namespace {
 
 // A span as the emit sites complete one (nic-tx's three int args) on a
-// bound tracer that is not enabled, wrapping every track's ring many times.
+// bound tracer that is armed for anomaly dumps but not enabled, wrapping
+// every track's ring many times.
 TEST(ObsAllocTest, UntracedCompleteAllocatesNothingOnceReserved) {
   constexpr TrackId kTracks = 8;
   sim::Simulation sim(1);
   Tracer tracer;
   tracer.Bind(&sim);
+  tracer.SetArmed(true);
   // The first record per track reserves that track's ring.
   for (TrackId t = 0; t < kTracks; ++t) {
     tracer.Complete(t, "nic-tx", "net", 0, 1, 1);
@@ -584,12 +586,33 @@ TEST(ObsAllocTest, UntracedCompleteAllocatesNothingOnceReserved) {
   EXPECT_EQ(tracer.traced(), 0u);
 }
 
-// A warm span on the same kind of tracer: construct, ArgInt, ArgStr (its
+// The same spans on a tracer neither armed nor enabled, as in every run
+// without --trace or --flight-dump-dir: nothing is reserved or recorded.
+TEST(ObsAllocTest, UnarmedCompleteAllocatesNothing) {
+  constexpr TrackId kTracks = 8;
+  sim::Simulation sim(1);
+  Tracer tracer;
+  tracer.Bind(&sim);
+  const std::size_t n = CountAllocs([&tracer] {
+    for (int i = 0; i < 100'000; ++i) {
+      tracer.Complete(static_cast<TrackId>(i) % kTracks, "nic-tx", "net", i, 7,
+                      static_cast<TraceId>(i),
+                      {{"wait_ns", i % 3}, {"tx_ns", 7}, {"bytes", 120}});
+    }
+  });
+  Report("allocs", n);
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(tracer.size(kTracks - 1), 0u);
+  EXPECT_EQ(tracer.admitted(), 0u);
+}
+
+// A warm span on an armed, untraced tracer: construct, ArgInt, ArgStr (its
 // value is not copied) and End.
 TEST(ObsAllocTest, UntracedSpanAllocatesNothing) {
   sim::Simulation sim(1);
   Tracer tracer;
   tracer.Bind(&sim);
+  tracer.SetArmed(true);
   const TrackId track = tracer.Track("client0");
   const std::string path = "/a/path/longer/than/the/small/string/buffer";
   auto span_once = [&tracer, track, &path](int i) {

@@ -4,6 +4,8 @@
 // facts await-holding-ref reads (symtab.h).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -174,6 +176,27 @@ TEST(LintEngineTest, CommentsAndStringsAreNotCode) {
                       "const char* s = \"sim::Task<int> L(int& n);\";\n"
                       "/* sim::Task<int> M(int& n); in a block comment */\n");
   EXPECT_TRUE(f.empty());
+}
+
+// The tree walk takes examples/ and its .cpp files alongside src/, bench/
+// and tests/, and skips other extensions and directories.
+TEST(LintEngineTest, TreeWalkCollectsExamplesCpp) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::path(::testing::TempDir()) / "dufs_lint_tree";
+  fs::remove_all(root);
+  for (const char* file :
+       {"examples/demo.cpp", "src/a.h", "src/a.cc", "src/notes.txt",
+        "tests/t.cc", "tools/x.cc"}) {
+    fs::create_directories((root / file).parent_path());
+    std::ofstream(root / file) << "int x;\n";
+  }
+  std::vector<std::string> got;
+  for (const std::string& f : CollectFiles(root.string(), {})) {
+    got.push_back(fs::relative(f, root).generic_string());
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{"examples/demo.cpp", "src/a.cc",
+                                           "src/a.h", "tests/t.cc"}));
+  fs::remove_all(root);
 }
 
 

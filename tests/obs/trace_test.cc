@@ -98,13 +98,14 @@ TEST(TracerTest, ExportHoldsExactlyTheSpansAdmittedWhileEnabled) {
   EXPECT_LT(json.find("\"one\""), json.find("\"two\""));
 }
 
-// An anomaly dump lists the same newest records per track whether or not
-// the spans were traced.
+// An armed tracer's anomaly dump lists the same newest records per track
+// whether or not the spans were traced.
 TEST(TracerTest, DumpIsTheSameTracedOrNot) {
   auto dump = [](bool traced) {
     sim::Simulation sim(1);
     obs::Tracer tracer;
     tracer.Bind(&sim);
+    tracer.SetArmed(true);
     const auto t = tracer.Track("zk0");
     tracer.Complete(t, "early", "c", 0, 1, 0);
     tracer.SetEnabled(traced);
@@ -121,7 +122,64 @@ TEST(TracerTest, DumpIsTheSameTracedOrNot) {
   EXPECT_EQ(untraced.find("\"bytes\""), std::string::npos);  // args stay out
 }
 
-// The untraced bounded store every run keeps for anomaly dumps: each track
+// Neither armed nor enabled, a bound tracer keeps no record: the spans
+// still run, and the dump lists only the tracks.
+TEST(TracerTest, UnarmedUntracedTracerKeepsNoRecord) {
+  sim::Simulation sim(1);
+  obs::Tracer tracer;
+  tracer.Bind(&sim);
+  const auto t = tracer.Track("zk0");
+  for (std::uint32_t i = 0; i < 2 * obs::Tracer::kTrackCapacity; ++i) {
+    tracer.Complete(t, "nic-tx", "net", i, 1, i, {{"wait_ns", 4}});
+  }
+  obs::Span span(&tracer, t, "zk-rpc", "zk", 9);
+  EXPECT_TRUE(span.active());
+  span.End();
+  std::size_t visited = 0;
+  tracer.ForEach(t, [&](const obs::Tracer::Record&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  EXPECT_EQ(tracer.size(t), 0u);
+  EXPECT_EQ(tracer.admitted(), 0u);
+  EXPECT_EQ(tracer.DumpJson(""),
+            "{\"traceEvents\":[{\"ph\":\"M\",\"pid\":1,\"tid\":1,"
+            "\"name\":\"thread_name\",\"args\":{\"name\":\"zk0\"}}],"
+            "\"displayTimeUnit\":\"ns\"}");
+}
+
+// Enabled, the store keeps every span, armed or not.
+TEST(TracerTest, EnabledStoreIsUnbounded) {
+  sim::Simulation sim(1);
+  obs::Tracer tracer;
+  tracer.Bind(&sim);
+  tracer.SetEnabled(true);
+  constexpr std::uint32_t kSpans = 3 * obs::Tracer::kTrackCapacity;
+  for (std::uint32_t i = 0; i < kSpans; ++i) {
+    tracer.Complete(0, "w", "c", i, 1, 0);
+  }
+  EXPECT_EQ(tracer.size(0), kSpans);
+  EXPECT_EQ(tracer.traced(), kSpans);
+  EXPECT_EQ(tracer.events().size(), kSpans);
+  EXPECT_EQ(tracer.events().front().start, 0);
+}
+
+// Only a dump dir arms the tracer: SLOs alone write no dump.
+TEST(TracerTest, IncidentsArmTheTracerOnlyWithADumpDir) {
+  sim::Simulation sim(1);
+  obs::Tracer tracer;
+  tracer.Bind(&sim);
+  obs::Incidents incidents;
+  incidents.Bind(&sim, &tracer);
+  incidents.AddSlo(obs::SloSpec{"create", sim::Ms(1), 0.01});
+  EXPECT_FALSE(tracer.armed());
+  obs::AnomalyConfig config;
+  incidents.Configure(config);
+  EXPECT_FALSE(tracer.armed());
+  config.dump_dir = "dumps";
+  incidents.Configure(config);
+  EXPECT_TRUE(tracer.armed());
+}
+
+// The bounded store an armed tracer keeps for anomaly dumps: each track
 // holds its newest kTrackCapacity records.
 std::vector<std::int64_t> Starts(const obs::Tracer& tracer,
                                  obs::TrackId track) {
@@ -146,6 +204,7 @@ TEST(FlightRecorderTest, FillsWithoutEvictionUpToCapacity) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
   tracer.Bind(&sim);
+  tracer.SetArmed(true);
   for (std::int64_t i = 0; i < kCap; ++i) {
     tracer.Complete(0, "w", "c", i, 10, 0);
   }
@@ -158,6 +217,7 @@ TEST(FlightRecorderTest, RingEvictsOldestKeepsOrder) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
   tracer.Bind(&sim);
+  tracer.SetArmed(true);
   for (std::int64_t i = 0; i < kCap + 3; ++i) {
     tracer.Complete(0, "w", "c", i, 10, 0);
   }
@@ -171,6 +231,7 @@ TEST(FlightRecorderTest, TracksAreIndependentAndSeqIsGlobal) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
   tracer.Bind(&sim);
+  tracer.SetArmed(true);
   tracer.Complete(0, "a", "c", 1, 1, 0);
   tracer.Complete(2, "b", "c", 2, 1, 0);  // skips track 1
   EXPECT_EQ(tracer.size(0), 1u);
@@ -200,6 +261,7 @@ TEST(FlightRecorderTest, DumpJsonIsChromeShapedAndDeterministic) {
     sim::Simulation sim(1);
     obs::Tracer tracer;
     tracer.Bind(&sim);
+    tracer.SetArmed(true);
     const auto t0 = tracer.Track("zk0");
     const auto t1 = tracer.Track("client0");
     for (std::int64_t i = 0; i < kCap + 2; ++i) {
@@ -220,12 +282,25 @@ TEST(FlightRecorderTest, DumpJsonIsChromeShapedAndDeterministic) {
   // The evicted spans (start 0, 1000) are gone from the dump.
   EXPECT_EQ(a.find("\"ts\":0.000"), std::string::npos);
   EXPECT_EQ(a.find("\"ts\":1.000"), std::string::npos);
+  // Each track lists its newest kTrackCapacity spans, or all it has.
+  auto count = [&a](std::string_view needle) {
+    std::size_t n = 0;
+    for (std::size_t at = a.find(needle); at != std::string::npos;
+         at = a.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("{\"ph\":\"X\",\"pid\":1,\"tid\":1,"),
+            obs::Tracer::kTrackCapacity);
+  EXPECT_EQ(count("{\"ph\":\"X\",\"pid\":1,\"tid\":2,"), 1u);
 }
 
 TEST(FlightRecorderTest, TracerRecordsSpansWhileDisabled) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
   tracer.Bind(&sim);
+  tracer.SetArmed(true);
   EXPECT_FALSE(tracer.enabled());
   const auto track = tracer.Track("node0");
   tracer.Complete(track, "work", "cat", 100, 50, 7,

@@ -876,6 +876,62 @@ TEST(EnsembleTest, LaggingFollowersCatchUpByDiffOrSnapshot) {
   EXPECT_EQ(e.servers[0]->committed_log().size(), 4u);
 }
 
+// Cuts follower zk1 off from the leader while `writes` creates commit, then
+// heals and commits one more: its COMMIT shows zk1 the gap it missed.
+void CutOffFollowerFor(Ensemble& e, int writes) {
+  e.Connect();
+  sim::RunTask(e.sim, [](Ensemble& en, int n) -> sim::Task<void> {
+    en.net.Partition(en.config.servers[0], en.config.servers[1]);
+    for (int i = 0; i < n; ++i) {
+      CO_ASSERT_TRUE(
+          (co_await en.client().Create("/w" + std::to_string(i), {})).ok());
+    }
+    en.net.HealAll();
+    CO_ASSERT_TRUE((co_await en.client().Create("/after", {})).ok());
+  }(e, writes));
+  e.Drain(sim::Sec(1));
+}
+
+// The default log keeps ZooKeeper's 500 entries: a follower that missed
+// more writes than that is sent a snapshot.
+TEST(EnsembleTest, DefaultLogSyncsAFollowerPastItsTailBySnapshot) {
+  Ensemble e(3);
+  CutOffFollowerFor(e, 600);
+  EXPECT_EQ(e.servers[1]->snapshot_syncs(), 1u);
+  EXPECT_TRUE(e.Converged());
+  EXPECT_TRUE(e.servers[1]->db().tree().Exists("/w0"));
+  EXPECT_TRUE(e.servers[1]->db().tree().Exists("/after"));
+}
+
+// ...and one that missed fewer is sent the diff.
+TEST(EnsembleTest, DefaultLogSyncsAFollowerWithinItsTailByDiff) {
+  Ensemble e(3);
+  CutOffFollowerFor(e, 300);
+  EXPECT_EQ(e.servers[1]->snapshot_syncs(), 0u);
+  EXPECT_GE(e.servers[1]->diff_syncs(), 1u);
+  EXPECT_TRUE(e.Converged());
+  EXPECT_TRUE(e.servers[1]->db().tree().Exists("/w0"));
+  EXPECT_TRUE(e.servers[1]->db().tree().Exists("/after"));
+}
+
+TEST(EnsembleTest, DefaultLogKeepsTheNewest500OnEveryReplica) {
+  EXPECT_EQ(ZkEnsembleConfig{}.max_log_entries, 500u);
+  Ensemble e(3);
+  e.Connect();
+  sim::RunTask(e.sim, [](Ensemble& en) -> sim::Task<void> {
+    for (int i = 0; i < 2000; ++i) {
+      CO_ASSERT_TRUE(
+          (co_await en.client().Create("/n" + std::to_string(i), {})).ok());
+    }
+  }(e));
+  e.Drain();
+  for (const auto& server : e.servers) {
+    EXPECT_EQ(server->committed_log().size(), 500u);
+    EXPECT_EQ(server->committed_log().truncated_upto(),
+              server->db().last_applied() - 500);
+  }
+}
+
 // Restarting from a snapshot and installing a leader's snapshot both leave
 // an empty log whose truncation point is the state the replica now holds.
 TEST(EnsembleTest, RestartAndSnapshotInstallResetTheLog) {

@@ -3,12 +3,12 @@
 //   dufs_lint [--root=DIR] [--format=text|json] [--rule=a,b] [--explain]
 //             [--sarif=FILE] [--werror] [paths...]
 //
-// With no explicit paths, walks src/, bench/, and tests/ under --root
-// (default: current directory) over *.h/*.cc, lints each file on its own
-// (rules.h) and prints findings. Exit status: 0 clean (warn-severity
-// findings do not fail unless --werror), 1 error findings, 2 usage or I/O
-// error (an unknown --rule id is a usage error, so a filter naming a
-// deleted rule cannot pass vacuously).
+// With no explicit paths, walks src/, bench/, tests/ and examples/ under
+// --root (default: current directory) over *.h/*.cc/*.cpp, lints each file
+// on its own (rules.h) and prints findings. Exit status: 0 clean
+// (warn-severity findings do not fail unless --werror), 1 error findings,
+// 2 usage or I/O error (an unknown --rule id is a usage error, so a filter
+// naming a deleted rule cannot pass vacuously).
 //
 // `--sarif=FILE` writes a SARIF 2.1.0 log alongside the normal output.
 // `--format=json` emits a machine-readable findings array; `--explain`
@@ -29,6 +29,7 @@
 namespace {
 
 namespace fs = std::filesystem;
+using dufs::lint::CollectFiles;
 using dufs::lint::Finding;
 using dufs::lint::LintFile;
 using dufs::lint::RuleDocs;
@@ -121,11 +122,6 @@ void Explain() {
       "offending line or alone on the line above (give a reason).\n");
 }
 
-bool IsSourceFile(const fs::path& p) {
-  const std::string ext = p.extension().string();
-  return ext == ".h" || ext == ".cc";
-}
-
 // Repo-relative with forward slashes, so findings and path-scoped rules are
 // stable regardless of how the tool was invoked.
 std::string RelativePath(const fs::path& p, const fs::path& root) {
@@ -134,34 +130,6 @@ std::string RelativePath(const fs::path& p, const fs::path& root) {
   std::string s = (ec ? p : rel).generic_string();
   while (s.rfind("./", 0) == 0) s = s.substr(2);
   return s;
-}
-
-std::vector<std::string> CollectFiles(const Options& opt) {
-  const fs::path root(opt.root);
-  std::vector<std::string> files;
-  auto add_tree = [&files](const fs::path& dir) {
-    if (!fs::exists(dir)) return;
-    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
-      if (entry.is_regular_file() && IsSourceFile(entry.path())) {
-        files.push_back(entry.path().string());
-      }
-    }
-  };
-  if (opt.paths.empty()) {
-    add_tree(root / "src");
-    add_tree(root / "bench");
-    add_tree(root / "tests");
-  } else {
-    for (const auto& p : opt.paths) {
-      if (fs::is_directory(p)) {
-        add_tree(p);
-      } else {
-        files.push_back(p);
-      }
-    }
-  }
-  std::sort(files.begin(), files.end());
-  return files;
 }
 
 using dufs::JsonEscape;
@@ -220,7 +188,7 @@ int main(int argc, char** argv) {
   }
 
   const fs::path root(opt.root);
-  const std::vector<std::string> files = CollectFiles(opt);
+  const std::vector<std::string> files = CollectFiles(opt.root, opt.paths);
   std::vector<Finding> findings;
   if (files.empty()) {
     std::fprintf(stderr, "dufs_lint: no source files under %s\n",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <filesystem>
 #include <utility>
 
 #include "lexer.h"
@@ -173,6 +174,37 @@ std::vector<Finding> LintFile(std::string path, const std::string& content) {
   });
   std::sort(found.begin(), found.end());
   return found;
+}
+
+std::vector<std::string> CollectFiles(const std::string& root,
+                                      const std::vector<std::string>& paths) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> files;
+  auto add_tree = [&files](const fs::path& dir) {
+    if (!fs::exists(dir)) return;
+    for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+      const std::string ext = entry.path().extension().string();
+      if (entry.is_regular_file() &&
+          (ext == ".h" || ext == ".cc" || ext == ".cpp")) {
+        files.push_back(entry.path().string());
+      }
+    }
+  };
+  if (paths.empty()) {
+    for (const char* tree : {"src", "bench", "tests", "examples"}) {
+      add_tree(fs::path(root) / tree);
+    }
+  } else {
+    for (const auto& p : paths) {
+      if (fs::is_directory(p)) {
+        add_tree(p);
+      } else {
+        files.push_back(p);
+      }
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
 }
 
 }  // namespace dufs::lint

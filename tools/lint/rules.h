@@ -64,4 +64,10 @@ const char* SeverityName(Severity s);  // "error" / "warn"
 // (line, rule).
 std::vector<Finding> LintFile(std::string path, const std::string& content);
 
+// The files one run lints, sorted: each of `paths` (a directory stands for
+// its tree), or with no paths every file under src/, bench/, tests/ and
+// examples/ of `root`. A tree contributes its .h, .cc and .cpp files.
+std::vector<std::string> CollectFiles(const std::string& root,
+                                      const std::vector<std::string>& paths);
+
 }  // namespace dufs::lint
