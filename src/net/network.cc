@@ -6,22 +6,13 @@
 namespace dufs::net {
 
 Node::Node(sim::Simulation& sim, NodeId id, std::string name, NodeModel model)
-    : sim_(sim),
+    : egress(sim, 1),
+      ingress(sim, 1),
       id_(id),
       name_(std::move(name)),
       model_(model),
       cpu_(sim, model.cores),
       disk_(sim, 1) {}
-
-sim::Task<void> Node::Compute(sim::Duration cpu_time) {
-  auto guard = co_await cpu_.Acquire();
-  co_await sim_.Delay(cpu_time);
-}
-
-sim::Task<void> Node::DiskWrite(std::size_t bytes) {
-  auto guard = co_await disk_.Acquire();
-  co_await sim_.Delay(model_.disk.WriteTime(bytes));
-}
 
 void Node::Deliver(Message msg) {
   if (!up_) return;
@@ -83,13 +74,12 @@ sim::Task<void> Network::Transfer(Message msg) {
   const obs::TraceId trace = obs_ != nullptr ? obs_->tracer().current() : 0;
 
   // A NIC is a capacity-1 FIFO server whose service time is fixed when a
-  // message joins its queue, so its departure is known at once:
-  // max(now, NIC free) + TxTime. Next event: arrival at the destination NIC.
+  // message joins its queue, so its departure is known at once.
+  // Next event: arrival at the destination NIC.
   const std::size_t wire = msg.WireSize();
   const sim::SimTime sent = sim_.now();
-  const sim::SimTime tx_start = std::max(sent, src.egress_free_at);
   const sim::Duration tx = src.model().nic.TxTime(wire);
-  src.egress_free_at = tx_start + tx;
+  const sim::SimTime tx_start = src.egress.Join(tx);
   Node::NicObs& src_obs = src.nic_obs();
   src_obs.tx_wait.Record(tx_start - sent);
   src_obs.tx_time.Record(tx);
@@ -111,9 +101,9 @@ sim::Task<void> Network::Transfer(Message msg) {
   // Destination NIC serialization (receive-side bottleneck for fan-in),
   // computed the same way. Next event: delivery.
   const sim::SimTime arrived = sim_.now();
-  const sim::SimTime rx_start = std::max(arrived, dst.ingress_free_at);
-  dst.ingress_free_at = rx_start + dst.model().nic.TxTime(wire);
-  co_await sim_.Delay(dst.ingress_free_at - arrived);
+  const sim::Duration rx = dst.model().nic.TxTime(wire);
+  const sim::SimTime rx_start = dst.ingress.Join(rx);
+  co_await sim_.Delay(rx_start + rx - arrived);
 
   Node::NicObs& dst_obs = dst.nic_obs();
   dst_obs.rx_wait.Record(rx_start - arrived);

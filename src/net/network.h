@@ -38,10 +38,14 @@ class Node {
 
   // Occupies one core for `cpu_time`. Queues behind other work when all
   // cores are busy — this is how server-side contention emerges.
-  sim::Task<void> Compute(sim::Duration cpu_time);
+  sim::Simulation::DelayAwaiter Compute(sim::Duration cpu_time) {
+    return cpu_.Serve(cpu_time);
+  }
 
   // Synchronous disk write (journal commit). Serializes on the disk device.
-  sim::Task<void> DiskWrite(std::size_t bytes);
+  sim::Simulation::DelayAwaiter DiskWrite(std::size_t bytes) {
+    return disk_.Serve(model_.disk.WriteTime(bytes));
+  }
 
   // Inbound-message sink, installed by the RPC endpoint.
   void SetSink(std::function<void(Message)> sink) { sink_ = std::move(sink); }
@@ -52,12 +56,10 @@ class Node {
   void Crash();
   void Restart();
 
-  sim::Resource& cpu() { return cpu_; }
-
-  // When each NIC finishes serializing the last message queued on it;
-  // Network::Transfer computes every NIC departure from these.
-  sim::SimTime egress_free_at = 0;
-  sim::SimTime ingress_free_at = 0;
+  // The two NIC directions; Network::Transfer computes every NIC departure
+  // from these.
+  sim::FifoServer egress;
+  sim::FifoServer ingress;
 
   // NIC instrumentation handles (serialization wait vs. wire time). Stored
   // on the Node — stable storage, already hot in Transfer's cache — so the
@@ -77,14 +79,13 @@ class Node {
   std::uint64_t messages_received = 0;
 
  private:
-  sim::Simulation& sim_;
   NodeId id_;
   std::string name_;
   NodeModel model_;
   bool up_ = true;
   std::uint64_t incarnation_ = 1;
-  sim::Resource cpu_;
-  sim::Resource disk_;
+  sim::FifoServer cpu_;
+  sim::FifoServer disk_;
   std::function<void(Message)> sink_;
   NicObs nic_obs_;
 };

@@ -44,7 +44,9 @@ LustreMds::LustreMds(net::RpcEndpoint& endpoint,
     : endpoint_(endpoint),
       oss_nodes_(std::move(oss_nodes)),
       perf_(perf),
-      root_(std::make_unique<Inode>()) {
+      root_(std::make_unique<Inode>()),
+      read_pool_(endpoint.sim(), perf.read_threads),
+      mutation_pipeline_(endpoint.sim(), 1) {
   root_->attr.type = FileType::kDirectory;
   root_->attr.mode = vfs::kDefaultDirMode;
   root_->attr.inode = 1;
@@ -52,9 +54,6 @@ LustreMds::LustreMds(net::RpcEndpoint& endpoint,
 }
 
 void LustreMds::Start() {
-  read_pool_ =
-      std::make_unique<sim::Resource>(endpoint_.sim(), perf_.read_threads);
-  mutation_pipeline_ = std::make_unique<sim::Resource>(endpoint_.sim(), 1);
   journal_mb_ =
       std::make_unique<sim::Mailbox<JournalEntry>>(endpoint_.sim());
   sim::CurrentSimulationScope scope(&endpoint_.sim());
@@ -119,20 +118,16 @@ FileAttr LustreMds::NewAttr(FileType type, vfs::Mode mode) {
   return attr;
 }
 
-sim::Task<void> LustreMds::ReadWork(sim::Duration base) {
+sim::Simulation::DelayAwaiter LustreMds::ReadWork(sim::Duration base) {
   const sim::Duration dlm =
       static_cast<sim::Duration>(inflight_) * perf_.dlm_cpu_per_inflight;
-  auto guard = co_await read_pool_->Acquire();
-  co_await endpoint_.sim().Delay(base + dlm);
+  return read_pool_.Serve(base + dlm);
 }
 
 sim::Task<void> LustreMds::MutationWork(sim::Duration base) {
   const sim::Duration dlm =
       static_cast<sim::Duration>(inflight_) * perf_.dlm_cpu_per_inflight;
-  {
-    auto guard = co_await mutation_pipeline_->Acquire();
-    co_await endpoint_.sim().Delay(base + dlm);
-  }
+  co_await mutation_pipeline_.Serve(base + dlm);
   // Journal commit (group commit batches concurrent mutations). The entry
   // carries this coroutine itself, so no completion state is allocated.
   struct Enqueue {

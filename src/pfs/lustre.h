@@ -114,7 +114,7 @@ class LustreMds {
 
   // Models the per-op MDS CPU: base + DLM term; reads go through the
   // thread pool, mutations through the serialized pipeline + journal.
-  sim::Task<void> ReadWork(sim::Duration base);
+  sim::Simulation::DelayAwaiter ReadWork(sim::Duration base);
   sim::Task<void> MutationWork(sim::Duration base);
 
   // One mutation's journal write. It carries the suspended MutationWork
@@ -142,8 +142,8 @@ class LustreMds {
   std::uint32_t next_oss_ = 0;
   std::size_t inflight_ = 0;
   std::uint64_t ops_served_ = 0;
-  std::unique_ptr<sim::Resource> read_pool_;
-  std::unique_ptr<sim::Resource> mutation_pipeline_;
+  sim::FifoServer read_pool_;
+  sim::FifoServer mutation_pipeline_;
   std::unique_ptr<sim::Mailbox<JournalEntry>> journal_mb_;
   std::vector<JournalEntry> journal_batch_;  // JournalLoop's, reused
 };

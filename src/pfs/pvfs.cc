@@ -26,7 +26,11 @@ net::Payload ErrorReply(StatusCode code) {
 
 PvfsServer::PvfsServer(net::RpcEndpoint& endpoint, std::uint32_t index,
                        PvfsPerfModel perf)
-    : endpoint_(endpoint), index_(index), perf_(perf) {
+    : endpoint_(endpoint),
+      index_(index),
+      perf_(perf),
+      pipeline_(endpoint.sim(), 1),
+      trove_disk_(endpoint.sim(), 1) {
   if (index_ == 0) {
     // The filesystem root lives on server 0 with a well-known handle.
     Object root;
@@ -40,8 +44,6 @@ PvfsServer::PvfsServer(net::RpcEndpoint& endpoint, std::uint32_t index,
 }
 
 void PvfsServer::Start() {
-  pipeline_ = std::make_unique<sim::Resource>(endpoint_.sim(), 1);
-  trove_disk_ = std::make_unique<sim::Resource>(endpoint_.sim(), 1);
   for (std::uint16_t m = pvfs_method::kLookup; m <= pvfs_method::kStatFsObj;
        ++m) {
     // Stored in the endpoint's handler map; `this` outlives every call.
@@ -53,20 +55,15 @@ void PvfsServer::Start() {
   }
 }
 
-sim::Task<void> PvfsServer::ReadWork() {
-  auto guard = co_await pipeline_->Acquire();
-  co_await endpoint_.sim().Delay(perf_.read_cpu);
+sim::Simulation::DelayAwaiter PvfsServer::ReadWork() {
+  return pipeline_.Serve(perf_.read_cpu);
 }
 
 sim::Task<void> PvfsServer::MutationWork() {
-  {
-    auto guard = co_await pipeline_->Acquire();
-    co_await endpoint_.sim().Delay(perf_.mutation_cpu);
-  }
+  co_await pipeline_.Serve(perf_.mutation_cpu);
   // Synchronous metadata commit (Trove/DBPF): one sync write per mutation,
   // no batching — the defining PVFS2 bottleneck.
-  auto guard = co_await trove_disk_->Acquire();
-  co_await endpoint_.sim().Delay(perf_.sync_write_latency);
+  co_await trove_disk_.Serve(perf_.sync_write_latency);
 }
 
 sim::Task<net::RpcResult> PvfsServer::Handle(std::uint16_t method,

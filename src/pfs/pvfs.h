@@ -80,7 +80,7 @@ class PvfsServer {
 
   sim::Task<net::RpcResult> Handle(std::uint16_t method, net::Payload req);
   sim::Task<net::RpcResult> HandleSetAttr(net::Payload req);
-  sim::Task<void> ReadWork();
+  sim::Simulation::DelayAwaiter ReadWork();
   sim::Task<void> MutationWork();
   PvfsHandle NewHandle() {
     return (static_cast<PvfsHandle>(index_) << 48) | next_id_++;
@@ -91,8 +91,8 @@ class PvfsServer {
   PvfsPerfModel perf_;
   HashMap<PvfsHandle, Object> objects_;
   std::uint64_t next_id_ = 100;
-  std::unique_ptr<sim::Resource> pipeline_;
-  std::unique_ptr<sim::Resource> trove_disk_;
+  sim::FifoServer pipeline_;
+  sim::FifoServer trove_disk_;
 };
 
 class PvfsInstance {

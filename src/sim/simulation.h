@@ -148,12 +148,11 @@ struct DetachedNode {
 }  // namespace internal
 
 // A suspended coroutine bundled with the profiler context captured at
-// await_suspend time. Waiter lists (sync.h Resource/Mailbox/Barrier,
-// future.h) store these instead of bare handles: their wake-up
-// (ReleaseNow/Send/Set) runs on the *waker's* stack, so scheduling there
-// must carry the waiter's own captured context, not the current one. The
-// holder owns `ctx` until the handle is scheduled (prof::FreeSnapshot it if
-// the waiter is abandoned).
+// await_suspend time. Waiter lists (sync.h Mailbox/Barrier, future.h) store
+// these instead of bare handles: their wake-up (Send/Arrive/Set) runs on the
+// *waker's* stack, so scheduling there must carry the waiter's own captured
+// context, not the current one. The holder owns `ctx` until the handle is
+// scheduled (prof::FreeSnapshot it if the waiter is abandoned).
 struct SuspendedHandle {
   std::coroutine_handle<> h;
   prof::Snapshot* ctx = nullptr;
@@ -216,7 +215,7 @@ class Simulation {
   void Shutdown();
 
   // awaitable: co_await sim.Delay(d)
-  struct DelayAwaiter {
+  struct [[nodiscard]] DelayAwaiter {
     Simulation* sim;
     Duration delay;
     bool await_ready() const noexcept { return false; }

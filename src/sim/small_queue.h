@@ -1,8 +1,8 @@
-// Small-buffer FIFO for simulator waiter lists and mailboxes.
+// Small-buffer FIFO for simulator waiter lists, mailboxes and queued starts.
 //
 // std::deque allocates its map + first block on the first push — one heap
-// round trip per Resource/Mailbox wait even when at most a handful of
-// waiters ever queue. SmallQueue keeps the first N elements in an inline
+// round trip per Mailbox wait even when at most a handful of waiters ever
+// queue. SmallQueue keeps the first N elements in an inline
 // ring and only touches the heap when a queue actually grows past N
 // (doubling ring thereafter). N must be a power of two.
 #pragma once

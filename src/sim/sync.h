@@ -1,19 +1,21 @@
-// Synchronization primitives for simulated actors:
-//   Resource — counted capacity (server thread pools, NIC serialization,
-//              disk queues); FIFO waiters; RAII guard.
-//   Mailbox  — unbounded MPSC queue with an awaitable receive (server loops).
-//   Barrier  — reusable N-party barrier (mdtest phase synchronization).
+// Queueing and synchronization for simulated actors:
+//   FifoServer — a FIFO queue in front of `capacity` identical servers whose
+//                service time is known when a job joins (CPU cores,
+//                pipelines, disks, NIC directions).
+//   Mailbox    — unbounded MPSC queue with an awaitable receive (server loops).
+//   Barrier    — reusable N-party barrier (mdtest phase synchronization).
 //
-// All primitives keep their state behind shared_ptr so RAII guards and
-// late-destroyed coroutine frames never touch freed memory. Waiter lists and
-// mailbox items live in SmallQueue rings: short queues (the common case)
-// never allocate.
+// Mailbox and Barrier keep their state behind shared_ptr so late-destroyed
+// coroutine frames never touch freed memory. Waiter lists and mailbox items
+// live in SmallQueue rings: short queues (the common case) never allocate.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/log.h"
 #include "sim/simulation.h"
@@ -21,93 +23,50 @@
 
 namespace dufs::sim {
 
-class Resource {
-  struct State {
-    Simulation* sim = nullptr;
-    std::size_t capacity = 0;
-    std::size_t in_use = 0;
-    SmallQueue<SuspendedHandle, 4> waiters;
-
-    ~State() {
-      // Waiters abandoned at teardown own their captured profiler context.
-      while (!waiters.empty()) {
-        prof::FreeSnapshot(waiters.front().ctx);
-        waiters.pop_front();
-      }
-    }
-  };
-
+// A job's start is fixed when it joins: max(now, the earliest-free server).
+// So the queue needs no waiter list and no wake-up, and a job costs one
+// event, its departure. FIFO order holds because starts never decrease in
+// join order.
+class FifoServer {
  public:
-  Resource(Simulation& sim, std::size_t capacity)
-      : st_(std::make_shared<State>()) {
+  FifoServer(Simulation& sim, std::size_t capacity)
+      : sim_(&sim), free_at_(capacity, 0) {
     DUFS_CHECK(capacity > 0);
-    st_->sim = &sim;
-    st_->capacity = capacity;
   }
 
-  // RAII permit. Move-only; releases on destruction (safe even if the
-  // Resource itself is gone — the shared state outlives it).
-  class Guard {
-   public:
-    Guard() = default;
-    explicit Guard(std::shared_ptr<State> st) : st_(std::move(st)) {}
-    Guard(Guard&& o) noexcept : st_(std::move(o.st_)) {}
-    Guard& operator=(Guard&& o) noexcept {
-      ReleaseNow();
-      st_ = std::move(o.st_);
-      return *this;
-    }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-    ~Guard() { ReleaseNow(); }
-
-    void ReleaseNow() {
-      if (!st_) return;
-      auto st = std::move(st_);
-      DUFS_CHECK(st->in_use > 0);
-      if (!st->waiters.empty()) {
-        // Hand the permit directly to the next waiter (in_use unchanged).
-        SuspendedHandle w = st->waiters.front();
-        st->waiters.pop_front();
-        st->sim->ScheduleHandle(0, w);
-      } else {
-        --st->in_use;
-      }
-    }
-
-    bool held() const { return st_ != nullptr; }
-
-   private:
-    std::shared_ptr<State> st_;
-  };
-
-  auto Acquire() {
-    struct Awaiter {
-      std::shared_ptr<State> st;
-      bool suspended = false;
-      bool await_ready() const {
-        return st->in_use < st->capacity && st->waiters.empty();
-      }
-      void await_suspend(std::coroutine_handle<> h) {
-        suspended = true;
-        st->waiters.push_back(CaptureSuspended(h));
-      }
-      Guard await_resume() {
-        // Ready path takes a fresh permit; the woken path was handed one by
-        // the releaser (which left in_use unchanged).
-        if (!suspended) ++st->in_use;
-        return Guard(std::move(st));
-      }
-    };
-    return Awaiter{st_};
+  // Joins a job that needs `service` ns once it starts; returns its start.
+  SimTime Join(Duration service) {
+    const SimTime now = sim_->now();
+    SimTime& slot = *std::min_element(free_at_.begin(), free_at_.end());
+    const SimTime start = std::max(now, slot);
+    slot = start + service;
+    DropStarted();
+    if (start > now) waiting_.push_back(start);
+    return start;
   }
 
-  std::size_t in_use() const { return st_->in_use; }
-  std::size_t capacity() const { return st_->capacity; }
-  std::size_t queue_length() const { return st_->waiters.size(); }
+  // Joins at the call and resumes the awaiting coroutine at the job's
+  // departure.
+  Simulation::DelayAwaiter Serve(Duration service) {
+    return sim_->Delay(Join(service) + service - sim_->now());
+  }
+
+  // Jobs that have joined but not started.
+  std::size_t queue_length() {
+    DropStarted();
+    return waiting_.size();
+  }
 
  private:
-  std::shared_ptr<State> st_;
+  void DropStarted() {
+    while (!waiting_.empty() && waiting_.front() <= sim_->now()) {
+      waiting_.pop_front();
+    }
+  }
+
+  Simulation* sim_;
+  std::vector<SimTime> free_at_;  // one per server: when it is next free
+  SmallQueue<SimTime, 4> waiting_;  // starts not yet reached, ascending
 };
 
 template <typename T>

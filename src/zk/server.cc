@@ -110,7 +110,9 @@ ZkServer::ZkServer(net::RpcEndpoint& endpoint, ZkEnsembleConfig config,
       my_index_(my_index),
       db_(std::make_unique<Database>()),
       committed_log_(config_.max_log_entries),
-      apply_waits_(endpoint.sim(), /*expired=*/false) {
+      apply_waits_(endpoint.sim(), /*expired=*/false),
+      read_pipeline_(endpoint.sim(), 1),
+      write_pipeline_(endpoint.sim(), 1) {
   DUFS_CHECK(my_index_ < config_.servers.size());
   DUFS_CHECK(config_.servers[my_index_] == endpoint_.self());
   DUFS_CHECK(config_.servers.size() <= 64);  // Proposal::acks is a bitmask
@@ -150,8 +152,6 @@ void ZkServer::Start() {
   endpoint_.RegisterHandler(method::kSessionPing,
                             bind(&ZkServer::HandleSessionPing));
 
-  read_pipeline_ = std::make_unique<sim::Resource>(endpoint_.sim(), 1);
-  write_pipeline_ = std::make_unique<sim::Resource>(endpoint_.sim(), 1);
   journal_mb_ = std::make_unique<sim::Mailbox<JournalEntry>>(endpoint_.sim());
 
   sim::CurrentSimulationScope scope(&endpoint_.sim());
@@ -252,7 +252,7 @@ sim::Task<net::RpcResult> ZkServer::HandleRequest(net::NodeId from,
   if (IsWrite(req->op.type) || req->op.type == OpType::kSync) {
     c_writes_.Inc();
     const auto write_depth =
-        static_cast<std::int64_t>(write_pipeline_->queue_length());
+        static_cast<std::int64_t>(write_pipeline_.queue_length());
     g_write_queue_.Set(write_depth);
     if (obs_.incidents != nullptr) {
       obs_.incidents->RecordQueueDepth(obs_.track, write_depth);
@@ -275,17 +275,14 @@ sim::Task<net::RpcResult> ZkServer::HandleRequest(net::NodeId from,
   // Local read through the serialized read pipeline.
   c_reads_.Inc();
   const auto read_depth =
-      static_cast<std::int64_t>(read_pipeline_->queue_length());
+      static_cast<std::int64_t>(read_pipeline_.queue_length());
   g_read_queue_.Set(read_depth);
   if (obs_.incidents != nullptr) {
     obs_.incidents->RecordQueueDepth(obs_.track, read_depth);
   }
   prof::ProfScope node_scope(obs_.prof_name, prof::FrameKind::kNode);
   obs::Span span(obs_.tracer, obs_.track, "zk-read", "zk", req->trace);
-  {
-    auto guard = co_await read_pipeline_->Acquire();
-    co_await endpoint_.sim().Delay(config_.perf.read_cpu);
-  }
+  co_await read_pipeline_.Serve(config_.perf.read_cpu);
   ++reads_served_;
   if (IsCompound(req->op.type)) {
     co_return ServeCompound(req->op.type, req->op.watch, req->op.path,
@@ -412,25 +409,22 @@ sim::Task<Result<net::Payload>> ZkServer::SubmitWrite(net::Payload txn) {
 sim::Task<Result<net::Payload>> ZkServer::SubmitWriteTracked(
     net::Payload txn, Zxid& zxid) {  // dufs-lint: allow(coro-ref-param)
   if (role_ == Role::kLeading) {
-    {
-      // The leader's single request-processor thread: serialization +
-      // per-follower replication work. This stage is the write-throughput
-      // limiter and the reason Fig. 7's write curves fall as servers are
-      // added.
-      auto guard = co_await write_pipeline_->Acquire();
-      // Group commit pays the per-follower replication work once per wave
-      // in the flush task, which queues behind the submitters on this
-      // pipeline; otherwise every write pays it here.
-      const auto peers = static_cast<sim::Duration>(config_.servers.size() - 1);
-      co_await endpoint_.sim().Delay(
-          config_.perf.write_cpu +
-          (config_.group_commit ? 0 : peers * config_.perf.per_peer_cpu));
-      // The zxid is assigned under the guard, so it follows arrival order;
-      // the leader's clock stamps replica-identical ctime/mtime.
-      zxid = MakeZxid();
-      StampTxnTime(txn, endpoint_.sim().now());
-      propose_queue_.push_back({zxid, std::move(txn)});
-    }
+    // The leader's single request-processor thread: serialization +
+    // per-follower replication work. This stage is the write-throughput
+    // limiter and the reason Fig. 7's write curves fall as servers are
+    // added. Group commit pays the per-follower replication work once per
+    // wave in the flush task, which queues behind the submitters on this
+    // pipeline; otherwise every write pays it here.
+    const auto peers = static_cast<sim::Duration>(config_.servers.size() - 1);
+    co_await write_pipeline_.Serve(
+        config_.perf.write_cpu +
+        (config_.group_commit ? 0 : peers * config_.perf.per_peer_cpu));
+    // The zxid is assigned at the departure, and departures follow arrival
+    // order, so zxids do too; the leader's clock stamps replica-identical
+    // ctime/mtime.
+    zxid = MakeZxid();
+    StampTxnTime(txn, endpoint_.sim().now());
+    propose_queue_.push_back({zxid, std::move(txn)});
     if (config_.group_commit) {
       ScheduleProposalFlush();
     } else {
@@ -545,14 +539,15 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
       if (endpoint_.node().incarnation() != incarnation) co_return;
     }
     if (role_ != Role::kLeading || !endpoint_.node().up()) continue;
-    auto guard = co_await write_pipeline_->Acquire();
-    if (endpoint_.node().incarnation() != incarnation) co_return;
-    if (propose_queue_.empty()) break;
-    const sim::SimTime wave_start = endpoint_.sim().now();
-    // Per-follower replication bookkeeping, amortized over the wave. The
-    // flush holds the write pipeline, so no submitter queues meanwhile.
+    // Per-follower replication bookkeeping, amortized over the wave. It is
+    // committed at the join: a restart or deposition that empties the queue
+    // meanwhile is seen after the departure, and submitters that join after
+    // the flush start after it.
     const auto peers = static_cast<sim::Duration>(config_.servers.size() - 1);
-    co_await endpoint_.sim().Delay(peers * config_.perf.per_peer_cpu);
+    const sim::Duration service = peers * config_.perf.per_peer_cpu;
+    const sim::SimTime wave_start = write_pipeline_.Join(service);
+    co_await endpoint_.sim().Delay(wave_start + service -
+                                   endpoint_.sim().now());
     if (endpoint_.node().incarnation() != incarnation) co_return;
     if (role_ != Role::kLeading || propose_queue_.empty()) continue;
     const std::size_t n =

@@ -397,8 +397,8 @@ class ZkServer {
   ZxidQueue<LocalResult> local_results_;
 
   // Pipelines.
-  std::unique_ptr<sim::Resource> read_pipeline_;
-  std::unique_ptr<sim::Resource> write_pipeline_;
+  sim::FifoServer read_pipeline_;
+  sim::FifoServer write_pipeline_;
   std::unique_ptr<sim::Mailbox<JournalEntry>> journal_mb_;
   std::vector<JournalEntry> journal_batch_;  // reused by every fsync
   // Journal entries submitted but not yet fsynced. The group-commit flush

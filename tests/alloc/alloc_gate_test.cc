@@ -36,6 +36,7 @@
 #include "obs/trace.h"
 #include "obs/incident.h"
 #include "sim/simulation.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 #include "zk/client.h"
 #include "zk/database.h"
@@ -483,6 +484,12 @@ Task<void> DelayLoop(Simulation* sim, int rounds, int salt) {
 
 Task<void> Noop() { co_return; }
 
+Task<void> ServeLoop(FifoServer* server, int rounds, int salt) {
+  for (int i = 0; i < rounds; ++i) {
+    co_await server->Serve(1 + (salt + i * 31) % 977);
+  }
+}
+
 // Self-rescheduling timers with delays from 1 ns to 1 s, which covers every
 // level of the wheel below the ring.
 struct Churn {
@@ -538,6 +545,26 @@ TEST_F(EngineAllocTest, ScheduleFnChurnAllocatesNothing) {
   EXPECT_EQ(n, 0u);
   EXPECT_EQ(sim.events_processed() - warm, 250'000u);
   EXPECT_GT(sim.now(), kBoundary);
+}
+
+// 50 coroutines join 2,000 times each on 8 servers: 100k joins, with up to
+// 42 jobs waiting at once.
+TEST_F(EngineAllocTest, FifoServerJoinsAllocateNothing) {
+  Simulation sim(1);
+  FifoServer server(sim, 8);
+  auto phase = [&sim, &server] {
+    CurrentSimulationScope scope(&sim);
+    for (int p = 0; p < 50; ++p) {
+      sim.Spawn(ServeLoop(&server, 2000, p * 7919));
+    }
+    sim.Run();
+  };
+  phase();
+  const std::uint64_t warm = sim.events_processed();
+  const std::size_t n = CountAllocs(phase);
+  Report("allocs", n);
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(sim.events_processed() - warm, 100'000u);
 }
 
 TEST_F(EngineAllocTest, SpawnOfFinishedTasksAllocatesNothing) {

@@ -1,17 +1,20 @@
 // Compile-only probe for the discard gate (discard_probe.cmake). It is built
-// once per shape with -DPROBE_<SHAPE>: each shape drops a sim::Task or a
-// sim::Future on the floor and must fail to compile under the project's
-// -Werror=unused-result. With no shape defined, the control holds, awaits
-// and spawns the same values and must compile, which shows the include path
-// and flags are sound.
+// once per shape with -DPROBE_<SHAPE>: each shape drops a sim::Task, a
+// sim::Future or a delay (sim.Delay, FifoServer::Serve) on the floor and
+// must fail to compile under the project's -Werror=unused-result. A dropped
+// Serve is worse than a no-op: the job holds its server without waiting.
+// With no shape defined, the control holds, awaits and spawns the same
+// values and must compile, which shows the include path and flags are sound.
 #include <utility>
 
 #include "sim/future.h"
 #include "sim/simulation.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace probe {
 
+using dufs::sim::FifoServer;
 using dufs::sim::Future;
 using dufs::sim::Simulation;
 using dufs::sim::Task;
@@ -49,8 +52,12 @@ void Probe() { Call([] { return Work(1); }); }
 void Probe() { []() -> Task<void> { co_return; }(); }
 #elif defined(PROBE_FUTURE)
 void Probe(Simulation& sim) { Pending(sim); }
+#elif defined(PROBE_DELAY)
+void Probe(Simulation& sim) { sim.Delay(1); }
+#elif defined(PROBE_SERVE)
+void Probe(FifoServer& server) { server.Serve(1); }
 #else
-Task<int> Probe(Simulation& sim, Actor* a) {
+Task<int> Probe(Simulation& sim, Actor* a, FifoServer* server) {
   Task<void> held = Work(1);
   co_await std::move(held);
   co_await a->Run();
@@ -59,6 +66,8 @@ Task<int> Probe(Simulation& sim, Actor* a) {
   co_await KICK(2);
   co_await Call([] { return Work(3); });
   co_await []() -> Task<void> { co_return; }();
+  co_await sim.Delay(1);
+  co_await server->Serve(1);
   co_return co_await Pending(sim);
 }
 #endif

@@ -1,11 +1,12 @@
 # Discard gate: sim::Task is lazy, so a Task or Future whose value is dropped
-# never runs. Compiles discard_probe.cc once per shape with the project's
-# compile options: every discard shape must fail with an unused-result
-# diagnostic, and the control (no shape defined) must compile.
+# never runs, and a dropped delay never waits. Compiles discard_probe.cc once
+# per shape with the project's compile options: every discard shape must fail
+# with an unused-result diagnostic, and the control (no shape defined) must
+# compile.
 #   cmake -DCXX=<compiler> -DSTD=<-std=c++20> "-DFLAGS=<options>"
 #         -DSRC=<repo>/src -DPROBE=<discard_probe.cc> -P discard_probe.cmake
 set(shapes PLAIN MEMBER POINTER STATIC AUTO_WRAPPER MACRO TEMPLATE_WRAPPER
-    LAMBDA FUTURE)
+    LAMBDA FUTURE DELAY SERVE)
 
 function(compile_probe define out_rc out_err)
   execute_process(

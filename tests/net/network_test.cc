@@ -278,6 +278,37 @@ TEST(NodeTest, ComputeQueuesBehindBusyCores) {
   EXPECT_EQ(done[3], sim::Ms(20));
 }
 
+// A crash does not end the frames running on a node, so a job in service
+// keeps its core until its departure, and a job that joins after the
+// restart starts there.
+TEST(NodeTest, CrashKeepsAJobInServiceUntilItsDeparture) {
+  sim::Simulation sim;
+  Network net(sim);
+  NodeModel model;
+  model.cores = 1;
+  Node& node = net.node(net.AddNode("srv", model));
+  std::vector<sim::SimTime> done;
+  auto job = [](sim::Simulation& s, Node& n, sim::Duration wait,
+                sim::Duration cpu,
+                std::vector<sim::SimTime>& d) -> sim::Task<void> {
+    co_await s.Delay(wait);
+    co_await n.Compute(cpu);
+    d.push_back(s.now());
+  };
+  {
+    sim::CurrentSimulationScope scope(&sim);
+    sim.Spawn(job(sim, node, 0, sim::Ms(10), done));
+    sim.Spawn(job(sim, node, sim::Ms(3), sim::Ms(1), done));
+  }
+  sim.ScheduleFn(sim::Ms(1), [&node] { node.Crash(); });
+  sim.ScheduleFn(sim::Ms(2), [&node] { node.Restart(); });
+  sim.Run();
+  EXPECT_TRUE(node.up());
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0], sim::Ms(10));
+  EXPECT_EQ(done[1], sim::Ms(11));
+}
+
 // ---------------------------------------------------------------- RPC ----
 
 constexpr std::uint16_t kEcho = 1;

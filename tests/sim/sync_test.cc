@@ -9,21 +9,19 @@
 namespace dufs::sim {
 namespace {
 
-// `res`/`spans` live in the test body, which runs the sim to completion.
-Task<void> UseResource(Simulation& sim, Resource& res, Duration hold,  // dufs-lint: allow(coro-ref-param)
-                       std::vector<std::pair<SimTime, SimTime>>& spans) {
-  auto guard = co_await res.Acquire();
-  const SimTime start = sim.now();
-  co_await sim.Delay(hold);
-  spans.emplace_back(start, sim.now());
+// `server`/`spans` live in the test body, which runs the sim to completion.
+Task<void> UseServer(Simulation& sim, FifoServer& server, Duration service,  // dufs-lint: allow(coro-ref-param)
+                     std::vector<std::pair<SimTime, SimTime>>& spans) {
+  co_await server.Serve(service);
+  spans.emplace_back(sim.now() - service, sim.now());
 }
 
-TEST(ResourceTest, SerializesWhenCapacityOne) {
+TEST(FifoServerTest, SerializesWhenCapacityOne) {
   Simulation sim;
   CurrentSimulationScope scope(&sim);
-  Resource res(sim, 1);
+  FifoServer server(sim, 1);
   std::vector<std::pair<SimTime, SimTime>> spans;
-  for (int i = 0; i < 4; ++i) sim.Spawn(UseResource(sim, res, 10, spans));
+  for (int i = 0; i < 4; ++i) sim.Spawn(UseServer(sim, server, 10, spans));
   sim.Run();
   ASSERT_EQ(spans.size(), 4u);
   // Non-overlapping, back-to-back: 0-10, 10-20, 20-30, 30-40.
@@ -33,12 +31,12 @@ TEST(ResourceTest, SerializesWhenCapacityOne) {
   }
 }
 
-TEST(ResourceTest, CapacityTwoAllowsPairs) {
+TEST(FifoServerTest, CapacityTwoAllowsPairs) {
   Simulation sim;
   CurrentSimulationScope scope(&sim);
-  Resource res(sim, 2);
+  FifoServer server(sim, 2);
   std::vector<std::pair<SimTime, SimTime>> spans;
-  for (int i = 0; i < 4; ++i) sim.Spawn(UseResource(sim, res, 10, spans));
+  for (int i = 0; i < 4; ++i) sim.Spawn(UseServer(sim, server, 10, spans));
   sim.Run();
   ASSERT_EQ(spans.size(), 4u);
   EXPECT_EQ(spans[0].first, 0);
@@ -48,35 +46,32 @@ TEST(ResourceTest, CapacityTwoAllowsPairs) {
   EXPECT_EQ(sim.now(), 20);
 }
 
-TEST(ResourceTest, FifoFairness) {
+TEST(FifoServerTest, FifoFairness) {
   Simulation sim;
   CurrentSimulationScope scope(&sim);
-  Resource res(sim, 1);
+  FifoServer server(sim, 1);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    sim.Spawn([](Simulation& s, Resource& r, int id,
-                 std::vector<int>& ord) -> Task<void> {
-      auto g = co_await r.Acquire();
+    sim.Spawn([](FifoServer& srv, int id, std::vector<int>& ord) -> Task<void> {
+      co_await srv.Serve(1);
       ord.push_back(id);
-      co_await s.Delay(1);
-    }(sim, res, i, order));
+    }(server, i, order));
   }
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(ResourceTest, PermitNotLeakedUnderChurn) {
+TEST(FifoServerTest, NoServerLeakedUnderChurn) {
   Simulation sim;
   CurrentSimulationScope scope(&sim);
-  Resource res(sim, 2);
+  FifoServer server(sim, 2);
   std::vector<std::pair<SimTime, SimTime>> spans;
   for (int i = 0; i < 50; ++i) {
-    sim.Spawn(UseResource(sim, res, 1 + (i % 3), spans));
+    sim.Spawn(UseServer(sim, server, 1 + (i % 3), spans));
   }
   sim.Run();
   EXPECT_EQ(spans.size(), 50u);
-  EXPECT_EQ(res.in_use(), 0u);
-  EXPECT_EQ(res.queue_length(), 0u);
+  EXPECT_EQ(server.queue_length(), 0u);
   // At no sim time may more than 2 spans overlap.
   for (std::size_t i = 0; i < spans.size(); ++i) {
     int overlap = 0;
@@ -89,24 +84,32 @@ TEST(ResourceTest, PermitNotLeakedUnderChurn) {
   }
 }
 
-TEST(ResourceTest, GuardReleaseNowFreesEarly) {
+// A job's start is fixed when it joins, so a queued job costs only its
+// departure event: no wake-up is handed to it when the job ahead leaves.
+TEST(FifoServerTest, QueuedJobsCostOneEventEach) {
   Simulation sim;
   CurrentSimulationScope scope(&sim);
-  Resource res(sim, 1);
-  std::vector<SimTime> starts;
-  sim.Spawn([](Simulation& s, Resource& r) -> Task<void> {
-    auto g = co_await r.Acquire();
-    co_await s.Delay(10);
-    g.ReleaseNow();
-    co_await s.Delay(100);  // keeps running, but permit already released
-  }(sim, res));
-  sim.Spawn([](Simulation& s, Resource& r, std::vector<SimTime>& st) -> Task<void> {
-    auto g = co_await r.Acquire();
-    st.push_back(s.now());
-  }(sim, res, starts));
+  FifoServer server(sim, 1);
+  std::vector<std::pair<SimTime, SimTime>> spans;
+  constexpr int kJobs = 16;
+  for (int i = 0; i < kJobs; ++i) sim.Spawn(UseServer(sim, server, 10, spans));
+  EXPECT_EQ(sim.Run(), static_cast<std::uint64_t>(kJobs));
+  ASSERT_EQ(spans.size(), static_cast<std::size_t>(kJobs));
+  EXPECT_EQ(spans.back().second, 10 * kJobs);
+}
+
+TEST(FifoServerTest, QueueLengthCountsJobsNotStarted) {
+  Simulation sim;
+  FifoServer server(sim, 1);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(server.Join(10), 10 * i);
+  // The first job started at once; the other three wait.
+  EXPECT_EQ(server.queue_length(), 3u);
+  std::vector<std::size_t> seen;
+  for (const SimTime t : {5, 10, 15, 20, 30}) {
+    sim.ScheduleFn(t, [&] { seen.push_back(server.queue_length()); });
+  }
   sim.Run();
-  ASSERT_EQ(starts.size(), 1u);
-  EXPECT_EQ(starts[0], 10);
+  EXPECT_EQ(seen, (std::vector<std::size_t>{3, 2, 2, 1, 0}));
 }
 
 TEST(MailboxTest, DeliversInOrder) {
