@@ -12,10 +12,6 @@ using vfs::FileType;
 
 namespace {
 
-// Bounded positive cache for physical skeleton dirs; eviction is wholesale
-// (the cache is a hint only — entries are re-probed on miss).
-constexpr std::size_t kMaxCacheEntries = 1 << 16;
-
 StatusCode MapZkCode(StatusCode code) {
   // Znode-level codes map 1:1 onto filesystem codes.
   return code;
@@ -208,17 +204,7 @@ sim::Task<Status> DufsClient::FormatBackends() {
   for (const auto& st : statuses) {
     if (!st.ok()) co_return st;
   }
-  AssumeFormatted();
   co_return Status::Ok();
-}
-
-void DufsClient::AssumeFormatted() {
-  for (std::uint32_t b = 0; b < backends_.size(); ++b) {
-    const std::string prefix = std::to_string(b) + ":";
-    for (const auto& dir : StaticPhysicalSkeleton()) {
-      known_phys_dirs_.insert(prefix + dir);
-    }
-  }
 }
 
 sim::Task<Result<DufsClient::Lookup>> DufsClient::LookupPath(
@@ -421,19 +407,6 @@ sim::Task<Status> DufsClient::CheckParentIsDir(std::string virtual_path) {
   co_return Status::Ok();
 }
 
-sim::Task<Status> DufsClient::EnsurePhysicalDirs(std::uint32_t backend,
-                                                 Fid fid) {
-  for (const auto& dir : PhysicalDirsForFid(fid)) {
-    const std::string key = std::to_string(backend) + ":" + dir;
-    if (known_phys_dirs_.count(key) > 0) continue;
-    auto st = co_await backends_[backend]->Mkdir(dir, 0755);
-    if (!st.ok() && st.code() != StatusCode::kAlreadyExists) co_return st;
-    if (known_phys_dirs_.size() >= kMaxCacheEntries) known_phys_dirs_.clear();
-    known_phys_dirs_.insert(key);
-  }
-  co_return Status::Ok();
-}
-
 vfs::FileAttr DufsClient::AttrFromDir(const MetaRecord& record,
                                       const zk::ZnodeStat& stat) const {
   FileAttr attr;
@@ -523,52 +496,39 @@ sim::Task<Result<FileAttr>> DufsClient::Create(std::string path,
     if (auto st = co_await CheckParentIsDir(path); !st.ok()) co_return st;
   }
 
+  // The format put every physical directory in place (paper §IV-G), so
+  // the file's three parents exist and only the znode and the file are
+  // created here.
   const Fid fid = NextFid();
-  std::uint32_t backend = 0;
-  auto& fs = BackendFor(fid, &backend);
-
-  // Overlap the znode create with physical-directory preparation: they are
-  // independent, and the skeleton dirs are shared and idempotent, so there
-  // is nothing to roll back if the znode create loses.
-  auto create_znode = [](DufsClient& self, std::string znode, Fid f,
-                         vfs::Mode m) -> sim::Task<Status> {
-    if (!self.config_.compound_ops) {
-      auto created = co_await self.zk_.Create(std::move(znode),
-                                              MetaRecord::File(f, m).Encode());
-      co_return created.status();
-    }
-    auto res = co_await self.zk_.ResolveCreate(
-        znode, MetaRecord::File(f, m).Encode(), zk::CreateMode::kPersistent,
-        kDirTag, /*watch=*/self.config_.enable_meta_cache);
-    if (!res.ok()) co_return res.status();
+  auto& fs = BackendFor(fid);
+  const std::string znode = ZnodePath(path);
+  op.Arm();
+  if (config_.compound_ops) {
+    auto res = co_await zk_.ResolveCreate(
+        znode, MetaRecord::File(fid, mode).Encode(),
+        zk::CreateMode::kPersistent, kDirTag,
+        /*watch=*/config_.enable_meta_cache);
+    if (!res.ok()) co_return Status(MapZkCode(res.code()), path);
     // Seed instead of invalidate: the reply's prefix carries the parent's
     // post-create stat, strictly fresher than what a re-fetch would see.
     const StatusCode code =
-        self.SeedFromReply(zk::OpType::kResolveCreate, znode, *res);
-    if (res->ok() && self.config_.enable_meta_cache) {
+        SeedFromReply(zk::OpType::kResolveCreate, znode, *res);
+    if (res->ok() && config_.enable_meta_cache) {
       // The reply does not echo the record the client just wrote; seed the
       // terminal from what we know plus the authoritative stat.
-      self.meta_cache_.PutPositive(znode, MetaRecord::File(f, m),
-                                   res->stat());
+      meta_cache_.PutPositive(znode, MetaRecord::File(fid, mode), res->stat());
     }
-    co_return Status(code);
-  };
-  std::vector<sim::Task<Status>> prep;
-  prep.push_back(create_znode(*this, ZnodePath(path), fid, mode));
-  prep.push_back(EnsurePhysicalDirs(backend, fid));
-  op.Arm();
-  auto prep_sts = co_await sim::WhenAll(std::move(prep));
-  if (!config_.compound_ops) InvalidateAfterMutation(path);
-  if (!prep_sts[0].ok()) co_return Status(MapZkCode(prep_sts[0].code()), path);
-  if (!prep_sts[1].ok()) {
-    (void)co_await zk_.Delete(ZnodePath(path));
+    if (code != StatusCode::kOk) co_return Status(code, path);
+  } else {
+    auto created =
+        co_await zk_.Create(znode, MetaRecord::File(fid, mode).Encode());
     InvalidateAfterMutation(path);
-    co_return prep_sts[1];
+    if (!created.ok()) co_return Status(MapZkCode(created.code()), path);
   }
   op.Arm();
   auto phys = co_await fs.Create(PhysicalPathForFid(fid), mode);
   if (!phys.ok() && phys.code() != StatusCode::kAlreadyExists) {
-    (void)co_await zk_.Delete(ZnodePath(path));  // roll back the znode
+    (void)co_await zk_.Delete(znode);  // roll back the znode
     InvalidateAfterMutation(path);
     co_return phys.status();
   }
@@ -993,7 +953,7 @@ sim::Task<Result<vfs::FsStats>> DufsClient::StatFs() {
 std::size_t DufsClient::EstimateMemoryBytes() const {
   constexpr std::size_t kFixed = 3 * 1024 * 1024;  // process + FUSE channel
   return kFixed + meta_cache_.EstimateMemoryBytes() +
-         known_phys_dirs_.size() * 96 + open_files_.size() * 48;
+         open_files_.size() * 48;
 }
 
 }  // namespace dufs::core

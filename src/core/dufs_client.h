@@ -69,12 +69,11 @@ class DufsClient : public vfs::FileSystem {
   std::uint64_t client_id() const { return client_id_; }
 
   // One-time back-end preparation: creates the static FID directory
-  // hierarchy on every back-end (paper §IV-G). Run once per filesystem,
-  // like mkfs; other clients then call AssumeFormatted().
+  // hierarchy on every back-end (paper §IV-G). Run once per filesystem by
+  // one client, like mkfs. Every client relies on it and keeps no
+  // per-directory state: Create makes only the file, so on a back-end
+  // never formatted it fails with that back-end's error.
   sim::Task<Status> FormatBackends();
-  // Seeds the physical-directory cache without probing the back-ends
-  // (valid after some client ran FormatBackends).
-  void AssumeFormatted();
 
   const DufsConfig& config() const { return config_; }
   PlacementPolicy& placement() { return *placement_; }
@@ -173,9 +172,6 @@ class DufsClient : public vfs::FileSystem {
   // dentry cache plays this role in the paper's prototype).
   sim::Task<Status> CheckParentIsDir(std::string virtual_path);
 
-  // Creates (and caches) the static FID directory skeleton lazily.
-  sim::Task<Status> EnsurePhysicalDirs(std::uint32_t backend, Fid fid);
-
   sim::Task<Status> RenameSubtree(std::string from, std::string to,
                                   Lookup src);
 
@@ -193,7 +189,6 @@ class DufsClient : public vfs::FileSystem {
   // it seeds. Used only inside that call, which never suspends.
   std::vector<std::string_view> split_;
   std::string seed_path_;
-  HashSet<std::string> known_phys_dirs_;  // "<backend>:<dir>"
   HashMap<vfs::FileHandle, OpenState> open_files_;
   vfs::FileHandle next_handle_ = 1;
 

@@ -29,18 +29,6 @@ std::string PhysicalPathForFid(const Fid& fid) {
   return path;
 }
 
-std::vector<std::string> PhysicalDirsForFid(const Fid& fid) {
-  const std::string hex = fid.ToHex();
-  std::vector<std::string> dirs;
-  std::string prefix;
-  for (std::size_t level = 0; level < kDirLevels; ++level) {
-    prefix.push_back('/');
-    prefix.append(hex.substr(32 - (level + 1) * kGroup, kGroup));
-    dirs.push_back(prefix);
-  }
-  return dirs;
-}
-
 std::vector<std::string> StaticPhysicalSkeleton() {
   std::vector<std::string> dirs;
   dirs.reserve(16 + 256 + 4096);

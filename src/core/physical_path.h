@@ -4,8 +4,9 @@
 // splits the hex representation into four components: the *trailing* groups
 // become the directory hierarchy (hot, low-entropy bits spread file creates
 // across many directories) and the leading group is the file name. Our FIDs
-// are 128-bit, so: three 4-hex-char directory levels from the tail, and the
-// remaining 20 hex chars as the file name.
+// are 128-bit, and each directory level is one hex char from the tail, so
+// the 16 + 256 + 4096 directories can be created at format time; the
+// remaining 29 hex chars are the file name.
 #pragma once
 
 #include <optional>
@@ -21,10 +22,6 @@ namespace dufs::core {
 // 0123456789abcdef0123456789abcdef (trailing chars "f","e","d" become the
 // directory levels; the remaining 29 chars the file name).
 std::string PhysicalPathForFid(const Fid& fid);
-
-// The three ancestor directories of a FID's physical file, shallowest first
-// ("/f", "/f/e", "/f/e/d").
-std::vector<std::string> PhysicalDirsForFid(const Fid& fid);
 
 // Every directory of the static hierarchy (16 + 256 + 4096 paths, parents
 // first) — created once per back-end at format time (paper §IV-G: "this

@@ -187,12 +187,9 @@ void Testbed::MountAll() {
       DUFS_CHECK(st.ok());
     }
     // mkfs-style one-time preparation of the static FID hierarchy
-    // (paper §IV-G); the other clients just learn that it exists.
+    // (paper §IV-G); every client's creates rely on it.
     auto st = co_await tb.client(0).dufs->FormatBackends();
     DUFS_CHECK(st.ok());
-    for (std::size_t i = 1; i < tb.client_count(); ++i) {
-      tb.client(i).dufs->AssumeFormatted();
-    }
   }(*this));
 }
 

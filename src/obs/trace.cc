@@ -35,7 +35,7 @@ TrackId Tracer::Track(const std::string& name) {
 void Tracer::Complete(TrackId track, const char* name, const char* cat,
                       sim::SimTime start, sim::Duration dur, TraceId trace,
                       std::span<const Arg> args) {
-  if (sim_ == nullptr || !(enabled_ || armed_)) return;
+  if (!recording()) return;
   Record rec{name, cat, start, dur, trace, ++seq_};
   for (const Arg& a : args) {
     if (!a.is_string && std::strcmp(a.key, "wait_ns") == 0) rec.wait_ns = a.num;

@@ -75,6 +75,9 @@ class Tracer {
   // Armed, every track keeps its newest records for an anomaly dump.
   void SetArmed(bool on) { armed_ = on; }
   bool armed() const { return armed_; }
+  // True when Complete would keep a record. A site whose args cost work to
+  // build checks it first, so an idle tracer costs it one branch.
+  bool recording() const { return sim_ != nullptr && (enabled_ || armed_); }
 
   // Get-or-create a track by node name. Track ids are assigned in
   // registration order (construction order of the testbed — deterministic).

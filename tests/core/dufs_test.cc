@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/meta_schema.h"
+#include "core/physical_path.h"
 #include "mdtest/testbed.h"
 #include "sim/task.h"
 #include "testutil/co_assert.h"
@@ -426,6 +429,69 @@ TEST(DufsTest, FidsUniqueAcrossClients) {
       EXPECT_TRUE(a.ok());
       EXPECT_TRUE(b.ok());
     }
+  }(tb));
+}
+
+TEST(DufsTest, CreatesLeaveOnlyTheFormattedSkeleton) {
+  // Every physical parent exists from the format on, so creates from every
+  // client make files only: each back-end holds exactly the skeleton's
+  // directories, and its files are the ones created.
+  Testbed tb(SmallConfig());
+  tb.MountAll();
+  sim::RunTask(tb.sim(), [](Testbed& t) -> sim::Task<void> {
+    constexpr int kPerClient = 64;
+    for (std::size_t c = 0; c < t.client_count(); ++c) {
+      for (int i = 0; i < kPerClient; ++i) {
+        const std::string path =
+            "/c" + std::to_string(c) + "-" + std::to_string(i);
+        CO_ASSERT_TRUE((co_await t.client(c).dufs->Create(path, 0644)).ok());
+      }
+    }
+    const auto skeleton = StaticPhysicalSkeleton();
+    const std::set<std::string> want(skeleton.begin(), skeleton.end());
+    std::size_t files = 0;
+    std::size_t reads = 0;
+    for (auto& mount : t.client(0).backend_mounts) {
+      std::set<std::string> dirs;
+      std::vector<std::string> pending{"/"};
+      while (!pending.empty()) {
+        const std::string dir = std::move(pending.back());
+        pending.pop_back();
+        auto listing = co_await mount->ReadDir(dir);
+        CO_ASSERT_TRUE(listing.ok());
+        for (const auto& entry : *listing) {
+          const std::string child = vfs::JoinPath(dir, entry.name);
+          if (entry.type == vfs::FileType::kDirectory) {
+            dirs.insert(child);
+            pending.push_back(child);
+          } else {
+            ++files;
+          }
+        }
+        // Yield now and then: MemFs completes synchronously.
+        if (++reads % 64 == 0) co_await t.sim().Delay(0);
+      }
+      EXPECT_EQ(dirs, want);
+    }
+    EXPECT_EQ(files, kPerClient * t.client_count());
+  }(tb));
+}
+
+TEST(DufsTest, CreateOnUnformattedBackendFailsAndLeavesNoZnode) {
+  Testbed tb(SmallConfig());
+  sim::RunTask(tb.sim(), [](Testbed& t) -> sim::Task<void> {
+    auto& fs = *t.client(0).dufs;
+    CO_ASSERT_OK(co_await fs.Mount());  // no FormatBackends
+    // The physical parent is missing, so the back-end's ENOENT comes back
+    // and the znode create is rolled back.
+    auto created = co_await fs.Create("/f", 0644);
+    EXPECT_EQ(created.code(), StatusCode::kNotFound);
+    EXPECT_EQ((co_await fs.GetAttr("/f")).code(), StatusCode::kNotFound);
+    auto znode = co_await t.client(0).zk->Exists("/dufs/ns/f");
+    EXPECT_EQ(znode.code(), StatusCode::kNotFound);
+    auto listing = co_await fs.ReadDir("/");
+    CO_ASSERT_TRUE(listing.ok());
+    EXPECT_TRUE(listing->empty());
   }(tb));
 }
 

@@ -9,6 +9,17 @@
 namespace dufs::core {
 namespace {
 
+// The ancestor directories of a physical path, shallowest first
+// ("/f/e/d/name" -> "/f", "/f/e", "/f/e/d").
+std::vector<std::string> AncestorDirs(const std::string& path) {
+  std::vector<std::string> dirs;
+  for (auto slash = path.find('/', 1); slash != std::string::npos;
+       slash = path.find('/', slash + 1)) {
+    dirs.push_back(path.substr(0, slash));
+  }
+  return dirs;
+}
+
 TEST(PhysicalPathTest, MatchesPaperLayout) {
   // Paper Fig. 4 (adapted to 128-bit FIDs and a pre-creatable skeleton):
   // trailing hex chars become the directory levels, the leading chars the
@@ -18,15 +29,19 @@ TEST(PhysicalPathTest, MatchesPaperLayout) {
 }
 
 TEST(PhysicalPathTest, DirsArePrefixes) {
-  const Fid fid{0xdeadbeefcafef00dull, 42};
-  const auto dirs = PhysicalDirsForFid(fid);
-  ASSERT_EQ(dirs.size(), 3u);
-  const auto path = PhysicalPathForFid(fid);
-  for (const auto& dir : dirs) {
-    EXPECT_EQ(path.substr(0, dir.size()), dir);
+  Rng rng(5);
+  for (int i = 0; i < 500; ++i) {
+    const Fid fid{rng.NextU64(), rng.NextU64()};
+    const std::string path = PhysicalPathForFid(fid);
+    const std::string hex = fid.ToHex();
+    const auto dirs = AncestorDirs(path);
+    ASSERT_EQ(dirs.size(), 3u) << path;
+    // Each level is one more trailing hex char, deepest last.
+    EXPECT_EQ(dirs[0], (std::string{'/', hex[31]}));
+    EXPECT_EQ(dirs[1], dirs[0] + '/' + hex[30]);
+    EXPECT_EQ(dirs[2], dirs[1] + '/' + hex[29]);
+    EXPECT_EQ(path.substr(0, dirs[2].size() + 1), dirs[2] + '/');
   }
-  EXPECT_LT(dirs[0].size(), dirs[1].size());
-  EXPECT_LT(dirs[1].size(), dirs[2].size());
 }
 
 TEST(PhysicalPathTest, RoundTrip) {
@@ -64,20 +79,27 @@ TEST(PhysicalPathTest, SequentialFidsSpreadDirectories) {
   // creation at a single directory level").
   std::unordered_set<std::string> leaf_dirs;
   for (std::uint64_t i = 0; i < 4096; ++i) {
-    leaf_dirs.insert(PhysicalDirsForFid(Fid{7, i})[2]);
+    leaf_dirs.insert(AncestorDirs(PhysicalPathForFid(Fid{7, i}))[2]);
   }
   EXPECT_EQ(leaf_dirs.size(), 4096u);  // all 16^3 leaves hit
 }
 
 TEST(PhysicalPathTest, SkeletonCoversAllDirs) {
+  // Exhaustive: FIDs 0..4095 end in every 3-hex-char tail, so their
+  // ancestors are every directory a physical file can have. The skeleton
+  // is exactly that set, which is why a formatted back-end needs no mkdir.
   const auto skeleton = StaticPhysicalSkeleton();
   EXPECT_EQ(skeleton.size(), 16u + 256u + 4096u);
-  std::unordered_set<std::string> dirs(skeleton.begin(), skeleton.end());
-  for (std::uint64_t i = 0; i < 300; ++i) {
-    for (const auto& dir : PhysicalDirsForFid(Fid{3, i * 977})) {
-      EXPECT_TRUE(dirs.count(dir) > 0) << dir;
+  const std::unordered_set<std::string> dirs(skeleton.begin(),
+                                             skeleton.end());
+  EXPECT_EQ(dirs.size(), skeleton.size());
+  std::unordered_set<std::string> ancestors;
+  for (std::uint64_t i = 0; i < 4096; ++i) {
+    for (const auto& dir : AncestorDirs(PhysicalPathForFid(Fid{3, i}))) {
+      ancestors.insert(dir);
     }
   }
+  EXPECT_EQ(ancestors, dirs);
   // Parents appear before children (safe creation order).
   std::unordered_set<std::string> seen{"/"};
   for (const auto& dir : skeleton) {

@@ -41,13 +41,14 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# name, then its flags. fig10 and fig13 run at the flags CI gates them
-# with; fig07 and fig08 run their default sweeps (a bench exits 1 on a
+# name, then its flags. fig10, fig11 and fig13 run at the flags CI gates
+# them with; fig07 and fig08 run their default sweeps (a bench exits 1 on a
 # flag it does not read).
 benches=(
   "fig07_zk_throughput"
   "fig08_zk_servers"
   "fig10_native_compare --procs=16,64 --items=5"
+  "fig11_memory --millions=0.1"
   "fig13_deep_tree"
   "ablation_fastpath"
 )
