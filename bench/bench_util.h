@@ -5,6 +5,7 @@
 // flags -> observability -> exports wiring itself lives in bench/harness.h.
 #pragma once
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -17,11 +18,12 @@
 
 namespace dufs::bench {
 
-// --flag=value / --flag value / --flag (bool). Positional (non --) arguments
-// abort with the usage string; unrecognized --flags are parsed but simply
-// never read back. Flags remembers which were read: bench::Harness fails a
-// bench given a flag it never read (Unread()), while a caller that shares
-// one command line between tools can ignore the rest.
+// --flag=value / --flag value / --flag (bool). A positional (non --)
+// argument, or a numeric flag read back whose value is not entirely a
+// number, exits 2 with the usage string; unrecognized --flags are parsed but
+// simply never read back. Flags remembers which were read: bench::Harness
+// fails a bench given a flag it never read (Unread()), while a caller that
+// shares one command line between tools can ignore the rest.
 class Flags {
  public:
   Flags(int argc, char** argv, std::string usage)
@@ -48,11 +50,18 @@ class Flags {
   }
   long Int(const std::string& key, long fallback) const {
     const auto* v = Find(key);
-    return v == nullptr ? fallback : std::strtol(v->c_str(), nullptr, 10);
+    return v == nullptr ? fallback : ToInt(key, *v);
   }
   double Double(const std::string& key, double fallback) const {
     const auto* v = Find(key);
-    return v == nullptr ? fallback : std::strtod(v->c_str(), nullptr);
+    if (v == nullptr) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const double d = std::strtod(v->c_str(), &end);
+    if (v->empty() || *end != '\0' || errno == ERANGE) {
+      Fail("--" + key + ": not a number: \"" + *v + "\"");
+    }
+    return d;
   }
   std::string Str(const std::string& key, std::string fallback) const {
     const auto* v = Find(key);
@@ -74,8 +83,7 @@ class Flags {
       auto end = v->find(',', start);
       if (end == std::string::npos) end = v->size();
       if (end > start) {
-        out.push_back(std::strtol(v->substr(start, end - start).c_str(),
-                                  nullptr, 10));
+        out.push_back(ToInt(key, v->substr(start, end - start)));
       }
       start = end + 1;
     }
@@ -106,6 +114,15 @@ class Flags {
       if (found == nullptr) found = &v.value;
     }
     return found;
+  }
+  long ToInt(const std::string& key, const std::string& text) const {
+    char* end = nullptr;
+    errno = 0;
+    const long n = std::strtol(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0' || errno == ERANGE) {
+      Fail("--" + key + ": not an integer: \"" + text + "\"");
+    }
+    return n;
   }
   [[noreturn]] void Fail(const std::string& message) const {
     std::fprintf(stderr, "%s\nusage: %s\n", message.c_str(), usage_.c_str());

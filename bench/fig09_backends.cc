@@ -94,14 +94,23 @@ int main(int argc, char** argv) {
       {Phase::kFileStat, "Fig 9c: file-stat"},
   };
   for (const auto& [phase, title] : figures) {
+    // Table series, each with the name of its cells in the baseline.
     std::vector<std::string> series = {"Basic Lustre"};
+    std::vector<std::string> keys = {"basic_lustre"};
     for (long n : backends_list) {
       series.push_back("DUFS " + std::to_string(n) + " Lustre backends");
+      keys.push_back("backends_" + std::to_string(n));
     }
     bench::SeriesTable table("procs", series);
+    const std::string name(mdtest::PhaseName(phase));
     for (long procs : procs_list) {
       std::vector<double> row;
-      for (const auto& s : series) row.push_back(results[phase][s][procs]);
+      for (std::size_t si = 0; si < series.size(); ++si) {
+        row.push_back(results[phase][series[si]][procs]);
+        h.baseline().AddHigherBetter(name + "." + keys[si] + ".procs_" +
+                                         std::to_string(procs) + ".ops_per_s",
+                                     row.back());
+      }
       table.AddRow(procs, std::move(row));
     }
     table.Print(title);

@@ -54,8 +54,13 @@ std::vector<obs::SloSpec> ParseSlos(const std::string& flag) {
     const char* op = obs::Incidents::CanonicalOpName(clause.substr(0, c1));
     const std::int64_t target =
         ParseDurationNs(clause.substr(c1 + 1, c2 - c1 - 1));
-    const double budget = std::strtod(clause.c_str() + c2 + 1, nullptr);
-    if (op == nullptr || target < 0 || budget <= 0.0 || budget > 1.0) bad();
+    const char* budget_text = clause.c_str() + c2 + 1;
+    char* budget_end = nullptr;
+    const double budget = std::strtod(budget_text, &budget_end);
+    if (op == nullptr || target < 0 || *budget_end != '\0' || budget <= 0.0 ||
+        budget > 1.0) {
+      bad();
+    }
     slos.push_back(obs::SloSpec{op, target, budget});
   }
   return slos;

@@ -30,9 +30,10 @@
 //                         regression baseline
 //   --slo=SPEC[,SPEC...]  arm the SLO evaluator; SPEC = op:target:budget,
 //                         e.g. create:2ms:0.01 (1% of creates may miss 2ms)
-//   --flight-dump-dir=DIR arm the anomaly detectors and the span rings;
-//                         dumps each track's newest spans to
-//                         DIR/dump_<seq>_<type>.json on firing
+//   --flight-dump-dir=DIR arm the anomaly detectors and record the observed
+//                         run's spans as --trace does (memory grows with
+//                         the run); on firing, dumps each track's newest
+//                         spans to DIR/dump_<seq>_<type>.json
 //   --profile=PATH        sample the CPU profiler over the whole run, write
 //                         folded stacks
 //   --profile-hz=N        signal-mode sample rate (default 97)

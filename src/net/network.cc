@@ -86,7 +86,7 @@ sim::Task<void> Network::Transfer(Message msg) {
   ++src.messages_sent;
   co_await sim_.Delay(tx_start + tx + src.model().nic.base_latency - sent);
 
-  if (obs_ != nullptr && obs_->tracer().recording()) {
+  if (obs_ != nullptr && obs_->tracer().enabled()) {
     obs_->tracer().Complete(src_obs.node.track, "nic-tx", "net", sent,
                             tx_start + tx - sent, trace,
                             {{"wait_ns", tx_start - sent},
@@ -107,7 +107,7 @@ sim::Task<void> Network::Transfer(Message msg) {
 
   Node::NicObs& dst_obs = dst.nic_obs();
   dst_obs.rx_wait.Record(rx_start - arrived);
-  if (obs_ != nullptr && obs_->tracer().recording()) {
+  if (obs_ != nullptr && obs_->tracer().enabled()) {
     obs_->tracer().Complete(dst_obs.node.track, "nic-rx", "net", arrived,
                             sim_.now() - arrived, trace,
                             {{"wait_ns", rx_start - arrived},

@@ -35,8 +35,11 @@ void Incidents::Configure(const AnomalyConfig& config) {
   if (config_.window_ns <= 0) config_.window_ns = sim::Ms(10);
   if (config_.trailing_windows <= 0) config_.trailing_windows = 1;
   for (ClassState& c : classes_) c.cluster.Init(config_.trailing_windows);
-  // A dump lists the tracer's rings, which record only while armed.
-  if (tracer_ != nullptr) tracer_->SetArmed(!config_.dump_dir.empty());
+  // A dump lists the newest spans of the tracer's store, which records only
+  // while enabled. Never disabled here: a --trace run stays traced.
+  if (tracer_ != nullptr && !config_.dump_dir.empty()) {
+    tracer_->SetEnabled(true);
+  }
   Arm();
 }
 

@@ -2,8 +2,9 @@
 //
 // Sits between the hot-path hooks (client op completion, ZK queue depth,
 // fsync batches, leader changes, MetaCache probes) and the tracer's span
-// store: when a detector fires it appends a deterministic structured Anomaly
-// record and serializes each track's newest spans (Tracer::DumpJson) to
+// store, which a dump dir enables (Configure) just as --trace does: when a
+// detector fires it appends a deterministic structured Anomaly record and
+// serializes each track's newest spans (Tracer::DumpJson) to
 // `<dump_dir>/dump_<seq>_<type>.json` for offline root-causing with
 // `tracestats --explain-dump`.
 //
@@ -89,8 +90,8 @@ class Incidents {
     tracer_ = tracer;
   }
 
-  // Arms the tracer's rings when `config.dump_dir` is set (and disarms
-  // them when it is not): they record only while a dump may read them.
+  // Enables the tracer when `config.dump_dir` is set, so a dump can list
+  // the spans that led up to it. Never disables a tracer already enabled.
   void Configure(const AnomalyConfig& config);
   // Register one SLO; `spec.op` must be a canonical class-name literal (see
   // CanonicalOpName). Implies Arm-on-Configure.

@@ -1,9 +1,8 @@
 #include "obs/trace.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <utility>
+#include <cstring>
 
 #include "common/json_text.h"
 #include "obs/obs.h"
@@ -35,66 +34,21 @@ TrackId Tracer::Track(const std::string& name) {
 void Tracer::Complete(TrackId track, const char* name, const char* cat,
                       sim::SimTime start, sim::Duration dur, TraceId trace,
                       std::span<const Arg> args) {
-  if (!recording()) return;
-  Record rec{name, cat, start, dur, trace, ++seq_};
-  for (const Arg& a : args) {
-    if (!a.is_string && std::strcmp(a.key, "wait_ns") == 0) rec.wait_ns = a.num;
-  }
-  if (enabled_) {
-    rec.args = static_cast<std::uint32_t>(args_.size());
-    rec.nargs = static_cast<std::uint32_t>(args.size());
-    args_.insert(args_.end(), args.begin(), args.end());
-    ++traced_;
-  }
-  if (track >= rings_.size()) rings_.resize(track + 1);
-  Ring& r = rings_[track];
-  if (traced_ > 0) {
-    // Unbounded from the first traced record on: unwrap, then append.
-    if (r.oldest != 0) {
-      std::rotate(r.recs.begin(), r.recs.begin() + r.oldest, r.recs.end());
-      r.oldest = 0;
-    }
-    r.recs.push_back(rec);
-  } else if (r.recs.size() < kTrackCapacity) {
-    if (r.recs.capacity() < kTrackCapacity) r.recs.reserve(kTrackCapacity);
-    r.recs.push_back(rec);
-  } else {
-    r.recs[r.oldest] = rec;
-    r.oldest = r.oldest + 1 == kTrackCapacity ? 0 : r.oldest + 1;
-  }
-}
-
-std::vector<std::pair<TrackId, const Tracer::Record*>> Tracer::Traced()
-    const {
-  std::vector<std::pair<TrackId, const Record*>> out;
-  out.reserve(traced_);
-  for (TrackId t = 0; t < rings_.size(); ++t) {
-    ForEach(t, [&](const Record& rec) {
-      if (rec.args != kUntraced) out.emplace_back(t, &rec);
-    });
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second->seq < b.second->seq;
-  });
-  return out;
+  if (!enabled_) return;
+  records_.push_back(Record{name, cat, start, dur, trace,
+                            static_cast<std::uint32_t>(args_.size()),
+                            static_cast<std::uint32_t>(args.size()), track});
+  args_.insert(args_.end(), args.begin(), args.end());
 }
 
 std::vector<Tracer::Event> Tracer::events() const {
   std::vector<Event> out;
-  out.reserve(traced_);
-  for (const auto& [track, rec] : Traced()) {
-    const auto first = args_.begin() + rec->args;
-    out.push_back(Event{track, rec->name, rec->cat, rec->start, rec->dur,
-                        rec->trace, {first, first + rec->nargs}});
+  out.reserve(records_.size());
+  for (const Record& rec : records_) {
+    out.push_back(Event{rec.track, rec.name, rec.cat, rec.start, rec.dur,
+                        rec.trace, ArgsOf(rec)});
   }
   return out;
-}
-
-void Tracer::Clear() {
-  rings_.clear();
-  args_.clear();
-  seq_ = 0;
-  traced_ = 0;
 }
 
 std::string Tracer::Json(const std::string& anomaly_json, bool dump) const {
@@ -117,11 +71,10 @@ std::string Tracer::Json(const std::string& anomaly_json, bool dump) const {
     AppendJsonEscaped(&out, tracks_[i]);
     out += "\"}}";
   }
-  auto event = [&](TrackId track, const Record& rec,
-                   std::span<const Arg> args) {
+  auto event = [&](const Record& rec, std::span<const Arg> args) {
     if (!first) out += ',';
     first = false;
-    out += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(track + 1) +
+    out += "{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(rec.track + 1) +
            ",\"name\":\"";
     AppendJsonEscaped(&out, rec.name);
     out += "\",\"cat\":\"";
@@ -131,7 +84,7 @@ std::string Tracer::Json(const std::string& anomaly_json, bool dump) const {
     out += ",\"dur\":";
     AppendJsonMicros(out, rec.dur);
     out += ",\"args\":{";
-    if (dump) out += "\"seq\":" + std::to_string(rec.seq);
+    if (dump) out += "\"seq\":" + std::to_string(&rec - records_.data() + 1);
     if (rec.trace != 0) {
       if (out.back() != '{') out += ',';
       out += "\"trace\":" + std::to_string(rec.trace);
@@ -151,23 +104,27 @@ std::string Tracer::Json(const std::string& anomaly_json, bool dump) const {
     }
     out += "}}";
   };
-  if (dump) {
-    for (TrackId t = 0; t < rings_.size(); ++t) {
-      const std::size_t held = size(t);
-      std::size_t skip = held > kTrackCapacity ? held - kTrackCapacity : 0;
-      ForEach(t, [&](const Record& rec) {
-        if (skip > 0) {
-          --skip;
-          return;
-        }
-        const Arg wait{"wait_ns", rec.wait_ns};
-        event(t, rec, std::span<const Arg>(&wait, rec.wait_ns >= 0 ? 1 : 0));
-      });
-    }
+  if (!dump) {
+    for (const Record& rec : records_) event(rec, ArgsOf(rec));
   } else {
-    for (const auto& [track, rec] : Traced()) {
-      event(track, *rec,
-            std::span<const Arg>(args_).subspan(rec->args, rec->nargs));
+    // One backward pass finds each track's newest kTrackCapacity records.
+    std::vector<std::vector<std::uint32_t>> newest;  // per track, newest first
+    for (std::size_t i = records_.size(); i-- > 0;) {
+      const TrackId t = records_[i].track;
+      if (t >= newest.size()) newest.resize(t + 1);
+      if (newest[t].size() < kTrackCapacity) {
+        newest[t].push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    for (const auto& picked : newest) {
+      for (auto it = picked.rbegin(); it != picked.rend(); ++it) {
+        const Record& rec = records_[*it];
+        const Arg* wait = nullptr;  // splits nic-wait from wire in the dump
+        for (const Arg& a : ArgsOf(rec)) {
+          if (!a.is_string && std::strcmp(a.key, "wait_ns") == 0) wait = &a;
+        }
+        event(rec, std::span<const Arg>(wait, wait != nullptr ? 1 : 0));
+      }
     }
   }
   out += "],\"displayTimeUnit\":\"ns\"}";

@@ -22,18 +22,16 @@
 // asserted in tests/obs/trace_determinism_test.cc). Keep process-global
 // values — session ids, pointers, host time — out of span names and args.
 //
-// One span store, written only where something reads it. Armed
-// (SetArmed(true): Incidents::Configure with a dump dir) each track keeps
-// its newest kTrackCapacity records, oldest evicted first, so an anomaly
-// dump (incident.h) can show what led up to it. SetEnabled(true) (--trace)
-// makes the store unbounded and keeps span args for the records admitted
-// from then on; those records are the --trace export. Neither armed nor
-// enabled, Complete returns before it builds a record: a simulator rerun
-// with the same seed sees the same history, so nothing needs an always-on
-// recorder. Trace ids are allocated either way (they ride inside modelled
-// payloads). Span args are collected only while enabled, so an untraced
-// span allocates nothing. A tracer with no bound simulation records
-// nothing: a span then costs one branch.
+// One span store: while enabled, every completed span is appended, with
+// its args, in admission order. Two exports read it: the --trace Chrome
+// JSON lists every record; an anomaly dump (incident.h) lists each track's
+// newest kTrackCapacity records. --trace and --flight-dump-dir
+// (Incidents::Configure with a dump dir) both enable the tracer, so either
+// run's memory grows with the run. Not enabled, Complete returns on one
+// branch before it builds a record and Span args are not collected, so an
+// untraced span allocates nothing. Trace ids are allocated either way (they
+// ride inside modelled payloads). A tracer with no bound simulation cannot
+// be enabled.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +54,7 @@ using TrackId = std::uint32_t;  // one per sim node ("thread" in the export)
 
 class Tracer {
  public:
-  // Records each track keeps while armed and not traced, and the most an
-  // anomaly dump lists per track (~32 KiB of records per track).
+  // The most records an anomaly dump lists per track.
   static constexpr std::uint32_t kTrackCapacity = 512;
 
   Tracer() = default;
@@ -65,19 +62,15 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // The tracer reads timestamps from this simulation; spans record from
-  // then on. Must be called before SetEnabled().
+  // The tracer reads timestamps from this simulation. Must be called before
+  // SetEnabled().
   void Bind(sim::Simulation* sim) { sim_ = sim; }
   bool bound() const { return sim_ != nullptr; }
 
+  // Enabled, Complete keeps a record. A site whose args cost work to build
+  // checks enabled() first, so an idle tracer costs it one branch.
   void SetEnabled(bool on) { enabled_ = on && sim_ != nullptr; }
   bool enabled() const { return enabled_; }
-  // Armed, every track keeps its newest records for an anomaly dump.
-  void SetArmed(bool on) { armed_ = on; }
-  bool armed() const { return armed_; }
-  // True when Complete would keep a record. A site whose args cost work to
-  // build checks it first, so an idle tracer costs it one branch.
-  bool recording() const { return sim_ != nullptr && (enabled_ || armed_); }
 
   // Get-or-create a track by node name. Track ids are assigned in
   // registration order (construction order of the testbed — deterministic).
@@ -101,24 +94,22 @@ class Tracer {
     bool is_string = false;
   };
 
-  static constexpr std::uint32_t kUntraced = ~std::uint32_t{0};
-
-  // One completed span. `wait_ns` is the span's "wait_ns" arg, kept even
-  // when its args are not (anomaly dumps split nic-wait from wire with it).
+  // One completed span. Its seq, the global admission order, is its index
+  // in the store + 1.
   struct Record {
     const char* name = "";
     const char* cat = "";
     sim::SimTime start = 0;
     sim::Duration dur = 0;
     TraceId trace = 0;
-    std::uint64_t seq = 0;  // global admission order
-    std::int64_t wait_ns = -1;  // -1 = not applicable
-    std::uint32_t args = kUntraced;  // first arg in args_, or kUntraced
+    std::uint32_t args = 0;  // first arg in args_
     std::uint32_t nargs = 0;
+    TrackId track = 0;
   };
-  static_assert(sizeof(Record) <= 64, "a record fits one cache line");
+  static_assert(sizeof(Record) <= 56, "a record stays within 56 bytes");
 
-  // The export view of one traced record.
+  // The export view of one record. `args` points into the store: it stays
+  // valid until the tracer next records or is cleared.
   struct Event {
     TrackId track = 0;
     const char* name = "";
@@ -126,13 +117,11 @@ class Tracer {
     sim::SimTime start = 0;
     sim::Duration dur = 0;
     TraceId trace = 0;
-    std::vector<Arg> args;
+    std::span<const Arg> args;
   };
 
-  // Record a complete ("X") span; a no-op before Bind() and while neither
-  // armed nor enabled. `name`, `cat` and arg keys must outlive the tracer
-  // (use literals). Allocates nothing once the track's ring is reserved,
-  // unless the tracer is enabled.
+  // Record a complete ("X") span; a no-op unless enabled. `name`, `cat` and
+  // arg keys must outlive the tracer (use literals).
   void Complete(TrackId track, const char* name, const char* cat,
                 sim::SimTime start, sim::Duration dur, TraceId trace,
                 std::span<const Arg> args = {});
@@ -143,34 +132,24 @@ class Tracer {
              std::span<const Arg>(args.begin(), args.size()));
   }
 
-  // The records admitted while enabled, in admission order, args included.
+  // Every record, in admission order. Records stay until Clear(), also
+  // after SetEnabled(false).
   std::vector<Event> events() const;
-  std::size_t traced() const { return traced_; }
-  std::uint64_t admitted() const { return seq_; }
+  std::size_t traced() const { return records_.size(); }
   // Drop every record and restart the admission count.
-  void Clear();
-
-  // Visit every record a track holds, oldest to newest.
-  template <typename Fn>
-  void ForEach(TrackId track, Fn&& fn) const {
-    if (track >= rings_.size()) return;
-    const Ring& r = rings_[track];
-    for (std::size_t i = r.oldest; i < r.recs.size(); ++i) fn(r.recs[i]);
-    for (std::size_t i = 0; i < r.oldest; ++i) fn(r.recs[i]);
-  }
-  std::size_t size(TrackId track) const {
-    return track < rings_.size() ? rings_[track].recs.size() : 0;
+  void Clear() {
+    records_.clear();
+    args_.clear();
   }
 
   // Chrome trace_event JSON ("traceEvents" array of track metadata + "X"
-  // events, ts/dur in microseconds with fixed 3-decimal formatting) of the
-  // records admitted while enabled, in admission order. Byte-stable for
-  // identical span sequences.
+  // events, ts/dur in microseconds with fixed 3-decimal formatting) of every
+  // record, in admission order. Byte-stable for identical span sequences.
   std::string ToChromeJson() const { return Json("", false); }
   // The anomaly dump: `anomaly_json` (pre-rendered; empty = omitted), then
   // the newest kTrackCapacity records of every track, track by track, each
-  // with its seq and wait_ns in place of its args. Traced or not; a tracer
-  // never armed or enabled lists only its tracks.
+  // with its seq and its "wait_ns" arg in place of its args. A tracer never
+  // enabled lists only its tracks.
   std::string DumpJson(const std::string& anomaly_json) const {
     return Json(anomaly_json, true);
   }
@@ -178,28 +157,19 @@ class Tracer {
   sim::SimTime now() const { return sim_ != nullptr ? sim_->now() : 0; }
 
  private:
-  struct Ring {
-    std::vector<Record> recs;
-    std::uint32_t oldest = 0;  // slot of the oldest record once wrapped
-  };
-
-  // The traced records of every track, in admission order.
-  std::vector<std::pair<TrackId, const Record*>> Traced() const;
+  std::span<const Arg> ArgsOf(const Record& rec) const {
+    return std::span<const Arg>(args_).subspan(rec.args, rec.nargs);
+  }
   // The one writer behind ToChromeJson and DumpJson.
   std::string Json(const std::string& anomaly_json, bool dump) const;
 
   sim::Simulation* sim_ = nullptr;
   bool enabled_ = false;
-  bool armed_ = false;
   TraceId last_trace_ = 0;
   TraceId current_ = 0;
   std::vector<std::string> tracks_;
-  std::uint64_t seq_ = 0;
-  // Records admitted while enabled. Once there is one, no ring evicts:
-  // traced records stay until Clear(), also after SetEnabled(false).
-  std::size_t traced_ = 0;
-  std::vector<Ring> rings_;  // per track
-  std::vector<Arg> args_;    // args of traced records, in admission order
+  std::vector<Record> records_;  // in admission order
+  std::vector<Arg> args_;        // of every record, in admission order
 };
 
 struct NodeObs;  // obs.h

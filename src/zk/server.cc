@@ -555,7 +555,7 @@ sim::Task<void> ZkServer::FlushProposalQueue() {
     ++batch_rounds_;
     proposals_batched_ += n;
     const std::span<BatchEntry> wave(propose_queue_.data(), n);
-    if (obs_.tracer != nullptr && obs_.tracer->recording()) {
+    if (obs_.tracer != nullptr && obs_.tracer->enabled()) {
       // One span per quorum wave, attributed to the first txn's trace.
       auto front = TxnView::Decode(wave.front().txn);
       DUFS_CHECK(front.ok());
@@ -693,7 +693,7 @@ void ZkServer::TryCommitInOrder() {
     // quorum() includes it naturally.
     if (head.ack_count() < quorum()) break;
     const Zxid zxid = head.zxid;
-    if (obs_.tracer != nullptr && obs_.tracer->recording() &&
+    if (obs_.tracer != nullptr && obs_.tracer->enabled() &&
         head.proposed_at > 0) {
       // PROPOSE -> quorum of ACKs, on the leader's track.
       obs_.tracer->Complete(
@@ -858,7 +858,7 @@ sim::Task<void> ZkServer::JournalLoop() {
     const sim::SimTime fsync_start = endpoint_.sim().now();
     co_await endpoint_.node().DiskWrite(total);  // one group-commit fsync
     const sim::SimTime fsync_end = endpoint_.sim().now();
-    if (obs_.tracer != nullptr && obs_.tracer->recording()) {
+    if (obs_.tracer != nullptr && obs_.tracer->enabled()) {
       // One span per batched entry — same interval, each entry's own trace
       // id — so the decomposition charges the shared fsync to every op it
       // made durable, not just the first in the batch.

@@ -62,6 +62,36 @@ TEST(FlagsDeathTest, PositionalAfterFlagsAborts) {
               "unexpected arg: stray");
 }
 
+// A numeric value that is not entirely a number is a usage error, not a
+// silent 0 (or a silent prefix) that runs a different configuration.
+TEST(FlagsDeathTest, IntWithTrailingTextAborts) {
+  EXPECT_EXIT(Make({"--items=2x"}).Int("items", 0), testing::ExitedWithCode(2),
+              "--items: not an integer: \"2x\".*usage text");
+  EXPECT_EXIT(Make({"--items=x"}).Int("items", 0), testing::ExitedWithCode(2),
+              "not an integer");
+  EXPECT_EXIT(Make({"--items="}).Int("items", 0), testing::ExitedWithCode(2),
+              "not an integer");
+}
+
+TEST(FlagsDeathTest, DoubleWithTrailingTextAborts) {
+  EXPECT_EXIT(Make({"--theta=0.9q"}).Double("theta", 0),
+              testing::ExitedWithCode(2), "--theta: not a number");
+  EXPECT_EXIT(Make({"--theta=abc"}).Double("theta", 0),
+              testing::ExitedWithCode(2), "not a number");
+}
+
+TEST(FlagsDeathTest, IntListElementThatIsNotANumberAborts) {
+  EXPECT_EXIT(Make({"--procs=16,x"}).IntList("procs", {}),
+              testing::ExitedWithCode(2), "--procs: not an integer: \"x\"");
+}
+
+TEST(FlagsTest, NumbersParseWhole) {
+  auto flags = Make({"--items=-3", "--theta=0.25", "--rate=1e3"});
+  EXPECT_EQ(flags.Int("items", 0), -3);
+  EXPECT_DOUBLE_EQ(flags.Double("theta", 0), 0.25);
+  EXPECT_DOUBLE_EQ(flags.Double("rate", 0), 1000.0);
+}
+
 TEST(FlagsTest, IntListParsesCommaSeparated) {
   auto flags = Make({"--procs=16,32,64"});
   EXPECT_EQ(flags.IntList("procs", {}), (std::vector<long>{16, 32, 64}));

@@ -104,5 +104,10 @@ TEST(HarnessDeathTest, MalformedSloIsAUsageError) {
               "want op:target:budget");
 }
 
+TEST(FlagsDeathTest, SloBudgetWithTrailingTextAborts) {
+  EXPECT_EXIT(RunHarness({"--slo=create:8ms:0.01x"}),
+              testing::ExitedWithCode(2), "want op:target:budget");
+}
+
 }  // namespace
 }  // namespace dufs::bench

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mdtest/testbed.h"
@@ -98,32 +99,75 @@ TEST(TracerTest, ExportHoldsExactlyTheSpansAdmittedWhileEnabled) {
   EXPECT_LT(json.find("\"one\""), json.find("\"two\""));
 }
 
-// An armed tracer's anomaly dump lists the same newest records per track
-// whether or not the spans were traced.
+// The (tid, seq) of every event in a dump, in listed order.
+std::vector<std::pair<int, std::uint64_t>> DumpedSeqs(const std::string& dump) {
+  std::vector<std::pair<int, std::uint64_t>> out;
+  for (std::size_t at = dump.find("\"ph\":\"X\""); at != std::string::npos;
+       at = dump.find("\"ph\":\"X\"", at + 1)) {
+    const std::size_t tid = dump.find("\"tid\":", at) + 6;
+    const std::size_t seq = dump.find("\"seq\":", at) + 6;
+    out.emplace_back(std::stoi(dump.substr(tid)),
+                     std::stoull(dump.substr(seq)));
+  }
+  return out;
+}
+
+// An anomaly dump lists each track's newest kTrackCapacity records, track by
+// track in admission order, with seq = global admission index. It is the
+// same whether a dump dir (Incidents::Configure) or --trace enabled the
+// tracer.
 TEST(TracerTest, DumpIsTheSameTracedOrNot) {
+  constexpr std::uint32_t kSteps = 900;  // track a: 900 spans, track b: 300
   auto dump = [](bool traced) {
     sim::Simulation sim(1);
     obs::Tracer tracer;
     tracer.Bind(&sim);
-    tracer.SetArmed(true);
-    const auto t = tracer.Track("zk0");
-    tracer.Complete(t, "early", "c", 0, 1, 0);
-    tracer.SetEnabled(traced);
-    for (std::uint32_t i = 1; i <= obs::Tracer::kTrackCapacity + 5; ++i) {
-      tracer.Complete(t, "nic-rx", "net", 1000 * i, 10, i,
+    obs::Incidents incidents;
+    incidents.Bind(&sim, &tracer);
+    const auto a = tracer.Track("zk0");
+    const auto b = tracer.Track("client0");
+    tracer.Complete(a, "early", "c", 0, 1, 0);  // before enabling: not kept
+    if (traced) {
+      tracer.SetEnabled(true);
+    } else {
+      obs::AnomalyConfig config;
+      config.dump_dir = "dumps";
+      incidents.Configure(config);
+    }
+    for (std::uint32_t i = 1; i <= kSteps; ++i) {
+      tracer.Complete(a, "nic-rx", "net", 1000 * i, 10, i,
                       {{"wait_ns", 4}, {"bytes", 64}});
+      if (i % 3 == 0) tracer.Complete(b, "create", "op", 1000 * i, 5, i);
     }
     return tracer.DumpJson("{\"type\":\"test\"}");
   };
   const std::string untraced = dump(false);
   EXPECT_EQ(untraced, dump(true));
-  EXPECT_EQ(untraced.find("\"early\""), std::string::npos);  // evicted
+  EXPECT_EQ(untraced.find("\"early\""), std::string::npos);
   EXPECT_NE(untraced.find("\"wait_ns\":4"), std::string::npos);
   EXPECT_EQ(untraced.find("\"bytes\""), std::string::npos);  // args stay out
+
+  // Replay the admissions: each track's newest kTrackCapacity seqs.
+  std::vector<std::uint64_t> seqs[2];
+  std::uint64_t seq = 0;
+  for (std::uint32_t i = 1; i <= kSteps; ++i) {
+    seqs[0].push_back(++seq);
+    if (i % 3 == 0) seqs[1].push_back(++seq);
+  }
+  std::vector<std::pair<int, std::uint64_t>> want;
+  for (int t = 0; t < 2; ++t) {
+    const std::size_t n = seqs[t].size();
+    const std::size_t skip = n > obs::Tracer::kTrackCapacity
+                                 ? n - obs::Tracer::kTrackCapacity
+                                 : 0;
+    for (std::size_t k = skip; k < n; ++k) want.emplace_back(t + 1, seqs[t][k]);
+  }
+  ASSERT_EQ(seqs[0].size(), kSteps);  // track a overflows one dump
+  EXPECT_EQ(DumpedSeqs(untraced), want);
 }
 
-// Neither armed nor enabled, a bound tracer keeps no record: the spans
-// still run, and the dump lists only the tracks.
+// A bound tracer never enabled keeps no record: the spans still run, and
+// the dump lists only the tracks.
 TEST(TracerTest, UnarmedUntracedTracerKeepsNoRecord) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
@@ -135,18 +179,15 @@ TEST(TracerTest, UnarmedUntracedTracerKeepsNoRecord) {
   obs::Span span(&tracer, t, "zk-rpc", "zk", 9);
   EXPECT_TRUE(span.active());
   span.End();
-  std::size_t visited = 0;
-  tracer.ForEach(t, [&](const obs::Tracer::Record&) { ++visited; });
-  EXPECT_EQ(visited, 0u);
-  EXPECT_EQ(tracer.size(t), 0u);
-  EXPECT_EQ(tracer.admitted(), 0u);
+  EXPECT_EQ(tracer.traced(), 0u);
+  EXPECT_TRUE(tracer.events().empty());
   EXPECT_EQ(tracer.DumpJson(""),
             "{\"traceEvents\":[{\"ph\":\"M\",\"pid\":1,\"tid\":1,"
             "\"name\":\"thread_name\",\"args\":{\"name\":\"zk0\"}}],"
             "\"displayTimeUnit\":\"ns\"}");
 }
 
-// Enabled, the store keeps every span, armed or not.
+// Enabled, the store keeps every span.
 TEST(TracerTest, EnabledStoreIsUnbounded) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
@@ -156,13 +197,13 @@ TEST(TracerTest, EnabledStoreIsUnbounded) {
   for (std::uint32_t i = 0; i < kSpans; ++i) {
     tracer.Complete(0, "w", "c", i, 1, 0);
   }
-  EXPECT_EQ(tracer.size(0), kSpans);
   EXPECT_EQ(tracer.traced(), kSpans);
   EXPECT_EQ(tracer.events().size(), kSpans);
   EXPECT_EQ(tracer.events().front().start, 0);
 }
 
-// Only a dump dir arms the tracer: SLOs alone write no dump.
+// Only a dump dir enables the tracer (SLOs alone write no dump), and
+// Configure never disables a tracer --trace already enabled.
 TEST(TracerTest, IncidentsArmTheTracerOnlyWithADumpDir) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
@@ -170,98 +211,46 @@ TEST(TracerTest, IncidentsArmTheTracerOnlyWithADumpDir) {
   obs::Incidents incidents;
   incidents.Bind(&sim, &tracer);
   incidents.AddSlo(obs::SloSpec{"create", sim::Ms(1), 0.01});
-  EXPECT_FALSE(tracer.armed());
+  EXPECT_FALSE(tracer.enabled());
   obs::AnomalyConfig config;
   incidents.Configure(config);
-  EXPECT_FALSE(tracer.armed());
+  EXPECT_FALSE(tracer.enabled());
   config.dump_dir = "dumps";
   incidents.Configure(config);
-  EXPECT_TRUE(tracer.armed());
+  EXPECT_TRUE(tracer.enabled());
+
+  obs::Tracer traced;
+  traced.Bind(&sim);
+  traced.SetEnabled(true);
+  obs::Incidents slo_only;
+  slo_only.Bind(&sim, &traced);
+  slo_only.Configure(obs::AnomalyConfig{});
+  EXPECT_TRUE(traced.enabled());
 }
 
-// The bounded store an armed tracer keeps for anomaly dumps: each track
-// holds its newest kTrackCapacity records.
-std::vector<std::int64_t> Starts(const obs::Tracer& tracer,
-                                 obs::TrackId track) {
-  std::vector<std::int64_t> out;
-  tracer.ForEach(track, [&](const obs::Tracer::Record& r) {
-    out.push_back(r.start);
-  });
-  return out;
-}
-
-std::vector<std::int64_t> Range(std::int64_t first, std::int64_t n) {
-  std::vector<std::int64_t> out(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = first + static_cast<std::int64_t>(i);
-  }
-  return out;
-}
-
-constexpr std::int64_t kCap = obs::Tracer::kTrackCapacity;
-
-TEST(FlightRecorderTest, FillsWithoutEvictionUpToCapacity) {
-  sim::Simulation sim(1);
-  obs::Tracer tracer;
-  tracer.Bind(&sim);
-  tracer.SetArmed(true);
-  for (std::int64_t i = 0; i < kCap; ++i) {
-    tracer.Complete(0, "w", "c", i, 10, 0);
-  }
-  EXPECT_EQ(tracer.size(0), obs::Tracer::kTrackCapacity);
-  EXPECT_EQ(tracer.admitted(), obs::Tracer::kTrackCapacity);
-  EXPECT_EQ(Starts(tracer, 0), Range(0, kCap));
-}
-
-TEST(FlightRecorderTest, RingEvictsOldestKeepsOrder) {
-  sim::Simulation sim(1);
-  obs::Tracer tracer;
-  tracer.Bind(&sim);
-  tracer.SetArmed(true);
-  for (std::int64_t i = 0; i < kCap + 3; ++i) {
-    tracer.Complete(0, "w", "c", i, 10, 0);
-  }
-  EXPECT_EQ(tracer.size(0), obs::Tracer::kTrackCapacity);
-  EXPECT_EQ(tracer.admitted(), obs::Tracer::kTrackCapacity + 3);
-  // Oldest-to-newest: the last kTrackCapacity admissions, in order.
-  EXPECT_EQ(Starts(tracer, 0), Range(3, kCap));
-}
-
-TEST(FlightRecorderTest, TracksAreIndependentAndSeqIsGlobal) {
-  sim::Simulation sim(1);
-  obs::Tracer tracer;
-  tracer.Bind(&sim);
-  tracer.SetArmed(true);
-  tracer.Complete(0, "a", "c", 1, 1, 0);
-  tracer.Complete(2, "b", "c", 2, 1, 0);  // skips track 1
-  EXPECT_EQ(tracer.size(0), 1u);
-  EXPECT_EQ(tracer.size(1), 0u);
-  EXPECT_EQ(tracer.size(2), 1u);
-  std::uint64_t last_seq = 0;
-  tracer.ForEach(2, [&](const obs::Tracer::Record& r) { last_seq = r.seq; });
-  EXPECT_EQ(last_seq, 2u);  // global admission counter
-  EXPECT_EQ(Starts(tracer, 7), std::vector<std::int64_t>{});  // unknown track
-}
-
-TEST(FlightRecorderTest, ClearResets) {
+TEST(TracerTest, ClearResets) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
   tracer.Bind(&sim);
   tracer.SetEnabled(true);
-  tracer.Complete(0, "w", "c", 1, 1, 0);
+  tracer.Complete(0, "w", "c", 1, 1, 0, {{"k", 1}});
   tracer.Clear();
-  EXPECT_EQ(tracer.admitted(), 0u);
   EXPECT_EQ(tracer.traced(), 0u);
-  EXPECT_EQ(tracer.size(0), 0u);
   EXPECT_TRUE(tracer.events().empty());
+  // The admission count restarts too.
+  tracer.Complete(0, "w", "c", 2, 1, 0);
+  EXPECT_NE(tracer.DumpJson("").find("\"seq\":1}"), std::string::npos);
+  ASSERT_EQ(tracer.events().size(), 1u);
+  EXPECT_TRUE(tracer.events()[0].args.empty());
 }
 
-TEST(FlightRecorderTest, DumpJsonIsChromeShapedAndDeterministic) {
+TEST(TracerTest, DumpJsonIsChromeShapedAndDeterministic) {
+  constexpr std::int64_t kCap = obs::Tracer::kTrackCapacity;
   auto build = [] {
     sim::Simulation sim(1);
     obs::Tracer tracer;
     tracer.Bind(&sim);
-    tracer.SetArmed(true);
+    tracer.SetEnabled(true);
     const auto t0 = tracer.Track("zk0");
     const auto t1 = tracer.Track("client0");
     for (std::int64_t i = 0; i < kCap + 2; ++i) {
@@ -279,7 +268,8 @@ TEST(FlightRecorderTest, DumpJsonIsChromeShapedAndDeterministic) {
   EXPECT_NE(a.find("\"fsync-batch\""), std::string::npos);
   EXPECT_NE(a.find("\"seq\":3,\"trace\":9}"), std::string::npos);
   EXPECT_NE(a.find("\"wait_ns\":25"), std::string::npos);
-  // The evicted spans (start 0, 1000) are gone from the dump.
+  // The two oldest spans (start 0, 1000) are past track zk0's newest
+  // kTrackCapacity and stay out of the dump.
   EXPECT_EQ(a.find("\"ts\":0.000"), std::string::npos);
   EXPECT_EQ(a.find("\"ts\":1.000"), std::string::npos);
   // Each track lists its newest kTrackCapacity spans, or all it has.
@@ -296,25 +286,52 @@ TEST(FlightRecorderTest, DumpJsonIsChromeShapedAndDeterministic) {
   EXPECT_EQ(count("{\"ph\":\"X\",\"pid\":1,\"tid\":2,"), 1u);
 }
 
-TEST(FlightRecorderTest, TracerRecordsSpansWhileDisabled) {
+TEST(TracerTest, TracksAreIndependentAndSeqIsGlobal) {
   sim::Simulation sim(1);
   obs::Tracer tracer;
   tracer.Bind(&sim);
-  tracer.SetArmed(true);
-  EXPECT_FALSE(tracer.enabled());
+  tracer.SetEnabled(true);
+  tracer.Complete(0, "a", "c", 1, 1, 0);
+  tracer.Complete(2, "b", "c", 2, 1, 0);  // skips track 1
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].track, 0u);
+  EXPECT_EQ(events[1].track, 2u);
+  // Track 1 lists nothing; track 2's one record has the global seq 2.
+  const std::vector<std::pair<int, std::uint64_t>> want = {{1, 1}, {3, 2}};
+  EXPECT_EQ(DumpedSeqs(tracer.DumpJson("")), want);
+}
+
+// events() views the store: each record's fields and args (an int and a
+// string) as passed, still readable once the tracer is disabled, which
+// keeps what it holds and records nothing more.
+TEST(TracerTest, EventsKeepArgsAfterDisable) {
+  sim::Simulation sim(1);
+  obs::Tracer tracer;
+  tracer.Bind(&sim);
+  tracer.SetEnabled(true);
   const auto track = tracer.Track("node0");
+  const std::string path = "/a/path/longer/than/the/small/string/buffer";
   tracer.Complete(track, "work", "cat", 100, 50, 7,
-                  {{"wait_ns", 5}, {"bytes", 64}});
-  EXPECT_TRUE(tracer.events().empty());  // nothing to export
-  ASSERT_EQ(tracer.size(track), 1u);
-  tracer.ForEach(track, [&](const obs::Tracer::Record& r) {
-    EXPECT_STREQ(r.name, "work");
-    EXPECT_EQ(r.start, 100);
-    EXPECT_EQ(r.dur, 50);
-    EXPECT_EQ(r.trace, 7u);
-    EXPECT_EQ(r.wait_ns, 5);
-    EXPECT_EQ(r.args, obs::Tracer::kUntraced);  // args not kept
-  });
+                  {{"wait_ns", 5}, {"path", path}});
+  tracer.SetEnabled(false);
+  tracer.Complete(track, "after", "cat", 200, 1, 8, {{"wait_ns", 6}});
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 1u);
+  const obs::Tracer::Event& e = events[0];
+  EXPECT_EQ(e.track, track);
+  EXPECT_STREQ(e.name, "work");
+  EXPECT_STREQ(e.cat, "cat");
+  EXPECT_EQ(e.start, 100);
+  EXPECT_EQ(e.dur, 50);
+  EXPECT_EQ(e.trace, 7u);
+  ASSERT_EQ(e.args.size(), 2u);
+  EXPECT_STREQ(e.args[0].key, "wait_ns");
+  EXPECT_FALSE(e.args[0].is_string);
+  EXPECT_EQ(e.args[0].num, 5);
+  EXPECT_STREQ(e.args[1].key, "path");
+  EXPECT_TRUE(e.args[1].is_string);
+  EXPECT_EQ(e.args[1].str, path);
 }
 
 // The acceptance chain: one DUFS Create, traced end to end — the root op

@@ -16,12 +16,13 @@
 # never list a directory; these workloads do.
 #
 # Every bench below writes a --baseline that is checked in under
-# bench/baselines/; fig07 and fig08 put every table cell in theirs, so any
-# figure number that moves also moves a baseline metric.
+# bench/baselines/; fig07, fig08 and fig09 put every table cell in theirs,
+# so any figure number that moves also moves a baseline metric.
 #
 # Exit status: 1 when an output differs and bench/baselines/ is the same as
-# at BASE_REF (a change that means to move simulated results regenerates
-# the checked-in baselines with it); 0 otherwise. Every differing file is
+# at BASE_REF, counting files not yet added to git (a change that means to
+# move simulated results regenerates the checked-in baselines with it); 0
+# otherwise. Every differing file is
 # listed either way. Run from anywhere inside the checkout; set JOBS to
 # bound the build's parallelism (default: nproc).
 set -euo pipefail
@@ -42,11 +43,12 @@ cleanup() {
 trap cleanup EXIT
 
 # name, then its flags. fig10, fig11 and fig13 run at the flags CI gates
-# them with; fig07 and fig08 run their default sweeps (a bench exits 1 on a
-# flag it does not read).
+# them with; fig07, fig08 and fig09 run their default sweeps (a bench exits
+# 1 on a flag it does not read).
 benches=(
   "fig07_zk_throughput"
   "fig08_zk_servers"
+  "fig09_backends"
   "fig10_native_compare --procs=16,64 --items=5"
   "fig11_memory --millions=0.1"
   "fig13_deep_tree"
@@ -142,7 +144,10 @@ if [[ $differ -eq 0 ]]; then
   echo "sim identity: every output is byte-identical to $base_ref"
   exit 0
 fi
-if git -C "$root" diff --quiet "$base_ref" -- bench/baselines; then
+# `git diff` skips untracked files, so a new baseline not yet added counts
+# only through `git status`.
+if git -C "$root" diff --quiet "$base_ref" -- bench/baselines &&
+  [[ -z $(git -C "$root" status --porcelain -- bench/baselines) ]]; then
   echo "sim identity: outputs differ from $base_ref but bench/baselines/" \
     "is unchanged" >&2
   exit 1
